@@ -5,17 +5,18 @@
 //!
 //! * `fixpoint`   — no data directory: the initial evaluation runs from
 //!   scratch (the price every stateless start pays);
-//! * `v1 restore` — a mem-backed engine materializes the v1 snapshot
-//!   back into its in-memory B-trees (no fixpoint, but O(tuples) index
-//!   rebuild);
-//! * `v2 mmap`    — a disk-backed engine maps the v2 run file and serves
+//! * `mem load`   — a mem-backed engine reads each relation's primary
+//!   run out of the snapshot back into its in-memory B-trees (no
+//!   fixpoint, but O(tuples) index rebuild);
+//! * `disk mmap`  — a disk-backed engine maps the same file and serves
 //!   queries off the paged base runs (no fixpoint, no rebuild);
-//! * `v2 +wal`    — same, plus a 32-batch WAL suffix replayed through
+//! * `disk +wal`  — same, plus a 32-batch WAL suffix replayed through
 //!   the incremental path.
 //!
-//! This backs EXPERIMENTS.md E17: mapping the snapshot must be at least
-//! 10x faster than re-running the fixpoint (the gap grows with scale —
-//! the v2 open is O(directory), not O(tuples)).
+//! There is one snapshot format, so the first two restart off the same
+//! directory. This backs EXPERIMENTS.md E17: mapping the snapshot must
+//! be at least 10x faster than re-running the fixpoint (the gap grows
+//! with scale — the mapped open is O(directory), not O(tuples)).
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -57,12 +58,11 @@ fn opts() -> PersistOptions {
 }
 
 /// Builds a data directory holding a snapshot of the warm database
-/// (plus `wal_batches` un-snapshotted single-edge inserts), written by
-/// an engine on the given backend.
-fn seed_dir(tag: &str, storage: StorageBackend, initial: &InputData, wal_batches: i32) -> PathBuf {
+/// (plus `wal_batches` un-snapshotted single-edge inserts).
+fn seed_dir(tag: &str, initial: &InputData, wal_batches: i32) -> PathBuf {
     let dir = fresh_dir(tag);
     let engine = Engine::from_source(TC).expect("compiles");
-    let config = InterpreterConfig::optimized().with_storage(storage);
+    let config = InterpreterConfig::optimized();
     let (mut r, _) =
         ResidentEngine::open(engine, config, initial, &dir, opts(), None).expect("opens");
     r.snapshot(None).expect("snapshots");
@@ -119,29 +119,28 @@ fn main() {
     let wal_batches = 32;
     let initial = inputs(nodes);
 
-    let dir_mem = seed_dir("v1", StorageBackend::Mem, &initial, 0);
-    let dir_disk = seed_dir("v2", StorageBackend::Disk, &initial, 0);
-    let dir_wal = seed_dir("v2-wal", StorageBackend::Disk, &initial, wal_batches);
+    let dir_snap = seed_dir("snap", &initial, 0);
+    let dir_wal = seed_dir("snap-wal", &initial, wal_batches);
 
     let (t_fix, n_fix) = measure(StorageBackend::Mem, &initial, None, 0);
-    let (t_v1, n_v1) = measure(StorageBackend::Mem, &initial, Some(&dir_mem), 0);
-    let (t_v2, n_v2) = measure(StorageBackend::Disk, &initial, Some(&dir_disk), 0);
+    let (t_mem, n_mem) = measure(StorageBackend::Mem, &initial, Some(&dir_snap), 0);
+    let (t_map, n_map) = measure(StorageBackend::Disk, &initial, Some(&dir_snap), 0);
     let (t_wal, n_wal) = measure(
         StorageBackend::Disk,
         &initial,
         Some(&dir_wal),
         wal_batches as u64,
     );
-    assert_eq!(n_v1, n_fix, "v1 restore must recover the full database");
-    assert_eq!(n_v2, n_fix, "v2 mmap must recover the full database");
+    assert_eq!(n_mem, n_fix, "mem load must recover the full database");
+    assert_eq!(n_map, n_fix, "disk mmap must recover the full database");
     assert!(n_wal >= n_fix, "wal replay must recover at least the base");
 
     let speedup = |t: Duration| t_fix.as_secs_f64() / t.as_secs_f64();
     let rows: Vec<Vec<String>> = [
         ("fixpoint", t_fix),
-        ("v1 restore", t_v1),
-        ("v2 mmap", t_v2),
-        ("v2 +wal32", t_wal),
+        ("mem load", t_mem),
+        ("disk mmap", t_map),
+        ("disk +wal32", t_wal),
     ]
     .into_iter()
     .map(|(name, t)| vec![name.to_string(), fmt_dur(t), fmt_ratio(speedup(t))])
@@ -155,15 +154,15 @@ fn main() {
         &["path", "open", "speedup"],
         &rows,
     );
-    let mmap_speedup = speedup(t_v2);
-    println!("\nv2 mmap cold start: {mmap_speedup:.1}x faster than the fixpoint");
+    let mmap_speedup = speedup(t_map);
+    println!("\ndisk mmap cold start: {mmap_speedup:.1}x faster than the fixpoint");
     assert!(
         mmap_speedup >= 10.0,
-        "mapping the v2 snapshot must be at least 10x faster than \
+        "mapping the snapshot must be at least 10x faster than \
          re-evaluating (got {mmap_speedup:.1}x)"
     );
 
-    for d in [dir_mem, dir_disk, dir_wal] {
+    for d in [dir_snap, dir_wal] {
         let _ = std::fs::remove_dir_all(d);
     }
 }

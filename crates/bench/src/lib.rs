@@ -69,12 +69,7 @@ pub fn interp_eval(
     inputs: &InputData,
 ) -> (Duration, Option<ProfileReport>, usize) {
     let ram = engine.ram();
-    let mode = if config.legacy_data {
-        DataMode::LegacyDynamic
-    } else {
-        DataMode::Specialized
-    };
-    let db = Database::new(ram, mode);
+    let db = Database::new(ram, DataMode::of(&config));
     db.load_inputs(ram, inputs).expect("inputs load");
     let started = Instant::now();
     let tree = itree::build(ram, &config);

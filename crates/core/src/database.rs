@@ -10,7 +10,7 @@
 //! concurrent query readers while updates hold an exclusive engine-level
 //! lock, so `Database` (unlike the old `RefCell`-based version) is `Sync`.
 
-use crate::config::StorageBackend;
+use crate::config::{InterpreterConfig, StorageBackend};
 use crate::error::EvalError;
 use crate::value::Value;
 use std::collections::HashMap;
@@ -33,6 +33,17 @@ pub enum DataMode {
     /// Fully dynamic B-trees with runtime comparators (the legacy
     /// interpreter's mode, §5.1).
     LegacyDynamic,
+}
+
+impl DataMode {
+    /// The representation `config` selects.
+    pub fn of(config: &InterpreterConfig) -> DataMode {
+        if config.legacy_data {
+            DataMode::LegacyDynamic
+        } else {
+            DataMode::Specialized
+        }
+    }
 }
 
 /// External input facts: relation name → tuples of typed values.

@@ -147,25 +147,60 @@ impl Engine {
         fusions: &[itree::Fusion],
         tel: Option<&Telemetry>,
     ) -> Result<EvalOutcome, EngineError> {
-        let tracer = tel.map(|t| &t.tracer);
-        let mode = if config.legacy_data {
-            DataMode::LegacyDynamic
-        } else {
-            DataMode::Specialized
-        };
-        let db = {
-            let _span = tracer.map(|t| t.span("phase:build-db"));
-            Database::new_with_storage(&self.ram, mode, config.provenance, config.storage)
-        };
-        {
-            let _span = tracer.map(|t| t.span("phase:load-inputs"));
+        let up = bring_up(&self.ram, config, fusions, tel, |db| {
+            let _span = tel.map(|t| t.tracer.span("phase:load-inputs"));
             db.load_inputs(&self.ram, inputs)?;
+            Ok(true)
+        })?;
+        if let (Some(t), Some(par)) = (tel, &up.parallel) {
+            publish_parallel_metrics(&t.metrics, par);
         }
+        Ok(EvalOutcome {
+            outputs: up.db.extract_outputs(&self.ram),
+            profile: up.profile,
+            parallel: up.parallel,
+        })
+    }
+}
+
+/// What [`bring_up`] produced: the database, plus the fixpoint's reports
+/// (both `None` when the fixpoint did not run or was not instrumented).
+pub(crate) struct BroughtUp {
+    pub(crate) db: Database,
+    pub(crate) profile: Option<ProfileReport>,
+    pub(crate) parallel: Option<ParallelReport>,
+}
+
+/// The bring-up sequence shared by batch runs and the resident engine:
+/// build the database `config` selects, let `load` fill it (external
+/// inputs or a snapshot), and — when `load` returns `true` — generate
+/// the interpreter tree and run the fixpoint. `load` returns `false` when
+/// what it loaded is already the fixpoint's result. The database
+/// structure is sampled into an attached metrics registry either way.
+pub(crate) fn bring_up(
+    ram: &RamProgram,
+    config: InterpreterConfig,
+    fusions: &[itree::Fusion],
+    tel: Option<&Telemetry>,
+    load: impl FnOnce(&Database) -> Result<bool, EngineError>,
+) -> Result<BroughtUp, EngineError> {
+    let tracer = tel.map(|t| &t.tracer);
+    let db = {
+        let _span = tracer.map(|t| t.span("phase:build-db"));
+        Database::new_with_storage(
+            ram,
+            DataMode::of(&config),
+            config.provenance,
+            config.storage,
+        )
+    };
+    let (mut profile, mut parallel) = (None, None);
+    if load(&db)? {
         let tree = {
             let _span = tracer.map(|t| t.span("phase:build-itree"));
-            itree::build_with_fusions(&self.ram, &config, fusions)
+            itree::build_with_fusions(ram, &config, fusions)
         };
-        let mut interp = Interpreter::new(&self.ram, &db, config);
+        let mut interp = Interpreter::new(ram, &db, config);
         if let Some(t) = tel {
             interp.attach_telemetry(t);
         }
@@ -173,19 +208,17 @@ impl Engine {
             let _span = tracer.map(|t| t.span("phase:evaluate"));
             interp.run(&tree)?;
         }
-        let parallel = interp.parallel_report();
-        if let Some(t) = tel {
-            db.sample_metrics(&self.ram, &t.metrics);
-            if let Some(par) = &parallel {
-                publish_parallel_metrics(&t.metrics, par);
-            }
-        }
-        Ok(EvalOutcome {
-            outputs: db.extract_outputs(&self.ram),
-            profile: interp.profile_report(),
-            parallel,
-        })
+        parallel = interp.parallel_report();
+        profile = interp.profile_report();
     }
+    if let Some(t) = tel {
+        db.sample_metrics(ram, &t.metrics);
+    }
+    Ok(BroughtUp {
+        db,
+        profile,
+        parallel,
+    })
 }
 
 /// Publishes work-stealing statistics into the metrics registry, whence

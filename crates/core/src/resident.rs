@@ -56,8 +56,8 @@
 //! nothing measurable.
 
 use crate::config::{InterpreterConfig, StorageBackend};
-use crate::database::{DataMode, Database, InputData};
-use crate::engine::Engine;
+use crate::database::{Database, InputData};
+use crate::engine::{bring_up, Engine};
 use crate::error::{EngineError, EvalError, StorageError};
 use crate::fault::{self, FaultPoint};
 use crate::health::HealthMonitor;
@@ -66,12 +66,10 @@ use crate::itree;
 use crate::morsel::ParallelReport;
 use crate::profile::ProfileReport;
 use crate::prov::{ExplainLimits, ProofNode};
-use crate::snap2;
+use crate::snap2::{self, Snap2, Snap2Relation, SnapshotData, SnapshotImage, SnapshotStats};
 use crate::telemetry::{LogLevel, ServeMetrics, Telemetry};
 use crate::value::Value;
-use crate::wal::{
-    self, CommitTicket, Durability, SnapshotLoad, SnapshotStats, WalStats, WalWriter,
-};
+use crate::wal::{self, CommitTicket, Durability, WalStats, WalWriter};
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -79,6 +77,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use stir_der::disk::{self, DiskIndex, RunFile};
+use stir_der::order::Order;
+use stir_der::relation::Relation;
+use stir_der::IndexAdapter;
 use stir_frontend::SymbolTable;
 use stir_ram::expr::RamDomain;
 use stir_ram::program::{RamProgram, RelId, Role};
@@ -132,10 +133,14 @@ pub struct PersistOptions {
 }
 
 /// What [`ResidentEngine::open`] recovered from the data directory.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// A valid snapshot was loaded (skipping the initial fixpoint).
     pub snapshot_loaded: bool,
+    /// Why the snapshot file that was there could not be used. Recovery
+    /// went on without it — and so without every write it covered, since
+    /// the WAL was truncated when it was taken. Callers should say so.
+    pub snapshot_rejected: Option<String>,
     /// WAL batches re-applied after the snapshot point.
     pub replayed_batches: u64,
     /// Genuinely new tuples those batches contributed.
@@ -190,6 +195,43 @@ impl Persistence {
     fn snapshot_path(&self) -> PathBuf {
         self.dir.join(SNAPSHOT_FILE)
     }
+}
+
+/// Rebases every index of `rel` onto its persisted run in `snap` (cold
+/// start and `.compact`). Every index must be a [`DiskIndex`] whose
+/// order matches the run's: the fingerprint makes a mismatch a
+/// corruption, not a version skew.
+fn rebase_runs(rel: &mut Relation, snap: &Snap2, srel: &Snap2Relation) -> Result<(), StorageError> {
+    if rel.index_count() != srel.runs.len() {
+        return Err(StorageError::new(format!(
+            "snapshot relation `{}` has {} runs, the program wants {} indexes",
+            srel.name,
+            srel.runs.len(),
+            rel.index_count()
+        )));
+    }
+    for (k, run) in srel.runs.iter().enumerate() {
+        let base = snap.base_run(srel, k);
+        let idx = rel.index_mut(k);
+        if idx.order().columns() != &run.order[..] {
+            return Err(StorageError::new(format!(
+                "snapshot run {k} of `{}` is ordered {:?}, the index wants {:?}",
+                srel.name,
+                run.order,
+                idx.order().columns()
+            )));
+        }
+        idx.as_any_mut()
+            .downcast_mut::<DiskIndex>()
+            .ok_or_else(|| {
+                StorageError::new(format!(
+                    "snapshot relation `{}` is run-backed but index {k} is not a disk index",
+                    srel.name
+                ))
+            })?
+            .rebase(base);
+    }
+    Ok(())
 }
 
 /// A point-in-time snapshot of the serving counters.
@@ -341,57 +383,196 @@ impl ResidentEngine {
         inputs: &InputData,
         tel: Option<&Telemetry>,
     ) -> Result<ResidentEngine, EngineError> {
-        let ram = engine.into_ram();
-        let tracer = tel.map(|t| &t.tracer);
-        let mode = if config.legacy_data {
-            DataMode::LegacyDynamic
-        } else {
-            DataMode::Specialized
-        };
-        let db = {
-            let _span = tracer.map(|t| t.span("phase:build-db"));
-            Database::new_with_storage(&ram, mode, config.provenance, config.storage)
-        };
-        {
-            let _span = tracer.map(|t| t.span("phase:load-inputs"));
-            db.load_inputs(&ram, inputs)?;
-        }
-        let counters = Counters::default();
-        let initial_profile = {
-            let tree = {
-                let _span = tracer.map(|t| t.span("phase:build-itree"));
-                itree::build_with_fusions(&ram, &config, &[])
-            };
-            let mut interp = Interpreter::new(&ram, &db, config);
-            if let Some(t) = tel {
-                interp.attach_telemetry(t);
-            }
-            {
-                let _span = tracer.map(|t| t.span("phase:evaluate"));
-                interp.run(&tree)?;
-            }
-            counters.absorb_parallel(interp.parallel_report().as_ref());
-            interp.profile_report()
-        };
-        if let Some(t) = tel {
-            db.sample_metrics(&ram, &t.metrics);
-        }
+        Self::assemble(engine, config, SnapshotImage::Missing, inputs, tel)
+    }
 
-        // Record the external inputs so a later fallback recompute can
-        // replay them alongside the program's own ground facts.
-        let mut extra_facts = Vec::new();
-        {
-            let mut symbols = db.symbols_wr();
-            for (name, tuples) in inputs {
-                let id = ram
-                    .relation_by_name(name)
-                    .expect("validated by load_inputs")
-                    .id;
-                for t in tuples {
-                    extra_facts.push((id, t.iter().map(|v| v.encode(&mut symbols)).collect()));
+    /// Builds the engine from what [`snap2::load_snapshot`] found.
+    ///
+    /// Without a usable snapshot, `inputs` are loaded and the initial
+    /// fixpoint runs. With one, relations (EDB *and* IDB), symbols, the
+    /// auto-increment counter, and the fact replay list all come from the
+    /// snapshot, `inputs` is ignored, and the fixpoint is skipped — except
+    /// with provenance on: annotations are deliberately not serialized,
+    /// so only the `.input` relations are taken from the snapshot (as
+    /// height-0 axioms) and everything derived is recomputed, regaining
+    /// its rule and height annotations.
+    ///
+    /// A `STIRSNP2` image under disk storage (provenance off) is served
+    /// in place: each disk-backed index is rebased onto its persisted run
+    /// (pages fault in lazily through the shared cache) and only the
+    /// inline relations are materialized. Every other combination
+    /// materializes each relation from its tuples or its primary run.
+    fn assemble(
+        engine: Engine,
+        config: InterpreterConfig,
+        image: SnapshotImage,
+        inputs: &InputData,
+        tel: Option<&Telemetry>,
+    ) -> Result<ResidentEngine, EngineError> {
+        let mut ram = engine.into_ram();
+        let tracer = tel.map(|t| &t.tracer);
+        // The decoded contents, and the image itself when it has runs.
+        let snapshot: Option<(&SnapshotData, Option<&Snap2>)> = match &image {
+            SnapshotImage::Missing | SnapshotImage::Invalid(_) => None,
+            SnapshotImage::Tuples(data) => Some((data, None)),
+            SnapshotImage::Mapped(snap) => Some((&snap.data, Some(snap))),
+        };
+        let map_runs = matches!(snapshot, Some((_, Some(_))))
+            && config.storage == StorageBackend::Disk
+            && !config.provenance;
+
+        // One flag per `ram.facts` entry, filled by a snapshot load: false
+        // for a ground fact the snapshot says was retracted. Applied once
+        // `ram` is no longer borrowed.
+        let mut keep_fact = Vec::new();
+        let up = bring_up(&ram, config, &[], tel, |db| {
+            let Some((snap, mapped)) = snapshot else {
+                let _span = tracer.map(|t| t.span("phase:load-inputs"));
+                db.load_inputs(&ram, inputs)?;
+                return Ok(true);
+            };
+            {
+                // Replace the table wholesale: every bit pattern in the
+                // snapshot was encoded against it. The program's own
+                // symbols are a prefix of it (interning only appends), so
+                // the `ram.facts` tuples inserted by `Database::new` stay
+                // valid.
+                let mut fresh = SymbolTable::new();
+                for s in &snap.symbols {
+                    fresh.intern(s);
+                }
+                if fresh.len() < ram.symbols.len() {
+                    return Err(StorageError::new(
+                        "snapshot symbol table is smaller than the program's",
+                    )
+                    .into());
+                }
+                *db.symbols_wr() = fresh;
+            }
+            let _span = tracer.map(|t| {
+                t.span(if map_runs {
+                    "phase:map-snapshot"
+                } else {
+                    "phase:load-snapshot"
+                })
+            });
+            let mut covered = vec![false; ram.relations.len()];
+            for srel in &snap.relations {
+                let meta = ram.relation_by_name(&srel.name).ok_or_else(|| {
+                    StorageError::new(format!(
+                        "snapshot relation `{}` is not in the program",
+                        srel.name
+                    ))
+                })?;
+                if srel.arity != meta.arity {
+                    return Err(StorageError::new(format!(
+                        "snapshot relation `{}` has arity {}, expected {}",
+                        srel.name, srel.arity, meta.arity
+                    ))
+                    .into());
+                }
+                covered[meta.id.0] = meta.is_input;
+                if config.provenance && !meta.is_input {
+                    continue;
+                }
+                let mut rel = db.wr(meta.id);
+                let admit = |rel: &mut Relation, t: &[RamDomain]| {
+                    if rel.insert(t) && config.provenance {
+                        rel.record_annotation(t, 0, crate::database::RULE_INPUT);
+                    }
+                };
+                // Unless the runs are mapped in place, the snapshot is
+                // the *complete* state of this relation.
+                // `Database::new_with_storage` pre-inserted the program's
+                // ground facts; any of them missing from the snapshot was
+                // retracted before it was taken and must not resurrect.
+                match (&srel.inline, mapped) {
+                    (None, Some(mapped)) if map_runs => rebase_runs(&mut rel, mapped, srel)?,
+                    (Some(tuples), _) => {
+                        rel.clear();
+                        for t in tuples {
+                            if t.len() != meta.arity {
+                                return Err(StorageError::new(format!(
+                                    "snapshot tuple for `{}` has arity {}, expected {}",
+                                    srel.name,
+                                    t.len(),
+                                    meta.arity
+                                ))
+                                .into());
+                            }
+                            admit(&mut rel, t);
+                        }
+                    }
+                    (None, Some(mapped)) => {
+                        // Read the primary run through a source-layout
+                        // DiskIndex: its scan decodes stored order back
+                        // to source tuples, one page at a time.
+                        rel.clear();
+                        let order = Order::new(srel.runs[0].order.clone());
+                        let run = DiskIndex::with_base(order, true, mapped.base_run(srel, 0));
+                        let mut it = run.scan();
+                        while let Some(t) = it.next_tuple() {
+                            admit(&mut rel, t);
+                        }
+                    }
+                    (None, None) => {
+                        unreachable!("the legacy decoder yields inline relations only")
+                    }
                 }
             }
+            // Reconcile the ground-fact replay list the same way: a
+            // program fact of a snapshot-covered `.input` relation that
+            // the snapshot no longer contains was retracted, and a later
+            // fallback recompute must not replay it back to life.
+            keep_fact = ram
+                .facts
+                .iter()
+                .map(|(rid, t)| !covered[rid.0] || db.rd(*rid).contains(t))
+                .collect();
+            if snap
+                .extra_facts
+                .iter()
+                .any(|(rid, _)| rid.0 >= ram.relations.len())
+            {
+                return Err(
+                    StorageError::new("snapshot replay list names an unknown relation").into(),
+                );
+            }
+            Ok(config.provenance)
+        })?;
+        let db = up.db;
+        if let Some((snap, _)) = snapshot {
+            // A provenance recompute re-allocated auto-increment ids from
+            // zero; keep the snapshot's high-water mark either way so
+            // future allocations never collide with values it recorded.
+            db.counter.fetch_max(snap.counter, Ordering::Relaxed);
         }
+        let mut keep = keep_fact.into_iter();
+        ram.facts.retain(|_| keep.next().unwrap_or(true));
+        let counters = Counters::default();
+        counters.absorb_parallel(up.parallel.as_ref());
+
+        let (extra_facts, run_file) = match image {
+            SnapshotImage::Missing | SnapshotImage::Invalid(_) => {
+                // Record the external inputs so a later fallback recompute
+                // can replay them alongside the program's own ground facts.
+                let mut extra_facts = Vec::new();
+                let mut symbols = db.symbols_wr();
+                for (name, tuples) in inputs {
+                    let id = ram
+                        .relation_by_name(name)
+                        .expect("validated by load_inputs")
+                        .id;
+                    for t in tuples {
+                        extra_facts.push((id, t.iter().map(|v| v.encode(&mut symbols)).collect()));
+                    }
+                }
+                drop(symbols);
+                (extra_facts, None)
+            }
+            SnapshotImage::Tuples(d) => (d.extra_facts, None),
+            SnapshotImage::Mapped(s) => (s.data.extra_facts, map_runs.then_some(s.file)),
+        };
 
         let mut aux_of = vec![Vec::new(); ram.relations.len()];
         let mut all_upds = Vec::new();
@@ -414,352 +595,19 @@ impl ResidentEngine {
             aux_of,
             all_upds,
             counters,
-            initial_profile,
+            initial_profile: up.profile,
             persistence: None,
             serve_metrics: Arc::new(ServeMetrics::off()),
             health: Arc::new(HealthMonitor::new()),
-            run_file: None,
-        })
-    }
-
-    /// Builds a resident engine from a valid snapshot, skipping the
-    /// initial fixpoint: relations (EDB *and* IDB), symbols, the
-    /// auto-increment counter, and the fact replay list all come from
-    /// the snapshot.
-    fn from_snapshot(
-        engine: Engine,
-        config: InterpreterConfig,
-        snap: wal::SnapshotData,
-        tel: Option<&Telemetry>,
-    ) -> Result<ResidentEngine, EngineError> {
-        let mut ram = engine.into_ram();
-        let tracer = tel.map(|t| &t.tracer);
-        let mode = if config.legacy_data {
-            DataMode::LegacyDynamic
-        } else {
-            DataMode::Specialized
-        };
-        let db = {
-            let _span = tracer.map(|t| t.span("phase:build-db"));
-            Database::new_with_storage(&ram, mode, config.provenance, config.storage)
-        };
-        {
-            // Replace the table wholesale: every bit pattern in the
-            // snapshot was encoded against it. The program's own symbols
-            // are a prefix of it (interning only appends), so the
-            // `ram.facts` tuples inserted by `Database::new` stay valid.
-            let mut fresh = SymbolTable::new();
-            for s in &snap.symbols {
-                fresh.intern(s);
-            }
-            if fresh.len() < ram.symbols.len() {
-                return Err(StorageError::new(
-                    "snapshot symbol table is smaller than the program's",
-                )
-                .into());
-            }
-            *db.symbols_wr() = fresh;
-        }
-        if !config.provenance {
-            db.counter
-                .store(snap.counter, std::sync::atomic::Ordering::Relaxed);
-        }
-
-        {
-            let _span = tracer.map(|t| t.span("phase:load-snapshot"));
-            for (name, tuples) in &snap.relations {
-                let meta = ram.relation_by_name(name).ok_or_else(|| {
-                    StorageError::new(format!("snapshot relation `{name}` is not in the program"))
-                })?;
-                // Annotations are deliberately not serialized: with
-                // provenance on, only the `.input` relations are taken
-                // from the snapshot (as height-0 axioms) and everything
-                // derived is recomputed below, regaining its rule and
-                // height annotations. The snapshot format stays identical
-                // in both modes.
-                if config.provenance && !meta.is_input {
-                    continue;
-                }
-                let mut rel = db.wr(meta.id);
-                // The snapshot is the *complete* state of this relation.
-                // `Database::new_with` pre-inserted the program's ground
-                // facts; any of them missing from the snapshot was
-                // retracted before it was taken and must not resurrect.
-                rel.clear();
-                for t in tuples {
-                    if t.len() != meta.arity {
-                        return Err(StorageError::new(format!(
-                            "snapshot tuple for `{name}` has arity {}, expected {}",
-                            t.len(),
-                            meta.arity
-                        ))
-                        .into());
-                    }
-                    if rel.insert(t) && config.provenance {
-                        rel.record_annotation(t, 0, crate::database::RULE_INPUT);
-                    }
-                }
-            }
-        }
-        {
-            // Reconcile the ground-fact replay list the same way: a
-            // program fact of a snapshot-covered `.input` relation that
-            // the snapshot no longer contains was retracted, and a later
-            // fallback recompute must not replay it back to life.
-            let mut covered = vec![false; ram.relations.len()];
-            for (name, _) in &snap.relations {
-                if let Some(m) = ram.relation_by_name(name) {
-                    if m.is_input {
-                        covered[m.id.0] = true;
-                    }
-                }
-            }
-            ram.facts
-                .retain(|(rid, t)| !covered[rid.0] || db.rd(*rid).contains(t));
-        }
-        let counters = Counters::default();
-        if config.provenance {
-            // Recompute-on-recovery: re-run the main fixpoint over the
-            // recovered inputs so derived tuples exist *with* annotations.
-            let tree = {
-                let _span = tracer.map(|t| t.span("phase:build-itree"));
-                itree::build_with_fusions(&ram, &config, &[])
-            };
-            let mut interp = Interpreter::new(&ram, &db, config);
-            if let Some(t) = tel {
-                interp.attach_telemetry(t);
-            }
-            {
-                let _span = tracer.map(|t| t.span("phase:evaluate"));
-                interp.run(&tree)?;
-            }
-            counters.absorb_parallel(interp.parallel_report().as_ref());
-            // Auto-increment ids were re-allocated during the recompute;
-            // keep the snapshot's high-water mark so future allocations
-            // never collide with values it recorded.
-            let cur = db.counter.load(std::sync::atomic::Ordering::Relaxed);
-            db.counter
-                .store(cur.max(snap.counter), std::sync::atomic::Ordering::Relaxed);
-        }
-        for (rid, _) in &snap.extra_facts {
-            if rid.0 >= ram.relations.len() {
-                return Err(
-                    StorageError::new("snapshot replay list names an unknown relation").into(),
-                );
-            }
-        }
-        if let Some(t) = tel {
-            db.sample_metrics(&ram, &t.metrics);
-        }
-
-        let mut aux_of = vec![Vec::new(); ram.relations.len()];
-        let mut all_upds = Vec::new();
-        for r in &ram.relations {
-            match r.role {
-                Role::Standard => {}
-                Role::Delta(b) | Role::New(b) => aux_of[b.0].push(r.id),
-                Role::Upd(b) => {
-                    aux_of[b.0].push(r.id);
-                    all_upds.push(r.id);
-                }
-            }
-        }
-
-        Ok(ResidentEngine {
-            ram,
-            config,
-            db,
-            extra_facts: snap.extra_facts,
-            aux_of,
-            all_upds,
-            counters,
-            initial_profile: None,
-            persistence: None,
-            serve_metrics: Arc::new(ServeMetrics::off()),
-            health: Arc::new(HealthMonitor::new()),
-            run_file: None,
-        })
-    }
-
-    /// Builds a resident engine directly off a mapped v2 snapshot — the
-    /// disk-storage cold-start path. No fixpoint runs and no index is
-    /// rebuilt: each disk-backed index is rebased onto its persisted run
-    /// (pages fault in lazily through the shared cache) and only the
-    /// inline relations (nullary, eqrel) are materialized. Callers
-    /// guarantee `config.storage == Disk` and provenance off (provenance
-    /// recovery recomputes annotations, so it goes through
-    /// [`Self::from_snapshot`] on materialized tuples instead).
-    fn from_snap2(
-        engine: Engine,
-        config: InterpreterConfig,
-        snap: snap2::Snap2,
-        tel: Option<&Telemetry>,
-    ) -> Result<ResidentEngine, EngineError> {
-        let mut ram = engine.into_ram();
-        let tracer = tel.map(|t| &t.tracer);
-        let mode = if config.legacy_data {
-            DataMode::LegacyDynamic
-        } else {
-            DataMode::Specialized
-        };
-        let db = {
-            let _span = tracer.map(|t| t.span("phase:build-db"));
-            Database::new_with_storage(&ram, mode, config.provenance, config.storage)
-        };
-        {
-            // Same wholesale symbol-table replacement as
-            // [`Self::from_snapshot`]: the snapshot's bit patterns were
-            // encoded against it.
-            let mut fresh = SymbolTable::new();
-            for s in &snap.symbols {
-                fresh.intern(s);
-            }
-            if fresh.len() < ram.symbols.len() {
-                return Err(StorageError::new(
-                    "snapshot symbol table is smaller than the program's",
-                )
-                .into());
-            }
-            *db.symbols_wr() = fresh;
-        }
-        db.counter
-            .store(snap.counter, std::sync::atomic::Ordering::Relaxed);
-
-        {
-            let _span = tracer.map(|t| t.span("phase:map-snapshot"));
-            for srel in &snap.relations {
-                let meta = ram.relation_by_name(&srel.name).ok_or_else(|| {
-                    StorageError::new(format!(
-                        "snapshot relation `{}` is not in the program",
-                        srel.name
-                    ))
-                })?;
-                if srel.arity != meta.arity {
-                    return Err(StorageError::new(format!(
-                        "snapshot relation `{}` has arity {}, expected {}",
-                        srel.name, srel.arity, meta.arity
-                    ))
-                    .into());
-                }
-                let mut rel = db.wr(meta.id);
-                if let Some(tuples) = &srel.inline {
-                    // The snapshot is the complete state: ground facts
-                    // pre-inserted by `Database::new_with_storage` that
-                    // are missing from it were retracted and must not
-                    // resurrect.
-                    rel.clear();
-                    for t in tuples {
-                        if t.len() != meta.arity {
-                            return Err(StorageError::new(format!(
-                                "snapshot tuple for `{}` has arity {}, expected {}",
-                                srel.name,
-                                t.len(),
-                                meta.arity
-                            ))
-                            .into());
-                        }
-                        rel.insert(t);
-                    }
-                    continue;
-                }
-                // Run-backed: every index of the relation must be a
-                // DiskIndex whose order matches the persisted run (the
-                // fingerprint makes a mismatch a corruption, not a
-                // version skew).
-                if rel.index_count() != srel.runs.len() {
-                    return Err(StorageError::new(format!(
-                        "snapshot relation `{}` has {} runs, the program wants {} indexes",
-                        srel.name,
-                        srel.runs.len(),
-                        rel.index_count()
-                    ))
-                    .into());
-                }
-                for (k, run) in srel.runs.iter().enumerate() {
-                    let base = snap.base_run(srel, k);
-                    let idx = rel.index_mut(k);
-                    if idx.order().columns() != &run.order[..] {
-                        return Err(StorageError::new(format!(
-                            "snapshot run {k} of `{}` is ordered {:?}, the index wants {:?}",
-                            srel.name,
-                            run.order,
-                            idx.order().columns()
-                        ))
-                        .into());
-                    }
-                    idx.as_any_mut()
-                        .downcast_mut::<DiskIndex>()
-                        .ok_or_else(|| {
-                            StorageError::new(format!(
-                                "snapshot relation `{}` is run-backed but index {k} is not \
-                                 a disk index",
-                                srel.name
-                            ))
-                        })?
-                        .rebase(base);
-                }
-            }
-        }
-        {
-            // Ground-fact replay-list reconciliation, as in
-            // [`Self::from_snapshot`]: a program fact of a
-            // snapshot-covered `.input` relation that the snapshot no
-            // longer contains was retracted.
-            let mut covered = vec![false; ram.relations.len()];
-            for srel in &snap.relations {
-                if let Some(m) = ram.relation_by_name(&srel.name) {
-                    if m.is_input {
-                        covered[m.id.0] = true;
-                    }
-                }
-            }
-            ram.facts
-                .retain(|(rid, t)| !covered[rid.0] || db.rd(*rid).contains(t));
-        }
-        for (rid, _) in &snap.extra_facts {
-            if rid.0 >= ram.relations.len() {
-                return Err(
-                    StorageError::new("snapshot replay list names an unknown relation").into(),
-                );
-            }
-        }
-        if let Some(t) = tel {
-            db.sample_metrics(&ram, &t.metrics);
-        }
-
-        let mut aux_of = vec![Vec::new(); ram.relations.len()];
-        let mut all_upds = Vec::new();
-        for r in &ram.relations {
-            match r.role {
-                Role::Standard => {}
-                Role::Delta(b) | Role::New(b) => aux_of[b.0].push(r.id),
-                Role::Upd(b) => {
-                    aux_of[b.0].push(r.id);
-                    all_upds.push(r.id);
-                }
-            }
-        }
-
-        Ok(ResidentEngine {
-            ram,
-            config,
-            db,
-            extra_facts: snap.extra_facts,
-            aux_of,
-            all_upds,
-            counters: Counters::default(),
-            initial_profile: None,
-            persistence: None,
-            serve_metrics: Arc::new(ServeMetrics::off()),
-            health: Arc::new(HealthMonitor::new()),
-            run_file: Some(snap.file),
+            run_file,
         })
     }
 
     /// Opens a resident engine backed by a data directory: loads the
     /// latest valid snapshot (falling back to a fresh evaluation of
     /// `inputs`), replays the WAL suffix, truncates any torn tail, and
-    /// keeps the WAL open for [`Self::insert_facts`] appends.
+    /// keeps the WAL open for [`Self::insert_facts`] appends. Temp files
+    /// orphaned by a crashed snapshot or WAL-upgrade publish are removed.
     ///
     /// When a snapshot is loaded, `inputs` is ignored — the snapshot
     /// already contains those facts (and everything inserted since).
@@ -768,7 +616,8 @@ impl ResidentEngine {
     ///
     /// Propagates construction errors and I/O failures on the data
     /// directory. An *invalid* snapshot or torn WAL tail is not an
-    /// error: recovery degrades to re-evaluation and reports it.
+    /// error: recovery degrades to re-evaluation and reports it
+    /// ([`RecoveryReport::snapshot_rejected`]).
     pub fn open(
         engine: Engine,
         config: InterpreterConfig,
@@ -781,52 +630,19 @@ impl ResidentEngine {
         let fp = wal::fingerprint(&engine.ram().to_string());
         let snap_path = data_dir.join(SNAPSHOT_FILE);
         let wal_path = data_dir.join(WAL_FILE);
+        wal::sweep_stale_temp(&snap_path, wal::SNAPSHOT_TMP_EXT);
+        wal::sweep_stale_temp(&wal_path, wal::WAL_UPGRADE_EXT);
 
-        let mut report = RecoveryReport::default();
-        let mut this = if snap2::is_v2(&snap_path) {
-            // A v2 snapshot: under disk storage the run region is mapped
-            // and served in place (no fixpoint, no index rebuild); under
-            // memory storage — or with provenance on, which recomputes
-            // derived tuples to regain annotations — the runs are
-            // materialized into the v1 load path. Either way the format
-            // is portable across engine modes and storage backends.
-            match snap2::open_snapshot_v2(&snap_path, fp, disk::cache_budget_from_env()) {
-                Ok(snap) => {
-                    report.snapshot_loaded = true;
-                    if config.storage == StorageBackend::Disk && !config.provenance {
-                        Self::from_snap2(engine, config, snap, tel)?
-                    } else {
-                        Self::from_snapshot(engine, config, snap.into_snapshot_data(), tel)?
-                    }
-                }
-                Err(reason) => {
-                    if let Some(t) = tel {
-                        t.logger.log(
-                            LogLevel::Warn,
-                            &format!("ignoring unusable snapshot: {reason}"),
-                        );
-                    }
-                    Self::new(engine, config, inputs, tel)?
-                }
-            }
-        } else {
-            match wal::read_snapshot(&snap_path, fp) {
-                SnapshotLoad::Loaded(snap) => {
-                    report.snapshot_loaded = true;
-                    Self::from_snapshot(engine, config, snap, tel)?
-                }
-                SnapshotLoad::Missing => Self::new(engine, config, inputs, tel)?,
-                SnapshotLoad::Invalid(reason) => {
-                    if let Some(t) = tel {
-                        t.logger.log(
-                            LogLevel::Warn,
-                            &format!("ignoring unusable snapshot: {reason}"),
-                        );
-                    }
-                    Self::new(engine, config, inputs, tel)?
-                }
-            }
+        let image = snap2::load_snapshot(&snap_path, fp, disk::cache_budget_from_env());
+        let mut report = RecoveryReport {
+            snapshot_loaded: matches!(image, SnapshotImage::Tuples(_) | SnapshotImage::Mapped(_)),
+            snapshot_rejected: match &image {
+                SnapshotImage::Invalid(reason) => Some(reason.clone()),
+                _ => None,
+            },
+            ..RecoveryReport::default()
         };
+        let mut this = Self::assemble(engine, config, image, inputs, tel)?;
 
         let replay_started = Instant::now();
         let replayed = wal::replay(&wal_path, fp)?;
@@ -877,7 +693,7 @@ impl ResidentEngine {
             batches_since_snapshot: report.replayed_batches,
             snapshot_writes: 0,
             snapshot_tuples: 0,
-            recovery: report,
+            recovery: report.clone(),
         });
         Ok((this, report))
     }
@@ -1043,7 +859,7 @@ impl ResidentEngine {
     pub fn attach_serve_metrics(&mut self, metrics: Arc<ServeMetrics>) {
         if let Some(p) = &mut self.persistence {
             p.wal.attach_metrics(Arc::clone(&metrics));
-            let rec = p.recovery;
+            let rec = &p.recovery;
             metrics.recovery_wal_records.store(
                 rec.replayed_batches + rec.skipped_batches,
                 Ordering::Relaxed,
@@ -1077,8 +893,8 @@ impl ResidentEngine {
     }
 
     /// What recovery did at [`Self::open`] time, when durable.
-    pub fn recovery_report(&self) -> Option<RecoveryReport> {
-        self.persistence.as_ref().map(|p| p.recovery)
+    pub fn recovery_report(&self) -> Option<&RecoveryReport> {
+        self.persistence.as_ref().map(|p| &p.recovery)
     }
 
     /// The storage health monitor, shared with the serving layer, the
@@ -1795,7 +1611,10 @@ impl ResidentEngine {
 
     /// Writes a snapshot and truncates the WAL. The snapshot is the new
     /// recovery baseline: every previously logged batch is covered by
-    /// it, so the log restarts empty.
+    /// it, so the log restarts empty. Disk-backed indexes keep serving
+    /// off their current base (the renamed-over file stays readable
+    /// through its open handle) plus overlays; only [`Self::compact`]
+    /// rebases them.
     ///
     /// # Errors
     ///
@@ -1805,53 +1624,19 @@ impl ResidentEngine {
     /// re-inserts duplicates, which is idempotent).
     pub fn snapshot(&mut self, tel: Option<&Telemetry>) -> Result<SnapshotStats, EngineError> {
         let _span = tel.map(|t| t.tracer.span("phase:serve:snapshot"));
-        let t_snap = self.serve_metrics.start();
-        let Some(p) = &mut self.persistence else {
-            return Err(StorageError::new("no data directory configured").into());
-        };
-        let stats = if self.config.storage == StorageBackend::Disk {
-            // Disk engines snapshot in the v2 run format so the next
-            // cold start maps the file instead of rebuilding indexes.
-            // The live indexes keep serving off their current base (the
-            // renamed-over file stays readable through its open handle)
-            // plus overlays; only `.compact` rebases them.
-            snap2::write_snapshot_v2(
-                &p.snapshot_path(),
-                p.fp,
-                &self.ram,
-                &self.db,
-                &self.extra_facts,
-                FaultPoint::SnapshotWrite,
-            )?
-        } else {
-            wal::write_snapshot(
-                &p.snapshot_path(),
-                p.fp,
-                &self.ram,
-                &self.db,
-                &self.extra_facts,
-            )?
-        };
-        p.wal.reset()?;
-        p.batches_since_snapshot = 0;
-        p.snapshot_writes += 1;
-        p.snapshot_tuples += stats.tuples;
-        self.serve_metrics
-            .observe(&self.serve_metrics.snapshot_write, t_snap);
-        Ok(stats)
+        self.write_image(FaultPoint::SnapshotWrite, false)
     }
 
-    /// Rewrites the database as a fresh v2 snapshot — folding every
+    /// Rewrites the database as a fresh snapshot — folding every
     /// disk-backed index's delta overlay into new base runs — truncates
     /// the WAL, and (under disk storage) rebases the live indexes onto
     /// the fresh file, emptying their overlays and releasing the old
-    /// snapshot's pages. The write is atomic (temp + fsync + rename,
-    /// gated by the `compact_write` fault point); a failure leaves the
-    /// previous snapshot and the live overlays untouched.
+    /// snapshot's pages. The write is gated by the `compact_write` fault
+    /// point; a failure leaves the previous snapshot and the live
+    /// overlays untouched.
     ///
-    /// Under memory storage this still writes a v2 file (the format is
-    /// portable), so a later restart with `--storage disk` cold-starts
-    /// off it; there is just nothing to rebase.
+    /// Under memory storage there is nothing to rebase, so this is
+    /// [`Self::snapshot`] under another fault point.
     ///
     /// # Errors
     ///
@@ -1859,6 +1644,20 @@ impl ResidentEngine {
     /// WAL I/O errors.
     pub fn compact(&mut self, tel: Option<&Telemetry>) -> Result<SnapshotStats, EngineError> {
         let _span = tel.map(|t| t.tracer.span("phase:serve:compact"));
+        self.write_image(
+            FaultPoint::CompactWrite,
+            self.config.storage == StorageBackend::Disk,
+        )
+    }
+
+    /// The one snapshot writer: serialize, publish atomically, truncate
+    /// the WAL, and — for `.compact` on a disk engine — rebase the live
+    /// indexes onto the file just written.
+    fn write_image(
+        &mut self,
+        fault_point: FaultPoint,
+        rebase: bool,
+    ) -> Result<SnapshotStats, EngineError> {
         let t_snap = self.serve_metrics.start();
         let Some(p) = &mut self.persistence else {
             return Err(StorageError::new("no data directory configured").into());
@@ -1869,32 +1668,23 @@ impl ResidentEngine {
             &self.ram,
             &self.db,
             &self.extra_facts,
-            FaultPoint::CompactWrite,
+            fault_point,
         )?;
         p.wal.reset()?;
         p.batches_since_snapshot = 0;
         p.snapshot_writes += 1;
         p.snapshot_tuples += stats.tuples;
-        if self.config.storage == StorageBackend::Disk {
+        if rebase {
             let snap =
                 snap2::open_snapshot_v2(&p.snapshot_path(), p.fp, disk::cache_budget_from_env())?;
-            for srel in &snap.relations {
-                if srel.runs.is_empty() {
-                    continue;
-                }
+            for srel in snap.data.relations.iter().filter(|r| !r.runs.is_empty()) {
                 let meta = self.ram.relation_by_name(&srel.name).ok_or_else(|| {
                     StorageError::new(format!(
                         "compacted snapshot names unknown relation `{}`",
                         srel.name
                     ))
                 })?;
-                let mut rel = self.db.wr(meta.id);
-                for k in 0..srel.runs.len() {
-                    let base = snap.base_run(srel, k);
-                    if let Some(di) = rel.index_mut(k).as_any_mut().downcast_mut::<DiskIndex>() {
-                        di.rebase(base);
-                    }
-                }
+                rebase_runs(&mut self.db.wr(meta.id), &snap, srel)?;
             }
             self.run_file = Some(snap.file);
         }
@@ -2439,32 +2229,224 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn snapshots_are_portable_across_engine_modes() {
-        let src = "\
-            .decl n(s: symbol)\n.input n\n\
-            .decl out(s: symbol)\n.output out\n\
-            out(s) :- n(s).\n";
-        let dir = tmpdir("modes");
-        let mut inputs = InputData::new();
-        inputs.insert("n".into(), vec![vec![Value::Symbol("ada".into())]]);
-        let opts = PersistOptions::default();
+    /// Symbols, numbers, a recursive IDB relation and an inline
+    /// (nullary) one: every shape a snapshot stores.
+    const MIXED: &str = "\
+        .decl e(x: number, y: number)\n.input e\n\
+        .decl p(x: number, y: number)\n.output p\n\
+        .decl n(s: symbol)\n.input n\n\
+        .decl out(s: symbol)\n.output out\n\
+        .decl any()\n.output any\n\
+        p(x, y) :- e(x, y).\n\
+        p(x, z) :- p(x, y), e(y, z).\n\
+        out(s) :- n(s).\n\
+        any() :- n(_).\n";
 
-        let (mut r, _) = open_dir(src, InterpreterConfig::optimized(), &inputs, &dir, opts);
+    /// The four engine modes under both storage backends.
+    fn all_setups() -> Vec<(String, InterpreterConfig)> {
+        let modes = [
+            ("sti", InterpreterConfig::optimized()),
+            ("dynamic", InterpreterConfig::dynamic_adapter()),
+            ("unopt", InterpreterConfig::unoptimized()),
+            ("legacy", InterpreterConfig::legacy()),
+        ];
+        let mut out = Vec::new();
+        for (name, config) in modes {
+            for storage in [StorageBackend::Mem, StorageBackend::Disk] {
+                out.push((format!("{name}/{storage:?}"), config.with_storage(storage)));
+            }
+        }
+        out
+    }
+
+    fn mixed_inputs() -> InputData {
+        let mut inputs = InputData::new();
+        inputs.insert("e".into(), pairs(&[(1, 2)]));
+        inputs.insert("n".into(), vec![vec![Value::Symbol("ada".into())]]);
+        inputs
+    }
+
+    fn snapshot_magic(dir: &Path) -> Vec<u8> {
+        let bytes = std::fs::read(dir.join(SNAPSHOT_FILE)).expect("snapshot exists");
+        bytes[..8].to_vec()
+    }
+
+    /// The write × read matrix over one data directory: a snapshot
+    /// written under any engine mode and storage backend restores under
+    /// every other, with the same outputs and queryable symbols.
+    #[test]
+    fn snapshots_are_portable_across_engine_modes_and_storage_backends() {
+        let dir = tmpdir("matrix");
+        let inputs = mixed_inputs();
+        let opts = PersistOptions::default();
+        for (i, (writer, wconfig)) in all_setups().into_iter().enumerate() {
+            // Each writer inherits the directory from the previous one,
+            // adds a fact of its own, and leaves its snapshot behind.
+            let (mut w, _) = open_dir(MIXED, wconfig, &inputs, &dir, opts);
+            let i = i as i32;
+            w.insert_facts("e", &pairs(&[(i + 2, i + 3)]), None)
+                .expect("inserts");
+            w.insert_facts("n", &[vec![Value::Symbol(format!("sym{i}"))]], None)
+                .expect("inserts");
+            w.snapshot(None).expect("snapshots");
+            assert_eq!(snapshot_magic(&dir), b"STIRSNP2", "written by {writer}");
+            let before = w.outputs();
+            drop(w);
+
+            for (reader, rconfig) in all_setups() {
+                let (r, rec) = open_dir(MIXED, rconfig, &inputs, &dir, opts);
+                assert!(rec.snapshot_loaded, "{writer} -> {reader}");
+                assert_eq!(rec.snapshot_rejected, None, "{writer} -> {reader}");
+                assert_eq!(rec.replayed_batches, 0, "{writer} -> {reader}");
+                assert_eq!(r.outputs(), before, "{writer} -> {reader}");
+                assert_eq!(
+                    r.page_cache_stats().is_some(),
+                    rconfig.storage == StorageBackend::Disk,
+                    "{writer} -> {reader}: disk maps the runs, mem materializes them"
+                );
+                let rows = r
+                    .query("out", &[Some(Value::Symbol(format!("sym{i}")))], None)
+                    .expect("queries");
+                assert_eq!(
+                    rows.len(),
+                    1,
+                    "{writer} -> {reader}: symbols stay queryable"
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Leaves `dir` as a pre-v2 engine would have: a `STIRSNP1` snapshot
+    /// (via the test-only encoder) plus one WAL batch accepted after it.
+    /// Returns the outputs a faithful recovery must reproduce.
+    fn legacy_dir(dir: &Path) -> HashMap<String, Vec<Vec<Value>>> {
+        let (mut r, _) = open_dir(
+            MIXED,
+            InterpreterConfig::optimized(),
+            &mixed_inputs(),
+            dir,
+            PersistOptions::default(),
+        );
+        r.insert_facts("e", &pairs(&[(2, 3)]), None)
+            .expect("inserts");
         r.insert_facts("n", &[vec![Value::Symbol("grace".into())]], None)
             .expect("inserts");
-        r.snapshot(None).expect("snapshots");
-        let before = r.outputs();
-        drop(r);
+        let p = r.persistence.as_mut().expect("durable");
+        let v1 = snap2::encode_v1(p.fp, &r.ram, &r.db, &r.extra_facts);
+        std::fs::write(p.snapshot_path(), v1).expect("writes v1 snapshot");
+        p.wal.reset().expect("truncates the WAL at the snapshot");
+        r.insert_facts("e", &pairs(&[(3, 4)]), None)
+            .expect("inserts");
+        r.outputs()
+    }
 
-        // Same data dir, opposite end of the configuration space.
-        let (r, rec) = open_dir(src, InterpreterConfig::legacy(), &inputs, &dir, opts);
-        assert!(rec.snapshot_loaded);
-        assert_eq!(r.outputs(), before);
-        let rows = r
-            .query("out", &[Some(Value::Symbol("grace".into()))], None)
-            .expect("queries");
-        assert_eq!(rows.len(), 1, "recovered symbols stay queryable");
+    #[test]
+    fn legacy_snapshot_plus_wal_suffix_upgrades_under_every_setup() {
+        let inputs = mixed_inputs();
+        let opts = PersistOptions::default();
+        for (setup, config) in all_setups() {
+            let dir = tmpdir(&format!("upgrade-{}", setup.replace('/', "-")));
+            let before = legacy_dir(&dir);
+            assert_eq!(snapshot_magic(&dir), b"STIRSNP1", "fixture is a v1 file");
+
+            let (mut r, rec) = open_dir(MIXED, config, &inputs, &dir, opts);
+            assert!(rec.snapshot_loaded, "{setup}");
+            assert_eq!(rec.replayed_batches, 1, "{setup}: only the WAL suffix");
+            assert_eq!(r.outputs(), before, "{setup}: nothing lost");
+            assert!(
+                r.page_cache_stats().is_none(),
+                "{setup}: a tuple dump has no runs to map"
+            );
+
+            // The next snapshot rewrites the directory in the one format.
+            r.snapshot(None).expect("snapshots");
+            assert_eq!(snapshot_magic(&dir), b"STIRSNP2", "{setup}");
+            drop(r);
+            let (r, rec) = open_dir(MIXED, config, &inputs, &dir, opts);
+            assert!(rec.snapshot_loaded, "{setup}");
+            assert_eq!(rec.replayed_batches, 0, "{setup}");
+            assert_eq!(r.outputs(), before, "{setup}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// A legacy file that cannot be trusted is thrown away with the
+    /// reason on the recovery report; the engine re-evaluates its inputs
+    /// and replays the WAL suffix over them.
+    #[test]
+    fn hostile_legacy_snapshots_are_rejected_with_the_reason_reported() {
+        let inputs = mixed_inputs();
+        let opts = PersistOptions::default();
+        type Damage = fn(&mut Vec<u8>);
+        let cases: [(&str, Damage, &str); 3] = [
+            (
+                "truncated",
+                |b| b.truncate(b.len() - 9),
+                "checksum mismatch",
+            ),
+            ("bit-flip", |b| b[40] ^= 0x04, "checksum mismatch"),
+            (
+                "trailing",
+                |b| {
+                    b.truncate(b.len() - 4);
+                    b.push(0);
+                    let crc = wal::crc32(b);
+                    b.extend_from_slice(&crc.to_le_bytes());
+                },
+                "trailing bytes",
+            ),
+        ];
+        for (name, damage, expected) in cases {
+            let dir = tmpdir(&format!("hostile-v1-{name}"));
+            legacy_dir(&dir);
+            let path = dir.join(SNAPSHOT_FILE);
+            let mut bytes = std::fs::read(&path).expect("reads");
+            damage(&mut bytes);
+            std::fs::write(&path, &bytes).expect("writes");
+
+            let (r, rec) = open_dir(MIXED, InterpreterConfig::optimized(), &inputs, &dir, opts);
+            assert!(!rec.snapshot_loaded, "{name}");
+            let reason = rec.snapshot_rejected.expect("rejection is reported");
+            assert!(reason.contains(expected), "{name}: {reason}");
+            assert_eq!(
+                r.outputs()["p"],
+                pairs(&[(1, 2), (3, 4)]),
+                "{name}: inputs plus the WAL suffix, nothing from the snapshot"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+
+        // A snapshot of some other program: same bytes, other fingerprint.
+        let dir = tmpdir("hostile-v1-foreign");
+        legacy_dir(&dir);
+        let other = format!("{MIXED}.decl unrelated(x: number)\n");
+        let (_, rec) = open_dir(&other, InterpreterConfig::optimized(), &inputs, &dir, opts);
+        let reason = rec.snapshot_rejected.expect("rejection is reported");
+        assert!(reason.contains("fingerprint mismatch"), "{reason}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn open_sweeps_temps_orphaned_by_a_crashed_publish() {
+        let dir = tmpdir("stale-temps");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let stale = [dir.join("snapshot.tmp"), dir.join("wal.upgrade")];
+        for path in &stale {
+            std::fs::write(path, b"half a publish").expect("writes");
+        }
+        let (r, rec) = open_dir(
+            TC,
+            InterpreterConfig::optimized(),
+            &InputData::new(),
+            &dir,
+            PersistOptions::default(),
+        );
+        assert_eq!(rec, RecoveryReport::default(), "temps are not snapshots");
+        for path in &stale {
+            assert!(!path.exists(), "{} survived open", path.display());
+        }
+        drop(r);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2501,42 +2483,6 @@ mod tests {
             .query("p", &[Some(Value::Number(1)), None], None)
             .expect("queries");
         assert_eq!(rows.len(), 3); // (1,2) (1,3) (1,4)
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn v2_snapshots_are_portable_across_storage_backends() {
-        let dir = tmpdir("storage-port");
-        let disk = InterpreterConfig::optimized().with_storage(StorageBackend::Disk);
-        let mem = InterpreterConfig::optimized().with_storage(StorageBackend::Mem);
-        let mut inputs = InputData::new();
-        inputs.insert("e".into(), pairs(&[(1, 2)]));
-        let opts = PersistOptions::default();
-
-        // v1 (mem) snapshot restores under disk storage...
-        let (mut r, _) = open_dir(TC, mem, &inputs, &dir, opts);
-        r.insert_facts("e", &pairs(&[(2, 3)]), None)
-            .expect("inserts");
-        r.snapshot(None).expect("snapshots");
-        let before = r.outputs();
-        drop(r);
-        let (mut r, rec) = open_dir(TC, disk, &inputs, &dir, opts);
-        assert!(rec.snapshot_loaded);
-        assert_eq!(r.outputs(), before);
-
-        // ...and the v2 (disk) snapshot it now writes restores under mem.
-        r.insert_facts("e", &pairs(&[(3, 4)]), None)
-            .expect("inserts");
-        r.snapshot(None).expect("snapshots");
-        let before = r.outputs();
-        drop(r);
-        let (r, rec) = open_dir(TC, mem, &inputs, &dir, opts);
-        assert!(rec.snapshot_loaded);
-        assert!(
-            r.page_cache_stats().is_none(),
-            "mem storage materializes the runs instead of mapping them"
-        );
-        assert_eq!(r.outputs(), before);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,15 +1,16 @@
-//! Snapshot format v2: a disk-servable immutable database image.
+//! The snapshot format: a disk-servable immutable database image.
 //!
-//! The v1 snapshot (`STIRSNP1`, see [`crate::wal`]) stores every
-//! relation as source-order tuples; loading one rebuilds every B-tree
-//! index from scratch, so cold start costs a full re-index even though
-//! the fixpoint is skipped. Format v2 (`STIRSNP2`) instead persists each
-//! index of each disk-backed relation as a *run*: its tuples in sorted
-//! stored order, packed little-endian, preceded by a `u64` count. A run
-//! is exactly what [`stir_der::disk::BaseRun`] serves pages off, so a
-//! restart under `--storage disk` maps the file and is ready to answer
-//! queries after reading only the fixed header and the directory — no
-//! tuple is touched until a query faults its page in.
+//! Every snapshot the engine writes — `.snapshot`, `--snapshot-interval`,
+//! shutdown, `.compact`, under either storage backend — is a `STIRSNP2`
+//! file. It persists each index of each disk-eligible relation as a
+//! *run*: its tuples in sorted stored order, packed little-endian,
+//! preceded by a `u64` count. A run is exactly what
+//! [`stir_der::disk::BaseRun`] serves pages off, so a restart under
+//! `--storage disk` maps the file and is ready to answer queries after
+//! reading only the fixed header and the directory — no tuple is touched
+//! until a query faults its page in. A memory-storage engine (or one
+//! recovering with provenance on) reads the same file and materializes
+//! each relation from its primary run instead.
 //!
 //! # Layout
 //!
@@ -35,38 +36,68 @@
 //! len - 4    [u32 crc32 of everything before]
 //! ```
 //!
-//! Relations that are not disk-eligible (nullary, eqrel closures, see
-//! [`crate::database::disk_backed`]) keep the v1 inline representation
-//! inside the directory (`run_count == 0`). The CRC trailer covers the
-//! whole file and is verified *streaming* at open — a bitflip anywhere,
-//! including deep inside a multi-gigabyte run region, fails recovery
-//! before any tuple is served. Every structural rejection names the byte
-//! offset it tripped over. Runs are stored in *stored* (index) order;
-//! the writer re-encodes source-layout adapters through
+//! A snapshot stores every `Role::Standard` relation — EDB *and* IDB —
+//! so loading one skips the initial fixpoint entirely. Relations that
+//! are not disk-eligible (nullary, eqrel closures, see
+//! [`crate::database::disk_backed`]) are stored inline in the directory
+//! as source-order tuples (`run_count == 0`). The `extra_facts` replay
+//! list is persisted explicitly (not reconstructed from relation
+//! contents) because an `.input` relation that is also a rule head may
+//! contain derived tuples, and replaying those as ground facts would
+//! wrongly survive a negation-driven retraction. The CRC trailer covers
+//! the whole file and is verified *streaming* at open — a bitflip
+//! anywhere, including deep inside a multi-gigabyte run region, fails
+//! recovery before any tuple is served. Every structural rejection names
+//! the byte offset it tripped over. Runs are stored in *stored* (index)
+//! order; the writer re-encodes source-layout adapters through
 //! [`stir_der::disk::write_run`], so the bytes are identical no matter
-//! which engine mode produced them, and the fingerprint guarantees the
-//! reader derives the same index orders from the same RAM program.
+//! which engine mode or storage backend produced them, and the
+//! fingerprint (FNV-1a over the printed RAM program, which does not
+//! depend on [`crate::InterpreterConfig`]) guarantees the reader derives
+//! the same index orders from the same RAM program and rejects snapshots
+//! of a different one.
 //!
-//! Like v1, the file is written to a same-directory temp file, fsynced,
-//! renamed into place, and the directory fsynced — a crash mid-write
-//! never damages the previous snapshot. The periodic snapshot path arms
-//! the `snapshot_write` fault point; `.compact` arms `compact_write`.
+//! The file is published through [`crate::wal::publish_atomic`] — a
+//! crash mid-write never damages the previous snapshot. The periodic
+//! snapshot path arms the `snapshot_write` fault point; `.compact` arms
+//! `compact_write`.
+//!
+//! # The legacy decoder
+//!
+//! Data directories written before this format hold a `STIRSNP1` file:
+//! one source-order tuple dump per relation, no runs.
+//!
+//! ```text
+//! b"STIRSNP1" [u64 fingerprint] [u32 counter]
+//! [u32 symbol_count] symbol_count × ([u32 len] bytes)
+//! [u32 relation_count] relation_count ×
+//!     ([u32 name_len] name [u32 arity] tuple-section)   (see stir_der::dump)
+//! [u64 extra_fact_count] extra_fact_count ×
+//!     ([u32 rel_id] [u32 arity] arity × [u32])
+//! [u32 crc32 of everything before]
+//! ```
+//!
+//! Nothing writes it any more. [`load_snapshot`] still decodes it, so an
+//! old directory opens once and its next snapshot rewrites it as v2 —
+//! the same read-only upgrade path WAL v1 logs take.
 
 use crate::database::{disk_backed, Database};
 use crate::error::StorageError;
 use crate::fault::{self, FaultPoint};
-use crate::wal::{crc32_feed, put_str, put_u32, put_u64, ByteReader, SnapshotData, SnapshotStats};
+use crate::wal::{self, crc32, crc32_feed, put_str, put_u32, put_u64, ByteReader};
 use std::fs::File;
-use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::io::{self, Read, Seek, SeekFrom};
+use std::path::Path;
 use std::sync::Arc;
-use stir_der::disk::{self, BaseRun, DiskIndex, RunFile};
-use stir_der::order::Order;
-use stir_der::{IndexAdapter, RamDomain};
+use stir_der::disk::{self, BaseRun, RunFile};
+use stir_der::RamDomain;
 use stir_ram::program::{RamProgram, RelId, Role};
 
-/// Snapshot v2 file magic.
+/// Snapshot file magic.
 pub const SNAP2_MAGIC: &[u8; 8] = b"STIRSNP2";
+
+/// Magic of the legacy tuple-dump format, decoded but never written.
+const SNAP1_MAGIC: &[u8; 8] = b"STIRSNP1";
 
 /// Current v2 format version (the `u32` after the magic).
 pub const SNAP2_VERSION: u32 = 2;
@@ -91,10 +122,19 @@ pub struct Snap2Run {
     pub fence: Vec<RamDomain>,
 }
 
+/// What a snapshot write persisted.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SnapshotStats {
+    /// Tuples across all serialized relations.
+    pub tuples: u64,
+    /// Total snapshot size in bytes.
+    pub bytes: u64,
+}
+
 /// One relation's entry in the directory.
 #[derive(Debug)]
 pub struct Snap2Relation {
-    /// Relation name (names, not ids, key the snapshot — same as v1).
+    /// Relation name (names, not ids, key the snapshot).
     pub name: String,
     /// Column count.
     pub arity: usize,
@@ -104,17 +144,25 @@ pub struct Snap2Relation {
     pub inline: Option<Vec<Vec<RamDomain>>>,
 }
 
-/// A validated, opened v2 snapshot: the directory plus the shared paged
-/// reader over the run region.
-pub struct Snap2 {
+/// The decoded contents of a snapshot: everything but the runs.
+#[derive(Debug)]
+pub struct SnapshotData {
     /// The `$` auto-increment counter at snapshot time.
     pub counter: u32,
     /// The full symbol table, in id order.
     pub symbols: Vec<String>,
-    /// Every `Role::Standard` relation.
+    /// Every `Role::Standard` relation. A legacy snapshot's are all
+    /// inline; only a [`Snap2`] has the file run-backed ones point into.
     pub relations: Vec<Snap2Relation>,
     /// The externally-inserted fact replay list.
     pub extra_facts: Vec<(RelId, Vec<RamDomain>)>,
+}
+
+/// A validated, opened v2 snapshot: the decoded directory plus the
+/// shared paged reader over the run region.
+pub struct Snap2 {
+    /// The directory's contents.
+    pub data: SnapshotData,
     /// The paged file every [`BaseRun`] of this snapshot reads through.
     pub file: Arc<RunFile>,
 }
@@ -133,57 +181,28 @@ impl Snap2 {
             run.fence.clone(),
         )
     }
-
-    /// Materializes the snapshot into the v1 [`SnapshotData`] shape —
-    /// source-order tuples per relation — for engines running with
-    /// in-memory storage. Reads every primary run once, sequentially.
-    pub fn into_snapshot_data(self) -> SnapshotData {
-        let mut relations = Vec::with_capacity(self.relations.len());
-        for rel in &self.relations {
-            let tuples = match &rel.inline {
-                Some(t) => t.clone(),
-                None => {
-                    // Serve the primary run through a source-layout
-                    // DiskIndex: its scan decodes stored order back to
-                    // source tuples.
-                    let order = Order::new(rel.runs[0].order.clone());
-                    let idx = DiskIndex::with_base(order, true, self.base_run(rel, 0));
-                    let mut out = Vec::with_capacity(rel.runs[0].count);
-                    let mut it = idx.scan();
-                    while let Some(t) = it.next_tuple() {
-                        out.push(t.to_vec());
-                    }
-                    out
-                }
-            };
-            relations.push((rel.name.clone(), tuples));
-        }
-        SnapshotData {
-            counter: self.counter,
-            symbols: self.symbols,
-            relations,
-            extra_facts: self.extra_facts,
-        }
-    }
 }
 
-/// Returns true when the file at `path` starts with the v2 magic.
-/// Missing or short files are simply "not v2" — the caller falls back
-/// to the v1 probe, which produces the proper Missing/Invalid verdict.
-pub fn is_v2(path: &Path) -> bool {
-    let mut head = [0u8; 8];
-    match File::open(path) {
-        Ok(mut f) => f.read_exact(&mut head).is_ok() && &head == SNAP2_MAGIC,
-        Err(_) => false,
-    }
+/// What [`load_snapshot`] found at the snapshot path.
+pub enum SnapshotImage {
+    /// No snapshot file exists.
+    Missing,
+    /// A file exists but is unusable (corrupt, foreign program, I/O
+    /// error); recovery proceeds without it and reports the reason.
+    Invalid(String),
+    /// A valid legacy (`STIRSNP1`) snapshot, fully decoded.
+    Tuples(SnapshotData),
+    /// A valid `STIRSNP2` snapshot: directory decoded, runs on disk.
+    Mapped(Snap2),
 }
 
 // ---------------------------------------------------------------------
 // Writer
 // ---------------------------------------------------------------------
 
-/// Serializes the database as a v2 snapshot, atomically (same-directory
-/// temp file + fsync + rename + directory fsync).
+/// Serializes the database as a snapshot and publishes it atomically
+/// ([`wal::publish_atomic`], with the `snapshot_rename` fault point
+/// before the rename).
 ///
 /// `fault_point` is the injection point armed before the temp-file
 /// write: [`FaultPoint::SnapshotWrite`] for the periodic snapshot path,
@@ -330,21 +349,14 @@ pub fn write_snapshot_v2(
     let crc = !crc32_feed(!0u32, &buf);
     put_u32(&mut buf, crc);
 
-    let err = |op: &'static str| move |e: io::Error| StorageError::io(op, &e);
-    let tmp: PathBuf = path.with_extension("tmp");
-    fault::check(fault_point).map_err(err("write snapshot"))?;
-    {
-        let mut f = File::create(&tmp).map_err(err("create snapshot temp"))?;
-        f.write_all(&buf).map_err(err("write snapshot"))?;
-        f.sync_all().map_err(err("fsync snapshot"))?;
-    }
-    fault::check(FaultPoint::SnapshotRename).map_err(err("publish snapshot"))?;
-    std::fs::rename(&tmp, path).map_err(err("publish snapshot"))?;
-    if let Some(dir) = path.parent() {
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
+    fault::check(fault_point).map_err(|e| StorageError::io("write snapshot", &e))?;
+    wal::publish_atomic(
+        path,
+        wal::SNAPSHOT_TMP_EXT,
+        "snapshot",
+        &buf,
+        Some(FaultPoint::SnapshotRename),
+    )?;
     Ok(SnapshotStats {
         tuples,
         bytes: buf.len() as u64,
@@ -367,8 +379,14 @@ pub fn write_snapshot_v2(
 /// [`StorageError`] naming the byte offset that tripped it. Injected
 /// `disk_map` faults surface here too.
 pub fn open_snapshot_v2(path: &Path, fp: u64, cache_budget: usize) -> Result<Snap2, StorageError> {
+    let f = File::open(path).map_err(|e| StorageError::io("open snapshot", &e))?;
+    open_v2(f, path, fp, cache_budget)
+}
+
+/// [`open_snapshot_v2`] over an already-open handle positioned anywhere
+/// (the loader has read the magic off it).
+fn open_v2(mut f: File, path: &Path, fp: u64, cache_budget: usize) -> Result<Snap2, StorageError> {
     fault::check(FaultPoint::DiskMap).map_err(|e| StorageError::io("map snapshot", &e))?;
-    let mut f = File::open(path).map_err(|e| StorageError::io("open snapshot", &e))?;
     let file_len = f
         .metadata()
         .map_err(|e| StorageError::io("stat snapshot", &e))?
@@ -382,7 +400,8 @@ pub fn open_snapshot_v2(path: &Path, fp: u64, cache_budget: usize) -> Result<Sna
     }
 
     let mut header = [0u8; SNAP2_HEADER as usize];
-    f.read_exact(&mut header)
+    f.seek(SeekFrom::Start(0))
+        .and_then(|_| f.read_exact(&mut header))
         .map_err(|e| StorageError::io("read snapshot header", &e))?;
     if &header[..8] != SNAP2_MAGIC {
         return Err(StorageError::new(
@@ -561,10 +580,259 @@ pub fn open_snapshot_v2(path: &Path, fp: u64, cache_budget: usize) -> Result<Sna
     let file =
         RunFile::open(path, cache_budget).map_err(|e| StorageError::io("map snapshot", &e))?;
     Ok(Snap2 {
+        data: SnapshotData {
+            counter,
+            symbols,
+            relations,
+            extra_facts,
+        },
+        file,
+    })
+}
+
+// ---------------------------------------------------------------------
+// Legacy decoder and the loader
+// ---------------------------------------------------------------------
+
+/// Decodes a whole `STIRSNP1` file. Checks the magic, the trailing CRC
+/// over everything before it, the program fingerprint, and that the
+/// payload ends exactly where the sections say it does.
+fn decode_v1(bytes: &[u8], fp: u64) -> Result<SnapshotData, StorageError> {
+    if bytes.len() < 8 + 8 + 4 + 4 || &bytes[..8] != SNAP1_MAGIC {
+        return Err(StorageError::new("bad snapshot magic"));
+    }
+    let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
+    let crc = u32::from_le_bytes(crc_bytes.try_into().unwrap());
+    if crc32(body) != crc {
+        return Err(StorageError::new("snapshot checksum mismatch"));
+    }
+    let mut r = ByteReader::new(&body[8..]);
+    let file_fp = r.u64()?;
+    if file_fp != fp {
+        return Err(StorageError::new(
+            "snapshot belongs to a different program (fingerprint mismatch)",
+        ));
+    }
+    let counter = r.u32()?;
+    let symbol_count = r.u32()? as usize;
+    let mut symbols = Vec::with_capacity(symbol_count);
+    for _ in 0..symbol_count {
+        symbols.push(r.str()?);
+    }
+    let rel_count = r.u32()? as usize;
+    let mut relations = Vec::with_capacity(rel_count);
+    for _ in 0..rel_count {
+        let name = r.str()?;
+        let arity = r.u32()? as usize;
+        let mut section = r.rest();
+        let before = section.len();
+        let tuples = stir_der::dump::read_tuples(&mut section, arity)
+            .map_err(|e| StorageError::io("decode snapshot tuples", &e))?;
+        r.skip(before - section.len());
+        relations.push(Snap2Relation {
+            name,
+            arity,
+            runs: Vec::new(),
+            inline: Some(tuples),
+        });
+    }
+    let extra_count = r.u64()? as usize;
+    let mut extra_facts = Vec::with_capacity(extra_count);
+    for _ in 0..extra_count {
+        let rid = RelId(r.u32()? as usize);
+        let arity = r.u32()? as usize;
+        let mut t = Vec::with_capacity(arity);
+        for _ in 0..arity {
+            t.push(r.u32()?);
+        }
+        extra_facts.push((rid, t));
+    }
+    if !r.done() {
+        return Err(StorageError::new("trailing bytes in snapshot"));
+    }
+    Ok(SnapshotData {
         counter,
         symbols,
         relations,
         extra_facts,
-        file,
     })
+}
+
+/// Probes `path` for a snapshot of the program fingerprinted `fp`. The
+/// one place the on-disk format is decided: the magic is read once and
+/// the file goes to the v2 opener or, whole, to the legacy decoder
+/// (which also gives any other magic its rejection message).
+pub fn load_snapshot(path: &Path, fp: u64, cache_budget: usize) -> SnapshotImage {
+    let mut f = match File::open(path) {
+        Ok(f) => f,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return SnapshotImage::Missing,
+        Err(e) => return SnapshotImage::Invalid(format!("open snapshot: {e}")),
+    };
+    let load = || -> Result<SnapshotImage, StorageError> {
+        let read_err = |e: io::Error| StorageError::io("read snapshot", &e);
+        let mut bytes = Vec::new();
+        (&mut f)
+            .take(SNAP2_MAGIC.len() as u64)
+            .read_to_end(&mut bytes)
+            .map_err(read_err)?;
+        if bytes == SNAP2_MAGIC {
+            return open_v2(f, path, fp, cache_budget).map(SnapshotImage::Mapped);
+        }
+        f.read_to_end(&mut bytes).map_err(read_err)?;
+        decode_v1(&bytes, fp).map(SnapshotImage::Tuples)
+    };
+    load().unwrap_or_else(|e| SnapshotImage::Invalid(e.msg))
+}
+
+/// A `STIRSNP1` encoder for tests: what the retired writer produced,
+/// so the decoder and the upgrade path keep a fixture to run against
+/// (as `wal::tests::write_v1_log` does for version-1 logs).
+#[cfg(test)]
+pub(crate) fn encode_v1(
+    fp: u64,
+    ram: &RamProgram,
+    db: &Database,
+    extra_facts: &[(RelId, Vec<RamDomain>)],
+) -> Vec<u8> {
+    let mut buf = Vec::new();
+    buf.extend_from_slice(SNAP1_MAGIC);
+    put_u64(&mut buf, fp);
+    put_u32(
+        &mut buf,
+        db.counter.load(std::sync::atomic::Ordering::Relaxed),
+    );
+    let symbols = db.symbols_rd();
+    put_u32(&mut buf, symbols.strings().len() as u32);
+    for s in symbols.strings() {
+        put_str(&mut buf, s);
+    }
+    let standard: Vec<_> = ram
+        .relations
+        .iter()
+        .filter(|r| r.role == Role::Standard)
+        .collect();
+    put_u32(&mut buf, standard.len() as u32);
+    for meta in standard {
+        put_str(&mut buf, &meta.name);
+        put_u32(&mut buf, meta.arity as u32);
+        stir_der::dump::write_tuples(&mut buf, &db.rd(meta.id)).expect("Vec<u8> writes");
+    }
+    put_u64(&mut buf, extra_facts.len() as u64);
+    for (rid, t) in extra_facts {
+        put_u32(&mut buf, rid.0 as u32);
+        put_u32(&mut buf, t.len() as u32);
+        for &v in t {
+            put_u32(&mut buf, v);
+        }
+    }
+    let crc = crc32(&buf);
+    put_u32(&mut buf, crc);
+    buf
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::database::DataMode;
+
+    fn fixture() -> (RamProgram, Database, u64) {
+        let engine = crate::Engine::from_source(
+            ".decl e(x: number, s: symbol)\n.decl flag()\n\
+             e(1, \"a\"). e(2, \"b\"). flag().\n",
+        )
+        .expect("compiles");
+        let ram = engine.into_ram();
+        let db = Database::new(&ram, DataMode::Specialized);
+        let fp = wal::fingerprint(&ram.to_string());
+        (ram, db, fp)
+    }
+
+    fn load(tag: &str, bytes: &[u8], fp: u64) -> SnapshotImage {
+        let path = std::env::temp_dir().join(format!("stir-snap1-{tag}-{}", std::process::id()));
+        std::fs::write(&path, bytes).expect("writes");
+        let image = load_snapshot(&path, fp, 1 << 20);
+        let _ = std::fs::remove_file(&path);
+        image
+    }
+
+    #[test]
+    fn legacy_snapshots_decode_to_inline_relations() {
+        let (ram, db, fp) = fixture();
+        let extra = vec![(RelId(0), vec![7, 8])];
+        let SnapshotImage::Tuples(data) = load("ok", &encode_v1(fp, &ram, &db, &extra), fp) else {
+            panic!("a valid v1 file must load as tuples");
+        };
+        assert_eq!(data.symbols, ["a", "b"]);
+        assert_eq!(data.extra_facts, extra);
+        let e = data.relations.iter().find(|r| r.name == "e").expect("e");
+        assert_eq!((e.arity, e.runs.len()), (2, 0));
+        assert_eq!(e.inline.as_ref().map(Vec::len), Some(2));
+        let flag = data
+            .relations
+            .iter()
+            .find(|r| r.name == "flag")
+            .expect("flag");
+        assert_eq!(
+            flag.inline.as_ref().map(Vec::len),
+            Some(1),
+            "nullary presence"
+        );
+    }
+
+    #[test]
+    fn missing_file_is_missing_not_invalid() {
+        let path = std::env::temp_dir().join("stir-snap1-definitely-absent");
+        assert!(matches!(
+            load_snapshot(&path, 1, 1 << 20),
+            SnapshotImage::Missing
+        ));
+    }
+
+    /// Every hostile shape of a legacy file is rejected with its own
+    /// reason (the reason is what `RecoveryReport::snapshot_rejected`
+    /// carries to the log).
+    #[test]
+    fn hostile_legacy_snapshots_are_rejected_with_a_reason() {
+        let (ram, db, fp) = fixture();
+        let good = encode_v1(fp, &ram, &db, &[]);
+        let reject = |tag: &str, bytes: &[u8], fp: u64| match load(tag, bytes, fp) {
+            SnapshotImage::Invalid(reason) => reason,
+            _ => panic!("{tag}: hostile snapshot must be rejected"),
+        };
+
+        // Truncation anywhere takes the CRC trailer with it.
+        let reason = reject("cut", &good[..good.len() - 5], fp);
+        assert!(reason.contains("checksum mismatch"), "{reason}");
+        // Cut below the fixed header, or any magic no version wrote.
+        assert!(reject("stub", &good[..10], fp).contains("bad snapshot magic"));
+        assert!(reject("empty", b"", fp).contains("bad snapshot magic"));
+        let mut alien = good.clone();
+        alien[7] = b'9';
+        assert!(reject("alien", &alien, fp).contains("bad snapshot magic"));
+
+        let mut flipped = good.clone();
+        let mid = flipped.len() / 2;
+        flipped[mid] ^= 0x40;
+        let reason = reject("flip", &flipped, fp);
+        assert!(reason.contains("checksum mismatch"), "{reason}");
+
+        let reason = reject("foreign", &good, fp ^ 1);
+        assert!(reason.contains("fingerprint mismatch"), "{reason}");
+
+        // Trailing bytes under a *valid* checksum: not damage, a payload
+        // this decoder does not understand.
+        let mut longer = good[..good.len() - 4].to_vec();
+        longer.push(0);
+        let crc = crc32(&longer);
+        put_u32(&mut longer, crc);
+        let reason = reject("trailing", &longer, fp);
+        assert!(reason.contains("trailing bytes"), "{reason}");
+
+        // A section that runs past the end, again under a valid checksum.
+        let mut short = good[..good.len() - 4 - 6].to_vec();
+        let crc = crc32(&short);
+        put_u32(&mut short, crc);
+        let reason = reject("short", &short, fp);
+        assert!(reason.contains("truncated"), "{reason}");
+    }
 }

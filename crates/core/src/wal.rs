@@ -1,11 +1,13 @@
-//! Durability: write-ahead fact log and database snapshots.
+//! Durability: the write-ahead fact log.
 //!
 //! The resident engine acknowledges an `insert_facts` batch only after
 //! the batch is in the write-ahead log, so a crash at *any* later point
 //! (during delta evaluation, between requests, mid-snapshot) loses no
 //! acknowledged data: restart loads the latest valid snapshot and
-//! replays the WAL suffix. This module owns the two on-disk formats; the
-//! recovery choreography lives in [`crate::resident`].
+//! replays the WAL suffix. This module owns the log format, the byte
+//! helpers it shares with the snapshot format ([`crate::snap2`]), and
+//! the atomic-publish sequence both use; the recovery choreography
+//! lives in [`crate::resident`].
 //!
 //! # WAL format
 //!
@@ -34,51 +36,21 @@
 //! deliberately, by a newer or foreign writer, so replay fails loudly
 //! with the record's file offset instead of silently truncating
 //! acknowledged history.
-//!
-//! # Snapshot format
-//!
-//! ```text
-//! b"STIRSNP1" [u64 fingerprint] [u32 counter]
-//! [u32 symbol_count] symbol_count × ([u32 len] bytes)
-//! [u32 relation_count] relation_count ×
-//!     ([u32 name_len] name [u32 arity] tuple-section)   (see stir_der::dump)
-//! [u64 extra_fact_count] extra_fact_count ×
-//!     ([u32 rel_id] [u32 arity] arity × [u32])
-//! [u32 crc32 of everything before]
-//! ```
-//!
-//! A snapshot stores every `Role::Standard` relation — EDB *and* IDB —
-//! so loading one skips the initial fixpoint entirely. The `extra_facts`
-//! replay list is persisted explicitly (not reconstructed from relation
-//! contents) because an `.input` relation that is also a rule head may
-//! contain derived tuples, and replaying those as ground facts would
-//! wrongly survive a negation-driven retraction. Snapshots are written
-//! to a temp file, fsynced, and renamed into place, so a crash never
-//! leaves a half-written snapshot visible; the fingerprint (FNV-1a over
-//! the printed RAM program) rejects snapshots from a different program.
-//! The tuple payload is config-independent — RAM translation does not
-//! depend on [`crate::InterpreterConfig`] — so a snapshot written under
-//! one engine mode restores under any other.
 
-use crate::database::Database;
 use crate::error::StorageError;
 use crate::fault::{self, FaultPoint};
 use crate::telemetry::ServeMetrics;
 use crate::value::Value;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use stir_ram::expr::RamDomain;
-use stir_ram::program::{RamProgram, RelId, Role};
 
 /// WAL file magic (current, version 2: records carry a kind byte).
 const WAL_MAGIC: &[u8; 8] = b"STIRWAL2";
 /// Version-1 WAL magic: kind-less records, accepted on read as inserts.
 const WAL_MAGIC_V1: &[u8; 8] = b"STIRWAL1";
-/// Snapshot file magic.
-const SNAP_MAGIC: &[u8; 8] = b"STIRSNP1";
 /// WAL header length: magic + fingerprint.
 const WAL_HEADER: u64 = 16;
 
@@ -304,6 +276,60 @@ impl<'a> ByteReader<'a> {
 }
 
 // ---------------------------------------------------------------------
+// Atomic publish
+// ---------------------------------------------------------------------
+
+/// Temp-file extension of an in-flight snapshot publish.
+pub(crate) const SNAPSHOT_TMP_EXT: &str = "tmp";
+/// Temp-file extension of an in-flight WAL v1→v2 upgrade.
+pub(crate) const WAL_UPGRADE_EXT: &str = "upgrade";
+
+/// Replaces the file at `path` with `bytes` so that a crash at any point
+/// leaves either the old file or the new one, never a mix: write a
+/// same-directory temp file (`path` with extension `tmp_ext`), fsync it,
+/// rename it over `path`, fsync the directory. `what` names the file in
+/// error messages; `rename_fault` is checked between the fsync and the
+/// rename. A failed publish removes its temp file; one orphaned by a
+/// crash is swept by [`sweep_stale_temp`] at the next open.
+pub(crate) fn publish_atomic(
+    path: &Path,
+    tmp_ext: &str,
+    what: &str,
+    bytes: &[u8],
+    rename_fault: Option<FaultPoint>,
+) -> Result<(), StorageError> {
+    let tmp = path.with_extension(tmp_ext);
+    let err = |op: &'static str| move |e: io::Error| StorageError::io(&format!("{op} {what}"), &e);
+    let publish = || -> Result<(), StorageError> {
+        let mut f = File::create(&tmp).map_err(err("create temp for"))?;
+        f.write_all(bytes).map_err(err("write"))?;
+        f.sync_all().map_err(err("fsync"))?;
+        drop(f);
+        if let Some(point) = rename_fault {
+            fault::check(point).map_err(err("publish"))?;
+        }
+        std::fs::rename(&tmp, path).map_err(err("publish"))
+    };
+    if let Err(e) = publish() {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e);
+    }
+    if let Some(dir) = path.parent() {
+        // Make the rename itself durable.
+        if let Ok(d) = File::open(dir) {
+            let _ = d.sync_all();
+        }
+    }
+    Ok(())
+}
+
+/// Removes the temp file a crashed [`publish_atomic`] of `path` left
+/// behind (the published file, if any, is complete without it).
+pub(crate) fn sweep_stale_temp(path: &Path, tmp_ext: &str) {
+    let _ = std::fs::remove_file(path.with_extension(tmp_ext));
+}
+
+// ---------------------------------------------------------------------
 // WAL records
 // ---------------------------------------------------------------------
 
@@ -499,19 +525,7 @@ pub fn rewrite(path: &Path, fp: u64, records: &[WalRecord]) -> Result<u64, Stora
     for rec in records {
         buf.extend_from_slice(&WalRecord::encode(rec.kind, &rec.rel, &rec.rows));
     }
-    let err = |op: &'static str| move |e: io::Error| StorageError::io(op, &e);
-    let tmp = path.with_extension("upgrade");
-    {
-        let mut f = File::create(&tmp).map_err(err("create WAL upgrade temp"))?;
-        f.write_all(&buf).map_err(err("write WAL upgrade"))?;
-        f.sync_all().map_err(err("fsync WAL upgrade"))?;
-    }
-    std::fs::rename(&tmp, path).map_err(err("publish WAL upgrade"))?;
-    if let Some(dir) = path.parent() {
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
+    publish_atomic(path, WAL_UPGRADE_EXT, "WAL upgrade", &buf, None)?;
     Ok(buf.len() as u64)
 }
 
@@ -947,200 +961,10 @@ impl CommitTicket {
     }
 }
 
-// ---------------------------------------------------------------------
-// Snapshots
-// ---------------------------------------------------------------------
-
-/// The decoded contents of a valid snapshot file.
-#[derive(Debug)]
-pub struct SnapshotData {
-    /// The `$` auto-increment counter at snapshot time.
-    pub counter: u32,
-    /// The full symbol table, in id order.
-    pub symbols: Vec<String>,
-    /// Every `Role::Standard` relation's tuples, by name.
-    pub relations: Vec<(String, Vec<Vec<RamDomain>>)>,
-    /// The externally-inserted fact replay list.
-    pub extra_facts: Vec<(RelId, Vec<RamDomain>)>,
-}
-
-/// The outcome of probing for a snapshot.
-#[derive(Debug)]
-pub enum SnapshotLoad {
-    /// No snapshot file exists.
-    Missing,
-    /// A file exists but is unusable (corrupt, foreign program, I/O
-    /// error); recovery proceeds as if it were missing.
-    Invalid(String),
-    /// A valid snapshot.
-    Loaded(SnapshotData),
-}
-
-/// What [`write_snapshot`] persisted.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SnapshotStats {
-    /// Tuples across all serialized relations.
-    pub tuples: u64,
-    /// Total snapshot size in bytes.
-    pub bytes: u64,
-}
-
-/// Serializes the database atomically to `path` (same directory temp
-/// file + fsync + rename + directory fsync).
-///
-/// # Errors
-///
-/// I/O failures and injected `snapshot_write`/`snapshot_rename` faults;
-/// on error the previous snapshot (if any) is untouched.
-pub fn write_snapshot(
-    path: &Path,
-    fp: u64,
-    ram: &RamProgram,
-    db: &Database,
-    extra_facts: &[(RelId, Vec<RamDomain>)],
-) -> Result<SnapshotStats, StorageError> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(SNAP_MAGIC);
-    put_u64(&mut buf, fp);
-    put_u32(
-        &mut buf,
-        db.counter.load(std::sync::atomic::Ordering::Relaxed),
-    );
-
-    {
-        let symbols = db.symbols_rd();
-        let strings = symbols.strings();
-        put_u32(&mut buf, strings.len() as u32);
-        for s in strings {
-            put_str(&mut buf, s);
-        }
-    }
-
-    let standard: Vec<_> = ram
-        .relations
-        .iter()
-        .filter(|r| r.role == Role::Standard)
-        .collect();
-    let mut tuples = 0u64;
-    put_u32(&mut buf, standard.len() as u32);
-    for meta in standard {
-        put_str(&mut buf, &meta.name);
-        put_u32(&mut buf, meta.arity as u32);
-        tuples += stir_der::dump::write_tuples(&mut buf, &db.rd(meta.id))
-            .expect("Vec<u8> writes are infallible");
-    }
-
-    put_u64(&mut buf, extra_facts.len() as u64);
-    for (rid, t) in extra_facts {
-        put_u32(&mut buf, rid.0 as u32);
-        put_u32(&mut buf, t.len() as u32);
-        for &v in t {
-            put_u32(&mut buf, v);
-        }
-    }
-
-    let crc = crc32(&buf);
-    put_u32(&mut buf, crc);
-
-    let err = |op: &'static str| move |e: io::Error| StorageError::io(op, &e);
-    let tmp: PathBuf = path.with_extension("tmp");
-    fault::check(FaultPoint::SnapshotWrite).map_err(err("write snapshot"))?;
-    {
-        let mut f = File::create(&tmp).map_err(err("create snapshot temp"))?;
-        f.write_all(&buf).map_err(err("write snapshot"))?;
-        f.sync_all().map_err(err("fsync snapshot"))?;
-    }
-    fault::check(FaultPoint::SnapshotRename).map_err(err("publish snapshot"))?;
-    std::fs::rename(&tmp, path).map_err(err("publish snapshot"))?;
-    if let Some(dir) = path.parent() {
-        // Make the rename itself durable.
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(SnapshotStats {
-        tuples,
-        bytes: buf.len() as u64,
-    })
-}
-
-/// Probes `path` for a snapshot matching the program fingerprint.
-pub fn read_snapshot(path: &Path, fp: u64) -> SnapshotLoad {
-    let mut bytes = Vec::new();
-    match File::open(path) {
-        Ok(mut f) => {
-            if let Err(e) = f.read_to_end(&mut bytes) {
-                return SnapshotLoad::Invalid(format!("read snapshot: {e}"));
-            }
-        }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return SnapshotLoad::Missing,
-        Err(e) => return SnapshotLoad::Invalid(format!("open snapshot: {e}")),
-    }
-    match parse_snapshot(&bytes, fp) {
-        Ok(data) => SnapshotLoad::Loaded(data),
-        Err(e) => SnapshotLoad::Invalid(e.msg),
-    }
-}
-
-fn parse_snapshot(bytes: &[u8], fp: u64) -> Result<SnapshotData, StorageError> {
-    if bytes.len() < 8 + 8 + 4 + 4 || &bytes[..8] != SNAP_MAGIC {
-        return Err(StorageError::new("bad snapshot magic"));
-    }
-    let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-    let crc = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-    if crc32(body) != crc {
-        return Err(StorageError::new("snapshot checksum mismatch"));
-    }
-    let mut r = ByteReader::new(&body[8..]);
-    let file_fp = r.u64()?;
-    if file_fp != fp {
-        return Err(StorageError::new(
-            "snapshot belongs to a different program (fingerprint mismatch)",
-        ));
-    }
-    let counter = r.u32()?;
-    let symbol_count = r.u32()? as usize;
-    let mut symbols = Vec::with_capacity(symbol_count);
-    for _ in 0..symbol_count {
-        symbols.push(r.str()?);
-    }
-    let rel_count = r.u32()? as usize;
-    let mut relations = Vec::with_capacity(rel_count);
-    for _ in 0..rel_count {
-        let name = r.str()?;
-        let arity = r.u32()? as usize;
-        let mut section = r.buf.get(r.pos..).unwrap_or(&[]);
-        let before = section.len();
-        let tuples = stir_der::dump::read_tuples(&mut section, arity)
-            .map_err(|e| StorageError::io("decode snapshot tuples", &e))?;
-        r.pos += before - section.len();
-        relations.push((name, tuples));
-    }
-    let extra_count = r.u64()? as usize;
-    let mut extra_facts = Vec::with_capacity(extra_count);
-    for _ in 0..extra_count {
-        let rid = RelId(r.u32()? as usize);
-        let arity = r.u32()? as usize;
-        let mut t = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            t.push(r.u32()?);
-        }
-        extra_facts.push((rid, t));
-    }
-    if !r.done() {
-        return Err(StorageError::new("trailing bytes in snapshot"));
-    }
-    Ok(SnapshotData {
-        counter,
-        symbols,
-        relations,
-        extra_facts,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("stir-wal-{tag}-{}", std::process::id()));

@@ -780,7 +780,7 @@ fn handle_conn(mut sock: TcpStream, state: &AdminState, logger: &Logger, peer: &
 }
 
 /// Builds the per-connection serving context `stird` hands to
-/// [`crate::serve::run_session_ctx`].
+/// [`crate::serve::run_session`].
 pub fn request_ctx(
     metrics: Arc<ServeMetrics>,
     client: String,

@@ -30,6 +30,7 @@ use std::process::ExitCode;
 use std::sync::RwLock;
 use stir::core::io;
 use stir::core::{Durability, PersistOptions};
+use stir::serve::{handle_request, run_session, RequestCtx, SessionConfig};
 use stir::StorageBackend;
 use stir::{
     profile_json, Engine, InputData, InterpreterConfig, LogLevel, ProfileReport, ResidentEngine,
@@ -364,6 +365,11 @@ fn run_repl(opts: &Options, engine: Engine, inputs: &InputData, tel: &Telemetry)
                         recovery.replayed_tuples,
                         recovery.torn_bytes,
                     );
+                    if let Some(reason) = &recovery.snapshot_rejected {
+                        eprintln!(
+                            "stir: snapshot rejected, every write it covered is lost: {reason}"
+                        );
+                    }
                     r
                 }
                 Err(e) => {
@@ -388,7 +394,16 @@ fn run_repl(opts: &Options, engine: Engine, inputs: &InputData, tel: &Telemetry)
     let shared = RwLock::new(resident);
     let mut input = std::io::stdin().lock();
     let mut output = std::io::stdout().lock();
-    if let Err(e) = stir::serve::run_session(&shared, &mut input, &mut output, Some(tel)) {
+    // The inert context: no metrics, no slow-request log, no admission.
+    let (cfg, ctx) = (SessionConfig::default(), RequestCtx::default());
+    let session = run_session(
+        &mut input,
+        &mut output,
+        cfg.max_line_bytes,
+        None,
+        &mut |line, out| handle_request(&shared, line, &cfg, &ctx, Some(tel), out),
+    );
+    if let Err(e) = session {
         eprintln!("stir: {e}");
         return ExitCode::FAILURE;
     }

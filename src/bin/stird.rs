@@ -73,7 +73,7 @@ use stir::core::io;
 use stir::core::telemetry::{Logger, ServeMetrics};
 use stir::core::{Durability, HealthState, PersistOptions};
 use stir::serve::{
-    handle_request, read_request, Control, Request, RequestCtx, SessionConfig, WriteAdmission,
+    handle_request, run_session, Control, RequestCtx, SessionConfig, WriteAdmission,
 };
 use stir::{
     profile_json, Engine, InputData, InterpreterConfig, LogLevel, ResidentEngine, StorageBackend,
@@ -424,12 +424,10 @@ fn handle_conn(
     metrics.conn_closed();
 }
 
-/// The request/response loop behind [`handle_conn`]. The response to
-/// each request is written before the next is read, so a client can
-/// pipeline `request → read until ok/err` cycles. The short read
-/// timeout makes an idle connection wake up a few times a second to
-/// poll the stop flag; [`read_request`] treats those timeouts as
-/// retries, so they are invisible to a live client.
+/// Runs [`run_session`] over one socket. The short read timeout makes
+/// an idle connection wake up a few times a second to poll the stop
+/// flag; [`stir::serve::read_request`] treats those timeouts as retries,
+/// so they are invisible to a live client.
 #[allow(clippy::too_many_arguments)]
 fn serve_conn(
     stream: TcpStream,
@@ -444,40 +442,24 @@ fn serve_conn(
     stream.set_write_timeout(Some(Duration::from_secs(30)))?;
     let mut reader = std::io::BufReader::new(stream.try_clone()?);
     let mut writer = FaultStream(stream);
-    loop {
-        let control = match read_request(&mut reader, cfg.max_line_bytes, Some(stop))? {
-            Request::Eof | Request::Shutdown => return Ok(()),
-            Request::TooLong => {
-                writeln!(
-                    writer,
-                    "err request line exceeds {} bytes",
-                    cfg.max_line_bytes
-                )?;
-                Control::Continue
-            }
-            Request::BadUtf8 => {
-                writeln!(writer, "err request is not valid UTF-8")?;
-                Control::Continue
-            }
-            Request::Line(line) => {
-                let guard = tel.map(|m| m.lock().unwrap_or_else(PoisonError::into_inner));
-                handle_request(engine, &line, cfg, ctx, guard.as_deref(), &mut writer)?
-            }
-        };
-        writer.flush()?;
-        match control {
-            Control::Continue => {}
-            Control::Quit => return Ok(()),
-            Control::Stop => {
-                // Flip readiness before raising the stop flag, so a
-                // probe racing the shutdown never sees a ready server
-                // that is about to drain.
-                admin.start_drain();
-                stop.store(true, Ordering::SeqCst);
-                return Ok(());
-            }
-        }
+    let ended = run_session(
+        &mut reader,
+        &mut writer,
+        cfg.max_line_bytes,
+        Some(stop),
+        &mut |line, out| {
+            let guard = tel.map(|m| m.lock().unwrap_or_else(PoisonError::into_inner));
+            handle_request(engine, line, cfg, ctx, guard.as_deref(), out)
+        },
+    )?;
+    if ended == Control::Stop {
+        // Flip readiness before raising the stop flag, so a probe
+        // racing the shutdown never sees a ready server that is about
+        // to drain.
+        admin.start_drain();
+        stop.store(true, Ordering::SeqCst);
     }
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -566,6 +548,12 @@ fn main() -> ExitCode {
                             recovery.replay_ms,
                         ),
                     );
+                    if let Some(reason) = &recovery.snapshot_rejected {
+                        slog.log(
+                            LogLevel::Error,
+                            &format!("snapshot rejected, every write it covered is lost: {reason}"),
+                        );
+                    }
                     r
                 }
                 Err(e) => {

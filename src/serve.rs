@@ -248,26 +248,12 @@ pub fn handle_line(
     tel: Option<&Telemetry>,
     out: &mut dyn Write,
 ) -> std::io::Result<Control> {
-    handle_line_cfg(engine, line, &SessionConfig::default(), tel, out)
+    let (cfg, ctx) = (SessionConfig::default(), RequestCtx::default());
+    handle_line_inner(engine, line, &cfg, &ctx, tel, out).map(|(control, _)| control)
 }
 
-/// [`handle_line`] with explicit session limits (request deadline).
-///
-/// # Errors
-///
-/// Only I/O errors writing the response propagate.
-pub fn handle_line_cfg(
-    engine: &RwLock<ResidentEngine>,
-    line: &str,
-    cfg: &SessionConfig,
-    tel: Option<&Telemetry>,
-    out: &mut dyn Write,
-) -> std::io::Result<Control> {
-    handle_line_inner(engine, line, cfg, &RequestCtx::default(), tel, out)
-        .map(|(control, _)| control)
-}
-
-/// [`handle_line_cfg`] plus per-request tracing: assigns a request id,
+/// [`handle_line`] with explicit session limits (request deadline) plus
+/// per-request tracing: assigns a request id,
 /// records the request's latency into the context's histograms, and
 /// logs requests that exceed the slow threshold (truncated line, id,
 /// client address, latency, tuples touched).
@@ -915,81 +901,43 @@ pub fn read_request(
     }
 }
 
-/// Runs a full REPL-style session: reads protocol lines from `input`,
-/// writes responses to `output`, and returns how the session ended
-/// ([`Control::Quit`] at EOF).
+/// The session loop of both front ends: reads request lines from
+/// `input` (at most `max_line_bytes` each), hands every well-formed one
+/// to `handle`, answers oversized and non-UTF-8 lines with `err`
+/// protocol errors itself — the session (and the engine behind it)
+/// survives arbitrary garbage on the wire — and flushes `output` after
+/// each reply, before the next request is read, so a client can pipeline
+/// `request → read until ok/err` cycles. Returns how the session ended
+/// ([`Control::Quit`] at EOF or when `stop` is raised between requests);
+/// on [`Control::Stop`] the reply has been flushed and stopping the
+/// server is the caller's move.
+///
+/// `handle` is [`handle_request`] with the caller's engine, context and
+/// telemetry bound — `stird` locks its shared telemetry inside it, once
+/// per request rather than per session.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors on either stream.
 pub fn run_session(
-    engine: &RwLock<ResidentEngine>,
-    input: &mut dyn std::io::BufRead,
+    input: &mut dyn BufRead,
     output: &mut dyn Write,
-    tel: Option<&Telemetry>,
-) -> std::io::Result<Control> {
-    run_session_with(engine, input, output, &SessionConfig::default(), None, tel)
-}
-
-/// [`run_session`] with explicit limits and an optional server stop
-/// flag. Oversized and non-UTF-8 request lines are answered with `err`
-/// protocol errors — the session (and the engine behind it) survives
-/// arbitrary garbage on the wire.
-///
-/// # Errors
-///
-/// Propagates I/O errors on either stream.
-pub fn run_session_with(
-    engine: &RwLock<ResidentEngine>,
-    input: &mut dyn std::io::BufRead,
-    output: &mut dyn Write,
-    cfg: &SessionConfig,
+    max_line_bytes: usize,
     stop: Option<&AtomicBool>,
-    tel: Option<&Telemetry>,
-) -> std::io::Result<Control> {
-    run_session_ctx(
-        engine,
-        input,
-        output,
-        cfg,
-        stop,
-        &RequestCtx::default(),
-        tel,
-    )
-}
-
-/// [`run_session_with`] plus a serving context: every request gets an id
-/// and its latency recorded (see [`handle_request`]).
-///
-/// # Errors
-///
-/// Propagates I/O errors on either stream.
-pub fn run_session_ctx(
-    engine: &RwLock<ResidentEngine>,
-    input: &mut dyn std::io::BufRead,
-    output: &mut dyn Write,
-    cfg: &SessionConfig,
-    stop: Option<&AtomicBool>,
-    ctx: &RequestCtx,
-    tel: Option<&Telemetry>,
+    handle: &mut dyn FnMut(&str, &mut dyn Write) -> std::io::Result<Control>,
 ) -> std::io::Result<Control> {
     loop {
-        let control = match read_request(input, cfg.max_line_bytes, stop)? {
-            Request::Eof => return Ok(Control::Quit),
-            Request::Shutdown => return Ok(Control::Quit),
+        let control = match read_request(input, max_line_bytes, stop)? {
+            Request::Eof | Request::Shutdown => return Ok(Control::Quit),
             Request::TooLong => {
-                writeln!(
-                    output,
-                    "err request line exceeds {} bytes",
-                    cfg.max_line_bytes
-                )?;
+                writeln!(output, "err request line exceeds {max_line_bytes} bytes")?;
                 Control::Continue
             }
             Request::BadUtf8 => {
                 writeln!(output, "err request is not valid UTF-8")?;
                 Control::Continue
             }
-            Request::Line(line) => handle_request(engine, &line, cfg, ctx, tel, output)?,
+            Request::Line(line) => handle(&line, output)?,
         };
         output.flush()?;
         if control != Control::Continue {
@@ -1045,9 +993,16 @@ mod tests {
         )?);
         let mut out = Vec::new();
         let mut input = script;
-        run_session_with(&engine, &mut input, &mut out, cfg, None, None)
-            .map_err(|e| stir_core::StorageError::io("session io", &e))
-            .map_err(stir_core::EngineError::from)?;
+        let ctx = RequestCtx::default();
+        run_session(
+            &mut input,
+            &mut out,
+            cfg.max_line_bytes,
+            None,
+            &mut |line, out| handle_request(&engine, line, cfg, &ctx, None, out),
+        )
+        .map_err(|e| stir_core::StorageError::io("session io", &e))
+        .map_err(stir_core::EngineError::from)?;
         Ok(String::from_utf8_lossy(&out).into_owned())
     }
 
@@ -1370,14 +1325,9 @@ mod tests {
         let engine = RwLock::new(resident);
         let mut out = Vec::new();
         let mut input: &[u8] = b"+e(1, 2).\n.stats\n.quit\n";
-        run_session_with(
-            &engine,
-            &mut input,
-            &mut out,
-            &SessionConfig::default(),
-            None,
-            None,
-        )
+        run_session(&mut input, &mut out, 1 << 20, None, &mut |line, out| {
+            handle_line(&engine, line, None, out)
+        })
         .expect("session io");
         let out = String::from_utf8_lossy(&out);
         let stats = out

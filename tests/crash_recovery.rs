@@ -29,6 +29,10 @@ const BASE_EDGES: &[[i64; 2]] = &[[1, 2], [2, 3]];
 
 const MODES: &[&str] = &["sti", "dynamic", "unopt", "legacy"];
 
+/// Where [`Server::start`] sends the latest server's stderr, inside the
+/// scenario directory.
+const STDERR_LOG: &str = "stderr.log";
+
 fn setup(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("stir-crash-tests").join(name);
     let _ = std::fs::remove_dir_all(&dir);
@@ -59,7 +63,7 @@ impl Server {
             .arg(dir.join("data"))
             .args(extra)
             .stdout(Stdio::piped())
-            .stderr(Stdio::null())
+            .stderr(std::fs::File::create(dir.join(STDERR_LOG)).expect("stderr log"))
             .env_remove("STIR_FAULT");
         if let Some(spec) = fault {
             cmd.env("STIR_FAULT", spec);
@@ -593,4 +597,92 @@ fn transient_wal_failure_refuses_the_insert() {
         oracle(InterpreterConfig::optimized(), &[[60, 61]]),
         "refused batch must not reappear, acked batch must survive"
     );
+}
+
+/// Sends one request line and returns the reply's last line.
+fn request(server: &Server, line: &str) -> String {
+    let mut conn = server.connect();
+    let mut reader = BufReader::new(conn.try_clone().expect("clone"));
+    conn.write_all(format!("{line}\n").as_bytes())
+        .expect("request written");
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("reply");
+    reply.trim_end().to_owned()
+}
+
+/// A daemon that throws its snapshot away has lost every write the
+/// snapshot covered (the WAL was truncated when it was taken). With no
+/// `--log` flag at all it must say so, and say why.
+#[test]
+fn rejected_snapshot_is_logged_at_default_flags() {
+    let dir = setup("rejected-snapshot");
+    let server = Server::start(&dir, "sti", None, &[]);
+    let (acked, _) = insert_until_crash(&server, &[[3, 4]]);
+    assert_eq!(acked.len(), 1);
+    assert!(request(&server, ".snapshot").starts_with("ok snapshot"));
+    drop(server); // kill -9
+
+    let snapshot = dir.join("data").join("snapshot.bin");
+    let mut bytes = std::fs::read(&snapshot).expect("snapshot written");
+    assert!(bytes.starts_with(b"STIRSNP2"), "mem engines write v2 too");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x10;
+    std::fs::write(&snapshot, &bytes).expect("bit flipped");
+
+    let server = Server::start(&dir, "sti", None, &[]);
+    let log = std::fs::read_to_string(dir.join(STDERR_LOG)).expect("stderr log");
+    assert!(log.contains("recovery snapshot=false"), "{log}");
+    let rejection = log
+        .lines()
+        .find(|l| l.contains("snapshot rejected"))
+        .unwrap_or_else(|| panic!("no rejection line in: {log}"));
+    assert!(rejection.contains("stird[error]"), "{rejection}");
+    assert!(rejection.contains("checksum mismatch"), "{rejection}");
+    // And the loss it announces is real: edge(3, 4) is gone.
+    assert_eq!(query_path(&server), oracle(config_for("sti"), &[]));
+}
+
+/// A publish that fails before the rename must not leave its temp file
+/// (a whole extra image of the database) behind.
+#[test]
+fn failed_snapshot_publish_removes_its_temp() {
+    let dir = setup("publish-fails");
+    let server = Server::start(&dir, "sti", Some("snapshot_rename:once"), &[]);
+    let reply = request(&server, ".snapshot");
+    assert!(reply.starts_with("err "), "fault must surface: {reply}");
+    let data = dir.join("data");
+    assert!(!data.join("snapshot.tmp").exists(), "temp left behind");
+    assert!(!data.join("snapshot.bin").exists(), "nothing was published");
+    assert!(request(&server, ".snapshot").starts_with("ok snapshot"));
+    assert!(data.join("snapshot.bin").exists());
+    assert!(!data.join("snapshot.tmp").exists());
+}
+
+/// A crash between the temp's fsync and the rename orphans the temp;
+/// the next open sweeps it.
+#[test]
+fn temp_orphaned_by_a_crashed_publish_is_swept_at_open() {
+    let dir = setup("publish-crashes");
+    let server = Server::start(
+        &dir,
+        "sti",
+        Some("snapshot_rename:crash"),
+        &["--snapshot-interval", "1"],
+    );
+    let (acked, in_flight) = insert_until_crash(&server, &[[3, 4]]);
+    assert!(
+        acked.is_empty() && in_flight.is_some(),
+        "crash on first batch"
+    );
+    {
+        let mut server = server;
+        server.child.wait().expect("crashed server reaped");
+    }
+    let tmp = dir.join("data").join("snapshot.tmp");
+    assert!(tmp.exists(), "the crash leaves the temp behind");
+
+    let server = Server::start(&dir, "sti", None, &[]);
+    assert!(!tmp.exists(), "open sweeps it");
+    // The batch reached the WAL before the auto-snapshot crashed.
+    assert_eq!(query_path(&server), oracle(config_for("sti"), &[[3, 4]]));
 }

@@ -252,7 +252,10 @@ fn v2_fixture(name: &str) -> (PathBuf, Vec<u8>, u64) {
     drop(r);
     let path = dir.join(SNAPSHOT_FILE);
     let bytes = std::fs::read(&path).expect("snapshot bytes");
-    assert!(snap2::is_v2(&path), "fixture must be a v2 snapshot");
+    assert!(
+        bytes.starts_with(snap2::SNAP2_MAGIC),
+        "fixture must be a v2 snapshot"
+    );
     (path, bytes, fp)
 }
 
@@ -368,6 +371,7 @@ fn page_cache_stays_within_budget_under_random_load() {
     let snap =
         snap2::open_snapshot_v2(&dir.join(SNAPSHOT_FILE), fp, budget).expect("maps under budget");
     let rel = snap
+        .data
         .relations
         .iter()
         .find(|rel| rel.name == "r" && !rel.runs.is_empty())
