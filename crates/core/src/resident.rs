@@ -67,7 +67,10 @@ use crate::morsel::ParallelReport;
 use crate::profile::ProfileReport;
 use crate::prov::{ExplainLimits, ProofNode};
 use crate::snap2::{self, Snap2, Snap2Relation, SnapshotData, SnapshotImage, SnapshotStats};
-use crate::telemetry::{LogLevel, ServeMetrics, Telemetry};
+use crate::telemetry::{
+    Gate, LogLevel, MetricFamily, MetricKind, MetricRow, MetricSnapshot, MetricValue, Reach,
+    ServeMetrics, Surface, Telemetry,
+};
 use crate::value::Value;
 use crate::wal::{self, CommitTicket, Durability, WalStats, WalWriter};
 use std::collections::HashMap;
@@ -83,6 +86,7 @@ use stir_der::IndexAdapter;
 use stir_frontend::SymbolTable;
 use stir_ram::expr::RamDomain;
 use stir_ram::program::{RamProgram, RelId, Role};
+use stir_ram::stmt::RamStmt;
 
 /// What one [`ResidentEngine::insert_facts`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -234,56 +238,62 @@ fn rebase_runs(rel: &mut Relation, snap: &Snap2, srel: &Snap2Relation) -> Result
     Ok(())
 }
 
-/// A point-in-time snapshot of the serving counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ServerStats {
-    /// Requests served (updates + queries).
-    pub requests: u64,
-    /// Genuinely new tuples inserted across all updates.
-    pub update_tuples: u64,
-    /// Rows returned across all queries.
-    pub query_rows: u64,
-    /// Incremental stratum re-runs across all updates.
-    pub strata_rerun: u64,
-    /// Full stratum recomputations across all updates.
-    pub full_fallbacks: u64,
-    /// `.explain` requests served (always 0 with provenance off).
-    pub explain_requests: u64,
-    /// Proof-tree nodes returned across all `.explain` requests.
-    pub explain_nodes: u64,
-    /// Retraction requests served.
-    pub retracts: u64,
-    /// Tuples actually removed across all retractions.
-    pub retract_tuples: u64,
-    /// Over-deleted tuples restored by re-derivation.
-    pub rederived: u64,
-    /// Scans that fanned out to work-stealing workers (0 when the engine
-    /// runs sequentially).
-    pub parallel_scans: u64,
-    /// Morsels claimed across all parallel scans and workers.
-    pub parallel_morsels: u64,
-    /// Morsels claimed outside the claiming worker's own range.
-    pub parallel_steals: u64,
+/// Declares the serving counters once: the public [`ServerStats`]
+/// snapshot, the atomics behind it, and the load from one to the other.
+macro_rules! serving_counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// A point-in-time snapshot of the serving counters.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct ServerStats {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        #[derive(Debug, Default)]
+        struct Counters {
+            $($name: AtomicU64,)*
+            /// Per-worker tuple totals across every parallel scan; grows
+            /// to the largest job count seen.
+            worker_tuples: std::sync::Mutex<Vec<u64>>,
+        }
+
+        impl Counters {
+            fn load(&self) -> ServerStats {
+                ServerStats {
+                    $($name: self.$name.load(Ordering::Relaxed),)*
+                }
+            }
+        }
+    };
 }
 
-#[derive(Debug, Default)]
-struct Counters {
-    requests: AtomicU64,
-    update_tuples: AtomicU64,
-    query_rows: AtomicU64,
-    strata_rerun: AtomicU64,
-    full_fallbacks: AtomicU64,
-    explain_requests: AtomicU64,
-    explain_nodes: AtomicU64,
-    retracts: AtomicU64,
-    retract_tuples: AtomicU64,
-    rederived: AtomicU64,
-    parallel_scans: AtomicU64,
-    parallel_morsels: AtomicU64,
-    parallel_steals: AtomicU64,
-    /// Per-worker tuple totals across every parallel scan; grows to the
-    /// largest job count seen.
-    worker_tuples: std::sync::Mutex<Vec<u64>>,
+serving_counters! {
+    /// Requests served: updates, retractions, queries and explains.
+    requests,
+    /// Genuinely new tuples inserted across all updates.
+    update_tuples,
+    /// Rows returned across all queries.
+    query_rows,
+    /// Incremental stratum re-runs across all updates.
+    strata_rerun,
+    /// Full stratum recomputations across all updates.
+    full_fallbacks,
+    /// `.explain` requests served (always 0 with provenance off).
+    explain_requests,
+    /// Proof-tree nodes returned across all `.explain` requests.
+    explain_nodes,
+    /// Retraction requests served.
+    retracts,
+    /// Tuples actually removed across all retractions.
+    retract_tuples,
+    /// Over-deleted tuples restored by re-derivation.
+    rederived,
+    /// Scans that fanned out to work-stealing workers (0 when the engine
+    /// runs sequentially).
+    parallel_scans,
+    /// Morsels claimed across all parallel scans and workers.
+    parallel_morsels,
+    /// Morsels claimed outside the claiming worker's own range.
+    parallel_steals,
 }
 
 impl Counters {
@@ -304,6 +314,30 @@ impl Counters {
             wt[w] += s.tuples;
         }
     }
+}
+
+/// The catalogue's table syntax, one metric per row. A family is
+/// `group [Gate: open-condition] { rows }`; a row is
+/// `field: Kind Reach = value, "help" (, Surface "historical name")*;`.
+macro_rules! catalogue {
+    ($($group:ident [$gate:ident: $open:expr] {
+        $($field:ident: $kind:ident $reach:ident = $value:expr, $help:literal
+            $(, $surface:ident $name:literal)*;)*
+    })*) => {
+        vec![$(MetricFamily {
+            group: stringify!($group),
+            gate: Gate::$gate,
+            open: $open,
+            rows: vec![$(MetricRow {
+                field: stringify!($field),
+                kind: MetricKind::$kind,
+                reach: Reach::$reach,
+                value: MetricValue::from($value),
+                help: $help,
+                names: &[$((Surface::$surface, $name)),*],
+            }),*],
+        }),*]
+    };
 }
 
 /// An engine whose database stays resident between requests.
@@ -719,11 +753,6 @@ impl ResidentEngine {
         &self.ram
     }
 
-    /// The configuration the engine runs under.
-    pub fn config(&self) -> InterpreterConfig {
-        self.config
-    }
-
     /// The profiling report of the initial evaluation, when profiling was
     /// enabled.
     pub fn initial_profile(&self) -> Option<&ProfileReport> {
@@ -732,169 +761,193 @@ impl ResidentEngine {
 
     /// Snapshot of the serving counters.
     pub fn stats(&self) -> ServerStats {
-        ServerStats {
-            requests: self.counters.requests.load(Ordering::Relaxed),
-            update_tuples: self.counters.update_tuples.load(Ordering::Relaxed),
-            query_rows: self.counters.query_rows.load(Ordering::Relaxed),
-            strata_rerun: self.counters.strata_rerun.load(Ordering::Relaxed),
-            full_fallbacks: self.counters.full_fallbacks.load(Ordering::Relaxed),
-            explain_requests: self.counters.explain_requests.load(Ordering::Relaxed),
-            explain_nodes: self.counters.explain_nodes.load(Ordering::Relaxed),
-            retracts: self.counters.retracts.load(Ordering::Relaxed),
-            retract_tuples: self.counters.retract_tuples.load(Ordering::Relaxed),
-            rederived: self.counters.rederived.load(Ordering::Relaxed),
-            parallel_scans: self.counters.parallel_scans.load(Ordering::Relaxed),
-            parallel_morsels: self.counters.parallel_morsels.load(Ordering::Relaxed),
-            parallel_steals: self.counters.parallel_steals.load(Ordering::Relaxed),
+        self.counters.load()
+    }
+
+    /// The serving-metric catalogue with current values: every counter
+    /// and gauge is declared here, once, and the four surfaces (`.stats`,
+    /// `.stats json`, `/metrics`, the profile registry via
+    /// [`Self::sync_metrics`]) are loops over the result. Adding a metric
+    /// is adding one row. Only rendering a surface calls this.
+    pub fn metrics(&self) -> MetricSnapshot {
+        use MetricValue::{PerLabel, State};
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let s = self.stats();
+        let m = &self.serve_metrics;
+        let p = self.persistence.as_ref();
+        let w = self.wal_stats().unwrap_or_default();
+        let rec = p.map(|p| p.recovery.clone()).unwrap_or_default();
+        let (snap_writes, snap_tuples) =
+            p.map_or((0, 0), |p| (p.snapshot_writes, p.snapshot_tuples));
+        let group = self.group_commit_stats();
+        let (group_fsyncs, group_commits) = group.unwrap_or_default();
+        let cache = self.page_cache_stats();
+        let (hits, misses, evictions, cached, budget) = cache.unwrap_or_default();
+        let h = &self.health;
+        let disk = self.config.storage == StorageBackend::Disk;
+        let workers = self.counters.worker_tuples.lock();
+        let workers = workers.expect("worker tuples lock").clone();
+        let workers = (0..).map(|w| w.to_string()).zip(workers).collect();
+        // Disk-backed indexes report only what lives in memory (fences
+        // and delta overlays), not the mapped run region, so the total
+        // tracks the process's real footprint.
+        let relation_bytes =
+            self.per_base_relation(|rel| rel.index_stats().iter().map(|s| s.bytes).sum());
+        let resident_bytes: u64 = relation_bytes.iter().map(|(_, n)| n).sum();
+        let families = catalogue! {
+            server [Always: true] {
+                requests:         Counter Line = s.requests, "Requests served.";
+                update_tuples:    Counter Line = s.update_tuples, "New tuples inserted by updates.";
+                query_rows:       Counter Line = s.query_rows, "Rows returned by queries.";
+                strata_rerun:     Counter Line = s.strata_rerun, "Incremental stratum re-runs.";
+                full_fallbacks:   Counter Line = s.full_fallbacks, "Full stratum recomputations.";
+            }
+            server [FirstUse: s.retracts > 0] {
+                retracts:         Counter Line = s.retracts, "Retraction requests served.";
+                retract_tuples:   Counter Line = s.retract_tuples, "Tuples removed by retractions.";
+                rederived:        Counter Line = s.rederived,
+                    "Over-deleted tuples restored by re-derivation.";
+            }
+            server [FirstUse: self.config.provenance] {
+                explain_requests: Counter Line = s.explain_requests, "Explain requests served.",
+                    Registry "explain.requests";
+                explain_nodes:    Counter Line = s.explain_nodes,
+                    "Proof-tree nodes returned by explain requests.", Registry "explain.nodes";
+            }
+            server [ParallelRan: s.parallel_scans > 0] {
+                parallel_scans:   Counter Registry = s.parallel_scans,
+                    "Scans fanned out to work-stealing workers.", Prom "parallel_scans";
+                parallel_morsels: Counter Registry = s.parallel_morsels,
+                    "Morsels claimed across all parallel scans.", Prom "parallel_morsels";
+                parallel_steals:  Counter Registry = s.parallel_steals,
+                    "Morsels stolen from other workers' ranges.", Prom "parallel_steals";
+                parallel_worker_tuples: Counter Registry = PerLabel("worker", workers),
+                    "Tuples processed per worker.", Prom "parallel_worker_tuples",
+                    Registry "server.parallel_worker.{}.tuples";
+            }
+            connections [Always: true] {
+                live:  Gauge Wire = load(&m.conns_live), "Connections currently open.";
+                peak:  Gauge Wire = load(&m.conns_peak), "Peak concurrently open connections.";
+                total: Counter Wire = load(&m.conns_total), "Connections accepted.",
+                    Prom "connections";
+                slow_requests: Counter Wire = load(&m.slow_requests),
+                    "Requests over the slow threshold.", Prom "server_slow_requests";
+            }
+            db [Always: true] {
+                epoch: Gauge Wire = u64::from(self.db.epoch.load(Ordering::Relaxed)),
+                    "Database epoch (bumped on every visible mutation).";
+                storage: Gauge Wire = State(u64::from(disk), self.config.storage.as_str()),
+                    "Storage backend of the standard relations (0 mem, 1 disk).";
+                relations: Gauge Wire = PerLabel("relation", self.relation_tuples()),
+                    "Current tuples per base relation.", Prom "relation_tuples";
+                relation_bytes: Gauge Wire = PerLabel("relation", relation_bytes),
+                    "Approximate resident bytes per base relation \
+                     (index structures only; mapped snapshot pages are excluded).",
+                    Prom "relation_bytes";
+                resident_bytes: Gauge Wire = resident_bytes,
+                    "Approximate resident bytes across all base relations' indexes.",
+                    Prom "relations_resident_bytes";
+            }
+            page_cache [Mapped: cache.is_some()] {
+                hits:      Counter Registry = hits, "Snapshot page-cache hits.",
+                    Registry "storage.page_cache.hits";
+                misses:    Counter Registry = misses,
+                    "Snapshot page-cache misses (pages read from disk).",
+                    Registry "storage.page_cache.misses";
+                evictions: Counter Registry = evictions,
+                    "Snapshot pages evicted to stay within budget.",
+                    Registry "storage.page_cache.evictions";
+                resident_bytes: Gauge Registry = cached,
+                    "Bytes of snapshot pages currently cached.",
+                    Registry "storage.page_cache.resident_bytes";
+                budget_bytes:   Gauge Registry = budget, "Configured snapshot page-cache budget.",
+                    Registry "storage.page_cache.budget_bytes";
+            }
+            wal [Durable: p.is_some()] {
+                appends: Counter Line = w.appends, "WAL records appended.", Plain "wal_appends";
+                bytes:   Counter Line = w.bytes, "WAL bytes appended.", Plain "wal_bytes";
+                fsyncs:  Counter Line = w.fsyncs, "WAL fsync calls.", Plain "wal_fsyncs";
+                append_errors: Counter Line = w.append_errors, "WAL appends that failed.",
+                    Plain "wal_append_errors";
+            }
+            snapshot [Durable: p.is_some()] {
+                writes: Counter Line = snap_writes, "Snapshots written.", Plain "snapshot_writes";
+                tuples: Counter Line = snap_tuples, "Tuples across written snapshots.",
+                    Plain "snapshot_tuples";
+            }
+            recovery [Durable: p.is_some()] {
+                snapshot_loaded:  Gauge Line = u64::from(rec.snapshot_loaded),
+                    "Whether startup loaded a snapshot (0/1).", Plain "recovery_snapshot_loaded";
+                wal_records:      Gauge Wire = rec.replayed_batches + rec.skipped_batches,
+                    "WAL records read during recovery.";
+                replayed_batches: Gauge Line = rec.replayed_batches,
+                    "WAL batches re-applied during recovery.", Plain "recovery_replayed_batches";
+                replayed_tuples:  Gauge Registry = rec.replayed_tuples,
+                    "New tuples contributed by replayed WAL batches.";
+                skipped_batches:  Gauge Registry = rec.skipped_batches,
+                    "WAL batches dropped during recovery because they no longer apply.";
+                torn_bytes:       Gauge Registry = rec.torn_bytes,
+                    "Torn bytes discarded from the WAL tail during recovery.";
+                replay_ms:        Gauge Line = rec.replay_ms,
+                    "Milliseconds spent replaying the WAL at startup.", Plain "recovery_replay_ms";
+            }
+            group_commit [GroupCommit: group.is_some()] {
+                fsyncs:  Counter Line = group_fsyncs, "Group-commit fsync barriers flushed.",
+                    Plain "group_commit_fsyncs";
+                commits: Counter Line = group_commits,
+                    "Commits acknowledged through group-commit barriers.",
+                    Plain "group_commit_commits";
+            }
+            health [EverDegraded: h.state_code() != 0 || load(&h.degraded_entered) > 0] {
+                state: Gauge Line = State(u64::from(h.state_code()), h.snapshot().label()),
+                    "Storage health (0 healthy, 1 degraded read-only, 2 failed).",
+                    Prom "degraded", Plain "health";
+                degraded_entered: Counter Line = load(&h.degraded_entered),
+                    "Transitions into degraded read-only mode.", Prom "degraded_entered";
+                degraded_healed:  Counter Line = load(&h.degraded_healed),
+                    "Degraded episodes that healed back to healthy.", Prom "degraded_healed";
+                probe_failures:   Counter Line = load(&h.probe_failures),
+                    "Storage heal probes that failed.", Prom "degraded_probe_failures";
+                writes_refused:   Counter Line = load(&h.writes_refused),
+                    "Writes refused while degraded or failed.", Prom "degraded_writes_refused";
+            }
+        };
+        MetricSnapshot {
+            families,
+            histograms: m.histograms().map(|(name, h)| (name, h.snapshot())),
         }
     }
 
-    /// Per-worker tuple totals across every parallel scan the engine has
-    /// run; empty when evaluation is sequential.
-    pub fn parallel_worker_tuples(&self) -> Vec<u64> {
-        self.counters
-            .worker_tuples
-            .lock()
-            .expect("worker tuples lock")
-            .clone()
-    }
-
     /// Flushes the serving counters and the database structure into an
-    /// attached metrics registry (under `server.*`). A no-op when the
-    /// registry is disabled.
+    /// attached metrics registry. A no-op when the registry is disabled.
     pub fn sync_metrics(&self, tel: &Telemetry) {
         let m = &tel.metrics;
         if !m.enabled() {
             return;
         }
-        let s = self.stats();
-        m.set("server.requests", s.requests);
-        m.set("server.update_tuples", s.update_tuples);
-        m.set("server.query_rows", s.query_rows);
-        m.set("server.strata_rerun", s.strata_rerun);
-        m.set("server.full_fallbacks", s.full_fallbacks);
-        if s.retracts > 0 {
-            // Gated the same way as the explain counters: a server that
-            // never saw a retraction produces a metric dump
-            // byte-identical to older builds.
-            m.set("server.retracts", s.retracts);
-            m.set("server.retract_tuples", s.retract_tuples);
-            m.set("server.rederived", s.rederived);
-        }
-        if s.parallel_scans > 0 {
-            // Gated likewise: sequential servers keep the sequential
-            // counter schema.
-            m.set("server.parallel_scans", s.parallel_scans);
-            m.set("server.parallel_morsels", s.parallel_morsels);
-            m.set("server.parallel_steals", s.parallel_steals);
-            for (w, tuples) in self.parallel_worker_tuples().iter().enumerate() {
-                m.set(&format!("server.parallel_worker.{w}.tuples"), *tuples);
+        for family in self.metrics().families.iter().filter(|f| f.open) {
+            for row in family.rows.iter().filter(|r| r.reach <= Reach::Registry) {
+                for (label, value) in row.value.samples() {
+                    m.set(&family.registry_key(row, label), value);
+                }
             }
-        }
-        if self.config.provenance {
-            // Gated so that provenance-off metric dumps (and the profile
-            // JSON built from them) stay byte-identical to older builds.
-            m.set("explain.requests", s.explain_requests);
-            m.set("explain.nodes", s.explain_nodes);
-        }
-        if let Some(p) = &self.persistence {
-            m.set("wal.appends", p.wal.stats.appends);
-            m.set("wal.bytes", p.wal.stats.bytes);
-            m.set("wal.fsyncs", p.wal.stats.fsyncs);
-            m.set("wal.append_errors", p.wal.stats.append_errors);
-            m.set("snapshot.writes", p.snapshot_writes);
-            m.set("snapshot.tuples", p.snapshot_tuples);
-            m.set(
-                "recovery.snapshot_loaded",
-                u64::from(p.recovery.snapshot_loaded),
-            );
-            m.set("recovery.replayed_batches", p.recovery.replayed_batches);
-            m.set("recovery.replayed_tuples", p.recovery.replayed_tuples);
-            m.set("recovery.skipped_batches", p.recovery.skipped_batches);
-            m.set("recovery.torn_bytes", p.recovery.torn_bytes);
-            m.set("recovery.replay_ms", p.recovery.replay_ms);
-        }
-        if let Some((fsyncs, commits)) = self.group_commit_stats() {
-            m.set("group_commit.fsyncs", fsyncs);
-            m.set("group_commit.commits", commits);
-        }
-        if let Some((hits, misses, evictions, resident, budget)) = self.page_cache_stats() {
-            // Gated like the parallel/retract counters: engines that
-            // never mapped a snapshot keep the old metric schema.
-            m.set("storage.page_cache.hits", hits);
-            m.set("storage.page_cache.misses", misses);
-            m.set("storage.page_cache.evictions", evictions);
-            m.set("storage.page_cache.resident_bytes", resident);
-            m.set("storage.page_cache.budget_bytes", budget);
-        }
-        let h = &self.health;
-        if h.state_code() != 0 || h.degraded_entered.load(Ordering::Relaxed) > 0 {
-            // Gated like the retract/parallel counters: an engine that
-            // never degraded keeps the old metric schema.
-            m.set("health.state", u64::from(h.state_code()));
-            m.set(
-                "health.degraded_entered",
-                h.degraded_entered.load(Ordering::Relaxed),
-            );
-            m.set(
-                "health.degraded_healed",
-                h.degraded_healed.load(Ordering::Relaxed),
-            );
-            m.set(
-                "health.probe_failures",
-                h.probe_failures.load(Ordering::Relaxed),
-            );
-            m.set(
-                "health.writes_refused",
-                h.writes_refused.load(Ordering::Relaxed),
-            );
         }
         self.db.sample_metrics(&self.ram, m);
     }
 
     /// Shares a serving metrics registry with the engine: WAL append
-    /// and fsync latencies flow into its histograms, snapshot durations
-    /// are recorded, and the recovery report is exported as gauges so a
-    /// scrape after restart can verify recovery health.
+    /// and fsync latencies flow into its histograms and snapshot
+    /// durations are recorded.
     pub fn attach_serve_metrics(&mut self, metrics: Arc<ServeMetrics>) {
         if let Some(p) = &mut self.persistence {
             p.wal.attach_metrics(Arc::clone(&metrics));
-            let rec = &p.recovery;
-            metrics.recovery_wal_records.store(
-                rec.replayed_batches + rec.skipped_batches,
-                Ordering::Relaxed,
-            );
-            metrics
-                .recovery_replay_ms
-                .store(rec.replay_ms, Ordering::Relaxed);
-            metrics
-                .recovery_snapshot_loaded
-                .store(u64::from(rec.snapshot_loaded), Ordering::Relaxed);
         }
         self.serve_metrics = metrics;
-    }
-
-    /// The serving metrics registry attached to this engine (a disabled
-    /// one unless [`Self::attach_serve_metrics`] was called).
-    pub fn serve_metrics(&self) -> &Arc<ServeMetrics> {
-        &self.serve_metrics
     }
 
     /// The WAL append-path counters, when the engine is durable.
     pub fn wal_stats(&self) -> Option<WalStats> {
         self.persistence.as_ref().map(|p| p.wal.stats)
-    }
-
-    /// Snapshot-write counters `(writes, tuples)`, when durable.
-    pub fn snapshot_stats(&self) -> Option<(u64, u64)> {
-        self.persistence
-            .as_ref()
-            .map(|p| (p.snapshot_writes, p.snapshot_tuples))
-    }
-
-    /// What recovery did at [`Self::open`] time, when durable.
-    pub fn recovery_report(&self) -> Option<&RecoveryReport> {
-        self.persistence.as_ref().map(|p| &p.recovery)
     }
 
     /// The storage health monitor, shared with the serving layer, the
@@ -989,38 +1042,17 @@ impl ResidentEngine {
             })
     }
 
-    /// The database epoch: bumped on every visible mutation, so two
-    /// equal readings bracket an unchanged database.
-    pub fn db_epoch(&self) -> u64 {
-        u64::from(self.db.epoch.load(Ordering::Relaxed))
-    }
-
     /// Current tuple count of every base (`Role::Standard`) relation,
     /// in declaration order — the per-relation gauges on `/metrics`.
     pub fn relation_tuples(&self) -> Vec<(String, u64)> {
-        self.ram
-            .relations
-            .iter()
-            .filter(|r| matches!(r.role, Role::Standard))
-            .map(|r| (r.name.clone(), self.db.rd(r.id).len() as u64))
-            .collect()
+        self.per_base_relation(|rel| rel.len())
     }
 
-    /// Approximate resident bytes of every base (`Role::Standard`)
-    /// relation — the sum of its indexes' structural estimates — in
-    /// declaration order: the per-relation `stir_relation_bytes` gauges
-    /// on `/metrics`. Disk-backed indexes report only what actually
-    /// lives in memory (fences and delta overlays), not the mapped run
-    /// region, so the total tracks the process's real footprint.
-    pub fn relation_bytes(&self) -> Vec<(String, u64)> {
-        self.ram
-            .relations
-            .iter()
-            .filter(|r| matches!(r.role, Role::Standard))
-            .map(|r| {
-                let bytes: usize = self.db.rd(r.id).index_stats().iter().map(|s| s.bytes).sum();
-                (r.name.clone(), bytes as u64)
-            })
+    fn per_base_relation(&self, read: impl Fn(&Relation) -> usize) -> Vec<(String, u64)> {
+        let bases = self.ram.relations.iter();
+        let bases = bases.filter(|r| matches!(r.role, Role::Standard));
+        bases
+            .map(|r| (r.name.clone(), read(&self.db.rd(r.id)) as u64))
             .collect()
     }
 
@@ -1038,11 +1070,6 @@ impl ResidentEngine {
                 f.budget() as u64,
             )
         })
-    }
-
-    /// The storage backend the engine's database runs on.
-    pub fn storage(&self) -> StorageBackend {
-        self.config.storage
     }
 
     /// Every `.output` relation's current tuples, sorted, keyed by name.
@@ -1224,14 +1251,7 @@ impl ResidentEngine {
                 report.full_fallbacks += 1;
             } else {
                 let stmt = s.update.as_ref().expect("checked by fallback condition");
-                let tree = itree::build_stmt(&self.ram, &self.config, stmt);
-                let mut interp = Interpreter::new(&self.ram, &self.db, self.config);
-                if let Some(t) = tel {
-                    interp.attach_telemetry(t);
-                }
-                interp.run(&tree)?;
-                self.counters
-                    .absorb_parallel(interp.parallel_report().as_ref());
+                self.run_stmt(stmt, tel)?;
                 for d in &s.defines {
                     if let Some(u) = self.ram.upd_of(*d) {
                         if !self.db.rd(u).is_empty() {
@@ -1457,14 +1477,7 @@ impl ResidentEngine {
                     report.full_fallbacks += 1;
                 }
                 Some(stmt) => {
-                    let tree = itree::build_stmt(&self.ram, &self.config, &stmt);
-                    let mut interp = Interpreter::new(&self.ram, &self.db, self.config);
-                    if let Some(t) = tel {
-                        interp.attach_telemetry(t);
-                    }
-                    interp.run(&tree)?;
-                    self.counters
-                        .absorb_parallel(interp.parallel_report().as_ref());
+                    self.run_stmt(&stmt, tel)?;
                     let mut stratum_cones: Vec<(RelId, Vec<Vec<RamDomain>>)> = Vec::new();
                     let mut cone_total = 0usize;
                     let mut live_total = 0usize;
@@ -1583,14 +1596,7 @@ impl ResidentEngine {
                         // and its `upd_` staging feeds downstream strata.
                         let s = &self.ram.strata[i];
                         let stmt = s.update.as_ref().expect("incremental plan");
-                        let tree = itree::build_stmt(&self.ram, &self.config, stmt);
-                        let mut interp = Interpreter::new(&self.ram, &self.db, self.config);
-                        if let Some(t) = tel {
-                            interp.attach_telemetry(t);
-                        }
-                        interp.run(&tree)?;
-                        self.counters
-                            .absorb_parallel(interp.parallel_report().as_ref());
+                        self.run_stmt(stmt, tel)?;
                     }
                 }
             }
@@ -1757,7 +1763,14 @@ impl ResidentEngine {
                 }
             }
         }
-        let tree = itree::build_stmt(&self.ram, &self.config, self.ram.stratum_stmt(i));
+        self.run_stmt(self.ram.stratum_stmt(i), tel)
+    }
+
+    /// Builds the statement's interpreter tree, runs it against the
+    /// resident database, and folds the run's work-stealing statistics
+    /// into the serving counters (also when the run fails part-way).
+    fn run_stmt(&self, stmt: &RamStmt, tel: Option<&Telemetry>) -> Result<(), EvalError> {
+        let tree = itree::build_stmt(&self.ram, &self.config, stmt);
         let mut interp = Interpreter::new(&self.ram, &self.db, self.config);
         if let Some(t) = tel {
             interp.attach_telemetry(t);

@@ -299,11 +299,8 @@ impl Drop for SpanGuard<'_> {
 ///
 /// Keys are dot-separated paths (`relation.path.inserts`,
 /// `interp.dispatches`, `db.index.bytes`); the map is ordered so dumps
-/// are deterministic. The durability layer contributes `wal.*`
-/// (appends, bytes, fsyncs, append_errors), `snapshot.*` (writes,
-/// tuples), and `recovery.*` (snapshot_loaded, replayed_batches,
-/// replayed_tuples, skipped_batches, torn_bytes) when a resident engine
-/// runs with a data directory — see
+/// are deterministic. A resident engine adds the rows of its metric
+/// catalogue that reach the registry — see
 /// [`crate::resident::ResidentEngine::sync_metrics`].
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
@@ -526,6 +523,31 @@ pub struct HistogramSnapshot {
     pub p999_ns: u64,
 }
 
+impl HistogramSnapshot {
+    /// Every field by its `.stats json` key.
+    pub fn fields(&self) -> [(&'static str, u64); 7] {
+        [
+            ("count", self.count),
+            ("sum_ns", self.sum_ns),
+            ("max_ns", self.max_ns),
+            ("p50_ns", self.p50_ns),
+            ("p90_ns", self.p90_ns),
+            ("p99_ns", self.p99_ns),
+            ("p999_ns", self.p999_ns),
+        ]
+    }
+
+    /// The quantile estimates by their `/metrics` `quantile` label.
+    pub fn quantiles(&self) -> [(&'static str, u64); 4] {
+        [
+            ("0.5", self.p50_ns),
+            ("0.9", self.p90_ns),
+            ("0.99", self.p99_ns),
+            ("0.999", self.p999_ns),
+        ]
+    }
+}
+
 /// The serving-side metrics registry: request latency histograms plus
 /// engine and connection gauges.
 ///
@@ -563,12 +585,6 @@ pub struct ServeMetrics {
     pub conns_total: AtomicU64,
     /// Requests that exceeded the slow-query threshold.
     pub slow_requests: AtomicU64,
-    /// WAL records replayed during recovery.
-    pub recovery_wal_records: AtomicU64,
-    /// Wall-clock milliseconds spent replaying the WAL at startup.
-    pub recovery_replay_ms: AtomicU64,
-    /// Whether recovery loaded a snapshot (0/1).
-    pub recovery_snapshot_loaded: AtomicU64,
 }
 
 impl ServeMetrics {
@@ -636,6 +652,228 @@ impl ServeMetrics {
     /// Notes a closed connection.
     pub fn conn_closed(&self) {
         self.conns_live.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// The tracked latency histograms by name, in exposition order.
+    pub fn histograms(&self) -> [(&'static str, &Histogram); 7] {
+        [
+            ("serve_update", &self.serve_update),
+            ("serve_retract", &self.serve_retract),
+            ("serve_query", &self.serve_query),
+            ("serve_explain", &self.serve_explain),
+            ("wal_append", &self.wal_append),
+            ("wal_fsync", &self.wal_fsync),
+            ("snapshot_write", &self.snapshot_write),
+        ]
+    }
+}
+
+/// Whether a metric only ever grows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MetricKind {
+    /// Monotone; `/metrics` appends `_total` to its name.
+    Counter,
+    /// Goes up and down.
+    Gauge,
+}
+
+/// When a [`MetricFamily`] exists. Every gate but [`Gate::FirstUse`]
+/// hides a closed family on all four surfaces alike.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Gate {
+    /// Every engine has it.
+    Always,
+    /// Always on `.stats json` and `/metrics`, but off the plain line
+    /// and out of the profile registry — both pinned byte for byte —
+    /// until first use (a retraction served, provenance switched on).
+    FirstUse,
+    /// The engine has a data directory.
+    Durable,
+    /// WAL group commit is enabled.
+    GroupCommit,
+    /// A v2 snapshot is mapped (disk cold start or `.compact`).
+    Mapped,
+    /// The storage health monitor has ever left `Healthy`.
+    EverDegraded,
+    /// A scan has fanned out to work-stealing workers.
+    ParallelRan,
+}
+
+/// The narrowest surface a [`MetricRow`] reaches; the surfaces nest:
+/// plain `.stats` line ⊂ profile registry ⊂ `.stats json` = `/metrics`
+/// (the first two are pinned byte for byte, so they cannot grow).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Reach {
+    /// Everywhere, the plain `.stats` line included.
+    Line,
+    /// The profile registry and the two wire surfaces.
+    Registry,
+    /// `.stats json` and `/metrics` only.
+    Wire,
+}
+
+/// A surface on which a row can carry a historical name of its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Surface {
+    /// The plain `.stats` line (default key: the field).
+    Plain,
+    /// The profile registry (default key: `group.field`; `{}` in a
+    /// given key stands for the label value of a per-label row).
+    Registry,
+    /// `/metrics` (default: `group_field`, after `stir_`, before `_total`).
+    Prom,
+}
+
+/// The current value of a [`MetricRow`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MetricValue {
+    /// A plain number.
+    Num(u64),
+    /// An enumerated state `(code, label)`: the text surfaces (`.stats`,
+    /// `.stats json`) show the label, the numeric ones the code.
+    State(u64, &'static str),
+    /// One number per value of the named `/metrics` label (per relation,
+    /// per worker), in exposition order.
+    PerLabel(&'static str, Vec<(String, u64)>),
+}
+
+impl From<u64> for MetricValue {
+    fn from(n: u64) -> Self {
+        MetricValue::Num(n)
+    }
+}
+
+impl MetricValue {
+    /// The numeric samples: one unlabelled, or one per `(label name,
+    /// label value)`.
+    pub fn samples(&self) -> Vec<(Option<(&'static str, &str)>, u64)> {
+        match self {
+            MetricValue::Num(n) | MetricValue::State(n, _) => vec![(None, *n)],
+            MetricValue::PerLabel(label, values) => values
+                .iter()
+                .map(|(v, n)| (Some((*label, v.as_str())), *n))
+                .collect(),
+        }
+    }
+
+    /// The `.stats json` rendering.
+    pub fn to_json(&self) -> Json {
+        match self {
+            MetricValue::Num(n) => Json::num(*n),
+            MetricValue::State(_, label) => Json::Str((*label).to_string()),
+            MetricValue::PerLabel(_, values) => Json::Obj(
+                values
+                    .iter()
+                    .map(|(v, n)| (v.clone(), Json::num(*n)))
+                    .collect(),
+            ),
+        }
+    }
+}
+
+impl std::fmt::Display for MetricValue {
+    /// The plain `.stats` rendering.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            MetricValue::Num(n) => write!(f, "{n}"),
+            MetricValue::State(_, label) => f.write_str(label),
+            MetricValue::PerLabel(..) => f.write_str(&self.to_json().render()),
+        }
+    }
+}
+
+/// One serving metric. Its names derive from the family's group and
+/// the row's field; a surface whose historical name does not (the names
+/// are an external contract) is listed in `names` with that one name.
+#[derive(Debug, Clone)]
+pub struct MetricRow {
+    /// The key inside the family's `.stats json` object.
+    pub field: &'static str,
+    /// Counter or gauge.
+    pub kind: MetricKind,
+    /// The narrowest surface showing the row.
+    pub reach: Reach,
+    /// The current reading.
+    pub value: MetricValue,
+    /// The `/metrics` `# HELP` text.
+    pub help: &'static str,
+    /// Historical names that do not derive from group and field.
+    pub names: &'static [(Surface, &'static str)],
+}
+
+impl MetricRow {
+    fn name_on(&self, surface: Surface) -> Option<&'static str> {
+        let named = self.names.iter().find(|(s, _)| *s == surface);
+        named.map(|(_, name)| *name)
+    }
+
+    /// The key on the plain `.stats` line.
+    pub fn plain_key(&self) -> &'static str {
+        self.name_on(Surface::Plain).unwrap_or(self.field)
+    }
+}
+
+/// A group of metrics that exist together: one `.stats json` object
+/// (families sharing a `group` merge into one), one presence gate.
+#[derive(Debug, Clone)]
+pub struct MetricFamily {
+    /// The `.stats json` object and the default name prefix.
+    pub group: &'static str,
+    /// What makes the family exist.
+    pub gate: Gate,
+    /// Whether the gate's condition holds right now — which is whether
+    /// the plain `.stats` line and the profile registry show the family.
+    pub open: bool,
+    /// The metrics, in plain-line order.
+    pub rows: Vec<MetricRow>,
+}
+
+impl MetricFamily {
+    /// Whether `.stats json` and `/metrics` show the family.
+    pub fn on_wire(&self) -> bool {
+        self.open || self.gate == Gate::FirstUse
+    }
+
+    /// The row's profile-registry key (for one label value of a
+    /// per-label row).
+    pub fn registry_key(&self, row: &MetricRow, label: Option<(&str, &str)>) -> String {
+        match row.name_on(Surface::Registry) {
+            Some(key) => key.replace("{}", label.map_or("", |(_, value)| value)),
+            None => format!("{}.{}", self.group, row.field),
+        }
+    }
+
+    /// The row's `/metrics` family: its name and its `# TYPE`.
+    pub fn prom_family(&self, row: &MetricRow) -> (String, &'static str) {
+        let (kind, total) = match row.kind {
+            MetricKind::Counter => ("counter", "_total"),
+            MetricKind::Gauge => ("gauge", ""),
+        };
+        match row.name_on(Surface::Prom) {
+            Some(name) => (format!("stir_{name}{total}"), kind),
+            None => (format!("stir_{}_{}{total}", self.group, row.field), kind),
+        }
+    }
+}
+
+/// The serving-metric catalogue with the values of one instant
+/// ([`crate::resident::ResidentEngine::metrics`]). Closed families are
+/// listed too, so any engine's snapshot enumerates the whole catalogue.
+#[derive(Debug, Clone)]
+pub struct MetricSnapshot {
+    /// The counter and gauge families, in plain-line order.
+    pub families: Vec<MetricFamily>,
+    /// The latency histograms, in exposition order.
+    pub histograms: [(&'static str, HistogramSnapshot); 7],
+}
+
+impl MetricSnapshot {
+    /// The `.stats json` object holding the histogram blocks.
+    pub const HISTOGRAM_GROUP: &'static str = "histograms";
+
+    /// The `/metrics` summary family of the latency histogram `name`.
+    pub fn summary_name(name: &str) -> String {
+        format!("stir_{name}_latency_ns")
     }
 }
 

@@ -639,10 +639,14 @@ fn main() -> ExitCode {
                 waited += Duration::from_millis(100);
                 if waited >= interval {
                     waited = Duration::ZERO;
-                    let engine = engine.read().unwrap_or_else(PoisonError::into_inner);
+                    // Logged with the read guard gone: stderr can block.
+                    let snap = engine
+                        .read()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .metrics();
                     slog.log(
                         LogLevel::Info,
-                        &format!("metrics {}", admin::registry_json(&engine).render()),
+                        &format!("metrics {}", admin::registry_json(&snap).render()),
                     );
                 }
             }

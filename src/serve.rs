@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 use stir_core::io::parse_field;
-use stir_core::telemetry::{LogLevel, Logger, ServeMetrics};
+use stir_core::telemetry::{LogLevel, Logger, MetricSnapshot, Reach, ServeMetrics};
 use stir_core::{ResidentEngine, Telemetry, Value};
 use stir_frontend::ast::AttrType;
 
@@ -354,122 +354,33 @@ fn handle_line_inner(
             writeln!(out, "{HELP}")?;
             return Ok((Control::Continue, ReqInfo::none()));
         }
-        ".stats" => {
-            let engine = rd(engine);
-            let s = engine.stats();
-            // The retract counters only appear once a retraction has
-            // been served, the explain counters only when provenance is
-            // on, and the durability fields only on durable engines, so
-            // plain in-memory sessions keep the historical line
-            // verbatim.
-            let retract = if s.retracts > 0 {
-                format!(
-                    " retracts={} retract_tuples={} rederived={}",
-                    s.retracts, s.retract_tuples, s.rederived
-                )
+        ".stats" | ".stats json" => {
+            // The guard lasts for the snapshot only, not the socket
+            // write: a stalled client must not park a queued writer (and,
+            // behind it, every other request) on the engine lock.
+            let snap = rd(engine).metrics();
+            if line == ".stats" {
+                writeln!(out, "{}", stats_line(&snap))?;
             } else {
-                String::new()
-            };
-            let explain = if engine.config().provenance {
-                format!(
-                    " explain_requests={} explain_nodes={}",
-                    s.explain_requests, s.explain_nodes
-                )
-            } else {
-                String::new()
-            };
-            let durable = match (
-                engine.wal_stats(),
-                engine.snapshot_stats(),
-                engine.recovery_report(),
-            ) {
-                (Some(w), Some((snap_writes, snap_tuples)), Some(rec)) => format!(
-                    " wal_appends={} wal_bytes={} wal_fsyncs={} wal_append_errors={} \
-                     snapshot_writes={snap_writes} snapshot_tuples={snap_tuples} \
-                     recovery_snapshot_loaded={} recovery_replayed_batches={} recovery_replay_ms={}",
-                    w.appends,
-                    w.bytes,
-                    w.fsyncs,
-                    w.append_errors,
-                    u64::from(rec.snapshot_loaded),
-                    rec.replayed_batches,
-                    rec.replay_ms,
-                ),
-                _ => String::new(),
-            };
-            let group = match engine.group_commit_stats() {
-                Some((fsyncs, commits)) => {
-                    format!(" group_commit_fsyncs={fsyncs} group_commit_commits={commits}")
-                }
-                None => String::new(),
-            };
-            let health = {
-                let h = engine.health();
-                if h.state_code() != 0 || h.degraded_entered.load(Ordering::Relaxed) > 0 {
-                    // Appears only once the engine has ever degraded, so
-                    // the healthy-path line stays byte-identical.
-                    format!(
-                        " health={} degraded_entered={} degraded_healed={} probe_failures={} writes_refused={}",
-                        h.snapshot().label(),
-                        h.degraded_entered.load(Ordering::Relaxed),
-                        h.degraded_healed.load(Ordering::Relaxed),
-                        h.probe_failures.load(Ordering::Relaxed),
-                        h.writes_refused.load(Ordering::Relaxed),
-                    )
-                } else {
-                    String::new()
-                }
-            };
-            writeln!(
-                out,
-                "requests={} update_tuples={} query_rows={} strata_rerun={} full_fallbacks={}{retract}{explain}{durable}{group}{health}",
-                s.requests, s.update_tuples, s.query_rows, s.strata_rerun, s.full_fallbacks
-            )?;
+                writeln!(out, "{}", crate::admin::registry_json(&snap).render())?;
+            }
             return Ok((Control::Continue, ReqInfo::none()));
         }
-        ".stats json" => {
-            let engine = rd(engine);
-            writeln!(out, "{}", crate::admin::registry_json(&engine).render())?;
-            return Ok((Control::Continue, ReqInfo::none()));
-        }
-        ".snapshot" => {
-            let result = {
+        ".snapshot" | ".compact" => {
+            let (head, result) = {
                 let mut engine = engine.write().unwrap_or_else(PoisonError::into_inner);
-                engine.snapshot(tel)
+                if line == ".compact" {
+                    ("ok compact ", engine.compact(tel))
+                } else {
+                    ("ok snapshot ", engine.snapshot(tel))
+                }
             };
             match result {
-                Ok(stats) => writeln!(
-                    out,
-                    "ok snapshot {} tuples {} bytes",
-                    stats.tuples, stats.bytes
-                )?,
+                Ok(stats) => writeln!(out, "{head}{} tuples {} bytes", stats.tuples, stats.bytes)?,
                 Err(e) => {
                     {
                         // A failed snapshot write is a storage failure:
                         // probe immediately, degrade if persistent.
-                        let mut eng = engine.write().unwrap_or_else(PoisonError::into_inner);
-                        eng.note_storage_failure(&e.to_string());
-                    }
-                    writeln!(out, "err {e}")?;
-                }
-            }
-            return Ok((Control::Continue, ReqInfo::none()));
-        }
-        ".compact" => {
-            let result = {
-                let mut engine = engine.write().unwrap_or_else(PoisonError::into_inner);
-                engine.compact(tel)
-            };
-            match result {
-                Ok(stats) => writeln!(
-                    out,
-                    "ok compact {} tuples {} bytes",
-                    stats.tuples, stats.bytes
-                )?,
-                Err(e) => {
-                    {
-                        // Same failure policy as `.snapshot`: probe
-                        // immediately, degrade if persistent.
                         let mut eng = engine.write().unwrap_or_else(PoisonError::into_inner);
                         eng.note_storage_failure(&e.to_string());
                     }
@@ -496,38 +407,27 @@ fn handle_line_inner(
     }
     let deadline = cfg.request_timeout.map(|t| Instant::now() + t);
     let info = match line.as_bytes()[0] {
-        b'+' => match insert(engine, &line[1..], deadline, ctx, tel) {
-            Ok(report) if report.deadline_exceeded => {
-                // The WAL-then-evaluate ordering means the data is
-                // already durable and applied; only the reply is late.
-                writeln!(out, "err deadline exceeded (update committed)")?;
-                ReqInfo::new(ReqKind::Update, report.inserted)
+        sign @ (b'+' | b'-') => {
+            // The two write verbs differ in the engine call (by `kind`),
+            // the tail of the `ok` reply, and what replies past the
+            // commit point call the write.
+            let (kind, done, noun) = match sign {
+                b'+' => (ReqKind::Update, " inserted\n", "update"),
+                _ => (ReqKind::Retract, " retracted\n", "retraction"),
+            };
+            let reply = write_fact(engine, kind, noun, &line[1..], deadline, ctx, tel);
+            match &reply {
+                Ok((tuples, false)) => write!(out, "ok {tuples}{done}")?,
+                // WAL-then-evaluate: the record is already durable and
+                // applied; only the reply is late.
+                Ok((_, true)) => {
+                    let late = format!("err deadline exceeded ({noun} committed)\n");
+                    out.write_all(late.as_bytes())?;
+                }
+                Err(e) => writeln!(out, "err {e}")?,
             }
-            Ok(report) => {
-                writeln!(out, "ok {} inserted", report.inserted)?;
-                ReqInfo::new(ReqKind::Update, report.inserted)
-            }
-            Err(e) => {
-                writeln!(out, "err {e}")?;
-                ReqInfo::new(ReqKind::Update, 0)
-            }
-        },
-        b'-' => match retract(engine, &line[1..], deadline, ctx, tel) {
-            Ok(report) if report.deadline_exceeded => {
-                // As with inserts, WAL-then-evaluate means the delete
-                // record is durable and applied; only the reply is late.
-                writeln!(out, "err deadline exceeded (retraction committed)")?;
-                ReqInfo::new(ReqKind::Retract, report.retracted)
-            }
-            Ok(report) => {
-                writeln!(out, "ok {} retracted", report.retracted)?;
-                ReqInfo::new(ReqKind::Retract, report.retracted)
-            }
-            Err(e) => {
-                writeln!(out, "err {e}")?;
-                ReqInfo::new(ReqKind::Retract, 0)
-            }
-        },
+            ReqInfo::new(kind, reply.map_or(0, |(tuples, _)| tuples))
+        }
         b'?' => match query(engine, &line[1..], deadline, tel) {
             Ok(rows) => {
                 for row in &rows {
@@ -554,6 +454,19 @@ fn rd(engine: &RwLock<ResidentEngine>) -> std::sync::RwLockReadGuard<'_, Residen
     engine.read().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// The plain `.stats` line: `key=value` for every catalogue row that
+/// reaches it, in catalogue order; closed families are left out, so a
+/// plain in-memory session keeps the historical line verbatim.
+fn stats_line(snap: &MetricSnapshot) -> String {
+    let mut fields = Vec::new();
+    for family in snap.families.iter().filter(|f| f.open) {
+        for row in family.rows.iter().filter(|r| r.reach == Reach::Line) {
+            fields.push(format!("{}={}", row.plain_key(), row.value));
+        }
+    }
+    fields.join(" ")
+}
+
 /// Refuses a write while the storage layer is Degraded or Failed.
 ///
 /// # Errors
@@ -567,13 +480,19 @@ fn gate_write(engine: &ResidentEngine) -> Result<(), String> {
     }
 }
 
-fn insert(
+/// Serves one `+fact.` / `-fact.` line: parse, admit, gate on storage
+/// health, apply under the write lock, then wait out the group-commit
+/// barrier with the lock released. Returns the tuples the write changed
+/// and whether it overran its deadline (it committed either way).
+fn write_fact(
     engine: &RwLock<ResidentEngine>,
+    kind: ReqKind,
+    noun: &str,
     atom: &str,
     deadline: Option<Instant>,
     ctx: &RequestCtx,
     tel: Option<&Telemetry>,
-) -> Result<stir_core::UpdateReport, String> {
+) -> Result<(u64, bool), String> {
     let atom = atom.strip_suffix('.').unwrap_or(atom);
     let (rel, terms) = parse_atom(atom)?;
     // Shed before blocking on the write lock: bounding the queue is the
@@ -587,10 +506,19 @@ fn insert(
         for (i, (term, ty)) in terms.iter().zip(&types).enumerate() {
             row.push(constant(term, *ty).map_err(|e| format!("term {}: {e}", i + 1))?);
         }
-        let report = engine
-            .insert_facts_deadline(&rel, &[row], deadline, tel)
-            .map_err(|e| e.to_string())?;
-        (report, engine.take_commit_ticket())
+        let report = if kind == ReqKind::Retract {
+            engine
+                .retract_facts_deadline(&rel, &[row], deadline, tel)
+                .map(|r| (r.retracted, r.deadline_exceeded))
+        } else {
+            engine
+                .insert_facts_deadline(&rel, &[row], deadline, tel)
+                .map(|r| (r.inserted, r.deadline_exceeded))
+        };
+        (
+            report.map_err(|e| e.to_string())?,
+            engine.take_commit_ticket(),
+        )
     };
     // Group commit: the engine write lock is released before waiting on
     // the fsync barrier, so concurrent writers coalesce their fsyncs
@@ -599,40 +527,7 @@ fn insert(
         if let Err(e) = ticket.wait() {
             let mut eng = engine.write().unwrap_or_else(PoisonError::into_inner);
             eng.note_storage_failure(&e.to_string());
-            return Err(format!("{e} (update committed)"));
-        }
-    }
-    Ok(report)
-}
-
-fn retract(
-    engine: &RwLock<ResidentEngine>,
-    atom: &str,
-    deadline: Option<Instant>,
-    ctx: &RequestCtx,
-    tel: Option<&Telemetry>,
-) -> Result<stir_core::RetractReport, String> {
-    let atom = atom.strip_suffix('.').unwrap_or(atom);
-    let (rel, terms) = parse_atom(atom)?;
-    let _permit = admit_write(ctx)?;
-    let (report, ticket) = {
-        let mut engine = engine.write().unwrap_or_else(PoisonError::into_inner);
-        gate_write(&engine)?;
-        let types = attr_types(&engine, &rel, terms.len())?;
-        let mut row = Vec::with_capacity(terms.len());
-        for (i, (term, ty)) in terms.iter().zip(&types).enumerate() {
-            row.push(constant(term, *ty).map_err(|e| format!("term {}: {e}", i + 1))?);
-        }
-        let report = engine
-            .retract_facts_deadline(&rel, &[row], deadline, tel)
-            .map_err(|e| e.to_string())?;
-        (report, engine.take_commit_ticket())
-    };
-    if let Some(ticket) = ticket {
-        if let Err(e) = ticket.wait() {
-            let mut eng = engine.write().unwrap_or_else(PoisonError::into_inner);
-            eng.note_storage_failure(&e.to_string());
-            return Err(format!("{e} (retraction committed)"));
+            return Err(format!("{e} ({noun} committed)"));
         }
     }
     Ok(report)
@@ -1387,5 +1282,146 @@ mod tests {
     fn snapshot_without_data_dir_reports_err() {
         let out = session(TC, ".snapshot\n.quit\n");
         assert!(out.lines().next().is_some_and(|l| l.starts_with("err ")));
+    }
+
+    /// A reply sink that counts `write` calls and, when given the engine
+    /// lock, insists on being able to take it for writing inside each.
+    #[derive(Default)]
+    struct ReplyProbe<'a> {
+        free: Option<&'a RwLock<ResidentEngine>>,
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for ReplyProbe<'_> {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if let Some(engine) = self.free {
+                assert!(
+                    engine.try_write().is_ok(),
+                    "the engine lock is held across a client write"
+                );
+            }
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A client that stalls on its socket must not be able to hold the
+    /// engine read guard: with a writer queued behind it, `RwLock`'s
+    /// writer preference would block every other request.
+    #[test]
+    fn stats_replies_are_written_with_the_engine_lock_released() {
+        let engine = RwLock::new(
+            ResidentEngine::from_source(
+                TC,
+                InterpreterConfig::optimized(),
+                &InputData::new(),
+                None,
+            )
+            .expect("engine"),
+        );
+        for line in [".stats", ".stats json"] {
+            let mut out = ReplyProbe {
+                free: Some(&engine),
+                ..ReplyProbe::default()
+            };
+            handle_line(&engine, line, None, &mut out).expect("reply written");
+            assert!(out.writes > 0, "{line} wrote nothing");
+        }
+    }
+
+    /// The replies of the folded arms, byte for byte and in the number
+    /// of `write` calls they left in before the fold (measured at PR 12).
+    #[test]
+    fn write_replies_keep_their_bytes_and_write_calls() {
+        let dir = std::env::temp_dir().join("stir-serve-write-calls");
+        let _ = std::fs::remove_dir_all(&dir);
+        let (resident, _) = ResidentEngine::open(
+            Engine::from_source(TC).expect("compiles"),
+            InterpreterConfig::optimized(),
+            &InputData::new(),
+            &dir,
+            stir_core::PersistOptions::default(),
+            None,
+        )
+        .expect("durable engine");
+        let durable = RwLock::new(resident);
+        let mem = RwLock::new(
+            ResidentEngine::from_source(
+                TC,
+                InterpreterConfig::optimized(),
+                &InputData::new(),
+                None,
+            )
+            .expect("engine"),
+        );
+        let on_time = SessionConfig::default();
+        let late = SessionConfig {
+            request_timeout: Some(Duration::ZERO),
+            ..SessionConfig::default()
+        };
+        let cases: [(&RwLock<ResidentEngine>, &SessionConfig, &str, &str, usize); 11] = [
+            (&durable, &on_time, "+e(1, 2).", "ok 1 inserted\n", 3),
+            (&durable, &on_time, "-e(1, 2).", "ok 1 retracted\n", 3),
+            (
+                &durable,
+                &on_time,
+                "+ghost(1).",
+                "err unknown relation `ghost`\n",
+                3,
+            ),
+            (
+                &durable,
+                &on_time,
+                "-ghost(1).",
+                "err unknown relation `ghost`\n",
+                3,
+            ),
+            (
+                &durable,
+                &late,
+                "+e(5, 6).",
+                "err deadline exceeded (update committed)\n",
+                1,
+            ),
+            (
+                &durable,
+                &late,
+                "-e(5, 6).",
+                "err deadline exceeded (retraction committed)\n",
+                1,
+            ),
+            (&durable, &on_time, "?e(_, _)", "ok 0 rows\n", 3),
+            (&durable, &on_time, ".snapshot", "ok snapshot 0 tuples ", 5),
+            (&durable, &on_time, ".compact", "ok compact 0 tuples ", 5),
+            (
+                &mem,
+                &on_time,
+                ".snapshot",
+                "err storage error: no data directory configured\n",
+                4,
+            ),
+            (
+                &mem,
+                &on_time,
+                ".compact",
+                "err storage error: no data directory configured\n",
+                4,
+            ),
+        ];
+        let ctx = RequestCtx::default();
+        for (engine, cfg, line, reply, writes) in cases {
+            let mut out = ReplyProbe::default();
+            handle_request(engine, line, cfg, &ctx, None, &mut out).expect("reply written");
+            let got = String::from_utf8_lossy(&out.bytes);
+            assert!(got.starts_with(reply), "{line}: replied {got:?}");
+            assert_eq!(out.writes, writes, "{line}: write calls for {got:?}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
