@@ -51,6 +51,7 @@ pub mod morsel;
 pub mod profile;
 pub mod prov;
 pub mod rederive;
+mod rematch;
 pub mod resident;
 pub mod sink;
 pub mod snap2;

@@ -12,9 +12,10 @@
 //!
 //! The re-querying runs over the [`stir_ram::prov::ProvInfo`] plans — each
 //! source rule re-lowered over the full base relations, outside the reach
-//! of the optimizer and index selection. The matcher therefore ignores
-//! index numbers entirely (prov plans keep the `usize::MAX` placeholder)
-//! and matches search patterns against source-order scans.
+//! of the optimizer and index selection — through the shared re-matcher
+//! [`crate::rematch`], which pins the head's columns into the body atoms
+//! and enumerates candidates by index lookup. This module only supplies
+//! the question: the height bound, the minimization, the budget.
 //!
 //! Heights make the search sound and terminating: every internal node's
 //! premises have strictly smaller heights, so recursion bottoms out at
@@ -24,13 +25,10 @@
 
 use crate::database::{Database, RULE_INPUT};
 use crate::error::EvalError;
-use crate::functors::{eval_cmp, eval_intrinsic};
-use crate::interp::AggAcc;
+use crate::rematch::{self, Premise, Visitor};
 use crate::value::Value;
-use stir_der::iter::TupleIter;
-use stir_ram::expr::RamExpr;
 use stir_ram::program::{RamProgram, RelId};
-use stir_ram::stmt::{RamCond, RamOp, RamStmt};
+use stir_ram::stmt::RamStmt;
 
 /// One node of a proof tree: a fact, how it was derived, and the premise
 /// sub-proofs.
@@ -76,7 +74,10 @@ pub struct ExplainLimits {
     /// Maximum total proof-tree nodes.
     pub max_nodes: usize,
     /// Maximum candidate tuples examined per rule re-match; exhaustion
-    /// renders the node opaque instead of looping on huge joins.
+    /// renders the node opaque instead of looping on huge joins. Counts
+    /// the tuples [`stir_der::relation::Relation::select`] yields —
+    /// candidates that already satisfy the atom's bound columns (search
+    /// pattern plus head pins) — not the tuples stored in the relation.
     pub max_candidates: usize,
 }
 
@@ -205,17 +206,14 @@ fn build(
         node.opaque = true;
         return Ok(node);
     };
-    let mut m = Matcher {
+    let mut m = MinHeight {
         db,
-        target: tuple,
         target_h: height,
-        levels: vec![Vec::new(); *levels],
-        premises: Vec::new(),
-        cur_max: 0,
+        heights: Vec::new(),
         best: None,
         candidates: limits.max_candidates,
     };
-    m.search(op);
+    rematch::search(db, *levels, op, tuple, &mut m);
     match m.best {
         Some((_, premises)) => {
             for (prel, pt) in premises {
@@ -230,262 +228,47 @@ fn build(
     Ok(node)
 }
 
-/// A premise bound during matching: relation, source-order tuple, height.
-type Premise = (RelId, Vec<u32>, u32);
-
-/// A fact in a completed binding: relation and source-order tuple.
-type BoundFact = (RelId, Vec<u32>);
-
-/// Depth-first search over a provenance plan's operation tree for the
-/// binding that derives the target tuple while minimizing the maximum
-/// premise height (all premise heights strictly below the target's).
-struct Matcher<'a> {
+/// The `.explain` question put to [`rematch::search`]: among the bindings
+/// whose premises all sit strictly below the target's height, the one
+/// that minimizes the maximum premise height (the first such in the
+/// walk's ascending candidate order).
+struct MinHeight<'a> {
     db: &'a Database,
-    target: &'a [u32],
     target_h: u32,
-    /// Bound tuple per binding level (empty = unbound).
-    levels: Vec<Vec<u32>>,
-    /// Premises bound so far, outermost first.
-    premises: Vec<Premise>,
-    /// Maximum premise height bound so far.
-    cur_max: u32,
+    /// Height of each premise bound so far, outermost first.
+    heights: Vec<u32>,
     /// Best complete binding: (max premise height, premises).
-    best: Option<(u32, Vec<BoundFact>)>,
-    /// Remaining candidate-tuple budget.
+    best: Option<(u32, Vec<Premise>)>,
+    /// Remaining candidate budget.
     candidates: usize,
 }
 
-impl Matcher<'_> {
-    fn search(&mut self, op: &RamOp) {
+impl Visitor for MinHeight<'_> {
+    fn admit(&mut self, bound: &[Premise], rel: RelId, candidate: &[u32]) -> bool {
         if self.candidates == 0 {
-            return;
+            return false;
         }
-        match op {
-            RamOp::Scan {
-                rel, level, body, ..
-            } => {
-                self.scan_candidates(*rel, *level, &[], body);
-            }
-            RamOp::IndexScan {
-                rel,
-                level,
-                pattern,
-                eqrel_swap,
-                body,
-                ..
-            } => {
-                // Eqrel symmetry probes carry the pattern flipped into the
-                // probing order; swap it back so constraints line up with
-                // source columns (an eqrel scan yields every ordered pair
-                // of each class, so matching in source order is complete).
-                let source_pattern: Vec<Option<RamExpr>> = if *eqrel_swap {
-                    vec![pattern[1].clone(), pattern[0].clone()]
-                } else {
-                    pattern.clone()
-                };
-                let mut constraints = Vec::new();
-                for (col, p) in source_pattern.iter().enumerate() {
-                    if let Some(e) = p {
-                        match self.eval_expr(e) {
-                            Ok(v) => constraints.push((col, v)),
-                            Err(_) => return, // dead end, not a failure
-                        }
-                    }
-                }
-                self.scan_candidates(*rel, *level, &constraints, body);
-            }
-            RamOp::Filter { cond, body } => {
-                if matches!(self.eval_cond(cond), Ok(true)) {
-                    self.search(body);
-                }
-            }
-            RamOp::Project { values, .. } => {
-                for (c, v) in values.iter().enumerate() {
-                    match self.eval_expr(v) {
-                        Ok(x) if x == self.target[c] => {}
-                        _ => return,
-                    }
-                }
-                let better = match &self.best {
-                    Some((best_max, _)) => self.cur_max < *best_max,
-                    None => true,
-                };
-                if better {
-                    self.best = Some((
-                        self.cur_max,
-                        self.premises
-                            .iter()
-                            .map(|(r, t, _)| (*r, t.clone()))
-                            .collect(),
-                    ));
-                }
-            }
-            RamOp::Aggregate {
-                level,
-                func,
-                rel,
-                pattern,
-                value,
-                body,
-                ..
-            } => {
-                let mut constraints = Vec::new();
-                for (col, p) in pattern.iter().enumerate() {
-                    if let Some(e) = p {
-                        match self.eval_expr(e) {
-                            Ok(v) => constraints.push((col, v)),
-                            Err(_) => return,
-                        }
-                    }
-                }
-                // Aggregates are recomputed over the current database (they
-                // read relations of strictly lower strata, complete before
-                // the target's rule fired); scanned tuples are not premises.
-                let tuples = collect_source(&self.db.rd(*rel));
-                let mut acc = AggAcc::new(*func);
-                for t in &tuples {
-                    if !constraints.iter().all(|&(c, v)| t[c] == v) {
-                        continue;
-                    }
-                    let folded = match value {
-                        Some(e) => {
-                            self.levels[*level] = t.clone();
-                            let r = self.eval_expr(e);
-                            self.levels[*level] = Vec::new();
-                            match r {
-                                Ok(v) => v,
-                                Err(_) => return,
-                            }
-                        }
-                        None => 0,
-                    };
-                    acc.add(folded);
-                }
-                if let Some(result) = acc.finish() {
-                    self.levels[*level] = vec![result];
-                    self.search(body);
-                    self.levels[*level] = Vec::new();
-                }
-            }
+        self.candidates -= 1;
+        self.heights.truncate(bound.len());
+        let h = self.db.rd(rel).annotation(candidate).map_or(0, |(h, _)| h);
+        let max = self.heights.iter().fold(h, |m, &p| m.max(p));
+        // Premises must sit strictly below the target; and once a proof
+        // is known, only strictly lower maxima can improve it.
+        if h >= self.target_h || self.best.as_ref().is_some_and(|(b, _)| max >= *b) {
+            return false;
         }
+        self.heights.push(h);
+        true
     }
 
-    /// Binds, one by one, every tuple of `rel` matching `constraints`
-    /// whose height admits a better proof, and recurses into `body`.
-    fn scan_candidates(
-        &mut self,
-        rel: RelId,
-        level: usize,
-        constraints: &[(usize, u32)],
-        body: &RamOp,
-    ) {
-        let tuples = collect_source(&self.db.rd(rel));
-        for t in tuples {
-            if self.candidates == 0 {
-                return;
-            }
-            self.candidates -= 1;
-            if !constraints.iter().all(|&(c, v)| t[c] == v) {
-                continue;
-            }
-            let h = self.db.rd(rel).annotation(&t).map_or(0, |(h, _)| h);
-            // Premises must sit strictly below the target; and once a
-            // proof is known, only strictly lower maxima can improve it.
-            if h >= self.target_h {
-                continue;
-            }
-            if let Some((best_max, _)) = &self.best {
-                if h.max(self.cur_max) >= *best_max {
-                    continue;
-                }
-            }
-            let saved_max = self.cur_max;
-            self.cur_max = self.cur_max.max(h);
-            self.levels[level] = t.clone();
-            self.premises.push((rel, t, h));
-            self.search(body);
-            self.premises.pop();
-            self.levels[level] = Vec::new();
-            self.cur_max = saved_max;
+    fn complete(&mut self, premises: &[Premise]) -> bool {
+        self.heights.truncate(premises.len());
+        let max = self.heights.iter().copied().max().unwrap_or(0);
+        if self.best.as_ref().is_none_or(|(b, _)| max < *b) {
+            self.best = Some((max, premises.to_vec()));
         }
+        true
     }
-
-    fn eval_expr(&self, e: &RamExpr) -> Result<u32, EvalError> {
-        match e {
-            RamExpr::Constant(k) => Ok(*k),
-            RamExpr::TupleElement { level, column } => {
-                // An unbound level is an internal invariant violation;
-                // treated as a dead end rather than panicking on it.
-                self.levels[*level]
-                    .get(*column)
-                    .copied()
-                    .ok_or_else(|| EvalError::new("unbound tuple element"))
-            }
-            RamExpr::Intrinsic { op, args } => {
-                let mut vs = Vec::with_capacity(args.len());
-                for a in args {
-                    vs.push(self.eval_expr(a)?);
-                }
-                eval_intrinsic(*op, &vs, &self.db.symbols)
-            }
-            RamExpr::AutoIncrement => {
-                Err(EvalError::new("auto-increment rules cannot be re-matched"))
-            }
-        }
-    }
-
-    fn eval_cond(&self, c: &RamCond) -> Result<bool, EvalError> {
-        match c {
-            RamCond::True => Ok(true),
-            RamCond::Conjunction(cs) => {
-                for c in cs {
-                    if !self.eval_cond(c)? {
-                        return Ok(false);
-                    }
-                }
-                Ok(true)
-            }
-            RamCond::Negation(inner) => Ok(!self.eval_cond(inner)?),
-            RamCond::Comparison { kind, lhs, rhs } => {
-                Ok(eval_cmp(*kind, self.eval_expr(lhs)?, self.eval_expr(rhs)?))
-            }
-            RamCond::EmptinessCheck { rel } => Ok(self.db.rd(*rel).is_empty()),
-            RamCond::ExistenceCheck { rel, pattern, .. } => {
-                let mut constraints = Vec::new();
-                for (col, p) in pattern.iter().enumerate() {
-                    if let Some(e) = p {
-                        constraints.push((col, self.eval_expr(e)?));
-                    }
-                }
-                let r = self.db.rd(*rel);
-                if constraints.len() == r.arity() {
-                    let mut t = vec![0u32; r.arity()];
-                    for &(c, v) in &constraints {
-                        t[c] = v;
-                    }
-                    return Ok(r.contains(&t));
-                }
-                let mut it = r.scan_source();
-                while let Some(t) = it.next_tuple() {
-                    if constraints.iter().all(|&(c, v)| t[c] == v) {
-                        return Ok(true);
-                    }
-                }
-                Ok(false)
-            }
-        }
-    }
-}
-
-/// Collects a relation's tuples in source order (eqrel relations yield
-/// every ordered pair of each equivalence class).
-fn collect_source(r: &stir_der::relation::Relation) -> Vec<Vec<u32>> {
-    let mut out = Vec::new();
-    let mut it = r.scan_source();
-    while let Some(t) = it.next_tuple() {
-        out.push(t.to_vec());
-    }
-    out
 }
 
 #[cfg(test)]

@@ -11,12 +11,12 @@
 //! staged in `upd_R`.)
 //!
 //! The check re-queries the [`stir_ram::prov::ProvInfo`] plans — the same
-//! per-rule re-lowered bodies `.explain` matches against — but it cannot
-//! share [`crate::prov`]'s matcher: that search is height-*constrained*
-//! (it only admits premises strictly below the target's annotated height,
-//! which after a retraction would wrongly reject survivors whose shortest
-//! remaining derivation is taller) and it materializes whole relations
-//! per scan.
+//! per-rule re-lowered bodies `.explain` matches against — through the
+//! same walk ([`crate::rematch`]), asking a different question:
+//! `.explain` admits only premises strictly below the target's annotated
+//! height (which after a retraction would wrongly reject survivors whose
+//! shortest remaining derivation is taller) and wants the best binding;
+//! re-derivation admits everything and stops at the first.
 //!
 //! # The batched matcher
 //!
@@ -37,12 +37,9 @@
 //! matcher [`derivable`], which walks the plan in written order.
 
 use crate::database::Database;
-use crate::error::EvalError;
-use crate::functors::{eval_cmp, eval_intrinsic};
-use crate::interp::AggAcc;
+use crate::rematch::{self, eval_cond, eval_expr, head_pins, Pin, Premise, Visitor};
 use std::collections::HashMap;
 use stir_der::iter::TupleIter;
-use stir_der::relation::Relation;
 use stir_ram::expr::{RamDomain, RamExpr};
 use stir_ram::program::{RamProgram, RelId};
 use stir_ram::stmt::{RamCond, RamOp, RamStmt};
@@ -96,7 +93,7 @@ pub fn derivable_batch(
                 if targets
                     .iter()
                     .zip(&out)
-                    .any(|(t, done)| !done && plan.pins_for(t).is_some())
+                    .any(|(t, done)| !done && head_pins(plan.project, t).is_some())
                 {
                     BatchMatcher::new(db, &plan).run(targets, &mut out);
                 }
@@ -114,54 +111,32 @@ pub fn derivable_batch(
 }
 
 /// Per-tuple re-match of one plan in its written order (the fallback
-/// path; handles every plan shape, aggregates included).
+/// path; handles every plan shape, aggregates included): the shared walk,
+/// stopped at the first binding that derives the tuple.
 fn search_rule(db: &Database, nlevels: usize, op: &RamOp, tuple: &[RamDomain]) -> bool {
-    let Some(pins) = head_pins(op, tuple) else {
-        return false; // a constant head column contradicts the target
-    };
-    let mut s = Search {
-        db,
-        target: tuple,
-        levels: vec![Vec::new(); nlevels],
-        pins,
-        found: false,
-    };
-    s.search(op);
-    s.found
-}
-
-/// Extracts the binding-level constraints implied by the head projection:
-/// a head column projected from `TupleElement { level, column }` forces
-/// that position of the level's candidate tuples to the target's value.
-/// Returns `None` when a constant head column (or two pins on the same
-/// position) contradicts the target — the rule cannot derive it at all.
-fn head_pins(op: &RamOp, target: &[RamDomain]) -> Option<Vec<(usize, usize, RamDomain)>> {
-    let mut pins: Vec<(usize, usize, RamDomain)> = Vec::new();
-    let mut ok = true;
-    op.walk(&mut |o| {
-        if let RamOp::Project { values, .. } = o {
-            for (c, v) in values.iter().enumerate() {
-                match v {
-                    RamExpr::Constant(k) if *k != target[c] => ok = false,
-                    RamExpr::TupleElement { level, column } => {
-                        match pins
-                            .iter()
-                            .find(|&&(l, col, _)| l == *level && col == *column)
-                        {
-                            Some(&(_, _, prev)) if prev != target[c] => ok = false,
-                            Some(_) => {}
-                            None => pins.push((*level, *column, target[c])),
-                        }
-                    }
-                    _ => {}
-                }
-            }
+    struct FirstMatch(bool);
+    impl Visitor for FirstMatch {
+        fn admit(&mut self, _: &[Premise], _: RelId, _: &[RamDomain]) -> bool {
+            true
         }
-    });
-    ok.then_some(pins)
+        fn complete(&mut self, _: &[Premise]) -> bool {
+            self.0 = true;
+            false
+        }
+    }
+    let mut first = FirstMatch(false);
+    rematch::search(db, nlevels, op, tuple, &mut first);
+    first.0
 }
 
 /// The binding levels an expression reads.
+fn expr_deps_of(e: &RamExpr) -> Vec<usize> {
+    let mut deps = Vec::new();
+    expr_deps(e, &mut deps);
+    deps
+}
+
+/// Adds the binding levels an expression reads to `deps`.
 fn expr_deps(e: &RamExpr, deps: &mut Vec<usize>) {
     match e {
         RamExpr::Constant(_) | RamExpr::AutoIncrement => {}
@@ -278,67 +253,47 @@ impl<'a> FlatPlan<'a> {
         Some(plan)
     }
 
-    /// [`head_pins`] over the flattened projection.
-    fn pins_for(&self, target: &[RamDomain]) -> Option<Vec<(usize, usize, RamDomain)>> {
-        let mut pins: Vec<(usize, usize, RamDomain)> = Vec::new();
-        for (c, v) in self.project.iter().enumerate() {
-            match v {
-                RamExpr::Constant(k) if *k != target[c] => return None,
-                RamExpr::TupleElement { level, column } => {
-                    match pins
-                        .iter()
-                        .find(|&&(l, col, _)| l == *level && col == *column)
-                    {
-                        Some(&(_, _, prev)) if prev != target[c] => return None,
-                        Some(_) => {}
-                        None => pins.push((*level, *column, target[c])),
-                    }
-                }
-                _ => {} // verified against the target after binding
-            }
-        }
-        Some(pins)
-    }
-
-    /// Columns of `slot` constrained given the already-bound slots: its
-    /// constants and head pins, equi-join columns whose other side is
-    /// bound, and expression columns whose reads are all bound.
-    fn constrained_cols(&self, slot: usize, bound: &[bool]) -> Vec<usize> {
-        let mut cols: Vec<usize> = Vec::new();
-        for &(s, c, _) in &self.consts {
+    /// Where each constrained column of `slot` gets its value given the
+    /// already-bound slots: its constants and head pins, equi-join
+    /// columns whose other side is bound, and expression columns whose
+    /// reads are all bound. A column may have several sources.
+    fn sources(&self, slot: usize, bound: &[bool]) -> Vec<(usize, Src<'a>)> {
+        let mut srcs = Vec::new();
+        for &(s, c, k) in &self.consts {
             if s == slot {
-                cols.push(c);
+                srcs.push((c, Src::Const(k)));
             }
         }
-        for (c, v) in self.project.iter().enumerate() {
-            let _ = c;
+        for v in self.project {
             if let RamExpr::TupleElement { level, column } = v {
                 if *level == slot {
-                    cols.push(*column);
+                    srcs.push((*column, Src::Pin(slot, *column)));
                 }
             }
         }
         for &(a, ca, b, cb) in &self.joins {
             if a == slot && bound[b] {
-                cols.push(ca);
+                srcs.push((ca, Src::Join { other: b, col: cb }));
             }
             if b == slot && bound[a] {
-                cols.push(cb);
+                srcs.push((cb, Src::Join { other: a, col: ca }));
             }
         }
         for &(s, c, e) in &self.exprs {
-            if s == slot {
-                let mut deps = Vec::new();
-                expr_deps(e, &mut deps);
-                if deps.iter().all(|&d| bound[d]) {
-                    cols.push(c);
-                }
+            if s == slot && expr_deps_of(e).iter().all(|&d| bound[d]) {
+                srcs.push((c, Src::Expr(e)));
             }
         }
-        cols.sort_unstable();
-        cols.dedup();
-        cols
+        srcs
     }
+}
+
+/// The distinct columns a position's sources constrain, ascending.
+fn key_cols_of(srcs: &[(usize, Src<'_>)]) -> Vec<usize> {
+    let mut cols: Vec<usize> = srcs.iter().map(|s| s.0).collect();
+    cols.sort_unstable();
+    cols.dedup();
+    cols
 }
 
 /// Where a constrained column's value comes from at match time.
@@ -392,7 +347,9 @@ impl<'a, 'b> BatchMatcher<'a, 'b> {
         let mut bound = vec![false; plan.nlevels];
         let mut done = vec![false; n];
         let mut order = Vec::with_capacity(n);
-        let mut key_cols: Vec<Vec<usize>> = Vec::with_capacity(n);
+        let mut srcs: Vec<Vec<(usize, Src<'a>)>> = Vec::with_capacity(n);
+        // Slots bound before each position, for placing late checks.
+        let mut bound_before: Vec<Vec<bool>> = Vec::with_capacity(n + 1);
         // Greedy order: fully-bound levels first (they become point
         // lookups), then most constrained columns, ties to the smaller
         // relation.
@@ -406,12 +363,8 @@ impl<'a, 'b> BatchMatcher<'a, 'b> {
                 let r = db.rd(rel);
                 let (arity, len) = (r.arity(), r.len());
                 drop(r);
-                let cols = plan.constrained_cols(slot, &bound);
-                let score = (
-                    arity > 0 && cols.len() == arity,
-                    cols.len(),
-                    usize::MAX - len,
-                );
+                let cols = key_cols_of(&plan.sources(slot, &bound)).len();
+                let score = (arity > 0 && cols == arity, cols, usize::MAX - len);
                 if best.as_ref().is_none_or(|&(_, s)| score > s) {
                     best = Some((i, score));
                 }
@@ -419,67 +372,27 @@ impl<'a, 'b> BatchMatcher<'a, 'b> {
             let (i, _) = best.expect("an unscheduled scan remains");
             done[i] = true;
             let slot = plan.scans[i].1;
-            key_cols.push(plan.constrained_cols(slot, &bound));
+            srcs.push(plan.sources(slot, &bound));
+            bound_before.push(bound.clone());
             bound[slot] = true;
             order.push(i);
         }
-        // Slots bound after each position, for placing late checks.
-        let mut bound_after: Vec<Vec<bool>> = Vec::with_capacity(n);
-        let mut acc = vec![false; plan.nlevels];
-        for &i in &order {
-            acc[plan.scans[i].1] = true;
-            bound_after.push(acc.clone());
-        }
+        bound_before.push(bound);
+        let key_cols: Vec<Vec<usize>> = srcs.iter().map(|s| key_cols_of(s)).collect();
         let first_pos_with = |deps: &[usize]| -> usize {
             (0..n)
-                .find(|&p| deps.iter().all(|&d| bound_after[p][d]))
+                .find(|&p| deps.iter().all(|&d| bound_before[p + 1][d]))
                 .unwrap_or(n - 1)
         };
-        // Value sources per position (the same column sets as key_cols,
-        // resolved to where each value comes from at match time).
-        let mut srcs: Vec<Vec<(usize, Src<'a>)>> = (0..n).map(|_| Vec::new()).collect();
         let mut checks: Vec<Vec<Check<'a>>> = (0..n).map(|_| Vec::new()).collect();
-        let mut bound = vec![false; plan.nlevels];
-        for (pos, &i) in order.iter().enumerate() {
-            let slot = plan.scans[i].1;
-            for &(s, c, k) in &plan.consts {
-                if s == slot {
-                    srcs[pos].push((c, Src::Const(k)));
-                }
+        for &(slot, col, expr) in &plan.exprs {
+            let deps = expr_deps_of(expr);
+            let pos = (0..n).find(|&p| plan.scans[order[p]].1 == slot);
+            if pos.is_some_and(|p| !deps.iter().all(|&d| bound_before[p][d])) {
+                // The expr binds later than its scan: enforce it as an
+                // equality check once its reads are bound.
+                checks[first_pos_with(&deps)].push(Check::ExprEq { slot, col, expr });
             }
-            for v in plan.project {
-                if let RamExpr::TupleElement { level, column } = v {
-                    if *level == slot {
-                        srcs[pos].push((*column, Src::Pin(slot, *column)));
-                    }
-                }
-            }
-            for &(a, ca, b, cb) in &plan.joins {
-                if a == slot && bound[b] {
-                    srcs[pos].push((ca, Src::Join { other: b, col: cb }));
-                }
-                if b == slot && bound[a] {
-                    srcs[pos].push((cb, Src::Join { other: a, col: ca }));
-                }
-            }
-            for &(s, c, e) in &plan.exprs {
-                if s == slot {
-                    let mut deps = Vec::new();
-                    expr_deps(e, &mut deps);
-                    if deps.iter().all(|&d| bound[d]) {
-                        srcs[pos].push((c, Src::Expr(e)));
-                    } else {
-                        // The expr binds later than its scan: enforce it
-                        // as an equality check once its reads are bound.
-                        checks[first_pos_with(&deps)].push(Check::ExprEq {
-                            slot,
-                            col: c,
-                            expr: e,
-                        });
-                    }
-                }
-            }
-            bound[slot] = true;
         }
         for cond in &plan.filters {
             let mut deps = Vec::new();
@@ -522,7 +435,7 @@ impl<'a, 'b> BatchMatcher<'a, 'b> {
             if out[ti] {
                 continue;
             }
-            let Some(pins) = self.plan.pins_for(t) else {
+            let Some(pins) = head_pins(self.plan.project, t) else {
                 continue;
             };
             let mut levels = vec![Vec::new(); self.plan.nlevels];
@@ -535,7 +448,7 @@ impl<'a, 'b> BatchMatcher<'a, 'b> {
     fn go(
         &self,
         pos: usize,
-        pins: &[(usize, usize, RamDomain)],
+        pins: &[Pin],
         target: &[RamDomain],
         levels: &mut Vec<Vec<RamDomain>>,
     ) -> bool {
@@ -633,7 +546,7 @@ impl<'a, 'b> BatchMatcher<'a, 'b> {
     fn step(
         &self,
         pos: usize,
-        pins: &[(usize, usize, RamDomain)],
+        pins: &[Pin],
         target: &[RamDomain],
         levels: &mut Vec<Vec<RamDomain>>,
     ) -> bool {
@@ -651,284 +564,6 @@ impl<'a, 'b> BatchMatcher<'a, 'b> {
         }
         self.go(pos + 1, pins, target, levels)
     }
-}
-
-/// Depth-first re-match of one provenance plan, stopping at the first
-/// binding whose projection equals the target tuple.
-struct Search<'a> {
-    db: &'a Database,
-    target: &'a [RamDomain],
-    /// Bound tuple per binding level (empty = unbound).
-    levels: Vec<Vec<RamDomain>>,
-    /// `(level, column, value)` constraints pinned by the head.
-    pins: Vec<(usize, usize, RamDomain)>,
-    found: bool,
-}
-
-impl Search<'_> {
-    fn search(&mut self, op: &RamOp) {
-        if self.found {
-            return;
-        }
-        match op {
-            RamOp::Scan {
-                rel, level, body, ..
-            } => self.scan_candidates(*rel, *level, &[], body),
-            RamOp::IndexScan {
-                rel,
-                level,
-                pattern,
-                eqrel_swap,
-                body,
-                ..
-            } => {
-                // As in `crate::prov`: an eqrel scan yields every ordered
-                // pair of each class, so swapping a symmetry probe's
-                // pattern back to source order loses no bindings.
-                let source_pattern: Vec<Option<RamExpr>> = if *eqrel_swap {
-                    vec![pattern[1].clone(), pattern[0].clone()]
-                } else {
-                    pattern.clone()
-                };
-                let mut constraints = Vec::new();
-                for (col, p) in source_pattern.iter().enumerate() {
-                    if let Some(e) = p {
-                        match eval_expr(self.db, &self.levels, e) {
-                            Ok(v) => constraints.push((col, v)),
-                            Err(_) => return, // dead end, not a failure
-                        }
-                    }
-                }
-                self.scan_candidates(*rel, *level, &constraints, body);
-            }
-            RamOp::Filter { cond, body } => {
-                if matches!(eval_cond(self.db, &self.levels, cond), Ok(true)) {
-                    self.search(body);
-                }
-            }
-            RamOp::Project { values, .. } => {
-                for (c, v) in values.iter().enumerate() {
-                    match eval_expr(self.db, &self.levels, v) {
-                        Ok(x) if x == self.target[c] => {}
-                        _ => return,
-                    }
-                }
-                self.found = true;
-            }
-            RamOp::Aggregate {
-                level,
-                func,
-                rel,
-                pattern,
-                value,
-                body,
-                ..
-            } => {
-                // Recomputed over the current database, exactly as the
-                // explain matcher does (aggregate reads sit on strictly
-                // lower strata, which are final by the time re-derivation
-                // visits this one).
-                let mut constraints = Vec::new();
-                for (col, p) in pattern.iter().enumerate() {
-                    if let Some(e) = p {
-                        match eval_expr(self.db, &self.levels, e) {
-                            Ok(v) => constraints.push((col, v)),
-                            Err(_) => return,
-                        }
-                    }
-                }
-                let r = self.db.rd(*rel);
-                let mut acc = AggAcc::new(*func);
-                let mut it = r.scan_source();
-                while let Some(t) = it.next_tuple() {
-                    if !constraints.iter().all(|&(c, v)| t[c] == v) {
-                        continue;
-                    }
-                    let folded = match value {
-                        Some(e) => {
-                            self.levels[*level] = t.to_vec();
-                            let folded = eval_expr(self.db, &self.levels, e);
-                            self.levels[*level] = Vec::new();
-                            match folded {
-                                Ok(v) => v,
-                                Err(_) => return,
-                            }
-                        }
-                        None => 0,
-                    };
-                    acc.add(folded);
-                }
-                drop(it);
-                drop(r);
-                if let Some(result) = acc.finish() {
-                    self.levels[*level] = vec![result];
-                    self.search(body);
-                    self.levels[*level] = Vec::new();
-                }
-            }
-        }
-    }
-
-    /// Enumerates the candidates of `rel` satisfying `constraints` plus
-    /// this level's head pins, binding each and recursing until a match
-    /// is found. Constrained columns are turned into a range over the
-    /// index with the longest usable stored-order prefix (the same
-    /// selection rule as point queries); the remainder is post-filtered.
-    fn scan_candidates(
-        &mut self,
-        rel: RelId,
-        level: usize,
-        constraints: &[(usize, RamDomain)],
-        body: &RamOp,
-    ) {
-        let mut all: Vec<(usize, RamDomain)> = constraints.to_vec();
-        for &(l, col, v) in &self.pins {
-            if l == level && !all.iter().any(|&(c, _)| c == col) {
-                all.push((col, v));
-            }
-        }
-        // Contradictory constraints (pattern vs pin) match nothing.
-        for &(c, v) in &all {
-            if constraints.iter().any(|&(c2, v2)| c2 == c && v2 != v) {
-                return;
-            }
-        }
-        let r = self.db.rd(rel);
-        let arity = r.arity();
-        if arity == 0 {
-            if !r.is_empty() {
-                drop(r);
-                self.levels[level] = Vec::new();
-                self.search(body);
-            }
-            return;
-        }
-        let mut candidates: Vec<Vec<RamDomain>> = Vec::new();
-        {
-            let mut best = (0usize, 0usize);
-            for k in 0..r.index_count() {
-                let cols = r.index(k).order().columns();
-                let m = cols
-                    .iter()
-                    .take_while(|&&c| all.iter().any(|&(ac, _)| ac == c))
-                    .count();
-                if m > best.1 {
-                    best = (k, m);
-                }
-            }
-            let (k, prefix) = best;
-            let idx = r.index(k);
-            let order = idx.order();
-            let source_layout = idx.stores_source_order();
-            let mut it = if prefix == 0 {
-                idx.scan()
-            } else {
-                let mut lo = vec![RamDomain::MIN; arity];
-                let mut hi = vec![RamDomain::MAX; arity];
-                for (pos, &c) in order.columns().iter().enumerate().take(prefix) {
-                    let v = all
-                        .iter()
-                        .find(|&&(ac, _)| ac == c)
-                        .map(|&(_, v)| v)
-                        .expect("prefix columns are constrained");
-                    let at = if source_layout { c } else { pos };
-                    lo[at] = v;
-                    hi[at] = v;
-                }
-                idx.range(&lo, &hi)
-            };
-            let mut src = vec![0; arity];
-            while let Some(stored) = it.next_tuple() {
-                if source_layout {
-                    src.copy_from_slice(stored);
-                } else {
-                    order.decode(stored, &mut src);
-                }
-                if all.iter().all(|&(c, v)| src[c] == v) {
-                    candidates.push(src.clone());
-                }
-            }
-        }
-        drop(r);
-        for t in candidates {
-            if self.found {
-                return;
-            }
-            self.levels[level] = t;
-            self.search(body);
-            self.levels[level] = Vec::new();
-        }
-    }
-}
-
-fn eval_expr(
-    db: &Database,
-    levels: &[Vec<RamDomain>],
-    e: &RamExpr,
-) -> Result<RamDomain, EvalError> {
-    match e {
-        RamExpr::Constant(k) => Ok(*k),
-        RamExpr::TupleElement { level, column } => levels[*level]
-            .get(*column)
-            .copied()
-            .ok_or_else(|| EvalError::new("unbound tuple element")),
-        RamExpr::Intrinsic { op, args } => {
-            let mut vs = Vec::with_capacity(args.len());
-            for a in args {
-                vs.push(eval_expr(db, levels, a)?);
-            }
-            eval_intrinsic(*op, &vs, &db.symbols)
-        }
-        RamExpr::AutoIncrement => Err(EvalError::new("auto-increment rules cannot be re-matched")),
-    }
-}
-
-fn eval_cond(db: &Database, levels: &[Vec<RamDomain>], c: &RamCond) -> Result<bool, EvalError> {
-    match c {
-        RamCond::True => Ok(true),
-        RamCond::Conjunction(cs) => {
-            for c in cs {
-                if !eval_cond(db, levels, c)? {
-                    return Ok(false);
-                }
-            }
-            Ok(true)
-        }
-        RamCond::Negation(inner) => Ok(!eval_cond(db, levels, inner)?),
-        RamCond::Comparison { kind, lhs, rhs } => Ok(eval_cmp(
-            *kind,
-            eval_expr(db, levels, lhs)?,
-            eval_expr(db, levels, rhs)?,
-        )),
-        RamCond::EmptinessCheck { rel } => Ok(db.rd(*rel).is_empty()),
-        RamCond::ExistenceCheck { rel, pattern, .. } => {
-            let mut constraints = Vec::new();
-            for (col, p) in pattern.iter().enumerate() {
-                if let Some(e) = p {
-                    constraints.push((col, eval_expr(db, levels, e)?));
-                }
-            }
-            let r = db.rd(*rel);
-            if constraints.len() == r.arity() {
-                let mut t = vec![0u32; r.arity()];
-                for &(c, v) in &constraints {
-                    t[c] = v;
-                }
-                return Ok(r.contains(&t));
-            }
-            Ok(contains_matching(&r, &constraints))
-        }
-    }
-}
-
-fn contains_matching(r: &Relation, constraints: &[(usize, RamDomain)]) -> bool {
-    let mut it = r.scan_source();
-    while let Some(t) = it.next_tuple() {
-        if constraints.iter().all(|&(c, v)| t[c] == v) {
-            return true;
-        }
-    }
-    false
 }
 
 #[cfg(test)]

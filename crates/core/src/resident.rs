@@ -44,9 +44,10 @@
 //! # Queries
 //!
 //! [`ResidentEngine::query`] answers a partially-bound pattern with the
-//! relation's existing indexes: the index whose order has the longest
-//! prefix of bound columns drives an inclusive range scan, and the
-//! remaining bound columns are post-filtered. No statement or tree is
+//! relation's existing indexes through [`Relation::select`]: the index
+//! whose order has the longest prefix of bound columns drives an
+//! inclusive range scan, and the remaining bound columns are
+//! post-filtered. No statement or tree is
 //! built, and the symbol table is only read — a bound symbol that was
 //! never interned simply matches nothing.
 //!
@@ -66,7 +67,7 @@ use crate::itree;
 use crate::morsel::ParallelReport;
 use crate::profile::ProfileReport;
 use crate::prov::{ExplainLimits, ProofNode};
-use crate::snap2::{self, Snap2, Snap2Relation, SnapshotData, SnapshotImage, SnapshotStats};
+use crate::snap2::{self, Snap2, Snap2Relation, SnapshotImage, SnapshotStats};
 use crate::telemetry::{
     Gate, LogLevel, MetricFamily, MetricKind, MetricRow, MetricSnapshot, MetricValue, Reach,
     ServeMetrics, Surface, Telemetry,
@@ -445,26 +446,24 @@ impl ResidentEngine {
     ) -> Result<ResidentEngine, EngineError> {
         let mut ram = engine.into_ram();
         let tracer = tel.map(|t| &t.tracer);
-        // The decoded contents, and the image itself when it has runs.
-        let snapshot: Option<(&SnapshotData, Option<&Snap2>)> = match &image {
+        let snapshot: Option<&Snap2> = match &image {
             SnapshotImage::Missing | SnapshotImage::Invalid(_) => None,
-            SnapshotImage::Tuples(data) => Some((data, None)),
-            SnapshotImage::Mapped(snap) => Some((&snap.data, Some(snap))),
+            SnapshotImage::Mapped(snap) => Some(snap),
         };
-        let map_runs = matches!(snapshot, Some((_, Some(_))))
-            && config.storage == StorageBackend::Disk
-            && !config.provenance;
+        let map_runs =
+            snapshot.is_some() && config.storage == StorageBackend::Disk && !config.provenance;
 
         // One flag per `ram.facts` entry, filled by a snapshot load: false
         // for a ground fact the snapshot says was retracted. Applied once
         // `ram` is no longer borrowed.
         let mut keep_fact = Vec::new();
         let up = bring_up(&ram, config, &[], tel, |db| {
-            let Some((snap, mapped)) = snapshot else {
+            let Some(mapped) = snapshot else {
                 let _span = tracer.map(|t| t.span("phase:load-inputs"));
                 db.load_inputs(&ram, inputs)?;
                 return Ok(true);
             };
+            let snap = &mapped.data;
             {
                 // Replace the table wholesale: every bit pattern in the
                 // snapshot was encoded against it. The program's own
@@ -520,9 +519,9 @@ impl ResidentEngine {
                 // `Database::new_with_storage` pre-inserted the program's
                 // ground facts; any of them missing from the snapshot was
                 // retracted before it was taken and must not resurrect.
-                match (&srel.inline, mapped) {
-                    (None, Some(mapped)) if map_runs => rebase_runs(&mut rel, mapped, srel)?,
-                    (Some(tuples), _) => {
+                match &srel.inline {
+                    None if map_runs => rebase_runs(&mut rel, mapped, srel)?,
+                    Some(tuples) => {
                         rel.clear();
                         for t in tuples {
                             if t.len() != meta.arity {
@@ -537,7 +536,7 @@ impl ResidentEngine {
                             admit(&mut rel, t);
                         }
                     }
-                    (None, Some(mapped)) => {
+                    None => {
                         // Read the primary run through a source-layout
                         // DiskIndex: its scan decodes stored order back
                         // to source tuples, one page at a time.
@@ -548,9 +547,6 @@ impl ResidentEngine {
                         while let Some(t) = it.next_tuple() {
                             admit(&mut rel, t);
                         }
-                    }
-                    (None, None) => {
-                        unreachable!("the legacy decoder yields inline relations only")
                     }
                 }
             }
@@ -575,11 +571,11 @@ impl ResidentEngine {
             Ok(config.provenance)
         })?;
         let db = up.db;
-        if let Some((snap, _)) = snapshot {
+        if let Some(snap) = snapshot {
             // A provenance recompute re-allocated auto-increment ids from
             // zero; keep the snapshot's high-water mark either way so
             // future allocations never collide with values it recorded.
-            db.counter.fetch_max(snap.counter, Ordering::Relaxed);
+            db.counter.fetch_max(snap.data.counter, Ordering::Relaxed);
         }
         let mut keep = keep_fact.into_iter();
         ram.facts.retain(|_| keep.next().unwrap_or(true));
@@ -604,7 +600,6 @@ impl ResidentEngine {
                 drop(symbols);
                 (extra_facts, None)
             }
-            SnapshotImage::Tuples(d) => (d.extra_facts, None),
             SnapshotImage::Mapped(s) => (s.data.extra_facts, map_runs.then_some(s.file)),
         };
 
@@ -640,8 +635,8 @@ impl ResidentEngine {
     /// Opens a resident engine backed by a data directory: loads the
     /// latest valid snapshot (falling back to a fresh evaluation of
     /// `inputs`), replays the WAL suffix, truncates any torn tail, and
-    /// keeps the WAL open for [`Self::insert_facts`] appends. Temp files
-    /// orphaned by a crashed snapshot or WAL-upgrade publish are removed.
+    /// keeps the WAL open for [`Self::insert_facts`] appends. A temp file
+    /// orphaned by a crashed snapshot publish is removed.
     ///
     /// When a snapshot is loaded, `inputs` is ignored — the snapshot
     /// already contains those facts (and everything inserted since).
@@ -651,7 +646,9 @@ impl ResidentEngine {
     /// Propagates construction errors and I/O failures on the data
     /// directory. An *invalid* snapshot or torn WAL tail is not an
     /// error: recovery degrades to re-evaluation and reports it
-    /// ([`RecoveryReport::snapshot_rejected`]).
+    /// ([`RecoveryReport::snapshot_rejected`]) — a retired-format
+    /// `STIRSNP1` snapshot included. A retired-format `STIRWAL1` log *is*
+    /// an error: starting it over would drop acknowledged history.
     pub fn open(
         engine: Engine,
         config: InterpreterConfig,
@@ -665,11 +662,10 @@ impl ResidentEngine {
         let snap_path = data_dir.join(SNAPSHOT_FILE);
         let wal_path = data_dir.join(WAL_FILE);
         wal::sweep_stale_temp(&snap_path, wal::SNAPSHOT_TMP_EXT);
-        wal::sweep_stale_temp(&wal_path, wal::WAL_UPGRADE_EXT);
 
         let image = snap2::load_snapshot(&snap_path, fp, disk::cache_budget_from_env());
         let mut report = RecoveryReport {
-            snapshot_loaded: matches!(image, SnapshotImage::Tuples(_) | SnapshotImage::Mapped(_)),
+            snapshot_loaded: matches!(image, SnapshotImage::Mapped(_)),
             snapshot_rejected: match &image {
                 SnapshotImage::Invalid(reason) => Some(reason.clone()),
                 _ => None,
@@ -711,14 +707,7 @@ impl ResidentEngine {
 
         report.replay_ms = replay_started.elapsed().as_millis().min(u64::MAX as u128) as u64;
 
-        let valid_len = if replayed.version == 1 {
-            // Upgrade a version-1 log in place before appending: one
-            // file never mixes kind-less and kinded frames.
-            wal::rewrite(&wal_path, fp, &replayed.records)?
-        } else {
-            replayed.valid_len
-        };
-        let wal = WalWriter::open(&wal_path, opts.durability, fp, valid_len)?;
+        let wal = WalWriter::open(&wal_path, opts.durability, fp, replayed.valid_len)?;
         this.persistence = Some(Persistence {
             dir: data_dir.to_path_buf(),
             wal,
@@ -1784,8 +1773,9 @@ impl ResidentEngine {
     /// Answers a partially-bound pattern against the resident database.
     ///
     /// `pattern[i] = Some(v)` binds column `i` to `v`; `None` leaves it
-    /// free. Rows come back in the stored order of the chosen index. A
-    /// bound symbol that was never interned yields an empty result.
+    /// free. The lookup is one [`Relation::select`]; rows come back
+    /// sorted, so they do not depend on which index answered. A bound
+    /// symbol that was never interned yields an empty result.
     ///
     /// # Errors
     ///
@@ -1864,64 +1854,18 @@ impl ResidentEngine {
             }
         }
 
-        // The index whose order starts with the longest run of bound
-        // columns turns the most bindings into range bounds; anything not
-        // covered is post-filtered.
-        let mut best = (0usize, 0usize);
-        for k in 0..rel_guard.index_count() {
-            let cols = rel_guard.index(k).order().columns();
-            let m = cols.iter().take_while(|&&c| bound[c].is_some()).count();
-            if m > best.1 {
-                best = (k, m);
-            }
-        }
-        let (k, prefix) = best;
-        let idx = rel_guard.index(k);
-        let order = idx.order();
-        let arity = meta.arity;
-        // The comparator-based legacy index keeps tuples un-permuted: its
-        // range bounds and yielded tuples are in source order, so bound
-        // values land at their source positions and no decode happens.
-        let source_layout = idx.stores_source_order();
-        let mut it = if prefix == 0 {
-            idx.scan()
-        } else {
-            let mut lo = vec![RamDomain::MIN; arity];
-            let mut hi = vec![RamDomain::MAX; arity];
-            for (pos, &c) in order.columns().iter().enumerate().take(prefix) {
-                let bits = bound[c].expect("prefix columns are bound");
-                let at = if source_layout { c } else { pos };
-                lo[at] = bits;
-                hi[at] = bits;
-            }
-            idx.range(&lo, &hi)
-        };
-
         let mut out = Vec::new();
-        let mut src = vec![0; arity];
+        let mut matches = rel_guard.select(&bound);
         let mut scanned = 0u32;
-        while let Some(stored) = it.next_tuple() {
+        while let Some(hit) = matches.advance() {
             // Poll the clock every 4096 tuples: cheap enough to leave on,
             // frequent enough that a runaway scan stops promptly.
             scanned = scanned.wrapping_add(1);
-            if scanned & 0xFFF == 0 {
-                if let Some(d) = deadline {
-                    if Instant::now() > d {
-                        return Err(EvalError::new("deadline exceeded"));
-                    }
-                }
+            if scanned & 0xFFF == 0 && deadline.is_some_and(|d| Instant::now() > d) {
+                return Err(EvalError::new("deadline exceeded"));
             }
-            if source_layout {
-                src.copy_from_slice(stored);
-            } else {
-                order.decode(stored, &mut src);
-            }
-            if bound
-                .iter()
-                .zip(&src)
-                .all(|(b, &v)| b.is_none_or(|bits| bits == v))
-            {
-                out.push(src.clone());
+            if hit {
+                out.push(matches.current().to_vec());
             }
         }
         // Which index answered the query depends on the engine mode and
@@ -2330,113 +2274,59 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Leaves `dir` as a pre-v2 engine would have: a `STIRSNP1` snapshot
-    /// (via the test-only encoder) plus one WAL batch accepted after it.
-    /// Returns the outputs a faithful recovery must reproduce.
-    fn legacy_dir(dir: &Path) -> HashMap<String, Vec<Vec<Value>>> {
-        let (mut r, _) = open_dir(
-            MIXED,
-            InterpreterConfig::optimized(),
-            &mixed_inputs(),
-            dir,
-            PersistOptions::default(),
-        );
-        r.insert_facts("e", &pairs(&[(2, 3)]), None)
-            .expect("inserts");
-        r.insert_facts("n", &[vec![Value::Symbol("grace".into())]], None)
-            .expect("inserts");
-        let p = r.persistence.as_mut().expect("durable");
-        let v1 = snap2::encode_v1(p.fp, &r.ram, &r.db, &r.extra_facts);
-        std::fs::write(p.snapshot_path(), v1).expect("writes v1 snapshot");
-        p.wal.reset().expect("truncates the WAL at the snapshot");
+    /// Retired on-disk formats are refused by name at `open`, never
+    /// mistaken for a foreign file to start over: a `STIRSNP1` snapshot
+    /// is reported on the rejected-snapshot path (recovery then replays
+    /// the WAL over the re-evaluated inputs), a `STIRWAL1` log fails the
+    /// open and is left byte for byte as it was.
+    #[test]
+    fn retired_formats_are_refused_by_name_at_open() {
+        let inputs = mixed_inputs();
+        let opts = PersistOptions::default();
+        let dir = tmpdir("retired-snapshot");
+        let (mut r, _) = open_dir(MIXED, InterpreterConfig::optimized(), &inputs, &dir, opts);
         r.insert_facts("e", &pairs(&[(3, 4)]), None)
             .expect("inserts");
-        r.outputs()
-    }
+        drop(r);
+        std::fs::write(dir.join(SNAPSHOT_FILE), b"STIRSNP1 and a tuple dump").expect("writes");
+        let (r, rec) = open_dir(MIXED, InterpreterConfig::optimized(), &inputs, &dir, opts);
+        assert!(!rec.snapshot_loaded);
+        assert_eq!(
+            rec.snapshot_rejected.as_deref(),
+            Some("unsupported legacy snapshot format STIRSNP1")
+        );
+        assert_eq!(rec.replayed_batches, 1, "the WAL still replays");
+        assert_eq!(r.outputs()["p"], pairs(&[(1, 2), (3, 4)]));
+        drop(r);
+        let _ = std::fs::remove_dir_all(&dir);
 
-    #[test]
-    fn legacy_snapshot_plus_wal_suffix_upgrades_under_every_setup() {
-        let inputs = mixed_inputs();
-        let opts = PersistOptions::default();
-        for (setup, config) in all_setups() {
-            let dir = tmpdir(&format!("upgrade-{}", setup.replace('/', "-")));
-            let before = legacy_dir(&dir);
-            assert_eq!(snapshot_magic(&dir), b"STIRSNP1", "fixture is a v1 file");
-
-            let (mut r, rec) = open_dir(MIXED, config, &inputs, &dir, opts);
-            assert!(rec.snapshot_loaded, "{setup}");
-            assert_eq!(rec.replayed_batches, 1, "{setup}: only the WAL suffix");
-            assert_eq!(r.outputs(), before, "{setup}: nothing lost");
-            assert!(
-                r.page_cache_stats().is_none(),
-                "{setup}: a tuple dump has no runs to map"
-            );
-
-            // The next snapshot rewrites the directory in the one format.
-            r.snapshot(None).expect("snapshots");
-            assert_eq!(snapshot_magic(&dir), b"STIRSNP2", "{setup}");
-            drop(r);
-            let (r, rec) = open_dir(MIXED, config, &inputs, &dir, opts);
-            assert!(rec.snapshot_loaded, "{setup}");
-            assert_eq!(rec.replayed_batches, 0, "{setup}");
-            assert_eq!(r.outputs(), before, "{setup}");
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-    }
-
-    /// A legacy file that cannot be trusted is thrown away with the
-    /// reason on the recovery report; the engine re-evaluates its inputs
-    /// and replays the WAL suffix over them.
-    #[test]
-    fn hostile_legacy_snapshots_are_rejected_with_the_reason_reported() {
-        let inputs = mixed_inputs();
-        let opts = PersistOptions::default();
-        type Damage = fn(&mut Vec<u8>);
-        let cases: [(&str, Damage, &str); 3] = [
-            (
-                "truncated",
-                |b| b.truncate(b.len() - 9),
-                "checksum mismatch",
-            ),
-            ("bit-flip", |b| b[40] ^= 0x04, "checksum mismatch"),
-            (
-                "trailing",
-                |b| {
-                    b.truncate(b.len() - 4);
-                    b.push(0);
-                    let crc = wal::crc32(b);
-                    b.extend_from_slice(&crc.to_le_bytes());
-                },
-                "trailing bytes",
-            ),
-        ];
-        for (name, damage, expected) in cases {
-            let dir = tmpdir(&format!("hostile-v1-{name}"));
-            legacy_dir(&dir);
-            let path = dir.join(SNAPSHOT_FILE);
-            let mut bytes = std::fs::read(&path).expect("reads");
-            damage(&mut bytes);
-            std::fs::write(&path, &bytes).expect("writes");
-
-            let (r, rec) = open_dir(MIXED, InterpreterConfig::optimized(), &inputs, &dir, opts);
-            assert!(!rec.snapshot_loaded, "{name}");
-            let reason = rec.snapshot_rejected.expect("rejection is reported");
-            assert!(reason.contains(expected), "{name}: {reason}");
-            assert_eq!(
-                r.outputs()["p"],
-                pairs(&[(1, 2), (3, 4)]),
-                "{name}: inputs plus the WAL suffix, nothing from the snapshot"
-            );
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-
-        // A snapshot of some other program: same bytes, other fingerprint.
-        let dir = tmpdir("hostile-v1-foreign");
-        legacy_dir(&dir);
-        let other = format!("{MIXED}.decl unrelated(x: number)\n");
-        let (_, rec) = open_dir(&other, InterpreterConfig::optimized(), &inputs, &dir, opts);
-        let reason = rec.snapshot_rejected.expect("rejection is reported");
-        assert!(reason.contains("fingerprint mismatch"), "{reason}");
+        let dir = tmpdir("retired-wal");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let engine = crate::engine::Engine::from_source(MIXED).expect("compiles");
+        let mut log = b"STIRWAL1".to_vec();
+        log.extend_from_slice(&wal::fingerprint(&engine.ram().to_string()).to_le_bytes());
+        log.extend_from_slice(b"acknowledged history in kind-less frames");
+        std::fs::write(dir.join(WAL_FILE), &log).expect("writes");
+        let opened = ResidentEngine::open(
+            engine,
+            InterpreterConfig::optimized(),
+            &inputs,
+            &dir,
+            opts,
+            None,
+        );
+        let Err(err) = opened else {
+            panic!("a v1 log must fail the open");
+        };
+        assert!(
+            err.to_string().contains("legacy WAL format STIRWAL1"),
+            "{err}"
+        );
+        assert_eq!(
+            std::fs::read(dir.join(WAL_FILE)).expect("reads"),
+            log,
+            "the refused log is not truncated"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2444,7 +2334,7 @@ mod tests {
     fn open_sweeps_temps_orphaned_by_a_crashed_publish() {
         let dir = tmpdir("stale-temps");
         std::fs::create_dir_all(&dir).expect("mkdir");
-        let stale = [dir.join("snapshot.tmp"), dir.join("wal.upgrade")];
+        let stale = [dir.join("snapshot.tmp")];
         for path in &stale {
             std::fs::write(path, b"half a publish").expect("writes");
         }

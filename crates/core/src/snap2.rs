@@ -62,29 +62,18 @@
 //! snapshot path arms the `snapshot_write` fault point; `.compact` arms
 //! `compact_write`.
 //!
-//! # The legacy decoder
+//! # The retired format
 //!
-//! Data directories written before this format hold a `STIRSNP1` file:
-//! one source-order tuple dump per relation, no runs.
-//!
-//! ```text
-//! b"STIRSNP1" [u64 fingerprint] [u32 counter]
-//! [u32 symbol_count] symbol_count × ([u32 len] bytes)
-//! [u32 relation_count] relation_count ×
-//!     ([u32 name_len] name [u32 arity] tuple-section)   (see stir_der::dump)
-//! [u64 extra_fact_count] extra_fact_count ×
-//!     ([u32 rel_id] [u32 arity] arity × [u32])
-//! [u32 crc32 of everything before]
-//! ```
-//!
-//! Nothing writes it any more. [`load_snapshot`] still decodes it, so an
-//! old directory opens once and its next snapshot rewrites it as v2 —
-//! the same read-only upgrade path WAL v1 logs take.
+//! Data directories written before this format hold a `STIRSNP1` file
+//! (one source-order tuple dump per relation, no runs). Nothing has
+//! written one since PR 12 and nothing decodes one: [`load_snapshot`]
+//! reports it as `unsupported legacy snapshot format STIRSNP1`, which
+//! recovery logs like any other rejected snapshot.
 
 use crate::database::{disk_backed, Database};
 use crate::error::StorageError;
 use crate::fault::{self, FaultPoint};
-use crate::wal::{self, crc32, crc32_feed, put_str, put_u32, put_u64, ByteReader};
+use crate::wal::{self, crc32_feed, put_str, put_u32, put_u64, ByteReader};
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom};
 use std::path::Path;
@@ -96,7 +85,7 @@ use stir_ram::program::{RamProgram, RelId, Role};
 /// Snapshot file magic.
 pub const SNAP2_MAGIC: &[u8; 8] = b"STIRSNP2";
 
-/// Magic of the legacy tuple-dump format, decoded but never written.
+/// Magic of the retired tuple-dump format; refused by name.
 const SNAP1_MAGIC: &[u8; 8] = b"STIRSNP1";
 
 /// Current v2 format version (the `u32` after the magic).
@@ -151,8 +140,8 @@ pub struct SnapshotData {
     pub counter: u32,
     /// The full symbol table, in id order.
     pub symbols: Vec<String>,
-    /// Every `Role::Standard` relation. A legacy snapshot's are all
-    /// inline; only a [`Snap2`] has the file run-backed ones point into.
+    /// Every `Role::Standard` relation; run-backed ones point into the
+    /// enclosing [`Snap2`]'s file.
     pub relations: Vec<Snap2Relation>,
     /// The externally-inserted fact replay list.
     pub extra_facts: Vec<(RelId, Vec<RamDomain>)>,
@@ -190,8 +179,6 @@ pub enum SnapshotImage {
     /// A file exists but is unusable (corrupt, foreign program, I/O
     /// error); recovery proceeds without it and reports the reason.
     Invalid(String),
-    /// A valid legacy (`STIRSNP1`) snapshot, fully decoded.
-    Tuples(SnapshotData),
     /// A valid `STIRSNP2` snapshot: directory decoded, runs on disk.
     Mapped(Snap2),
 }
@@ -591,248 +578,72 @@ fn open_v2(mut f: File, path: &Path, fp: u64, cache_budget: usize) -> Result<Sna
 }
 
 // ---------------------------------------------------------------------
-// Legacy decoder and the loader
+// The loader
 // ---------------------------------------------------------------------
 
-/// Decodes a whole `STIRSNP1` file. Checks the magic, the trailing CRC
-/// over everything before it, the program fingerprint, and that the
-/// payload ends exactly where the sections say it does.
-fn decode_v1(bytes: &[u8], fp: u64) -> Result<SnapshotData, StorageError> {
-    if bytes.len() < 8 + 8 + 4 + 4 || &bytes[..8] != SNAP1_MAGIC {
-        return Err(StorageError::new("bad snapshot magic"));
-    }
-    let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-    let crc = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-    if crc32(body) != crc {
-        return Err(StorageError::new("snapshot checksum mismatch"));
-    }
-    let mut r = ByteReader::new(&body[8..]);
-    let file_fp = r.u64()?;
-    if file_fp != fp {
-        return Err(StorageError::new(
-            "snapshot belongs to a different program (fingerprint mismatch)",
-        ));
-    }
-    let counter = r.u32()?;
-    let symbol_count = r.u32()? as usize;
-    let mut symbols = Vec::with_capacity(symbol_count);
-    for _ in 0..symbol_count {
-        symbols.push(r.str()?);
-    }
-    let rel_count = r.u32()? as usize;
-    let mut relations = Vec::with_capacity(rel_count);
-    for _ in 0..rel_count {
-        let name = r.str()?;
-        let arity = r.u32()? as usize;
-        let mut section = r.rest();
-        let before = section.len();
-        let tuples = stir_der::dump::read_tuples(&mut section, arity)
-            .map_err(|e| StorageError::io("decode snapshot tuples", &e))?;
-        r.skip(before - section.len());
-        relations.push(Snap2Relation {
-            name,
-            arity,
-            runs: Vec::new(),
-            inline: Some(tuples),
-        });
-    }
-    let extra_count = r.u64()? as usize;
-    let mut extra_facts = Vec::with_capacity(extra_count);
-    for _ in 0..extra_count {
-        let rid = RelId(r.u32()? as usize);
-        let arity = r.u32()? as usize;
-        let mut t = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            t.push(r.u32()?);
-        }
-        extra_facts.push((rid, t));
-    }
-    if !r.done() {
-        return Err(StorageError::new("trailing bytes in snapshot"));
-    }
-    Ok(SnapshotData {
-        counter,
-        symbols,
-        relations,
-        extra_facts,
-    })
-}
-
-/// Probes `path` for a snapshot of the program fingerprinted `fp`. The
-/// one place the on-disk format is decided: the magic is read once and
-/// the file goes to the v2 opener or, whole, to the legacy decoder
-/// (which also gives any other magic its rejection message).
+/// Probes `path` for a snapshot of the program fingerprinted `fp`: the
+/// magic is read once, a `STIRSNP1` file is refused by name, and anything
+/// else goes to the v2 opener (which gives every other magic, truncation
+/// or damage its rejection message).
 pub fn load_snapshot(path: &Path, fp: u64, cache_budget: usize) -> SnapshotImage {
     let mut f = match File::open(path) {
         Ok(f) => f,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return SnapshotImage::Missing,
         Err(e) => return SnapshotImage::Invalid(format!("open snapshot: {e}")),
     };
-    let load = || -> Result<SnapshotImage, StorageError> {
-        let read_err = |e: io::Error| StorageError::io("read snapshot", &e);
-        let mut bytes = Vec::new();
-        (&mut f)
-            .take(SNAP2_MAGIC.len() as u64)
-            .read_to_end(&mut bytes)
-            .map_err(read_err)?;
-        if bytes == SNAP2_MAGIC {
-            return open_v2(f, path, fp, cache_budget).map(SnapshotImage::Mapped);
-        }
-        f.read_to_end(&mut bytes).map_err(read_err)?;
-        decode_v1(&bytes, fp).map(SnapshotImage::Tuples)
-    };
-    load().unwrap_or_else(|e| SnapshotImage::Invalid(e.msg))
-}
-
-/// A `STIRSNP1` encoder for tests: what the retired writer produced,
-/// so the decoder and the upgrade path keep a fixture to run against
-/// (as `wal::tests::write_v1_log` does for version-1 logs).
-#[cfg(test)]
-pub(crate) fn encode_v1(
-    fp: u64,
-    ram: &RamProgram,
-    db: &Database,
-    extra_facts: &[(RelId, Vec<RamDomain>)],
-) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(SNAP1_MAGIC);
-    put_u64(&mut buf, fp);
-    put_u32(
-        &mut buf,
-        db.counter.load(std::sync::atomic::Ordering::Relaxed),
-    );
-    let symbols = db.symbols_rd();
-    put_u32(&mut buf, symbols.strings().len() as u32);
-    for s in symbols.strings() {
-        put_str(&mut buf, s);
+    let mut magic = Vec::new();
+    if let Err(e) = (&mut f).take(8).read_to_end(&mut magic) {
+        return SnapshotImage::Invalid(format!("read snapshot: {e}"));
     }
-    let standard: Vec<_> = ram
-        .relations
-        .iter()
-        .filter(|r| r.role == Role::Standard)
-        .collect();
-    put_u32(&mut buf, standard.len() as u32);
-    for meta in standard {
-        put_str(&mut buf, &meta.name);
-        put_u32(&mut buf, meta.arity as u32);
-        stir_der::dump::write_tuples(&mut buf, &db.rd(meta.id)).expect("Vec<u8> writes");
+    if magic == SNAP1_MAGIC {
+        return SnapshotImage::Invalid("unsupported legacy snapshot format STIRSNP1".into());
     }
-    put_u64(&mut buf, extra_facts.len() as u64);
-    for (rid, t) in extra_facts {
-        put_u32(&mut buf, rid.0 as u32);
-        put_u32(&mut buf, t.len() as u32);
-        for &v in t {
-            put_u32(&mut buf, v);
-        }
+    match open_v2(f, path, fp, cache_budget) {
+        Ok(snap) => SnapshotImage::Mapped(snap),
+        Err(e) => SnapshotImage::Invalid(e.msg),
     }
-    let crc = crc32(&buf);
-    put_u32(&mut buf, crc);
-    buf
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::database::DataMode;
 
-    fn fixture() -> (RamProgram, Database, u64) {
-        let engine = crate::Engine::from_source(
-            ".decl e(x: number, s: symbol)\n.decl flag()\n\
-             e(1, \"a\"). e(2, \"b\"). flag().\n",
-        )
-        .expect("compiles");
-        let ram = engine.into_ram();
-        let db = Database::new(&ram, DataMode::Specialized);
-        let fp = wal::fingerprint(&ram.to_string());
-        (ram, db, fp)
-    }
-
-    fn load(tag: &str, bytes: &[u8], fp: u64) -> SnapshotImage {
-        let path = std::env::temp_dir().join(format!("stir-snap1-{tag}-{}", std::process::id()));
+    fn load(tag: &str, bytes: &[u8]) -> SnapshotImage {
+        let path = std::env::temp_dir().join(format!("stir-snap-{tag}-{}", std::process::id()));
         std::fs::write(&path, bytes).expect("writes");
-        let image = load_snapshot(&path, fp, 1 << 20);
+        let image = load_snapshot(&path, 1, 1 << 20);
         let _ = std::fs::remove_file(&path);
         image
     }
 
     #[test]
-    fn legacy_snapshots_decode_to_inline_relations() {
-        let (ram, db, fp) = fixture();
-        let extra = vec![(RelId(0), vec![7, 8])];
-        let SnapshotImage::Tuples(data) = load("ok", &encode_v1(fp, &ram, &db, &extra), fp) else {
-            panic!("a valid v1 file must load as tuples");
-        };
-        assert_eq!(data.symbols, ["a", "b"]);
-        assert_eq!(data.extra_facts, extra);
-        let e = data.relations.iter().find(|r| r.name == "e").expect("e");
-        assert_eq!((e.arity, e.runs.len()), (2, 0));
-        assert_eq!(e.inline.as_ref().map(Vec::len), Some(2));
-        let flag = data
-            .relations
-            .iter()
-            .find(|r| r.name == "flag")
-            .expect("flag");
-        assert_eq!(
-            flag.inline.as_ref().map(Vec::len),
-            Some(1),
-            "nullary presence"
-        );
-    }
-
-    #[test]
     fn missing_file_is_missing_not_invalid() {
-        let path = std::env::temp_dir().join("stir-snap1-definitely-absent");
+        let path = std::env::temp_dir().join("stir-snap-definitely-absent");
         assert!(matches!(
             load_snapshot(&path, 1, 1 << 20),
             SnapshotImage::Missing
         ));
     }
 
-    /// Every hostile shape of a legacy file is rejected with its own
-    /// reason (the reason is what `RecoveryReport::snapshot_rejected`
-    /// carries to the log).
+    /// Files no `STIRSNP2` writer produced are rejected with a reason (the
+    /// reason is what `RecoveryReport::snapshot_rejected` carries to the
+    /// log); the retired format is named, not called damage.
     #[test]
-    fn hostile_legacy_snapshots_are_rejected_with_a_reason() {
-        let (ram, db, fp) = fixture();
-        let good = encode_v1(fp, &ram, &db, &[]);
-        let reject = |tag: &str, bytes: &[u8], fp: u64| match load(tag, bytes, fp) {
+    fn foreign_and_retired_files_are_rejected_with_a_reason() {
+        let reject = |tag: &str, bytes: &[u8]| match load(tag, bytes) {
             SnapshotImage::Invalid(reason) => reason,
-            _ => panic!("{tag}: hostile snapshot must be rejected"),
+            _ => panic!("{tag}: must be rejected"),
         };
-
-        // Truncation anywhere takes the CRC trailer with it.
-        let reason = reject("cut", &good[..good.len() - 5], fp);
-        assert!(reason.contains("checksum mismatch"), "{reason}");
-        // Cut below the fixed header, or any magic no version wrote.
-        assert!(reject("stub", &good[..10], fp).contains("bad snapshot magic"));
-        assert!(reject("empty", b"", fp).contains("bad snapshot magic"));
-        let mut alien = good.clone();
-        alien[7] = b'9';
-        assert!(reject("alien", &alien, fp).contains("bad snapshot magic"));
-
-        let mut flipped = good.clone();
-        let mid = flipped.len() / 2;
-        flipped[mid] ^= 0x40;
-        let reason = reject("flip", &flipped, fp);
-        assert!(reason.contains("checksum mismatch"), "{reason}");
-
-        let reason = reject("foreign", &good, fp ^ 1);
-        assert!(reason.contains("fingerprint mismatch"), "{reason}");
-
-        // Trailing bytes under a *valid* checksum: not damage, a payload
-        // this decoder does not understand.
-        let mut longer = good[..good.len() - 4].to_vec();
-        longer.push(0);
-        let crc = crc32(&longer);
-        put_u32(&mut longer, crc);
-        let reason = reject("trailing", &longer, fp);
-        assert!(reason.contains("trailing bytes"), "{reason}");
-
-        // A section that runs past the end, again under a valid checksum.
-        let mut short = good[..good.len() - 4 - 6].to_vec();
-        let crc = crc32(&short);
-        put_u32(&mut short, crc);
-        let reason = reject("short", &short, fp);
-        assert!(reason.contains("truncated"), "{reason}");
+        let mut v1 = b"STIRSNP1".to_vec();
+        v1.extend_from_slice(&[0; 64]);
+        assert_eq!(
+            reject("v1", &v1),
+            "unsupported legacy snapshot format STIRSNP1"
+        );
+        let mut alien = b"STIRSNP9".to_vec();
+        alien.extend_from_slice(&[0; 64]);
+        assert!(reject("alien", &alien).contains("bad snapshot magic"));
+        assert!(reject("stub", b"STIRSNP2").contains("truncated snapshot"));
+        assert!(reject("empty", b"").contains("truncated snapshot"));
     }
 }

@@ -21,11 +21,10 @@
 //!                   tag 3     → [u32 len] [utf-8 bytes]   (symbol)
 //! ```
 //!
-//! Version 2 adds the per-record kind byte so retractions are logged
-//! alongside insertions. Version-1 logs (magic `STIRWAL1`, no kind byte)
-//! are still replayed — every record reads as an insert — and the opener
-//! rewrites them in the v2 format before appending, so a single log file
-//! never mixes frame formats. Values are stored *typed* (not as interned
+//! The per-record kind byte logs retractions alongside insertions. The
+//! kind-less `STIRWAL1` format that preceded it has had no writer since
+//! PR 7 and is refused by name ([`replay`]), never treated as a foreign
+//! log to start over. Values are stored *typed* (not as interned
 //! bit patterns) because a recovery without a snapshot re-interns symbols
 //! into a fresh table whose ids need not match the crashed process's. All
 //! integers are little-endian. Replay stops at the first short read or
@@ -47,10 +46,10 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// WAL file magic (current, version 2: records carry a kind byte).
+/// WAL file magic (records carry a kind byte).
 const WAL_MAGIC: &[u8; 8] = b"STIRWAL2";
-/// Version-1 WAL magic: kind-less records, accepted on read as inserts.
-const WAL_MAGIC_V1: &[u8; 8] = b"STIRWAL1";
+/// Magic of the retired kind-less format; refused by name on read.
+const WAL_MAGIC_LEGACY: &[u8; 8] = b"STIRWAL1";
 /// WAL header length: magic + fingerprint.
 const WAL_HEADER: u64 = 16;
 
@@ -281,8 +280,6 @@ impl<'a> ByteReader<'a> {
 
 /// Temp-file extension of an in-flight snapshot publish.
 pub(crate) const SNAPSHOT_TMP_EXT: &str = "tmp";
-/// Temp-file extension of an in-flight WAL v1→v2 upgrade.
-pub(crate) const WAL_UPGRADE_EXT: &str = "upgrade";
 
 /// Replaces the file at `path` with `bytes` so that a crash at any point
 /// leaves either the old file or the new one, never a mix: write a
@@ -336,7 +333,7 @@ pub(crate) fn sweep_stale_temp(path: &Path, tmp_ext: &str) {
 /// What a WAL record does to its target relation on replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WalRecordKind {
-    /// An `insert_facts` batch (v1 records all read as this).
+    /// An `insert_facts` batch.
     Insert,
     /// A `retract_facts` batch.
     Delete,
@@ -382,20 +379,16 @@ impl WalRecord {
         framed
     }
 
-    fn decode(payload: &[u8], version: u8) -> Result<WalRecord, StorageError> {
+    fn decode(payload: &[u8]) -> Result<WalRecord, StorageError> {
         let mut r = ByteReader::new(payload);
-        let kind = if version >= 2 {
-            match r.u8()? {
-                0 => WalRecordKind::Insert,
-                1 => WalRecordKind::Delete,
-                k => {
-                    return Err(StorageError::new(format!(
-                        "unknown WAL record kind {k} (written by a newer stir?)"
-                    )))
-                }
+        let kind = match r.u8()? {
+            0 => WalRecordKind::Insert,
+            1 => WalRecordKind::Delete,
+            k => {
+                return Err(StorageError::new(format!(
+                    "unknown WAL record kind {k} (written by a newer stir?)"
+                )))
             }
-        } else {
-            WalRecordKind::Insert
         };
         let rel = r.str()?;
         let rows = r.u32()? as usize;
@@ -420,7 +413,7 @@ impl WalRecord {
 }
 
 /// What [`replay`] found in an existing WAL.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct WalReplay {
     /// Valid records, in append order.
     pub records: Vec<WalRecord>,
@@ -428,21 +421,6 @@ pub struct WalReplay {
     pub valid_len: u64,
     /// Bytes of torn tail discarded after the last valid record.
     pub torn_bytes: u64,
-    /// The header version of the file (2 for fresh/missing logs). A
-    /// version-1 log must be rewritten (see [`rewrite`]) before a v2
-    /// record is appended to it.
-    pub version: u8,
-}
-
-impl Default for WalReplay {
-    fn default() -> Self {
-        WalReplay {
-            records: Vec::new(),
-            valid_len: 0,
-            torn_bytes: 0,
-            version: 2,
-        }
-    }
 }
 
 /// Reads every valid record of the WAL at `path`, stopping at the first
@@ -458,7 +436,8 @@ impl Default for WalReplay {
 /// checksum-*valid* frame whose payload does not decode (an unknown
 /// record kind or trailing bytes — a newer or foreign writer, not a torn
 /// crash tail), reporting its file offset. Truncating such a frame would
-/// silently drop acknowledged history behind it.
+/// silently drop acknowledged history behind it; so would starting a
+/// `STIRWAL1` log over, which is therefore an error naming the format.
 pub fn replay(path: &Path, fp: u64) -> Result<WalReplay, StorageError> {
     let mut bytes = Vec::new();
     match File::open(path) {
@@ -468,8 +447,14 @@ pub fn replay(path: &Path, fp: u64) -> Result<WalReplay, StorageError> {
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(WalReplay::default()),
         Err(e) => return Err(StorageError::io("open WAL", &e)),
     };
+    if bytes.starts_with(WAL_MAGIC_LEGACY) {
+        return Err(StorageError::new(format!(
+            "unsupported legacy WAL format STIRWAL1 at {}: this build reads STIRWAL2 only",
+            path.display()
+        )));
+    }
     if bytes.len() < WAL_HEADER as usize
-        || (&bytes[..8] != WAL_MAGIC && &bytes[..8] != WAL_MAGIC_V1)
+        || &bytes[..8] != WAL_MAGIC
         || bytes[8..16] != fp.to_le_bytes()
     {
         // Foreign or truncated-below-header WAL: start over. (A header
@@ -477,10 +462,8 @@ pub fn replay(path: &Path, fp: u64) -> Result<WalReplay, StorageError> {
         // case nothing was ever acknowledged.)
         return Ok(WalReplay::default());
     }
-    let version: u8 = if &bytes[..8] == WAL_MAGIC { 2 } else { 1 };
     let mut out = WalReplay {
         valid_len: WAL_HEADER,
-        version,
         ..WalReplay::default()
     };
     let mut pos = WAL_HEADER as usize;
@@ -500,7 +483,7 @@ pub fn replay(path: &Path, fp: u64) -> Result<WalReplay, StorageError> {
         // writer meant to append; a decode failure here is a format we
         // do not understand, not damage, and must not be "recovered"
         // from by truncation.
-        let record = WalRecord::decode(payload, version)
+        let record = WalRecord::decode(payload)
             .map_err(|e| StorageError::new(format!("WAL record at offset {pos}: {}", e.msg)))?;
         out.records.push(record);
         pos += 8 + len;
@@ -508,25 +491,6 @@ pub fn replay(path: &Path, fp: u64) -> Result<WalReplay, StorageError> {
     }
     out.torn_bytes = bytes.len() as u64 - out.valid_len;
     Ok(out)
-}
-
-/// Rewrites the WAL at `path` as a fresh version-2 log holding exactly
-/// `records` (atomically: temp file + fsync + rename), returning the new
-/// valid length. Used by recovery to upgrade a version-1 log in place so
-/// appended delete records never share a file with kind-less v1 frames.
-///
-/// # Errors
-///
-/// Propagates I/O errors; on failure the original log is untouched.
-pub fn rewrite(path: &Path, fp: u64, records: &[WalRecord]) -> Result<u64, StorageError> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(WAL_MAGIC);
-    buf.extend_from_slice(&fp.to_le_bytes());
-    for rec in records {
-        buf.extend_from_slice(&WalRecord::encode(rec.kind, &rec.rel, &rec.rows));
-    }
-    publish_atomic(path, WAL_UPGRADE_EXT, "WAL upgrade", &buf, None)?;
-    Ok(buf.len() as u64)
 }
 
 /// Append-path counters, surfaced as `wal.*` metrics.
@@ -1237,7 +1201,6 @@ mod tests {
         drop(w);
 
         let replayed = replay(&path, fp).expect("replays");
-        assert_eq!(replayed.version, 2);
         assert_eq!(
             replayed.records.iter().map(|r| r.kind).collect::<Vec<_>>(),
             vec![
@@ -1250,66 +1213,18 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Encodes a record the way a version-1 writer did: no kind byte.
-    fn encode_v1(rel: &str, rows: &[Vec<Value>]) -> Vec<u8> {
-        let arity = rows.first().map_or(0, Vec::len);
-        let mut payload = Vec::new();
-        put_str(&mut payload, rel);
-        put_u32(&mut payload, rows.len() as u32);
-        put_u32(&mut payload, arity as u32);
-        for row in rows {
-            for v in row {
-                put_value(&mut payload, v);
-            }
-        }
-        let mut framed = Vec::new();
-        put_u32(&mut framed, payload.len() as u32);
-        put_u32(&mut framed, crc32(&payload));
-        framed.extend_from_slice(&payload);
-        framed
-    }
-
-    fn write_v1_log(path: &Path, fp: u64, batches: &[(&str, Vec<Vec<Value>>)]) {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(WAL_MAGIC_V1);
-        bytes.extend_from_slice(&fp.to_le_bytes());
-        for (rel, rows) in batches {
-            bytes.extend_from_slice(&encode_v1(rel, rows));
-        }
-        std::fs::write(path, &bytes).expect("writes v1 log");
-    }
-
     #[test]
-    fn v1_logs_replay_as_inserts_and_rewrite_upgrades_them() {
-        let dir = tmpdir("v1compat");
+    fn legacy_logs_are_refused_by_name_and_left_untouched() {
+        let dir = tmpdir("legacy-refused");
         let path = dir.join("wal.log");
         let fp = fingerprint("prog");
-        write_v1_log(
-            &path,
-            fp,
-            &[("e", rows(&[(1, "a")])), ("f", rows(&[(2, "b")]))],
-        );
-
-        let replayed = replay(&path, fp).expect("replays v1");
-        assert_eq!(replayed.version, 1);
-        assert_eq!(replayed.records.len(), 2);
-        assert!(replayed
-            .records
-            .iter()
-            .all(|r| r.kind == WalRecordKind::Insert));
-
-        // Upgrade in place, then append a delete — one file, one format.
-        let new_len = rewrite(&path, fp, &replayed.records).expect("rewrites");
-        let mut w = WalWriter::open(&path, Durability::Batch, fp, new_len).expect("opens");
-        w.append_delete("e", &rows(&[(1, "a")])).expect("delete");
-        drop(w);
-
-        let replayed = replay(&path, fp).expect("replays v2");
-        assert_eq!(replayed.version, 2);
-        assert_eq!(replayed.records.len(), 3);
-        assert_eq!(replayed.records[0].rel, "e");
-        assert_eq!(replayed.records[0].rows, rows(&[(1, "a")]));
-        assert_eq!(replayed.records[2].kind, WalRecordKind::Delete);
+        let mut bytes = b"STIRWAL1".to_vec();
+        bytes.extend_from_slice(&fp.to_le_bytes());
+        bytes.extend_from_slice(b"kind-less frames nobody decodes any more");
+        std::fs::write(&path, &bytes).expect("writes");
+        let err = replay(&path, fp).expect_err("a v1 log is not a foreign log");
+        assert!(err.msg.contains("legacy WAL format STIRWAL1"), "{err}");
+        assert_eq!(std::fs::read(&path).expect("reads"), bytes);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -299,6 +299,60 @@ impl Relation {
         }
     }
 
+    /// The tuples matching a partially bound pattern, in *source* order:
+    /// `bound[c] = Some(v)` pins source column `c` to `v`, `None` leaves
+    /// it free. The one bound-column lookup of the system: the index whose
+    /// order starts with the longest run of bound columns turns those
+    /// bindings into range bounds (first such index on ties, a full scan
+    /// of the primary when none starts with a bound column); anything not
+    /// covered is post-filtered. Tuples come back in the chosen index's
+    /// order, so callers whose result must not depend on which index
+    /// answered sort them. Nullary relations yield nothing (as with
+    /// [`Relation::scan_source`], callers special-case them).
+    pub fn select<'a>(&'a self, bound: &'a [Option<RamDomain>]) -> Select<'a> {
+        debug_assert_eq!(bound.len(), self.arity, "pattern arity mismatch");
+        if self.arity == 0 {
+            return Select {
+                it: self.scan_source(),
+                decode: None,
+                bound,
+                src: Vec::new(),
+            };
+        }
+        let (mut best, mut prefix) = (0, 0);
+        for (k, idx) in self.indexes.iter().enumerate() {
+            let cols = idx.order().columns();
+            let m = cols.iter().take_while(|&&c| bound[c].is_some()).count();
+            if m > prefix {
+                (best, prefix) = (k, m);
+            }
+        }
+        let idx = &self.indexes[best];
+        let order = idx.order();
+        // The comparator-based legacy index keeps tuples un-permuted: its
+        // range bounds and yielded tuples are in source layout, so bound
+        // values land at their source positions and nothing is decoded.
+        let source_layout = idx.stores_source_order();
+        let it: Box<dyn TupleIter + 'a> = if prefix == 0 {
+            idx.scan()
+        } else {
+            let mut lo = vec![RamDomain::MIN; self.arity];
+            let mut hi = vec![RamDomain::MAX; self.arity];
+            for (pos, &c) in order.columns().iter().enumerate().take(prefix) {
+                let at = if source_layout { c } else { pos };
+                lo[at] = bound[c].expect("prefix columns are bound");
+                hi[at] = lo[at];
+            }
+            idx.range(&lo, &hi)
+        };
+        Select {
+            it,
+            decode: (!source_layout && !order.is_natural()).then_some(order),
+            bound,
+            src: vec![0; self.arity],
+        }
+    }
+
     /// Moves all tuples of `other` into `self` (the RAM `MERGE`).
     ///
     /// # Panics
@@ -363,6 +417,59 @@ impl Relation {
         let mut out = self.scan_source().collect_tuples();
         out.sort();
         out
+    }
+}
+
+/// The cursor [`Relation::select`] returns. As a [`TupleIter`] it yields
+/// the matching source-order tuples; [`Select::advance`] exposes the
+/// underlying one-stored-tuple step to callers that meter the scan itself
+/// (a deadline poll must also fire across long runs of non-matches).
+pub struct Select<'a> {
+    it: Box<dyn TupleIter + 'a>,
+    /// Permutes stored tuples back to source order; `None` when the index
+    /// already yields source layout.
+    decode: Option<&'a Order>,
+    bound: &'a [Option<RamDomain>],
+    src: Vec<RamDomain>,
+}
+
+impl std::fmt::Debug for Select<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Select")
+            .field("bound", &self.bound)
+            .finish()
+    }
+}
+
+impl Select<'_> {
+    /// Steps over one stored tuple: `None` at the end, otherwise whether
+    /// it satisfies every bound column (read it with [`Select::current`]).
+    #[inline]
+    pub fn advance(&mut self) -> Option<bool> {
+        let stored = self.it.next_tuple()?;
+        match self.decode {
+            Some(order) => order.decode(stored, &mut self.src),
+            None => self.src.copy_from_slice(stored),
+        }
+        let hit = |(b, v): (&Option<RamDomain>, &RamDomain)| b.is_none_or(|bits| bits == *v);
+        Some(self.bound.iter().zip(&self.src).all(hit))
+    }
+
+    /// The source-order tuple [`Select::advance`] last stepped over.
+    #[inline]
+    pub fn current(&self) -> &[RamDomain] {
+        &self.src
+    }
+}
+
+impl TupleIter for Select<'_> {
+    fn arity(&self) -> usize {
+        self.src.len()
+    }
+
+    fn next_tuple(&mut self) -> Option<&[RamDomain]> {
+        while !self.advance()? {}
+        Some(&self.src)
     }
 }
 
@@ -436,6 +543,57 @@ mod tests {
         );
         dst.merge_from(&rel);
         assert!(dst.contains(&[1, 9]) && dst.contains(&[2, 8]));
+    }
+
+    #[test]
+    fn select_picks_the_longest_bound_prefix_and_post_filters() {
+        use crate::dynindex::DynBTreeIndex;
+        let legacy: Vec<Box<dyn IndexAdapter>> = vec![
+            Box::new(DynBTreeIndex::new(Order::natural(2))),
+            Box::new(DynBTreeIndex::new(Order::new(vec![1, 0]))),
+        ];
+        let mut eq = Relation::new(
+            "eq",
+            2,
+            vec![IndexSpec::new(Representation::EqRel, Order::natural(2))],
+        );
+        eq.insert(&[1, 2]);
+        for mut rel in [
+            two_index_relation(),
+            heterogeneous_relation(),
+            Relation::from_adapters("legacy", 2, legacy),
+        ] {
+            for t in [[1, 9], [2, 8], [2, 9], [3, 7]] {
+                rel.insert(&t);
+            }
+            let select = |bound: &[Option<RamDomain>]| {
+                let mut rows = rel.select(bound).collect_tuples();
+                rows.sort();
+                rows
+            };
+            assert_eq!(select(&[None, None]).len(), 4, "{}", rel.name());
+            assert_eq!(select(&[Some(2), None]), [[2, 8], [2, 9]]);
+            // Column 1 alone is a prefix of the secondary only.
+            assert_eq!(select(&[None, Some(9)]), [[1, 9], [2, 9]]);
+            assert_eq!(select(&[Some(2), Some(9)]), [[2, 9]]);
+            assert!(select(&[Some(3), Some(9)]).is_empty());
+            // `advance` meters non-matches too: a primary-only relation
+            // would step over all four tuples, the secondary over two.
+            let bound = [None, Some(9)];
+            let mut cursor = rel.select(&bound);
+            let mut steps = 0;
+            while cursor.advance().is_some() {
+                steps += 1;
+            }
+            assert_eq!(steps, 2, "{}: range over the (1, 0) index", rel.name());
+        }
+        let mut pairs = eq.select(&[Some(2), None]).collect_tuples();
+        pairs.sort();
+        assert_eq!(pairs, [[2, 1], [2, 2]], "eqrel closures are selectable");
+        assert!(Relation::new("flag", 0, vec![])
+            .select(&[])
+            .next_tuple()
+            .is_none());
     }
 
     #[test]

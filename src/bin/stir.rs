@@ -28,10 +28,10 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::RwLock;
+use stir::cli::CommonArgs;
 use stir::core::io;
-use stir::core::{Durability, PersistOptions};
+use stir::core::PersistOptions;
 use stir::serve::{handle_request, run_session, RequestCtx, SessionConfig};
-use stir::StorageBackend;
 use stir::{
     profile_json, Engine, InputData, InterpreterConfig, LogLevel, ProfileReport, ResidentEngine,
     Telemetry,
@@ -102,34 +102,18 @@ repl-only durability flags (see DESIGN.md §10):
   -h, --help             print this help and exit
   -V, --version          print the version and exit";
 
-fn usage() -> ! {
-    eprintln!("{HELP}");
-    std::process::exit(2)
-}
-
 fn parse_args() -> Options {
     let mut args = std::env::args().skip(1);
+    let mut common = CommonArgs::new("stir", HELP);
     let mut program = None;
-    let mut fact_dir = None;
     let mut output_dir = None;
-    let mut config = InterpreterConfig::optimized();
     let mut profile = false;
-    let mut profile_json = None;
     let mut trace_folded = None;
-    let mut log_level = LogLevel::Off;
     let mut print_ram = false;
     let mut synthesize = None;
     let mut repl = false;
     let mut explain = false;
     let mut explain_atom = None;
-    let mut provenance = false;
-    let mut jobs = None;
-    let mut storage = None;
-    let mut data_dir = None;
-    let mut persist = PersistOptions {
-        durability: Durability::default_from_env(),
-        snapshot_interval: None,
-    };
     let mut first = true;
     while let Some(arg) = args.next() {
         if std::mem::take(&mut first) {
@@ -149,85 +133,18 @@ fn parse_args() -> Options {
             explain_atom = Some(arg);
             continue;
         }
+        if common.accept(&arg, &mut args) {
+            continue;
+        }
         match arg.as_str() {
-            "-F" | "--fact-dir" => {
-                fact_dir = Some(PathBuf::from(args.next().unwrap_or_else(|| usage())))
-            }
-            "-D" | "--output-dir" => {
-                output_dir = Some(PathBuf::from(args.next().unwrap_or_else(|| usage())))
-            }
-            "--mode" => {
-                config = match args.next().as_deref() {
-                    Some("sti") => InterpreterConfig::optimized(),
-                    Some("dynamic") => InterpreterConfig::dynamic_adapter(),
-                    Some("unopt") => InterpreterConfig::unoptimized(),
-                    Some("legacy") => InterpreterConfig::legacy(),
-                    _ => usage(),
-                }
-            }
-            "-j" | "--jobs" => {
-                jobs = match args.next().as_deref().map(str::parse::<usize>) {
-                    Some(Ok(n)) if n >= 1 => Some(n),
-                    Some(_) => {
-                        eprintln!("stir: --jobs needs a positive integer");
-                        std::process::exit(2)
-                    }
-                    None => usage(),
-                }
-            }
-            "--provenance" => provenance = true,
-            "--storage" => {
-                storage = match args.next().as_deref().map(StorageBackend::parse) {
-                    Some(Some(s)) => Some(s),
-                    Some(None) => {
-                        eprintln!("stir: --storage needs `mem` or `disk`");
-                        std::process::exit(2)
-                    }
-                    None => usage(),
-                }
-            }
-            "--no-super" => config.super_instructions = false,
-            "--no-reorder" => config.static_reordering = false,
-            "--no-outline" => config.outlined_handlers = false,
+            "-D" | "--output-dir" => output_dir = Some(PathBuf::from(common.value(&mut args))),
+            "--no-super" => common.mode.super_instructions = false,
+            "--no-reorder" => common.mode.static_reordering = false,
+            "--no-outline" => common.mode.outlined_handlers = false,
             "--profile" => profile = true,
-            "--profile-json" => {
-                profile_json = Some(PathBuf::from(args.next().unwrap_or_else(|| usage())))
-            }
-            "--trace-folded" => {
-                trace_folded = Some(PathBuf::from(args.next().unwrap_or_else(|| usage())))
-            }
-            "--log" => {
-                log_level = match args.next().as_deref().map(str::parse) {
-                    Some(Ok(level)) => level,
-                    Some(Err(e)) => {
-                        eprintln!("stir: {e}");
-                        std::process::exit(2)
-                    }
-                    None => usage(),
-                }
-            }
-            "--data-dir" => data_dir = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
-            "--durability" => match args.next().as_deref().map(Durability::parse) {
-                Some(Ok(d)) => persist.durability = d,
-                Some(Err(e)) => {
-                    eprintln!("stir: {e}");
-                    std::process::exit(2)
-                }
-                None => usage(),
-            },
-            "--snapshot-interval" => {
-                persist.snapshot_interval = match args.next().as_deref().map(str::parse::<u64>) {
-                    Some(Ok(n)) if n >= 1 => Some(n),
-                    _ => {
-                        eprintln!("stir: --snapshot-interval needs a positive integer");
-                        std::process::exit(2)
-                    }
-                }
-            }
+            "--trace-folded" => trace_folded = Some(PathBuf::from(common.value(&mut args))),
             "--ram" => print_ram = true,
-            "--synthesize" => {
-                synthesize = Some(PathBuf::from(args.next().unwrap_or_else(|| usage())))
-            }
+            "--synthesize" => synthesize = Some(PathBuf::from(common.value(&mut args))),
             "-h" | "--help" => {
                 println!("{HELP}");
                 std::process::exit(0)
@@ -239,48 +156,37 @@ fn parse_args() -> Options {
             other if program.is_none() && !other.starts_with('-') => {
                 program = Some(PathBuf::from(other))
             }
-            _ => usage(),
+            _ => common.usage(),
         }
     }
-    if profile || profile_json.is_some() {
-        config.profile = true;
-    }
-    // `--mode` rebuilds the config, so the worker count and provenance
-    // switch are applied last to make flag order irrelevant. `stir
-    // explain` is pointless without annotations, so it implies them.
-    if let Some(n) = jobs {
-        config.jobs = n;
-    }
-    if let Some(s) = storage {
-        config.storage = s;
-    }
-    if provenance || explain {
-        config.provenance = true;
-    }
+    // `stir explain` is pointless without annotations, so it implies them.
+    common.provenance |= explain;
+    let mut config = common.config();
+    config.profile |= profile;
     if explain && explain_atom.is_none() {
-        eprintln!("stir: explain needs a fact atom, e.g. stir explain prog.dl 'path(1, 3)'");
-        std::process::exit(2)
+        common.fatal("explain needs a fact atom, e.g. stir explain prog.dl 'path(1, 3)'");
     }
+    let log_level = common.log_level.unwrap_or(LogLevel::Off);
     // Folded stacks need statement spans; `info` heartbeats need the
     // instrumented interpreter instantiation, which `trace` selects.
     if trace_folded.is_some() || log_level >= LogLevel::Info {
         config.trace = true;
     }
     Options {
-        program: program.unwrap_or_else(|| usage()),
-        fact_dir,
+        program: program.unwrap_or_else(|| common.usage()),
+        fact_dir: common.fact_dir,
         output_dir,
         config,
         profile,
-        profile_json,
+        profile_json: common.profile_json,
         trace_folded,
         log_level,
         print_ram,
         synthesize,
         repl,
         explain_atom,
-        data_dir,
-        persist,
+        data_dir: common.data_dir,
+        persist: common.persist,
     }
 }
 

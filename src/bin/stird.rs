@@ -68,16 +68,16 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Duration;
 use stir::admin::{self, AdminState};
+use stir::cli::CommonArgs;
 use stir::core::fault::{self, FaultPoint};
 use stir::core::io;
 use stir::core::telemetry::{Logger, ServeMetrics};
-use stir::core::{Durability, HealthState, PersistOptions};
+use stir::core::{HealthState, PersistOptions};
 use stir::serve::{
     handle_request, run_session, Control, RequestCtx, SessionConfig, WriteAdmission,
 };
 use stir::{
-    profile_json, Engine, InputData, InterpreterConfig, LogLevel, ResidentEngine, StorageBackend,
-    Telemetry,
+    profile_json, Engine, InputData, InterpreterConfig, LogLevel, ResidentEngine, Telemetry,
 };
 
 struct Options {
@@ -136,142 +136,63 @@ protocol (one request per line): +rel(1,2). | ?rel(1,_,x) |
 .explain rel(1,2) | .stats | .stats json | .snapshot | .compact |
 .help | .quit (close connection) | .stop (shut down)";
 
-fn usage() -> ! {
-    eprintln!("{HELP}");
-    std::process::exit(2)
-}
-
-fn fatal(msg: &str) -> ! {
-    eprintln!("stird: {msg}");
-    std::process::exit(2)
+/// A flag's value as a positive (fractional) number of seconds.
+fn seconds(
+    common: &CommonArgs,
+    flag: &str,
+    args: &mut dyn Iterator<Item = String>,
+) -> Option<Duration> {
+    match args.next().as_deref().map(str::parse::<f64>) {
+        Some(Ok(s)) if s > 0.0 => Some(Duration::from_secs_f64(s)),
+        _ => common.fatal(&format!("{flag} needs a positive number of seconds")),
+    }
 }
 
 fn parse_args() -> Options {
     let mut args = std::env::args().skip(1);
+    let mut common = CommonArgs::new("stird", HELP);
     let mut program = None;
-    let mut fact_dir = None;
     let mut port = 0u16;
-    let mut config = InterpreterConfig::optimized();
-    let mut profile_json = None;
-    let mut log_level = None;
-    let mut jobs = None;
     let mut admin_addr = None;
     let mut slow_query_ms = None;
     let mut metrics_interval = None;
-    let mut provenance = false;
-    let mut storage = None;
-    let mut data_dir = None;
-    let mut persist = PersistOptions {
-        durability: Durability::default_from_env(),
-        snapshot_interval: None,
-    };
     let mut max_conns = 64usize;
     let mut max_pending_writes = 64usize;
     let mut heal_budget = stir::core::health::DEFAULT_HEAL_BUDGET;
     let mut session = SessionConfig::default();
     while let Some(arg) = args.next() {
+        // `-D` is the data directory here (the output directory on `stir`).
+        let flag = if arg == "-D" { "--data-dir" } else { &arg };
+        if common.accept(flag, &mut args) {
+            continue;
+        }
         match arg.as_str() {
-            "-F" | "--fact-dir" => {
-                fact_dir = Some(PathBuf::from(args.next().unwrap_or_else(|| usage())))
-            }
             "--port" => {
                 port = match args.next().map(|p| p.parse()) {
                     Some(Ok(p)) => p,
-                    _ => usage(),
+                    _ => common.usage(),
                 }
             }
-            "--mode" => {
-                config = match args.next().as_deref() {
-                    Some("sti") => InterpreterConfig::optimized(),
-                    Some("dynamic") => InterpreterConfig::dynamic_adapter(),
-                    Some("unopt") => InterpreterConfig::unoptimized(),
-                    Some("legacy") => InterpreterConfig::legacy(),
-                    _ => usage(),
-                }
-            }
-            "-j" | "--jobs" => {
-                jobs = match args.next().as_deref().map(str::parse::<usize>) {
-                    Some(Ok(n)) if n >= 1 => Some(n),
-                    Some(_) => fatal("--jobs needs a positive integer"),
-                    None => usage(),
-                }
-            }
-            "--provenance" => provenance = true,
-            "--storage" => {
-                storage = match args.next().as_deref().map(StorageBackend::parse) {
-                    Some(Some(s)) => Some(s),
-                    Some(None) => fatal("--storage needs `mem` or `disk`"),
-                    None => usage(),
-                }
-            }
-            "-D" | "--data-dir" => {
-                data_dir = Some(PathBuf::from(args.next().unwrap_or_else(|| usage())))
-            }
-            "--durability" => match args.next().as_deref().map(Durability::parse) {
-                Some(Ok(d)) => persist.durability = d,
-                Some(Err(e)) => fatal(&e),
-                None => usage(),
-            },
-            "--snapshot-interval" => {
-                persist.snapshot_interval = match args.next().as_deref().map(str::parse::<u64>) {
-                    Some(Ok(n)) if n >= 1 => Some(n),
-                    _ => fatal("--snapshot-interval needs a positive integer"),
-                }
-            }
-            "--max-conns" => {
-                max_conns = match args.next().as_deref().map(str::parse::<usize>) {
-                    Some(Ok(n)) if n >= 1 => n,
-                    _ => fatal("--max-conns needs a positive integer"),
-                }
-            }
+            "--max-conns" => max_conns = common.positive("--max-conns", &mut args),
             "--max-pending-writes" => {
-                max_pending_writes = match args.next().as_deref().map(str::parse::<usize>) {
-                    Some(Ok(n)) if n >= 1 => n,
-                    _ => fatal("--max-pending-writes needs a positive integer"),
-                }
+                max_pending_writes = common.positive("--max-pending-writes", &mut args)
             }
-            "--heal-budget" => {
-                heal_budget = match args.next().as_deref().map(str::parse::<u32>) {
-                    Some(Ok(n)) if n >= 1 => n,
-                    _ => fatal("--heal-budget needs a positive integer"),
-                }
-            }
+            "--heal-budget" => heal_budget = common.positive("--heal-budget", &mut args),
             "--request-timeout" => {
-                session.request_timeout = match args.next().as_deref().map(str::parse::<f64>) {
-                    Some(Ok(s)) if s > 0.0 => Some(Duration::from_secs_f64(s)),
-                    _ => fatal("--request-timeout needs a positive number of seconds"),
-                }
+                session.request_timeout = seconds(&common, "--request-timeout", &mut args)
             }
             "--max-line-bytes" => {
-                session.max_line_bytes = match args.next().as_deref().map(str::parse::<usize>) {
-                    Some(Ok(n)) if n >= 1 => n,
-                    _ => fatal("--max-line-bytes needs a positive integer"),
-                }
+                session.max_line_bytes = common.positive("--max-line-bytes", &mut args)
             }
-            "--profile-json" => {
-                profile_json = Some(PathBuf::from(args.next().unwrap_or_else(|| usage())))
-            }
-            "--admin-addr" => {
-                admin_addr = Some(args.next().unwrap_or_else(|| usage()));
-            }
+            "--admin-addr" => admin_addr = Some(common.value(&mut args)),
             "--slow-query-ms" => {
                 slow_query_ms = match args.next().as_deref().map(str::parse::<u64>) {
                     Some(Ok(n)) => Some(n),
-                    _ => fatal("--slow-query-ms needs a non-negative integer"),
+                    _ => common.fatal("--slow-query-ms needs a non-negative integer"),
                 }
             }
             "--metrics-interval" => {
-                metrics_interval = match args.next().as_deref().map(str::parse::<f64>) {
-                    Some(Ok(s)) if s > 0.0 => Some(Duration::from_secs_f64(s)),
-                    _ => fatal("--metrics-interval needs a positive number of seconds"),
-                }
-            }
-            "--log" => {
-                log_level = match args.next().as_deref().map(str::parse::<LogLevel>) {
-                    Some(Ok(level)) => Some(level),
-                    Some(Err(e)) => fatal(&e.to_string()),
-                    None => usage(),
-                }
+                metrics_interval = seconds(&common, "--metrics-interval", &mut args)
             }
             "-h" | "--help" => {
                 println!("{HELP}");
@@ -280,30 +201,18 @@ fn parse_args() -> Options {
             other if program.is_none() && !other.starts_with('-') => {
                 program = Some(PathBuf::from(other))
             }
-            _ => usage(),
+            _ => common.usage(),
         }
     }
-    if profile_json.is_some() {
-        config.profile = true;
-    }
-    // `--mode` rebuilds the config, so the worker count and provenance
-    // switch are applied last to make flag order irrelevant.
-    if let Some(n) = jobs {
-        config.jobs = n;
-    }
-    if let Some(s) = storage {
-        config.storage = s;
-    }
-    config.provenance = provenance;
     Options {
-        program: program.unwrap_or_else(|| usage()),
-        fact_dir,
+        program: program.unwrap_or_else(|| common.usage()),
+        config: common.config(),
+        fact_dir: common.fact_dir,
         port,
-        config,
-        profile_json,
-        log_level,
-        data_dir,
-        persist,
+        profile_json: common.profile_json,
+        log_level: common.log_level,
+        data_dir: common.data_dir,
+        persist: common.persist,
         max_conns,
         max_pending_writes,
         heal_budget,

@@ -41,6 +41,7 @@
 #![warn(missing_docs)]
 
 pub mod admin;
+pub mod cli;
 pub mod serve;
 
 pub use stir_core as core;

@@ -107,6 +107,84 @@ fn jobs_flag_rejects_non_positive_values() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage: stir"));
 }
 
+/// The ten flags `stir` and `stird` share are parsed by one function
+/// (`stir::cli`): the same bad value draws the same complaint from both,
+/// prefixed with the binary's own name, and a flag missing its value
+/// draws the binary's own usage text. Either way nothing else is on
+/// stderr and the exit code is 2.
+#[test]
+fn shared_flags_reject_the_same_values_in_both_binaries() {
+    let dir = setup("shared-flags");
+    const POSITIVE: &str = "needs a positive integer";
+    // (arguments after the program, the complaint; None = usage text)
+    let table: &[(&[&str], Option<String>)] = &[
+        (&["-F"], None),
+        (&["--fact-dir"], None),
+        (&["--mode"], None),
+        (&["--mode", "turbo"], None),
+        (&["-j"], None),
+        (&["--jobs"], None),
+        (&["-j", "0"], Some(format!("--jobs {POSITIVE}"))),
+        (&["--jobs", "abc"], Some(format!("--jobs {POSITIVE}"))),
+        (&["--jobs", "-2"], Some(format!("--jobs {POSITIVE}"))),
+        (&["--storage"], None),
+        (
+            &["--storage", "tape"],
+            Some("--storage needs `mem` or `disk`".into()),
+        ),
+        (&["--data-dir"], None),
+        (&["--durability"], None),
+        (
+            &["--durability", "maybe"],
+            Some("invalid durability `maybe` (expected none, batch, or always)".into()),
+        ),
+        (
+            &["--snapshot-interval"],
+            Some(format!("--snapshot-interval {POSITIVE}")),
+        ),
+        (
+            &["--snapshot-interval", "0"],
+            Some(format!("--snapshot-interval {POSITIVE}")),
+        ),
+        (
+            &["--snapshot-interval", "x"],
+            Some(format!("--snapshot-interval {POSITIVE}")),
+        ),
+        (&["--profile-json"], None),
+        (&["--log"], None),
+        (
+            &["--log", "loud"],
+            Some("unknown log level `loud` (use off|error|warn|info|debug)".into()),
+        ),
+        (&["--no-such-flag"], None),
+    ];
+    let binaries = [
+        ("stir", env!("CARGO_BIN_EXE_stir")),
+        ("stird", env!("CARGO_BIN_EXE_stird")),
+    ];
+    for (name, path) in binaries {
+        let help = Command::new(path).arg("--help").output().expect("runs");
+        assert!(help.status.success(), "{name} --help");
+        let usage = String::from_utf8_lossy(&help.stdout).into_owned();
+        assert!(usage.starts_with(&format!("usage: {name} ")), "{usage}");
+        for (args, complaint) in table {
+            let out = Command::new(path)
+                .arg(dir.join("tc.dl"))
+                .args(*args)
+                .output()
+                .expect("runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{name} {args:?}: {stderr}");
+            assert!(out.stdout.is_empty(), "{name} {args:?}");
+            let want = match complaint {
+                Some(msg) => format!("{name}: {msg}\n"),
+                None => usage.clone(),
+            };
+            assert_eq!(stderr, want, "{name} {args:?}");
+        }
+    }
+}
+
 #[test]
 fn jobs_flag_preserves_outputs_in_every_mode() {
     let dir = setup("jobs");

@@ -257,6 +257,41 @@ fn every_explain_tree_passes_the_independent_checker() {
     assert!(trees > 500, "checker degenerated: only {trees} nodes seen");
 }
 
+/// Proofs must not stop working at toy sizes. On a 100-node chain `p`
+/// holds 4 950 tuples; a matcher that enumerates `p` and `e` whole
+/// instead of looking up the columns the head pins burns the default
+/// 100 000-candidate budget on non-matching tuples and answers
+/// `p(70, 100) … (opaque)`. The shared re-matcher is head-driven and
+/// index-backed, so the full 60-node proof (30 `p` steps, 30 `e` leaves)
+/// comes back in every mode and passes the independent checker.
+#[test]
+fn long_chain_proofs_are_complete_within_the_default_budget() {
+    let shape = &SHAPES[0];
+    let mut inputs = InputData::new();
+    let chain = (1..100).map(|i| vec![Value::Number(i), Value::Number(i + 1)]);
+    inputs.insert("e".into(), chain.collect());
+    for (mode, config) in modes() {
+        for jobs in [1usize, 4] {
+            let ctx = format!("chain mode {mode} jobs {jobs}");
+            let config = config.with_jobs(jobs).with_provenance();
+            let engine = ResidentEngine::from_source(shape.src, config, &inputs, None)
+                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            assert_eq!(engine.outputs()["p"].len(), 4950, "{ctx}");
+            let row = [Value::Number(70), Value::Number(100)];
+            let node = engine
+                .explain("p", &row, ExplainLimits::default(), None)
+                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            let rendered = engine.render_proof(&node);
+            assert!(
+                !rendered.contains("(opaque)") && !rendered.contains("(depth limit)"),
+                "{ctx}: incomplete proof\n{rendered}"
+            );
+            assert_eq!(node.height, 30, "{ctx}");
+            assert_eq!(check_tree(&engine, shape, &node, &ctx), 60, "{ctx}");
+        }
+    }
+}
+
 /// With provenance off, evaluation must be indistinguishable from a
 /// build without the subsystem: same derived database, same profile
 /// counts, and no provenance-flavoured keys in the machine-readable
