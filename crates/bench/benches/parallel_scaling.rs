@@ -7,10 +7,10 @@
 //!
 //! The `jobs = 1` column runs the unchanged sequential path (the
 //! parallel driver is bypassed entirely), so the 1-vs-N delta is exactly
-//! the cost/benefit of partitioned scans + per-worker insert sinks. On a
-//! single-core host the speedup column degenerates into a measurement of
-//! parallel overhead — the harness prints the core count it saw so the
-//! committed numbers can be read in context.
+//! the cost/benefit of partitioned scans + per-worker insert sinks. A
+//! jobs column above the host's core count degenerates into a
+//! measurement of parallel overhead — the harness prints the core count
+//! it saw so the committed numbers can be read in context.
 
 use stir_bench::{fmt_dur, fmt_ratio, interp_times_interleaved, print_table, reps, scale};
 use stir_core::{Engine, InputData, InterpreterConfig, Value};
@@ -95,8 +95,8 @@ fn main() {
     );
     if cores < 4 {
         println!(
-            "\nnote: only {cores} core(s) available — speedup columns measure \
-             partition/merge overhead, not parallel gain"
+            "\nnote: only {cores} core(s) available — a jobs column above {cores} \
+             time-slices them: it measures partition/merge overhead, not parallel gain"
         );
     }
 }

@@ -62,12 +62,13 @@ pub struct InterpreterConfig {
     /// keeps evaluation on the calling thread, bit-for-bit identical to
     /// the sequential interpreter.
     pub jobs: usize,
-    /// Target tuples per morsel for work-stealing parallel scans. Scans
-    /// over indexes no larger than this run sequentially (a single morsel
-    /// is not worth a thread fan-out); larger scans are split into
-    /// roughly `len / morsel_size` disjoint chunks that workers claim and
-    /// steal until drained. Has no effect when `jobs == 1`. Results and
-    /// profiles are invariant under this knob — only scheduling changes.
+    /// Target tuples per morsel for work-stealing parallel scans. A rule
+    /// whose first scan ranges over no more than this runs sequentially
+    /// (a single morsel is not worth a thread fan-out); a larger range is
+    /// split into roughly `len / morsel_size` disjoint chunks that workers
+    /// claim and steal until drained. Has no effect when `jobs == 1`.
+    /// Results and profiles are invariant under this knob — only
+    /// scheduling changes.
     pub morsel_size: usize,
     /// Storage backend for standard relations: `Mem` keeps every index
     /// fully in RAM (the classic configuration); `Disk` installs

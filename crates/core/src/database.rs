@@ -214,6 +214,13 @@ impl Database {
         unpoison(self.relations[id.0].read())
     }
 
+    /// Shared access to every relation at once, indexed by relation id:
+    /// the frozen view a parallel fan-out hands its workers. The caller
+    /// drops the guards before anything takes [`wr`](Self::wr).
+    pub fn freeze(&self) -> Vec<RwLockReadGuard<'_, Relation>> {
+        self.relations.iter().map(|r| unpoison(r.read())).collect()
+    }
+
     /// Exclusive (write) access to relation `id`.
     pub fn wr(&self, id: RelId) -> RwLockWriteGuard<'_, Relation> {
         unpoison(self.relations[id.0].write())

@@ -233,6 +233,7 @@ pub(crate) fn publish_parallel_metrics(
     metrics.set("parallel.small_scans", par.small_scans);
     metrics.set("parallel.morsels", par.morsels());
     metrics.set("parallel.steals", par.steals());
+    metrics.set("parallel.merge_us", par.merge_us);
     for (w, stats) in par.workers.iter().enumerate() {
         metrics.set(&format!("parallel.worker.{w}.tuples"), stats.tuples);
         if stats.work > 0 {

@@ -27,9 +27,12 @@ use crate::profile::{ProfileReport, ProfileState};
 use crate::sink::InsertSink;
 use crate::static_set::{StaticAdapter, StaticSet};
 use crate::telemetry::{LogLevel, Telemetry};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::sync::RwLockReadGuard;
+use std::time::Instant;
 use stir_der::adapter::EqRelIndex;
 use stir_der::iter::{BufferedTupleIter, TupleIter};
+use stir_der::relation::Relation;
 use stir_der::tuple::MAX_ARITY;
 use stir_ram::program::{RamProgram, RelId, ReprKind};
 use stir_ram::stmt::AggFunc;
@@ -303,11 +306,10 @@ fn insert_one<const N: usize, A: StaticAdapter<N>>(adapter: &mut A, tuple: &[u32
     adapter.insert_encoded(enc)
 }
 
-/// The immutable shared view of an evaluation: everything worker threads
-/// of a parallel scan may read concurrently. The program and interpreter
-/// tree are plain data, the database is `Sync` (relations and symbols sit
-/// behind `RwLock`s), and the configuration is `Copy` — so the view itself
-/// is `Copy` and crosses thread boundaries freely.
+/// The immutable shared view of an evaluation: the program and
+/// interpreter tree are plain data, the database is `Sync`, and the
+/// configuration is `Copy` — so the view itself is `Copy` and crosses
+/// thread boundaries freely.
 #[derive(Debug, Clone, Copy)]
 struct EvalCx<'p, 'd> {
     ram: &'p RamProgram,
@@ -315,21 +317,58 @@ struct EvalCx<'p, 'd> {
     config: InterpreterConfig,
 }
 
+/// A relation as an evaluation frame reaches it. The coordinator locks
+/// per access, because it interleaves reads with its own inserts; a
+/// worker borrows from the view the coordinator froze for the fan-out
+/// and synchronises on nothing.
+enum RelRef<'a> {
+    Locked(RwLockReadGuard<'a, Relation>),
+    Frozen(&'a Relation),
+}
+
+impl std::ops::Deref for RelRef<'_> {
+    type Target = Relation;
+
+    #[inline(always)]
+    fn deref(&self) -> &Relation {
+        match self {
+            RelRef::Locked(guard) => guard,
+            RelRef::Frozen(rel) => rel,
+        }
+    }
+}
+
+/// What makes a frame a worker of a fan-out: the frozen database it
+/// reads and the sink its projections go to (see [`InsertSink`]).
+#[derive(Debug)]
+struct WorkerFrame<'d> {
+    /// Every relation of the database by id, borrowed from read guards
+    /// the coordinator holds from the fork to the join. Nothing is
+    /// written in between, so plain borrows replace per-probe locking.
+    view: &'d [&'d Relation],
+    sink: RefCell<InsertSink>,
+}
+
 /// The tree interpreter: the shared evaluation view plus one frame of
-/// mutable per-thread state (profiling counters, the optional insert
-/// sink). The coordinator's instance drives statements; parallel scans
-/// spawn additional worker instances over the same [`EvalCx`].
+/// mutable per-thread state (profiling counters, the fan-out gate or the
+/// worker's view and sink). The coordinator's instance drives
+/// statements; a fan-out spawns worker instances over the same
+/// [`EvalCx`].
 #[derive(Debug)]
 pub struct Interpreter<'p, 'd> {
     cx: EvalCx<'p, 'd>,
     prof: Option<ProfileState>,
     tel: Option<&'d Telemetry>,
-    /// `Some` on worker instances: projections are buffered here instead
-    /// of written to the database (see [`InsertSink`]).
-    sink: Option<RefCell<InsertSink>>,
-    /// Coordinator-side accumulator of parallel-scan scheduling
-    /// statistics (morsels claimed, stolen, per-worker tuples). Worker
-    /// frames never touch it — they cannot fan out.
+    /// `Some` on worker instances.
+    worker: Option<WorkerFrame<'d>>,
+    /// Open from the start of a query until its first marked scan has
+    /// decided whether the rule fans out: once per rule evaluation. Never
+    /// opens at `jobs == 1` nor on a worker (statements run on the
+    /// coordinator only).
+    gate: Cell<bool>,
+    /// Coordinator-side accumulator of fan-out scheduling statistics
+    /// (morsels claimed, stolen, per-worker tuples). Worker frames never
+    /// touch it — they cannot fan out.
     par: RefCell<ParallelReport>,
 }
 
@@ -340,26 +379,35 @@ impl<'p, 'd> Interpreter<'p, 'd> {
             cx: EvalCx { ram, db, config },
             prof: None,
             tel: None,
-            sink: None,
+            worker: None,
+            gate: Cell::new(false),
             par: RefCell::new(ParallelReport::default()),
         }
     }
 
-    /// Creates a worker frame over the shared view: a private profile
-    /// state (so the `Cell`-based counters never cross threads) and a
-    /// fresh insert sink. Workers only evaluate operations — statements,
-    /// spans, and frontier samples stay on the coordinator — so no
-    /// telemetry is attached.
-    fn worker(cx: EvalCx<'p, 'd>, with_prof: bool) -> Self {
+    /// Creates a worker frame over the shared view and a frozen
+    /// database: a private profile state (so the `Cell`-based counters
+    /// never cross threads) and a fresh insert sink. Workers only
+    /// evaluate operations — statements, spans, and frontier samples
+    /// stay on the coordinator — so no telemetry is attached.
+    fn worker(cx: EvalCx<'p, 'd>, view: &'d [&'d Relation], with_prof: bool) -> Self {
         Interpreter {
-            cx,
             prof: with_prof.then(|| ProfileState::new(&[], cx.ram.relations.len())),
-            tel: None,
-            sink: Some(RefCell::new(InsertSink::new_with(
-                cx.ram,
-                cx.db.provenance(),
-            ))),
-            par: RefCell::new(ParallelReport::default()),
+            worker: Some(WorkerFrame {
+                view,
+                sink: RefCell::new(InsertSink::new_with(cx.ram, cx.db.provenance())),
+            }),
+            ..Interpreter::new(cx.ram, cx.db, cx.config)
+        }
+    }
+
+    /// Read access to relation `id`: through the frozen view on a worker
+    /// frame, through the relation's lock on the coordinator.
+    #[inline(always)]
+    fn rel(&self, id: RelId) -> RelRef<'d> {
+        match &self.worker {
+            Some(w) => RelRef::Frozen(w.view[id.0]),
+            None => RelRef::Locked(self.cx.db.rd(id)),
         }
     }
 
@@ -555,6 +603,7 @@ impl<'p, 'd> Interpreter<'p, 'd> {
                         .epoch
                         .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 }
+                self.gate.set(self.cx.config.jobs > 1);
                 let mut regs = vec![0u32; *arena_size];
                 if let Some(p) = &self.prof {
                     let started = p.begin_query();
@@ -615,15 +664,14 @@ impl<'p, 'd> Interpreter<'p, 'd> {
                 body,
             } => {
                 self.tick_prof::<PROF>(|p| p.count_scan(rel.0));
-                if self.go_parallel(*parallel, dst) {
-                    return self.parallel_scan::<OUT, PROF>(
-                        *rel, *index, dst, copy, false, None, body, regs,
-                    );
-                }
                 if OUT {
-                    outline(|| self.scan_static::<OUT, PROF>(*rel, *index, dst, copy, body, regs))
+                    outline(|| {
+                        self.scan_static::<OUT, PROF>(
+                            *rel, *index, dst, copy, *parallel, body, regs,
+                        )
+                    })
                 } else {
-                    self.scan_static::<OUT, PROF>(*rel, *index, dst, copy, body, regs)
+                    self.scan_static::<OUT, PROF>(*rel, *index, dst, copy, *parallel, body, regs)
                 }
             }
             INode::ScanDynamic {
@@ -636,19 +684,16 @@ impl<'p, 'd> Interpreter<'p, 'd> {
                 body,
             } => {
                 self.tick_prof::<PROF>(|p| p.count_scan(rel.0));
-                if self.go_parallel(*parallel, dst) {
-                    return self.parallel_scan::<OUT, PROF>(
-                        *rel, *index, dst, copy, *buffered, None, body, regs,
-                    );
-                }
                 if OUT {
                     outline(|| {
                         self.scan_dynamic::<OUT, PROF>(
-                            *rel, *index, dst, copy, *buffered, body, regs,
+                            *rel, *index, dst, copy, *buffered, *parallel, body, regs,
                         )
                     })
                 } else {
-                    self.scan_dynamic::<OUT, PROF>(*rel, *index, dst, copy, *buffered, body, regs)
+                    self.scan_dynamic::<OUT, PROF>(
+                        *rel, *index, dst, copy, *buffered, *parallel, body, regs,
+                    )
                 }
             }
             INode::IndexScanStatic {
@@ -661,26 +706,16 @@ impl<'p, 'd> Interpreter<'p, 'd> {
                 body,
             } => {
                 self.tick_prof::<PROF>(|p| p.count_range(rel.0));
-                if self.go_parallel(*parallel, dst) {
-                    return self.parallel_scan::<OUT, PROF>(
-                        *rel,
-                        *index,
-                        dst,
-                        copy,
-                        false,
-                        Some(bounds),
-                        body,
-                        regs,
-                    );
-                }
                 if OUT {
                     outline(|| {
                         self.index_scan_static::<OUT, PROF>(
-                            *rel, *index, dst, copy, bounds, body, regs,
+                            *rel, *index, dst, copy, bounds, *parallel, body, regs,
                         )
                     })
                 } else {
-                    self.index_scan_static::<OUT, PROF>(*rel, *index, dst, copy, bounds, body, regs)
+                    self.index_scan_static::<OUT, PROF>(
+                        *rel, *index, dst, copy, bounds, *parallel, body, regs,
+                    )
                 }
             }
             INode::IndexScanDynamic {
@@ -694,27 +729,15 @@ impl<'p, 'd> Interpreter<'p, 'd> {
                 body,
             } => {
                 self.tick_prof::<PROF>(|p| p.count_range(rel.0));
-                if self.go_parallel(*parallel, dst) {
-                    return self.parallel_scan::<OUT, PROF>(
-                        *rel,
-                        *index,
-                        dst,
-                        copy,
-                        *buffered,
-                        Some(bounds),
-                        body,
-                        regs,
-                    );
-                }
                 if OUT {
                     outline(|| {
                         self.index_scan_dynamic::<OUT, PROF>(
-                            *rel, *index, dst, copy, *buffered, bounds, body, regs,
+                            *rel, *index, dst, copy, *buffered, bounds, *parallel, body, regs,
                         )
                     })
                 } else {
                     self.index_scan_dynamic::<OUT, PROF>(
-                        *rel, *index, dst, copy, *buffered, bounds, body, regs,
+                        *rel, *index, dst, copy, *buffered, bounds, *parallel, body, regs,
                     )
                 }
             }
@@ -800,6 +823,7 @@ impl<'p, 'd> Interpreter<'p, 'd> {
 
     // ---- scan handlers --------------------------------------------------
 
+    #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn scan_static<const OUT: bool, const PROF: bool>(
         &self,
@@ -807,11 +831,18 @@ impl<'p, 'd> Interpreter<'p, 'd> {
         index: usize,
         dst: &Slot,
         copy: &CopySpec,
+        parallel: bool,
         body: &INode<'p>,
         regs: &mut [u32],
     ) -> Result<(), EvalError> {
+        if parallel
+            && self.gate.get()
+            && self.fan_out::<OUT, PROF>(rel, index, dst, copy, None, body, regs)?
+        {
+            return Ok(());
+        }
         let meta = &self.cx.ram.relations[rel.0];
-        let r = self.cx.db.rd(rel);
+        let r = self.rel(rel);
         if meta.repr == ReprKind::EqRel {
             let eq = r
                 .index(index)
@@ -888,14 +919,25 @@ impl<'p, 'd> Interpreter<'p, 'd> {
         dst: &Slot,
         copy: &CopySpec,
         bounds: &Bounds<'p>,
+        parallel: bool,
         body: &INode<'p>,
         regs: &mut [u32],
     ) -> Result<(), EvalError> {
         let mut lo = [0u32; MAX_ARITY];
         let mut hi = [u32::MAX; MAX_ARITY];
         self.fill_bounds::<OUT, PROF>(bounds, regs, &mut lo, &mut hi)?;
+        if parallel && self.gate.get() {
+            // Copies for the out-of-line call: were `lo`/`hi` themselves to
+            // escape, every index scan would keep them in memory (+4 % on
+            // the sequential join path).
+            let (lo, hi) = (lo, hi);
+            let range = Some((&lo[..bounds.arity], &hi[..bounds.arity]));
+            if self.fan_out::<OUT, PROF>(rel, index, dst, copy, range, body, regs)? {
+                return Ok(());
+            }
+        }
         let meta = &self.cx.ram.relations[rel.0];
-        let r = self.cx.db.rd(rel);
+        let r = self.rel(rel);
         if meta.repr == ReprKind::EqRel {
             let eq = r
                 .index(index)
@@ -965,10 +1007,17 @@ impl<'p, 'd> Interpreter<'p, 'd> {
         dst: &Slot,
         copy: &CopySpec,
         buffered: bool,
+        parallel: bool,
         body: &INode<'p>,
         regs: &mut [u32],
     ) -> Result<(), EvalError> {
-        let r = self.cx.db.rd(rel);
+        if parallel
+            && self.gate.get()
+            && self.fan_out::<OUT, PROF>(rel, index, dst, copy, None, body, regs)?
+        {
+            return Ok(());
+        }
+        let r = self.rel(rel);
         let mut it: Box<dyn TupleIter + '_> = if buffered {
             Box::new(BufferedTupleIter::new(r.index(index).scan()))
         } else {
@@ -998,67 +1047,76 @@ impl<'p, 'd> Interpreter<'p, 'd> {
         Ok(())
     }
 
-    /// Whether a scan marked `parallel` should actually fan out: only with
-    /// more than one configured job, never from inside a worker (every
-    /// scan level carries the mark, so the outermost one that fans out
-    /// claims the whole subtree), and never for nullary relations (there
-    /// is nothing to chunk).
-    #[inline]
-    fn go_parallel(&self, parallel: bool, dst: &Slot) -> bool {
-        parallel && self.cx.config.jobs > 1 && self.sink.is_none() && dst.arity > 0
-    }
-
-    /// Evaluates a scan marked parallel by splitting its source index
-    /// into morsels drained by the configured number of worker threads
-    /// from a shared work-stealing [`MorselQueue`].
+    /// The fan-out decision of a rule evaluation, taken by the query's
+    /// first marked scan (the gate is open) over the range `range` of
+    /// `rel`'s index — the whole index when `None`. Returns `false` when
+    /// the rule stays on the coordinator: the caller then runs the very
+    /// loop `--jobs 1` runs, and so does every level below it, because
+    /// the gate is closed either way. A range of at most one morsel is
+    /// not worth a fan-out; the size test is bounded by the morsel size,
+    /// not by the relation.
     ///
-    /// The coordinator resolves the search bounds once, takes a read guard
-    /// on the scanned relation, and asks the index for many small disjoint
-    /// chunks via [`stir_der::IndexAdapter::morsels`] (structural B-tree /
-    /// brie splits, or a size-bounded stream for representations that
-    /// cannot chunk). An index no larger than one morsel is not worth a
-    /// fan-out and runs the ordinary sequential loop on the coordinator
-    /// instead — identical profile counts by construction.
+    /// Fanning out, the coordinator *freezes* the database: it takes a
+    /// read guard on every relation and hands the workers plain borrows.
+    /// Between the fork and the join nothing is written — every
+    /// projection goes to a per-worker [`InsertSink`] — so a worker's
+    /// scans and probes synchronise on nothing, like synthesized code.
+    /// The index range is split into morsels (structural B-tree / brie
+    /// chunks, or a size-bounded stream for representations that cannot
+    /// chunk) that the configured number of workers drain from a
+    /// work-stealing [`MorselQueue`]. Each worker owns a fresh frame — a
+    /// cloned register arena, a private profile state, a sink — and
+    /// pulls tuple *batches*: one virtual `fill` per batch, then the rule
+    /// body unchanged, ticking the same per-tuple counters as the
+    /// sequential path.
     ///
-    /// Each worker owns a fresh frame — a cloned register arena, a private
-    /// profile state, and an [`InsertSink`] absorbing every projection —
-    /// and pulls tuple *batches* off the queue: one virtual `fill` per
-    /// batch replaces per-tuple virtual dispatch, and the batch loop runs
-    /// the rule body unchanged (including statically dispatched inner
-    /// scans and probes), ticking the same per-tuple counters as the
-    /// sequential path. After the join the coordinator folds worker
-    /// counters and scheduling stats into the main profile and merges the
-    /// sinks into the real relations, counting fresh inserts exactly as
-    /// sequential evaluation would.
-    ///
-    /// Semi-naive translation guarantees a query never reads the relation
-    /// it projects into, so deferring inserts to the end of the scan is
-    /// invisible to the rule itself, and deduplicating at merge time makes
-    /// results and profiles independent of the job count, the morsel
-    /// size, and the steal schedule. If a worker fails it poisons the
-    /// queue so the others stop early; the first error in worker-id order
-    /// wins and no partial results are merged.
+    /// The guards are dropped at the join, before the merge takes write
+    /// locks. The coordinator then folds worker counters and scheduling
+    /// stats into the main profile and merges the sinks into the real
+    /// relations in worker-id order, counting fresh inserts exactly as
+    /// sequential evaluation would. Semi-naive translation guarantees a
+    /// query never reads the relation it projects into, so deferring
+    /// inserts is invisible to the rule itself, and deduplicating at
+    /// merge time makes results and profiles independent of the job
+    /// count, the morsel size, and the steal schedule. If a worker fails
+    /// it poisons the queue so the others stop early; the first error in
+    /// worker-id order wins and no partial results are merged.
     #[allow(clippy::too_many_arguments)]
-    fn parallel_scan<const OUT: bool, const PROF: bool>(
+    #[cold]
+    #[inline(never)]
+    fn fan_out<const OUT: bool, const PROF: bool>(
         &self,
         rel: RelId,
         index: usize,
         dst: &Slot,
         copy: &CopySpec,
-        buffered: bool,
-        bounds: Option<&Bounds<'p>>,
+        range: Option<(&[u32], &[u32])>,
         body: &INode<'p>,
-        regs: &mut [u32],
-    ) -> Result<(), EvalError> {
-        let mut lo = [0u32; MAX_ARITY];
-        let mut hi = [u32::MAX; MAX_ARITY];
-        if let Some(b) = bounds {
-            self.fill_bounds::<OUT, PROF>(b, regs, &mut lo, &mut hi)?;
-        }
+        regs: &[u32],
+    ) -> Result<bool, EvalError> {
+        debug_assert!(dst.arity > 0, "nullary atoms translate to filters");
+        self.gate.set(false);
         let cx = self.cx;
         let with_prof = self.prof.is_some();
         let jobs = cx.config.jobs;
         let target = cx.config.morsel_size.max(1);
+        let big = {
+            let r = cx.db.rd(rel);
+            let idx = r.index(index);
+            idx.len() > target
+                && range.is_none_or(|(lo, hi)| {
+                    let mut it = idx.range(lo, hi);
+                    let mut n = 0;
+                    while n <= target && it.next_tuple().is_some() {
+                        n += 1;
+                    }
+                    n > target
+                })
+        };
+        if !big {
+            self.par.borrow_mut().small_scans += 1;
+            return Ok(false);
+        }
         type Outcome = (
             Option<ProfileState>,
             InsertSink,
@@ -1066,46 +1124,30 @@ impl<'p, 'd> Interpreter<'p, 'd> {
             Option<EvalError>,
         );
         let outcomes: Vec<Outcome> = {
-            let r = cx.db.rd(rel);
-            let idx = r.index(index);
-            if idx.len() <= target {
-                // A single morsel: fan-out overhead would dominate. The
-                // `buffered` flag still applies — this is the ordinary
-                // dynamic loop, just reached through the parallel gate.
-                self.par.borrow_mut().small_scans += 1;
-                let inner = match bounds {
-                    Some(b) => idx.range(&lo[..b.arity], &hi[..b.arity]),
-                    None => idx.scan(),
-                };
-                let mut it: Box<dyn TupleIter + '_> = if buffered {
-                    Box::new(BufferedTupleIter::new(inner))
-                } else {
-                    inner
-                };
-                return self.drive_dynamic::<OUT, PROF>(&mut *it, dst, copy, body, regs);
-            }
-            let morsels = match bounds {
-                Some(b) => idx.morsels_range(&lo[..b.arity], &hi[..b.arity], target),
+            let guards = cx.db.freeze();
+            let view: Vec<&Relation> = guards.iter().map(|g| &**g).collect();
+            let view = &view[..];
+            let idx = view[rel.0].index(index);
+            let morsels = match range {
+                Some((lo, hi)) => idx.morsels_range(lo, hi, target),
                 None => idx.morsels(target),
             };
             let queue = MorselQueue::new(morsels, jobs, target);
             let queue = &queue;
-            let seed: Vec<u32> = regs.to_vec();
             std::thread::scope(|s| {
                 let handles: Vec<_> = (0..jobs)
                     .map(|w| {
-                        let seed = seed.clone();
                         s.spawn(move || {
-                            let worker = Interpreter::worker(cx, with_prof);
-                            let mut regs = seed;
+                            let frame = Interpreter::worker(cx, view, with_prof);
+                            let mut regs = regs.to_vec();
                             let mut handle = queue.worker(w);
                             let mut batch: Vec<u32> = Vec::new();
                             let mut err = None;
                             'outer: while handle.next_batch(&mut batch) > 0 {
                                 for t in batch.chunks_exact(dst.arity) {
-                                    worker.tick_iter::<PROF>();
-                                    worker.copy_out(dst, copy, t, &mut regs);
-                                    if let Err(e) = worker.eval_op::<OUT, PROF>(body, &mut regs) {
+                                    frame.tick_iter::<PROF>();
+                                    frame.copy_out(dst, copy, t, &mut regs);
+                                    if let Err(e) = frame.eval_op::<OUT, PROF>(body, &mut regs) {
                                         queue.poison();
                                         err = Some(e);
                                         break 'outer;
@@ -1113,8 +1155,8 @@ impl<'p, 'd> Interpreter<'p, 'd> {
                                 }
                             }
                             let stats = handle.stats();
-                            let sink = worker.sink.expect("worker has a sink").into_inner();
-                            (worker.prof, sink, stats, err)
+                            let sink = frame.worker.expect("a worker frame").sink.into_inner();
+                            (frame.prof, sink, stats, err)
                         })
                     })
                     .collect();
@@ -1151,6 +1193,10 @@ impl<'p, 'd> Interpreter<'p, 'd> {
         if let Some(e) = first_err {
             return Err(e);
         }
+        // The serial fraction, clocked only for an observer: a profile or
+        // trace run, or live metrics. The dark path reads no clock.
+        let observed = PROF || self.tel.is_some_and(|t| t.metrics.enabled());
+        let merge_started = observed.then(Instant::now);
         let prov = cx.db.provenance();
         let height = if prov {
             cx.db.epoch.load(std::sync::atomic::Ordering::Relaxed)
@@ -1178,7 +1224,10 @@ impl<'p, 'd> Interpreter<'p, 'd> {
                 }
             }
         }
-        Ok(())
+        if let Some(started) = merge_started {
+            self.par.borrow_mut().merge_us += started.elapsed().as_micros() as u64;
+        }
+        Ok(true)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1191,6 +1240,7 @@ impl<'p, 'd> Interpreter<'p, 'd> {
         copy: &CopySpec,
         buffered: bool,
         bounds: &Bounds<'p>,
+        parallel: bool,
         body: &INode<'p>,
         regs: &mut [u32],
     ) -> Result<(), EvalError> {
@@ -1198,7 +1248,14 @@ impl<'p, 'd> Interpreter<'p, 'd> {
         let mut hi = [u32::MAX; MAX_ARITY];
         self.fill_bounds::<OUT, PROF>(bounds, regs, &mut lo, &mut hi)?;
         let n = bounds.arity;
-        let r = self.cx.db.rd(rel);
+        if parallel && self.gate.get() {
+            let (lo, hi) = (lo, hi); // copies, as in `index_scan_static`
+            let range = Some((&lo[..n], &hi[..n]));
+            if self.fan_out::<OUT, PROF>(rel, index, dst, copy, range, body, regs)? {
+                return Ok(());
+            }
+        }
+        let r = self.rel(rel);
         let mut it: Box<dyn TupleIter + '_> = if buffered {
             Box::new(BufferedTupleIter::new(
                 r.index(index).range(&lo[..n], &hi[..n]),
@@ -1232,11 +1289,11 @@ impl<'p, 'd> Interpreter<'p, 'd> {
 
         if meta.arity == 0 {
             // Aggregating a nullary relation: one empty match if present.
-            if !self.cx.db.rd(rel).is_empty() {
+            if !self.rel(rel).is_empty() {
                 acc.add(0);
             }
         } else {
-            let r = self.cx.db.rd(rel);
+            let r = self.rel(rel);
             let n = meta.arity;
             if static_dispatch && meta.repr != ReprKind::EqRel {
                 with_static_set!(
@@ -1313,8 +1370,8 @@ impl<'p, 'd> Interpreter<'p, 'd> {
         tuple: &[u32],
         rule: u32,
     ) {
-        if let Some(sink) = &self.sink {
-            let mut sink = sink.borrow_mut();
+        if let Some(w) = &self.worker {
+            let mut sink = w.sink.borrow_mut();
             if sink.prov() {
                 sink.push_annotated(rel, tuple, rule);
             } else {
@@ -1370,14 +1427,14 @@ impl<'p, 'd> Interpreter<'p, 'd> {
                 let b = self.eval_expr::<OUT, PROF>(rhs, regs)?;
                 Ok(eval_cmp(*kind, a, b))
             }
-            INode::Empty(rel) => Ok(self.cx.db.rd(*rel).is_empty()),
+            INode::Empty(rel) => Ok(self.rel(*rel).is_empty()),
             INode::ExistsStatic { rel, index, bounds } => {
                 self.tick_prof::<PROF>(|p| p.count_exists(rel.0));
                 let mut lo = [0u32; MAX_ARITY];
                 let mut hi = [u32::MAX; MAX_ARITY];
                 self.fill_bounds::<OUT, PROF>(bounds, regs, &mut lo, &mut hi)?;
                 let meta = &self.cx.ram.relations[rel.0];
-                let r = self.cx.db.rd(*rel);
+                let r = self.rel(*rel);
                 if meta.arity == 0 {
                     return Ok(!r.is_empty());
                 }
@@ -1425,7 +1482,7 @@ impl<'p, 'd> Interpreter<'p, 'd> {
                 let mut hi = [u32::MAX; MAX_ARITY];
                 self.fill_bounds::<OUT, PROF>(bounds, regs, &mut lo, &mut hi)?;
                 let meta = &self.cx.ram.relations[rel.0];
-                let r = self.cx.db.rd(*rel);
+                let r = self.rel(*rel);
                 if meta.arity == 0 {
                     return Ok(!r.is_empty());
                 }
@@ -1587,6 +1644,72 @@ impl AggAcc {
             AggFunc::Count => Some(self.count as u32),
             AggFunc::SumS | AggFunc::SumU | AggFunc::SumF => Some(self.bits),
             _ => self.seen.then_some(self.bits),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::database::DataMode;
+    use crate::itree;
+    use stir_frontend::parse_and_check;
+    use stir_ram::translate::translate;
+
+    /// One evaluation of a chain-with-shortcuts transitive closure:
+    /// `p`'s tuples with their `(height, rule)` annotations, and the
+    /// fan-out report.
+    #[allow(clippy::type_complexity)]
+    fn closure(
+        config: InterpreterConfig,
+        prov: bool,
+    ) -> (Vec<(Vec<u32>, Option<(u32, u32)>)>, Option<ParallelReport>) {
+        let mut src = String::from(
+            ".decl e(x: number, y: number)\n.decl p(x: number, y: number)\n\
+             p(x, y) :- e(x, y).\np(x, z) :- p(x, y), e(y, z).\n",
+        );
+        for i in 0..24 {
+            src.push_str(&format!("e({i}, {}).\n", i + 1));
+            if i % 5 == 0 {
+                src.push_str(&format!("e({i}, {}).\n", i + 3));
+            }
+        }
+        let ram = translate(&parse_and_check(&src).expect("checks")).expect("translates");
+        let db = Database::new_with(&ram, DataMode::of(&config), prov);
+        let tree = itree::build(&ram, &config);
+        let mut interp = Interpreter::new(&ram, &db, config);
+        interp.run(&tree).expect("runs");
+        let p = db.rd(ram.relation_by_name("p").expect("p").id);
+        let rows = p.to_sorted_tuples();
+        let rows = rows.into_iter().map(|t| {
+            let note = p.annotation(&t);
+            (t, note)
+        });
+        (rows.collect(), interp.parallel_report())
+    }
+
+    /// The recursive rule reads `delta_p` and `e`, probes `p`, and
+    /// projects into `new_p` — and the frozen view holds a read guard on
+    /// all four. The merge takes `wr(new_p)` on the same thread, so this
+    /// test deadlocks unless the guards died at the join; with
+    /// provenance on it also pins the merge's annotations (minimal
+    /// heights, first rule to land a tuple) to the sequential ones.
+    #[test]
+    fn frozen_guards_are_released_before_the_merge_writes() {
+        let config = InterpreterConfig::optimized();
+        for prov in [false, true] {
+            let (seq, none) = closure(config.with_jobs(1), prov);
+            assert!(none.is_none(), "jobs=1 never reaches the gate");
+            let (par, report) = closure(config.with_jobs(7).with_morsel_size(2), prov);
+            let report = report.expect("the gate was taken");
+            assert!(report.scans > 0, "prov {prov}: nothing fanned out");
+            assert_eq!(
+                report.merge_us, 0,
+                "prov {prov}: the dark path read a clock"
+            );
+            assert_eq!(seq.len(), 24 * 25 / 2, "prov {prov}");
+            assert_eq!(seq, par, "prov {prov}");
+            assert_eq!(seq.iter().all(|(_, note)| note.is_some()), prov);
         }
     }
 }

@@ -60,11 +60,15 @@ impl WorkerStats {
 /// accumulated across every parallel scan the interpreter ran.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ParallelReport {
-    /// Number of scans that actually fanned out to workers.
+    /// Rule evaluations that fanned out to workers.
     pub scans: u64,
-    /// Scans that were marked parallel but stayed sequential because the
-    /// source index fit in a single morsel.
+    /// Rule evaluations whose first marked scan stayed on the coordinator
+    /// because the scanned range fit in a single morsel.
     pub small_scans: u64,
+    /// Coordinator microseconds spent after the joins deduplicating and
+    /// merging worker sinks — the part more workers cannot shrink. Only
+    /// clocked when a profile, trace or metrics observer is attached.
+    pub merge_us: u64,
     /// Per-worker statistics, indexed by worker id (`len == jobs`).
     pub workers: Vec<WorkerStats>,
 }

@@ -295,6 +295,9 @@ serving_counters! {
     parallel_morsels,
     /// Morsels claimed outside the claiming worker's own range.
     parallel_steals,
+    /// Coordinator microseconds merging worker sinks after the joins
+    /// (clocked only while a profile or metrics observer is attached).
+    parallel_merge_us,
 }
 
 impl Counters {
@@ -307,6 +310,8 @@ impl Counters {
             .fetch_add(par.morsels(), Ordering::Relaxed);
         self.parallel_steals
             .fetch_add(par.steals(), Ordering::Relaxed);
+        self.parallel_merge_us
+            .fetch_add(par.merge_us, Ordering::Relaxed);
         let mut wt = self.worker_tuples.lock().expect("worker tuples lock");
         if wt.len() < par.workers.len() {
             wt.resize(par.workers.len(), 0);
@@ -810,6 +815,8 @@ impl ResidentEngine {
                     "Morsels claimed across all parallel scans.", Prom "parallel_morsels";
                 parallel_steals:  Counter Registry = s.parallel_steals,
                     "Morsels stolen from other workers' ranges.", Prom "parallel_steals";
+                parallel_merge_us: Counter Registry = s.parallel_merge_us,
+                    "Coordinator microseconds merging worker sinks.", Prom "parallel_merge_us";
                 parallel_worker_tuples: Counter Registry = PerLabel("worker", workers),
                     "Tuples processed per worker.", Prom "parallel_worker_tuples",
                     Registry "server.parallel_worker.{}.tuples";

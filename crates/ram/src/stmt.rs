@@ -156,8 +156,8 @@ pub enum RamOp {
         /// Whether a parallel interpreter may chunk this scan into
         /// morsels drained by a worker pool. Translation marks every
         /// scan in a rule body (unless the rule draws auto-increment
-        /// values); at runtime the outermost scan that clears the
-        /// size gate fans out and the rest run inline in its workers.
+        /// values); at runtime the first one a rule evaluation reaches
+        /// decides, on the size of its range, whether the rule fans out.
         parallel: bool,
         /// Inner operation.
         body: Box<RamOp>,

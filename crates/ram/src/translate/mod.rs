@@ -651,8 +651,8 @@ mod tests {
     fn every_scan_level_is_marked_parallel() {
         let ram = ram_of(TC);
         // Every scan of every query — outer loops and inner join loops —
-        // is marked; the interpreter picks the fan-out level at runtime
-        // (worker frames and single-morsel indexes stay sequential).
+        // is marked; the interpreter decides at runtime, once per rule
+        // evaluation, whether the first one it reaches fans out.
         ram.main.walk(&mut |s| {
             if let RamStmt::Query { op, label, .. } = s {
                 let mut scans = 0usize;

@@ -272,14 +272,11 @@ pub fn translate_rule(
     }
 
     // Mark every scan level for morsel-driven execution. The interpreter
-    // decides at runtime which marked scan actually fans out: worker
-    // frames never re-fan (their projections go to a sink), and a scan
-    // whose index fits in a single morsel stays sequential — so in
-    // practice the outermost scan over a large index parallelizes, but
-    // when that one is small (a thin delta, say) an inner scan over a
-    // large index still can. Rules drawing fresh auto-increment values
-    // stay sequential — the values a worker draws would depend on the
-    // schedule.
+    // decides once per rule evaluation, at the first marked scan it
+    // reaches: a range of more than one morsel fans out there, anything
+    // smaller keeps the whole rule sequential. Rules drawing fresh
+    // auto-increment values stay unmarked — the values a worker draws
+    // would depend on the schedule.
     if !op.uses_autoincrement() {
         mark_scans_parallel(&mut op);
     }
@@ -302,9 +299,8 @@ pub fn translate_rule(
 
 /// Marks every `Scan`/`IndexScan` in an operation tree for parallel
 /// execution, descending through filters, scans, and aggregate
-/// continuations. Which marked scan actually fans out is a runtime
-/// decision (see the interpreter's morsel-size gate and worker-frame
-/// check).
+/// continuations. Whether the rule fans out is a runtime decision (see
+/// the interpreter's `fan_out`).
 fn mark_scans_parallel(op: &mut RamOp) {
     match op {
         RamOp::Filter { body, .. } => mark_scans_parallel(body),

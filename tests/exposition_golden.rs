@@ -5,7 +5,9 @@
 //! The fixtures under `tests/fixtures/exposition/` were captured **at
 //! the parent commit of the catalogue change** (PR 12) by running these
 //! scenarios and `bless` there, so they pin what every surface said when
-//! each metric was still spelled out by hand four times:
+//! each metric was still spelled out by hand four times (`parallel.*`
+//! was re-blessed when `server.parallel_merge_us` was added and the
+//! fan-out decision moved to once per rule evaluation):
 //!
 //! * the plain `.stats` line and the profile-registry dump are compared
 //!   byte for byte;
@@ -260,9 +262,17 @@ fn scenarios() -> &'static [Rendered] {
 fn unstable(name: &str) -> bool {
     let sample_count = name.ends_with("count");
     !sample_count
-        && ["bytes", "_ms", "_ns", "steals", "parallel_worker", "nodes"]
-            .iter()
-            .any(|needle| name.contains(needle))
+        && [
+            "bytes",
+            "_ms",
+            "_us",
+            "_ns",
+            "steals",
+            "parallel_worker",
+            "nodes",
+        ]
+        .iter()
+        .any(|needle| name.contains(needle))
 }
 
 fn masked(name: &str, value: &str) -> String {

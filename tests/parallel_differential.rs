@@ -3,8 +3,9 @@
 //! never divide the data evenly) must produce exactly the relations
 //! (and the same profile tuple counts) as `--jobs 1`, in every
 //! interpreter mode. A tiny morsel size forces the work-stealing
-//! machinery onto these small test relations — the default target would
-//! route them all through the sequential small-scan fallback.
+//! machinery onto these small test relations — at the default target
+//! every rule would decline to fan out. The last test is the opposite
+//! case: default-size morsels on relations that straddle the boundary.
 //!
 //! Programs come from the same restricted seeded grammar as
 //! `resident_differential`. proptest is not vendored; each failing case
@@ -304,5 +305,116 @@ fn profile_tuple_counts_are_job_count_invariant() {
                 "jobs={jobs}"
             );
         }
+    }
+}
+
+/// Runs `work` on its own thread and fails once `budget` has passed
+/// instead of waiting for it: a fan-out per outer tuple takes minutes
+/// on the program below, and a test that merely times the run afterwards
+/// would hang the suite for as long.
+fn within<T: Send + 'static>(
+    budget: std::time::Duration,
+    what: &str,
+    work: impl FnOnce() -> T + Send + 'static,
+) -> (T, std::time::Duration) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let started = std::time::Instant::now();
+    std::thread::spawn(move || tx.send(work()));
+    match rx.recv_timeout(budget) {
+        Ok(out) => (out, started.elapsed()),
+        Err(e) => panic!("{what}: not done within {budget:?} ({e})"),
+    }
+}
+
+/// The `--jobs` cliff: a VPC topology whose outer relations fit in one
+/// default-size morsel (`instance`) while inner ones do not (`listens`).
+/// Gated on `idx.len()` at every scan level, the `exposed` and `conn`
+/// rules spawned a thread pair per outer tuple (`--jobs 2` 61.8 s against
+/// 0.22 s). The fan-out decision is made once per rule evaluation, so
+/// `jobs > 1` must stay within sight of `jobs = 1` — batch and resident —
+/// with identical outputs and profile counts.
+#[test]
+fn inner_relations_across_the_morsel_boundary_do_not_fan_out_per_outer_tuple() {
+    use std::time::Duration;
+    use stir::core::config::DEFAULT_MORSEL_SIZE;
+    use stir::workloads::{spec::Scale, vpc};
+    use stir::ResidentEngine;
+
+    let w = vpc::generate("cliff", Scale::Medium, 1);
+    assert!(w.inputs["instance"].len() <= DEFAULT_MORSEL_SIZE);
+    assert!(w.inputs["listens"].len() > DEFAULT_MORSEL_SIZE);
+    let config = InterpreterConfig::optimized()
+        .with_profile()
+        .with_morsel_size(DEFAULT_MORSEL_SIZE);
+    let batch = |jobs: usize| {
+        let (program, inputs) = (w.program.clone(), w.inputs.clone());
+        move || {
+            Engine::from_source(&program)
+                .expect("compiles")
+                .run(config.with_jobs(jobs), &inputs)
+                .unwrap_or_else(|e| panic!("jobs={jobs}: {e}"))
+        }
+    };
+    let (seq, base) = within(Duration::from_secs(600), "jobs=1", batch(1));
+    let budget = Duration::from_secs(5).max(base * 10);
+    let sp = seq.profile.expect("profiled");
+    for jobs in [2, 4] {
+        let (par, _) = within(budget, &format!("jobs={jobs}"), batch(jobs));
+        for (name, rows) in &seq.outputs {
+            assert_eq!(
+                sorted(rows),
+                sorted(&par.outputs[name]),
+                "jobs={jobs} {name}"
+            );
+        }
+        let pp = par.profile.expect("profiled");
+        assert_eq!(sp.dispatches, pp.dispatches, "jobs={jobs}");
+        assert_eq!(sp.iterations, pp.iterations, "jobs={jobs}");
+        assert_eq!(sp.total_inserts, pp.total_inserts, "jobs={jobs}");
+        assert_eq!(sp.relations, pp.relations, "jobs={jobs}");
+        let mut evaluations = 0;
+        for (s, p) in sp.queries.iter().zip(&pp.queries) {
+            assert_eq!(
+                (&s.label, s.executions, s.tuples),
+                (&p.label, p.executions, p.tuples),
+                "jobs={jobs}"
+            );
+            evaluations += p.executions;
+        }
+        let report = par.parallel.expect("marked scans ran");
+        assert!(
+            report.scans + report.small_scans <= evaluations,
+            "jobs={jobs}: {} fan-outs and {} declined for {evaluations} rule evaluations",
+            report.scans,
+            report.small_scans
+        );
+    }
+
+    // The same shape resident: insert, then retract, a `route` edge into
+    // the recursive stratum (the roadmap's 55 s retraction at `--jobs 2`).
+    let edge = vec![vec![Value::Number(0), Value::Number(100)]];
+    assert!(!w.inputs["route"].contains(&edge[0]));
+    let resident = |jobs: usize| {
+        let (program, inputs, edge) = (w.program.clone(), w.inputs.clone(), edge.clone());
+        move || {
+            let config = config.with_jobs(jobs);
+            let mut engine =
+                ResidentEngine::from_source(&program, config, &inputs, None).expect("comes up");
+            engine.insert_facts("route", &edge, None).expect("inserts");
+            let inserted = engine.outputs();
+            engine
+                .retract_facts("route", &edge, None)
+                .expect("retracts");
+            (inserted, engine.outputs())
+        }
+    };
+    let (seq, base) = within(Duration::from_secs(600), "resident jobs=1", resident(1));
+    let budget = Duration::from_secs(5).max(base * 10);
+    let (par, _) = within(budget, "resident jobs=2", resident(2));
+    for (name, rows) in &seq.0 {
+        assert_eq!(sorted(rows), sorted(&par.0[name]), "inserted: {name}");
+    }
+    for (name, rows) in &seq.1 {
+        assert_eq!(sorted(rows), sorted(&par.1[name]), "retracted: {name}");
     }
 }
