@@ -30,16 +30,22 @@ fn main() {
             let rel = with.as_secs_f64() / without.as_secs_f64().max(1e-9);
             rels.push(rel);
 
-            // Dispatch counts (profiled, untimed runs).
-            let (_, p_with, _) = stir_bench::interp_eval(
-                &engine,
-                InterpreterConfig::optimized().with_profile(),
-                &w.inputs,
+            // Dispatch counts (profiled, untimed runs) — and the check that
+            // folding changed nothing but the cost.
+            let profiled = |config: InterpreterConfig| {
+                let out = engine.run(config.with_profile(), &w.inputs).expect("runs");
+                (
+                    out.profile.expect("profiled").dispatches as f64,
+                    out.outputs,
+                )
+            };
+            let (d_with, out_with) = profiled(InterpreterConfig::optimized());
+            let (d_without, out_without) = profiled(without_cfg);
+            assert_eq!(
+                out_with, out_without,
+                "{}: super-instructions changed the fixpoint",
+                w.name
             );
-            let (_, p_without, _) =
-                stir_bench::interp_eval(&engine, without_cfg.with_profile(), &w.inputs);
-            let d_with = p_with.expect("profiled").dispatches as f64;
-            let d_without = p_without.expect("profiled").dispatches as f64;
             let drop = 1.0 - d_with / d_without.max(1.0);
             dispatch_drops.push(drop);
 

@@ -25,65 +25,7 @@ pub fn eval_intrinsic(
     use IntrinsicOp::*;
     let s = |i: usize| args[i] as i32;
     let u = |i: usize| args[i];
-    let f = |i: usize| f32::from_bits(args[i]);
     Ok(match op {
-        Add => u(0).wrapping_add(u(1)),
-        Sub => u(0).wrapping_sub(u(1)),
-        Mul => u(0).wrapping_mul(u(1)),
-        DivS => {
-            let d = s(1);
-            if d == 0 {
-                return Err(EvalError::new("division by zero"));
-            }
-            s(0).wrapping_div(d) as u32
-        }
-        DivU => {
-            let d = u(1);
-            if d == 0 {
-                return Err(EvalError::new("division by zero"));
-            }
-            u(0) / d
-        }
-        ModS => {
-            let d = s(1);
-            if d == 0 {
-                return Err(EvalError::new("remainder by zero"));
-            }
-            s(0).wrapping_rem(d) as u32
-        }
-        ModU => {
-            let d = u(1);
-            if d == 0 {
-                return Err(EvalError::new("remainder by zero"));
-            }
-            u(0) % d
-        }
-        PowS => s(0).wrapping_pow(u(1)) as u32,
-        PowU => u(0).wrapping_pow(u(1)),
-        Neg => (s(0).wrapping_neg()) as u32,
-        AddF => (f(0) + f(1)).to_bits(),
-        SubF => (f(0) - f(1)).to_bits(),
-        MulF => (f(0) * f(1)).to_bits(),
-        DivF => (f(0) / f(1)).to_bits(),
-        PowF => f(0).powf(f(1)).to_bits(),
-        NegF => (-f(0)).to_bits(),
-        BAnd => u(0) & u(1),
-        BOr => u(0) | u(1),
-        BXor => u(0) ^ u(1),
-        BNot => !u(0),
-        BShl => u(0).wrapping_shl(u(1)),
-        BShrU => u(0).wrapping_shr(u(1)),
-        BShrS => (s(0).wrapping_shr(u(1))) as u32,
-        LAnd => u32::from(u(0) != 0 && u(1) != 0),
-        LOr => u32::from(u(0) != 0 || u(1) != 0),
-        LNot => u32::from(u(0) == 0),
-        MinS => s(0).min(s(1)) as u32,
-        MinU => u(0).min(u(1)),
-        MinF => f(0).min(f(1)).to_bits(),
-        MaxS => s(0).max(s(1)) as u32,
-        MaxU => u(0).max(u(1)),
-        MaxF => f(0).max(f(1)).to_bits(),
-        Ord => u(0),
         Cat => {
             let mut table = symbols
                 .write()
@@ -123,6 +65,70 @@ pub fn eval_intrinsic(
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             let rendered = (u(0) as i32).to_string();
             table.intern(&rendered)
+        }
+        _ => return eval_arith(op, u(0), args.get(1).copied().unwrap_or(0)),
+    })
+}
+
+/// Evaluates an intrinsic that does not need the symbol table
+/// ([`IntrinsicOp::needs_symbols`]) — all of them unary or binary; unary
+/// operations ignore `b`. Small enough to inline into the fused filter
+/// loop, where [`eval_intrinsic`] with its string arms is not.
+///
+/// # Errors
+///
+/// Division/remainder by zero.
+///
+/// # Panics
+///
+/// On an operation that needs the symbol table.
+#[inline(always)]
+pub fn eval_arith(op: IntrinsicOp, a: u32, b: u32) -> Result<u32, EvalError> {
+    use IntrinsicOp::*;
+    #[cold]
+    fn by_zero(what: &str) -> EvalError {
+        EvalError::new(format!("{what} by zero"))
+    }
+    let (sa, sb) = (a as i32, b as i32);
+    let (fa, fb) = (f32::from_bits(a), f32::from_bits(b));
+    Ok(match op {
+        Add => a.wrapping_add(b),
+        Sub => a.wrapping_sub(b),
+        Mul => a.wrapping_mul(b),
+        DivS | DivU if b == 0 => return Err(by_zero("division")),
+        ModS | ModU if b == 0 => return Err(by_zero("remainder")),
+        DivS => sa.wrapping_div(sb) as u32,
+        DivU => a / b,
+        ModS => sa.wrapping_rem(sb) as u32,
+        ModU => a % b,
+        PowS => sa.wrapping_pow(b) as u32,
+        PowU => a.wrapping_pow(b),
+        Neg => sa.wrapping_neg() as u32,
+        AddF => (fa + fb).to_bits(),
+        SubF => (fa - fb).to_bits(),
+        MulF => (fa * fb).to_bits(),
+        DivF => (fa / fb).to_bits(),
+        PowF => fa.powf(fb).to_bits(),
+        NegF => (-fa).to_bits(),
+        BAnd => a & b,
+        BOr => a | b,
+        BXor => a ^ b,
+        BNot => !a,
+        BShl => a.wrapping_shl(b),
+        BShrU => a.wrapping_shr(b),
+        BShrS => sa.wrapping_shr(b) as u32,
+        LAnd => u32::from(a != 0 && b != 0),
+        LOr => u32::from(a != 0 || b != 0),
+        LNot => u32::from(a == 0),
+        MinS => sa.min(sb) as u32,
+        MinU => a.min(b),
+        MinF => fa.min(fb).to_bits(),
+        MaxS => sa.max(sb) as u32,
+        MaxU => a.max(b),
+        MaxF => fa.max(fb).to_bits(),
+        Ord => a,
+        Cat | Strlen | Substr | ToNumber | ToString => {
+            unreachable!("`{op}` needs the symbol table")
         }
     })
 }
@@ -174,8 +180,19 @@ mod tests {
 
     #[test]
     fn division_by_zero_errors() {
-        assert!(eval_intrinsic(IntrinsicOp::DivS, &[1, 0], &syms()).is_err());
-        assert!(eval_intrinsic(IntrinsicOp::ModU, &[1, 0], &syms()).is_err());
+        let err = |op| {
+            eval_intrinsic(op, &[1, 0], &syms())
+                .expect_err("raises")
+                .msg
+        };
+        assert_eq!(err(IntrinsicOp::DivS), "division by zero");
+        assert_eq!(err(IntrinsicOp::DivU), "division by zero");
+        assert_eq!(err(IntrinsicOp::ModS), "remainder by zero");
+        assert_eq!(err(IntrinsicOp::ModU), "remainder by zero");
+        // The one signed overflow wraps instead of trapping.
+        let (min, minus_one) = (i32::MIN as u32, (-1i32) as u32);
+        assert_eq!(eval_arith(IntrinsicOp::DivS, min, minus_one), Ok(min));
+        assert_eq!(eval_arith(IntrinsicOp::ModS, min, minus_one), Ok(0));
     }
 
     #[test]

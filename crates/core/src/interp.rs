@@ -20,8 +20,8 @@
 use crate::config::InterpreterConfig;
 use crate::database::Database;
 use crate::error::EvalError;
-use crate::functors::{eval_cmp, eval_intrinsic};
-use crate::itree::{Bounds, CopySpec, INode, ITree, Slot};
+use crate::functors::{eval_arith, eval_cmp, eval_intrinsic};
+use crate::itree::{Bounds, CopySpec, FusedInstr, FusedOp, INode, ITree, Slot};
 use crate::morsel::{MorselQueue, ParallelReport, WorkerStats};
 use crate::profile::{ProfileReport, ProfileState};
 use crate::sink::InsertSink;
@@ -52,250 +52,81 @@ fn outline<R>(f: impl FnOnce() -> R) -> R {
     f()
 }
 
+/// Runs `$body` in the `match` arm of the pre-instantiated index type for
+/// `($repr, $arity)`, with `Idx` naming that adapter type and `N` its
+/// arity: one arm per representation and arity, stamped from the arity
+/// list below.
+macro_rules! with_index_type {
+    ($repr:expr, $arity:expr, $body:expr) => {
+        with_index_type!(@arms $repr, $arity, $body, 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16)
+    };
+    (@arms $repr:expr, $arity:expr, $body:expr, $($n:literal)*) => {
+        match ($repr, $arity) {
+            $((ReprKind::BTree, $n) => {
+                type Idx = stir_der::adapter::BTreeIndex<$n>;
+                const N: usize = $n;
+                $body
+            })*
+            $((ReprKind::Brie, $n) => {
+                type Idx = stir_der::adapter::BrieIndex<$n>;
+                const N: usize = $n;
+                $body
+            })*
+            (repr, arity) => unreachable!("no pre-instantiated index for {repr:?}/{arity}"),
+        }
+    };
+}
+
 /// Dispatches a read-only operation to the monomorphized set behind an
 /// index adapter. `$method` must be generic as
 /// `fn m<const OUT: bool, const PROF: bool, const N: usize, S: StaticSet<N>>(&self, set: &S, ...)`.
 macro_rules! with_static_set {
-    ($self:ident, $out:ident, $prof:ident, $repr:expr, $arity:expr, $idx:expr, $method:ident, ($($arg:expr),*)) => {{
-        use stir_der::adapter::{BTreeIndex as B, BrieIndex as R};
-        match ($repr, $arity) {
-            (ReprKind::BTree, 1) => $self.$method::<$out, $prof, 1, _>($idx.as_any().downcast_ref::<B<1>>().expect("index matches its spec").raw(), $($arg),*),
-            (ReprKind::BTree, 2) => $self.$method::<$out, $prof, 2, _>($idx.as_any().downcast_ref::<B<2>>().expect("index matches its spec").raw(), $($arg),*),
-            (ReprKind::BTree, 3) => $self.$method::<$out, $prof, 3, _>($idx.as_any().downcast_ref::<B<3>>().expect("index matches its spec").raw(), $($arg),*),
-            (ReprKind::BTree, 4) => $self.$method::<$out, $prof, 4, _>($idx.as_any().downcast_ref::<B<4>>().expect("index matches its spec").raw(), $($arg),*),
-            (ReprKind::BTree, 5) => $self.$method::<$out, $prof, 5, _>($idx.as_any().downcast_ref::<B<5>>().expect("index matches its spec").raw(), $($arg),*),
-            (ReprKind::BTree, 6) => $self.$method::<$out, $prof, 6, _>($idx.as_any().downcast_ref::<B<6>>().expect("index matches its spec").raw(), $($arg),*),
-            (ReprKind::BTree, 7) => $self.$method::<$out, $prof, 7, _>($idx.as_any().downcast_ref::<B<7>>().expect("index matches its spec").raw(), $($arg),*),
-            (ReprKind::BTree, 8) => $self.$method::<$out, $prof, 8, _>($idx.as_any().downcast_ref::<B<8>>().expect("index matches its spec").raw(), $($arg),*),
-            (ReprKind::BTree, 9) => $self.$method::<$out, $prof, 9, _>($idx.as_any().downcast_ref::<B<9>>().expect("index matches its spec").raw(), $($arg),*),
-            (ReprKind::BTree, 10) => $self.$method::<$out, $prof, 10, _>($idx.as_any().downcast_ref::<B<10>>().expect("index matches its spec").raw(), $($arg),*),
-            (ReprKind::BTree, 11) => $self.$method::<$out, $prof, 11, _>($idx.as_any().downcast_ref::<B<11>>().expect("index matches its spec").raw(), $($arg),*),
-            (ReprKind::BTree, 12) => $self.$method::<$out, $prof, 12, _>($idx.as_any().downcast_ref::<B<12>>().expect("index matches its spec").raw(), $($arg),*),
-            (ReprKind::BTree, 13) => $self.$method::<$out, $prof, 13, _>($idx.as_any().downcast_ref::<B<13>>().expect("index matches its spec").raw(), $($arg),*),
-            (ReprKind::BTree, 14) => $self.$method::<$out, $prof, 14, _>($idx.as_any().downcast_ref::<B<14>>().expect("index matches its spec").raw(), $($arg),*),
-            (ReprKind::BTree, 15) => $self.$method::<$out, $prof, 15, _>($idx.as_any().downcast_ref::<B<15>>().expect("index matches its spec").raw(), $($arg),*),
-            (ReprKind::BTree, 16) => $self.$method::<$out, $prof, 16, _>($idx.as_any().downcast_ref::<B<16>>().expect("index matches its spec").raw(), $($arg),*),
-            (ReprKind::Brie, 1) => $self.$method::<$out, $prof, 1, _>($idx.as_any().downcast_ref::<R<1>>().expect("index matches its spec").raw(), $($arg),*),
-            (ReprKind::Brie, 2) => $self.$method::<$out, $prof, 2, _>($idx.as_any().downcast_ref::<R<2>>().expect("index matches its spec").raw(), $($arg),*),
-            (ReprKind::Brie, 3) => $self.$method::<$out, $prof, 3, _>($idx.as_any().downcast_ref::<R<3>>().expect("index matches its spec").raw(), $($arg),*),
-            (ReprKind::Brie, 4) => $self.$method::<$out, $prof, 4, _>($idx.as_any().downcast_ref::<R<4>>().expect("index matches its spec").raw(), $($arg),*),
-            (ReprKind::Brie, 5) => $self.$method::<$out, $prof, 5, _>($idx.as_any().downcast_ref::<R<5>>().expect("index matches its spec").raw(), $($arg),*),
-            (ReprKind::Brie, 6) => $self.$method::<$out, $prof, 6, _>($idx.as_any().downcast_ref::<R<6>>().expect("index matches its spec").raw(), $($arg),*),
-            (ReprKind::Brie, 7) => $self.$method::<$out, $prof, 7, _>($idx.as_any().downcast_ref::<R<7>>().expect("index matches its spec").raw(), $($arg),*),
-            (ReprKind::Brie, 8) => $self.$method::<$out, $prof, 8, _>($idx.as_any().downcast_ref::<R<8>>().expect("index matches its spec").raw(), $($arg),*),
-            (ReprKind::Brie, 9) => $self.$method::<$out, $prof, 9, _>($idx.as_any().downcast_ref::<R<9>>().expect("index matches its spec").raw(), $($arg),*),
-            (ReprKind::Brie, 10) => $self.$method::<$out, $prof, 10, _>($idx.as_any().downcast_ref::<R<10>>().expect("index matches its spec").raw(), $($arg),*),
-            (ReprKind::Brie, 11) => $self.$method::<$out, $prof, 11, _>($idx.as_any().downcast_ref::<R<11>>().expect("index matches its spec").raw(), $($arg),*),
-            (ReprKind::Brie, 12) => $self.$method::<$out, $prof, 12, _>($idx.as_any().downcast_ref::<R<12>>().expect("index matches its spec").raw(), $($arg),*),
-            (ReprKind::Brie, 13) => $self.$method::<$out, $prof, 13, _>($idx.as_any().downcast_ref::<R<13>>().expect("index matches its spec").raw(), $($arg),*),
-            (ReprKind::Brie, 14) => $self.$method::<$out, $prof, 14, _>($idx.as_any().downcast_ref::<R<14>>().expect("index matches its spec").raw(), $($arg),*),
-            (ReprKind::Brie, 15) => $self.$method::<$out, $prof, 15, _>($idx.as_any().downcast_ref::<R<15>>().expect("index matches its spec").raw(), $($arg),*),
-            (ReprKind::Brie, 16) => $self.$method::<$out, $prof, 16, _>($idx.as_any().downcast_ref::<R<16>>().expect("index matches its spec").raw(), $($arg),*),
-            (repr, arity) => unreachable!("no pre-instantiated index for {repr:?}/{arity}"),
-        }
-    }};
+    ($self:ident, $out:ident, $prof:ident, $repr:expr, $arity:expr, $idx:expr, $method:ident, ($($arg:expr),*)) => {
+        with_index_type!(
+            $repr,
+            $arity,
+            $self.$method::<$out, $prof, N, _>(
+                $idx.as_any().downcast_ref::<Idx>().expect("index matches its spec").raw(),
+                $($arg),*
+            )
+        )
+    };
 }
 
 /// Dispatches a mutating insert to the monomorphized adapter.
 macro_rules! with_static_adapter {
-    ($repr:expr, $arity:expr, $idx:expr, $tuple:expr) => {{
-        use stir_der::adapter::{BTreeIndex as B, BrieIndex as R};
-        match ($repr, $arity) {
-            (ReprKind::BTree, 1) => insert_one::<1, _>(
+    ($repr:expr, $arity:expr, $idx:expr, $tuple:expr) => {
+        with_index_type!(
+            $repr,
+            $arity,
+            insert_one::<N, _>(
                 $idx.as_any_mut()
-                    .downcast_mut::<B<1>>()
+                    .downcast_mut::<Idx>()
                     .expect("index matches its spec"),
                 $tuple,
-            ),
-            (ReprKind::BTree, 2) => insert_one::<2, _>(
-                $idx.as_any_mut()
-                    .downcast_mut::<B<2>>()
-                    .expect("index matches its spec"),
-                $tuple,
-            ),
-            (ReprKind::BTree, 3) => insert_one::<3, _>(
-                $idx.as_any_mut()
-                    .downcast_mut::<B<3>>()
-                    .expect("index matches its spec"),
-                $tuple,
-            ),
-            (ReprKind::BTree, 4) => insert_one::<4, _>(
-                $idx.as_any_mut()
-                    .downcast_mut::<B<4>>()
-                    .expect("index matches its spec"),
-                $tuple,
-            ),
-            (ReprKind::BTree, 5) => insert_one::<5, _>(
-                $idx.as_any_mut()
-                    .downcast_mut::<B<5>>()
-                    .expect("index matches its spec"),
-                $tuple,
-            ),
-            (ReprKind::BTree, 6) => insert_one::<6, _>(
-                $idx.as_any_mut()
-                    .downcast_mut::<B<6>>()
-                    .expect("index matches its spec"),
-                $tuple,
-            ),
-            (ReprKind::BTree, 7) => insert_one::<7, _>(
-                $idx.as_any_mut()
-                    .downcast_mut::<B<7>>()
-                    .expect("index matches its spec"),
-                $tuple,
-            ),
-            (ReprKind::BTree, 8) => insert_one::<8, _>(
-                $idx.as_any_mut()
-                    .downcast_mut::<B<8>>()
-                    .expect("index matches its spec"),
-                $tuple,
-            ),
-            (ReprKind::BTree, 9) => insert_one::<9, _>(
-                $idx.as_any_mut()
-                    .downcast_mut::<B<9>>()
-                    .expect("index matches its spec"),
-                $tuple,
-            ),
-            (ReprKind::BTree, 10) => insert_one::<10, _>(
-                $idx.as_any_mut()
-                    .downcast_mut::<B<10>>()
-                    .expect("index matches its spec"),
-                $tuple,
-            ),
-            (ReprKind::BTree, 11) => insert_one::<11, _>(
-                $idx.as_any_mut()
-                    .downcast_mut::<B<11>>()
-                    .expect("index matches its spec"),
-                $tuple,
-            ),
-            (ReprKind::BTree, 12) => insert_one::<12, _>(
-                $idx.as_any_mut()
-                    .downcast_mut::<B<12>>()
-                    .expect("index matches its spec"),
-                $tuple,
-            ),
-            (ReprKind::BTree, 13) => insert_one::<13, _>(
-                $idx.as_any_mut()
-                    .downcast_mut::<B<13>>()
-                    .expect("index matches its spec"),
-                $tuple,
-            ),
-            (ReprKind::BTree, 14) => insert_one::<14, _>(
-                $idx.as_any_mut()
-                    .downcast_mut::<B<14>>()
-                    .expect("index matches its spec"),
-                $tuple,
-            ),
-            (ReprKind::BTree, 15) => insert_one::<15, _>(
-                $idx.as_any_mut()
-                    .downcast_mut::<B<15>>()
-                    .expect("index matches its spec"),
-                $tuple,
-            ),
-            (ReprKind::BTree, 16) => insert_one::<16, _>(
-                $idx.as_any_mut()
-                    .downcast_mut::<B<16>>()
-                    .expect("index matches its spec"),
-                $tuple,
-            ),
-            (ReprKind::Brie, 1) => insert_one::<1, _>(
-                $idx.as_any_mut()
-                    .downcast_mut::<R<1>>()
-                    .expect("index matches its spec"),
-                $tuple,
-            ),
-            (ReprKind::Brie, 2) => insert_one::<2, _>(
-                $idx.as_any_mut()
-                    .downcast_mut::<R<2>>()
-                    .expect("index matches its spec"),
-                $tuple,
-            ),
-            (ReprKind::Brie, 3) => insert_one::<3, _>(
-                $idx.as_any_mut()
-                    .downcast_mut::<R<3>>()
-                    .expect("index matches its spec"),
-                $tuple,
-            ),
-            (ReprKind::Brie, 4) => insert_one::<4, _>(
-                $idx.as_any_mut()
-                    .downcast_mut::<R<4>>()
-                    .expect("index matches its spec"),
-                $tuple,
-            ),
-            (ReprKind::Brie, 5) => insert_one::<5, _>(
-                $idx.as_any_mut()
-                    .downcast_mut::<R<5>>()
-                    .expect("index matches its spec"),
-                $tuple,
-            ),
-            (ReprKind::Brie, 6) => insert_one::<6, _>(
-                $idx.as_any_mut()
-                    .downcast_mut::<R<6>>()
-                    .expect("index matches its spec"),
-                $tuple,
-            ),
-            (ReprKind::Brie, 7) => insert_one::<7, _>(
-                $idx.as_any_mut()
-                    .downcast_mut::<R<7>>()
-                    .expect("index matches its spec"),
-                $tuple,
-            ),
-            (ReprKind::Brie, 8) => insert_one::<8, _>(
-                $idx.as_any_mut()
-                    .downcast_mut::<R<8>>()
-                    .expect("index matches its spec"),
-                $tuple,
-            ),
-            (ReprKind::Brie, 9) => insert_one::<9, _>(
-                $idx.as_any_mut()
-                    .downcast_mut::<R<9>>()
-                    .expect("index matches its spec"),
-                $tuple,
-            ),
-            (ReprKind::Brie, 10) => insert_one::<10, _>(
-                $idx.as_any_mut()
-                    .downcast_mut::<R<10>>()
-                    .expect("index matches its spec"),
-                $tuple,
-            ),
-            (ReprKind::Brie, 11) => insert_one::<11, _>(
-                $idx.as_any_mut()
-                    .downcast_mut::<R<11>>()
-                    .expect("index matches its spec"),
-                $tuple,
-            ),
-            (ReprKind::Brie, 12) => insert_one::<12, _>(
-                $idx.as_any_mut()
-                    .downcast_mut::<R<12>>()
-                    .expect("index matches its spec"),
-                $tuple,
-            ),
-            (ReprKind::Brie, 13) => insert_one::<13, _>(
-                $idx.as_any_mut()
-                    .downcast_mut::<R<13>>()
-                    .expect("index matches its spec"),
-                $tuple,
-            ),
-            (ReprKind::Brie, 14) => insert_one::<14, _>(
-                $idx.as_any_mut()
-                    .downcast_mut::<R<14>>()
-                    .expect("index matches its spec"),
-                $tuple,
-            ),
-            (ReprKind::Brie, 15) => insert_one::<15, _>(
-                $idx.as_any_mut()
-                    .downcast_mut::<R<15>>()
-                    .expect("index matches its spec"),
-                $tuple,
-            ),
-            (ReprKind::Brie, 16) => insert_one::<16, _>(
-                $idx.as_any_mut()
-                    .downcast_mut::<R<16>>()
-                    .expect("index matches its spec"),
-                $tuple,
-            ),
-            (repr, arity) => unreachable!("no pre-instantiated index for {repr:?}/{arity}"),
+            )
+        )
+    };
+}
+
+/// Evaluates a fused arithmetic guard in one pass over its flat program:
+/// no recursion, no dispatch per node, every operand one arena read. A
+/// failing test ends the pass, so nothing after it is evaluated and only
+/// what the tree walk would have reached can raise.
+#[inline]
+fn eval_fused(prog: &[FusedInstr], regs: &mut [u32]) -> Result<bool, EvalError> {
+    for ins in prog {
+        let (a, b) = (regs[ins.a], regs[ins.b]);
+        match ins.op {
+            FusedOp::Test(kind) => {
+                if !eval_cmp(kind, a, b) {
+                    return Ok(false);
+                }
+            }
+            FusedOp::Set(op, dst) => regs[dst] = eval_arith(op, a, b)?,
         }
-    }};
+    }
+    Ok(true)
 }
 
 /// Monomorphized single-index insert (the paper's `evalInsert<RelType>`,
@@ -579,7 +410,7 @@ impl<'p, 'd> Interpreter<'p, 'd> {
                 Ok(Flow::Ok)
             }
             INode::Exit(cond) => {
-                if self.eval_cond::<OUT, PROF>(cond, &[])? {
+                if self.eval_cond::<OUT, PROF>(cond, &mut [])? {
                     Ok(Flow::Exit)
                 } else {
                     Ok(Flow::Ok)
@@ -588,6 +419,7 @@ impl<'p, 'd> Interpreter<'p, 'd> {
             INode::Query {
                 label,
                 arena_size,
+                consts,
                 body,
                 ..
             } => {
@@ -605,6 +437,7 @@ impl<'p, 'd> Interpreter<'p, 'd> {
                 }
                 self.gate.set(self.cx.config.jobs > 1);
                 let mut regs = vec![0u32; *arena_size];
+                regs[*arena_size - consts.len()..].copy_from_slice(consts);
                 if let Some(p) = &self.prof {
                     let started = p.begin_query();
                     self.eval_op::<OUT, PROF>(body, &mut regs)?;
@@ -651,6 +484,13 @@ impl<'p, 'd> Interpreter<'p, 'd> {
             INode::FilterNative { func, body } => {
                 self.tick_prof::<PROF>(ProfileState::count_super);
                 if func(regs) {
+                    self.eval_op::<OUT, PROF>(body, regs)?;
+                }
+                Ok(())
+            }
+            INode::FilterFused { prog, body } => {
+                self.tick_prof::<PROF>(ProfileState::count_super);
+                if eval_fused(prog, regs)? {
                     self.eval_op::<OUT, PROF>(body, regs)?;
                 }
                 Ok(())
@@ -1408,7 +1248,7 @@ impl<'p, 'd> Interpreter<'p, 'd> {
     fn eval_cond<const OUT: bool, const PROF: bool>(
         &self,
         node: &INode<'p>,
-        regs: &[u32],
+        regs: &mut [u32],
     ) -> Result<bool, EvalError> {
         self.tick::<PROF>();
         match node {
@@ -1426,6 +1266,10 @@ impl<'p, 'd> Interpreter<'p, 'd> {
                 let a = self.eval_expr::<OUT, PROF>(lhs, regs)?;
                 let b = self.eval_expr::<OUT, PROF>(rhs, regs)?;
                 Ok(eval_cmp(*kind, a, b))
+            }
+            INode::Fused(prog) => {
+                self.tick_prof::<PROF>(ProfileState::count_super);
+                eval_fused(prog, regs)
             }
             INode::Empty(rel) => Ok(self.rel(*rel).is_empty()),
             INode::ExistsStatic { rel, index, bounds } => {

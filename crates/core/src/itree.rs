@@ -13,7 +13,9 @@
 //! * **static reordering** rewrites tuple-element accesses into each
 //!   scan's stored order so tuples are never decoded at runtime (§4.2);
 //! * **super-instructions** fold `Constant`/`TupleElement` children into
-//!   the parent's precomputed fields (§4.4);
+//!   the parent's precomputed fields (§4.4), and every run of
+//!   pure-arithmetic comparisons in a filter into one flat [`FusedInstr`]
+//!   program — the automatic form of §5.2's hand-written filters;
 //! * the **outlining** ablation (§4.3 analogue) is an execution-time
 //!   choice and does not affect tree shape.
 
@@ -82,6 +84,41 @@ pub struct Fusion {
     pub cond: NativeCond,
 }
 
+/// Scratch registers every query arena reserves for the intermediate
+/// results of fused programs. Leaves need none, so an expression takes
+/// `d` of them only once it nests two non-leaf operands `d` deep; a
+/// comparison that would need more stays tree-walked.
+pub const FUSED_SCRATCH: usize = 8;
+
+/// What a fused instruction does with its operands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FusedOp {
+    /// `regs[dst] = op(a, b)`; unary operations ignore `b`.
+    Set(IntrinsicOp, usize),
+    /// One conjunct: the guard fails unless `a ⋚ b`.
+    Test(CmpKind),
+}
+
+/// One instruction of a fused arithmetic guard. The program is flat and
+/// in postfix order — an operation follows its arguments, exactly the
+/// order in which the tree walk evaluates the nodes, so a division by
+/// zero is raised exactly when the walk would have reached it — with one
+/// short-circuiting [`FusedOp::Test`] closing each conjunct, in source
+/// order. Every operand is an arena offset, resolved at build time: a
+/// tuple element is its register, a constant sits in the query's constant
+/// pool behind the bindings, an intermediate result in a scratch
+/// register (§4.4's folding of leaves into their parent, applied to
+/// arithmetic).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FusedInstr {
+    /// The operation.
+    pub op: FusedOp,
+    /// Arena offset of the left operand.
+    pub a: usize,
+    /// Arena offset of the right operand.
+    pub b: usize,
+}
+
 /// One interpreter node. Statements, operations, conditions, and
 /// expressions share the enum; the variant is the opcode (the paper's
 /// `node->type` switch tag).
@@ -103,8 +140,12 @@ pub enum INode<'p> {
     Query {
         /// Index into the profiler's label table.
         label: usize,
-        /// Total registers needed by the query's bindings.
+        /// Total registers: the query's bindings, then [`FUSED_SCRATCH`]
+        /// scratch registers, then `consts`.
         arena_size: usize,
+        /// Constant operands of the query's fused programs, copied to the
+        /// end of the arena when the query starts.
+        consts: Vec<u32>,
         /// The operation tree.
         body: Box<INode<'p>>,
         /// Shadow pointer to the source RAM statement.
@@ -207,6 +248,14 @@ pub enum INode<'p> {
         /// Run when the guard holds.
         body: Box<INode<'p>>,
     },
+    /// Conditional execution through an automatically fused arithmetic
+    /// guard: the whole conjunction costs one dispatch.
+    FilterFused {
+        /// The fused condition.
+        prog: Vec<FusedInstr>,
+        /// Run when the guard holds.
+        body: Box<INode<'p>>,
+    },
     /// Insert with super-instruction fields (paper Fig. 14): the tuple
     /// template already holds the constants; `elems` are register-to-
     /// register copies; only `generic` entries dispatch.
@@ -276,6 +325,8 @@ pub enum INode<'p> {
         /// Right operand.
         rhs: Box<INode<'p>>,
     },
+    /// A run of pure-arithmetic comparisons, fused.
+    Fused(Vec<FusedInstr>),
     /// `rel = ∅`.
     Empty(RelId),
     /// Existence probe, statically dispatched.
@@ -342,21 +393,7 @@ pub fn build_with_fusions<'p>(
     config: &InterpreterConfig,
     fusions: &[Fusion],
 ) -> ITree<'p> {
-    let mut b = Builder {
-        ram,
-        config: *config,
-        labels: Vec::new(),
-        offsets: Vec::new(),
-        maps: Vec::new(),
-        fusions: fusions.to_vec(),
-        active_fusion: None,
-        loops: 0,
-    };
-    let root = b.stmt(&ram.main);
-    ITree {
-        root,
-        labels: b.labels,
-    }
+    build_tree(ram, config, fusions, &ram.main)
 }
 
 /// Builds a tree for one statement of `ram` instead of its `main` — the
@@ -369,15 +406,26 @@ pub fn build_stmt<'p>(
     config: &InterpreterConfig,
     stmt: &'p RamStmt,
 ) -> ITree<'p> {
+    build_tree(ram, config, &[], stmt)
+}
+
+fn build_tree<'p>(
+    ram: &'p RamProgram,
+    config: &InterpreterConfig,
+    fusions: &[Fusion],
+    stmt: &'p RamStmt,
+) -> ITree<'p> {
     let mut b = Builder {
         ram,
         config: *config,
         labels: Vec::new(),
         offsets: Vec::new(),
         maps: Vec::new(),
-        fusions: Vec::new(),
+        fusions: fusions.to_vec(),
         active_fusion: None,
         loops: 0,
+        scratch: 0,
+        consts: None,
     };
     let root = b.stmt(stmt);
     ITree {
@@ -400,6 +448,12 @@ struct Builder<'p> {
     active_fusion: Option<NativeCond>,
     /// Loops assigned so far (tree order).
     loops: usize,
+    /// Arena offset of the current query's first scratch register (they
+    /// follow the bindings).
+    scratch: usize,
+    /// The constant pool of the query under construction; `None` outside
+    /// queries, where there is no arena to fuse over.
+    consts: Option<Vec<u32>>,
 }
 
 impl<'p> Builder<'p> {
@@ -455,10 +509,14 @@ impl<'p> Builder<'p> {
                     total += a.max(1);
                     self.maps.push(None);
                 }
+                self.scratch = total;
+                self.consts = Some(Vec::new());
                 let body = self.op(op);
+                let consts = self.consts.take().expect("set above");
                 INode::Query {
                     label: label_id,
-                    arena_size: total,
+                    arena_size: total + FUSED_SCRATCH + consts.len(),
+                    consts,
                     body: Box::new(body),
                     shadow: s,
                 }
@@ -616,9 +674,13 @@ impl<'p> Builder<'p> {
                         };
                     }
                 }
-                INode::Filter {
-                    cond: Box::new(self.cond(cond)),
-                    body: Box::new(self.op(body)),
+                let body = Box::new(self.op(body));
+                match self.cond(cond) {
+                    INode::Fused(prog) => INode::FilterFused { prog, body },
+                    cond => INode::Filter {
+                        cond: Box::new(cond),
+                        body,
+                    },
                 }
             }
             RamOp::Project { rel, values, rule } => self.project(*rel, values, *rule),
@@ -698,7 +760,7 @@ impl<'p> Builder<'p> {
 
     /// Builds the bound templates for a search pattern against an index
     /// order.
-    fn bounds(&mut self, pattern: &'p [Option<RamExpr>], ord: &[usize]) -> Bounds<'p> {
+    fn bounds(&mut self, pattern: &[Option<RamExpr>], ord: &[usize]) -> Bounds<'p> {
         let arity = pattern.len();
         let mut lo = vec![0u32; arity];
         let mut hi = vec![u32::MAX; arity];
@@ -728,10 +790,94 @@ impl<'p> Builder<'p> {
         }
     }
 
-    fn cond(&mut self, c: &'p RamCond) -> INode<'p> {
+    /// Builds a condition. With super-instructions on, every maximal run
+    /// of pure-arithmetic comparisons among its conjuncts becomes one
+    /// [`INode::Fused`] program; every other conjunct (a relation probe,
+    /// a comparison that interns strings or draws `$`) stays where it is,
+    /// so the conjunction still short-circuits in source order.
+    fn cond(&mut self, c: &RamCond) -> INode<'p> {
+        let conjuncts = match c {
+            RamCond::Conjunction(cs) => &cs[..],
+            single => std::slice::from_ref(single),
+        };
+        let mut parts = Vec::new();
+        let mut run = Vec::new();
+        for c in conjuncts {
+            if !(self.config.super_instructions && self.fuse(c, &mut run)) {
+                if !run.is_empty() {
+                    parts.push(INode::Fused(std::mem::take(&mut run)));
+                }
+                parts.push(self.conjunct(c));
+            }
+        }
+        if !run.is_empty() {
+            parts.push(INode::Fused(run));
+        }
+        match (c, &parts[..]) {
+            (RamCond::Conjunction(_), [INode::Fused(_)]) => parts.remove(0),
+            (RamCond::Conjunction(_), _) => INode::Conj(parts),
+            _ => parts.remove(0),
+        }
+    }
+
+    /// Appends the test for `c` to the fused `run` — unless `c` is not a
+    /// pure-arithmetic comparison, needs more scratch registers than an
+    /// arena has, or sits outside any query.
+    fn fuse(&mut self, c: &RamCond, run: &mut Vec<FusedInstr>) -> bool {
+        let RamCond::Comparison { kind, lhs, rhs } = c else {
+            return false;
+        };
+        if self.consts.is_none() || !is_pure_arith(c) {
+            return false;
+        }
+        let start = run.len();
+        let test = self.operand(lhs, run, 0).and_then(|a| {
+            let b = self.operand(rhs, run, usize::from(a == self.scratch))?;
+            let op = FusedOp::Test(*kind);
+            Some(FusedInstr { op, a, b })
+        });
+        match test {
+            Some(test) => run.push(test),
+            None => run.truncate(start),
+        }
+        test.is_some()
+    }
+
+    /// Lowers a pure-arithmetic expression in postfix order and returns
+    /// the arena offset its value is found at: a leaf is already there,
+    /// an operation is emitted after its arguments and writes scratch
+    /// register `live` (the registers below hold results still awaited).
+    fn operand(&mut self, e: &RamExpr, run: &mut Vec<FusedInstr>, live: usize) -> Option<usize> {
+        match e {
+            RamExpr::Constant(k) => {
+                let pool = self.consts.as_mut().expect("fusing inside a query");
+                let at = pool.iter().position(|c| c == k).unwrap_or_else(|| {
+                    pool.push(*k);
+                    pool.len() - 1
+                });
+                Some(self.scratch + FUSED_SCRATCH + at)
+            }
+            RamExpr::TupleElement { level, column } => Some(self.arena_ofs(*level, *column)),
+            RamExpr::Intrinsic { op, args } => {
+                let dst = self.scratch + live;
+                let a = self.operand(&args[0], run, live)?;
+                let b = match args.get(1) {
+                    Some(e) => self.operand(e, run, live + usize::from(a == dst))?,
+                    None => a,
+                };
+                let op = FusedOp::Set(*op, dst);
+                run.push(FusedInstr { op, a, b });
+                (live < FUSED_SCRATCH).then_some(dst)
+            }
+            RamExpr::AutoIncrement => unreachable!("`$` is not pure arithmetic"),
+        }
+    }
+
+    /// One tree-walked conjunct.
+    fn conjunct(&mut self, c: &RamCond) -> INode<'p> {
         match c {
             RamCond::True => INode::True,
-            RamCond::Conjunction(cs) => INode::Conj(cs.iter().map(|c| self.cond(c)).collect()),
+            RamCond::Conjunction(_) => self.cond(c),
             RamCond::Negation(inner) => INode::Not(Box::new(self.cond(inner))),
             RamCond::Comparison { kind, lhs, rhs } => INode::Cmp {
                 kind: *kind,
@@ -744,27 +890,16 @@ impl<'p> Builder<'p> {
                 index,
                 pattern,
             } => {
-                let mut eqrel_swap = false;
-                let repr = self.ram.relations[rel.0].repr;
-                let mut pattern_ref: &[Option<RamExpr>] = pattern;
+                let ord = self.storage_order(*rel, *index);
                 // Existence checks on eqrel with only the second column
                 // bound exploit symmetry like scans do; the translator
                 // leaves existence patterns unswapped, so flip here.
-                let swapped_storage;
-                if repr == ReprKind::EqRel
-                    && pattern.len() == 2
-                    && pattern[0].is_none()
-                    && pattern[1].is_some()
-                {
-                    swapped_storage = vec![pattern[1].clone(), pattern[0].clone()];
-                    pattern_ref = &swapped_storage;
-                    eqrel_swap = true;
-                    // NOTE: `swapped_storage` borrows end at function exit,
-                    // so clone the bounds eagerly below.
-                }
-                let ord = self.storage_order(*rel, *index);
-                let _ = eqrel_swap;
-                let bounds = self.bounds_owned(pattern_ref, &ord);
+                let bounds = match &pattern[..] {
+                    [None, key @ Some(_)] if self.ram.relations[rel.0].repr == ReprKind::EqRel => {
+                        self.bounds(&[key.clone(), None], &ord)
+                    }
+                    _ => self.bounds(pattern, &ord),
+                };
                 if self.static_ok(*rel) {
                     INode::ExistsStatic {
                         rel: *rel,
@@ -782,38 +917,6 @@ impl<'p> Builder<'p> {
         }
     }
 
-    /// Like [`Builder::bounds`] but clones pattern expressions so the
-    /// result does not borrow a temporary.
-    fn bounds_owned(&mut self, pattern: &[Option<RamExpr>], ord: &[usize]) -> Bounds<'p> {
-        let arity = pattern.len();
-        let mut lo = vec![0u32; arity];
-        let mut hi = vec![u32::MAX; arity];
-        let mut elems = Vec::new();
-        let mut dynamic = Vec::new();
-        let mut full = true;
-        for (pos, &src_col) in ord.iter().enumerate() {
-            match &pattern[src_col] {
-                None => full = false,
-                Some(RamExpr::Constant(k)) if self.config.super_instructions => {
-                    lo[pos] = *k;
-                    hi[pos] = *k;
-                }
-                Some(RamExpr::TupleElement { level, column }) if self.config.super_instructions => {
-                    elems.push((pos, self.arena_ofs(*level, *column)));
-                }
-                Some(e) => dynamic.push((pos, self.expr_owned(e))),
-            }
-        }
-        Bounds {
-            arity,
-            lo,
-            hi,
-            elems,
-            dynamic,
-            full,
-        }
-    }
-
     fn arena_ofs(&self, level: usize, column: usize) -> usize {
         let col = match &self.maps[level] {
             Some(map) => map[column],
@@ -822,11 +925,7 @@ impl<'p> Builder<'p> {
         self.offsets[level] + col
     }
 
-    fn expr(&mut self, e: &'p RamExpr) -> INode<'p> {
-        self.expr_owned(e)
-    }
-
-    fn expr_owned(&mut self, e: &RamExpr) -> INode<'p> {
+    fn expr(&mut self, e: &RamExpr) -> INode<'p> {
         match e {
             RamExpr::Constant(k) => INode::Constant(*k),
             RamExpr::TupleElement { level, column } => INode::TupleElement {
@@ -835,17 +934,27 @@ impl<'p> Builder<'p> {
             RamExpr::AutoIncrement => INode::AutoInc,
             RamExpr::Intrinsic { op, args } => INode::Intrinsic {
                 op: *op,
-                args: args.iter().map(|a| self.expr_owned(a)).collect(),
+                args: args.iter().map(|a| self.expr(a)).collect(),
             },
         }
     }
 }
 
-/// Whether a condition is purely arithmetic (no relation probes), i.e.
-/// eligible for hand-crafted fusion.
+/// Whether a condition is purely arithmetic — comparisons over constants,
+/// registers and symbol-free intrinsics, with no relation probe, no `$`
+/// and no string functor — i.e. a function of the register arena alone,
+/// eligible for fusion.
 fn is_pure_arith(c: &RamCond) -> bool {
+    fn arith(e: &RamExpr) -> bool {
+        match e {
+            RamExpr::Constant(_) | RamExpr::TupleElement { .. } => true,
+            RamExpr::Intrinsic { op, args } => !op.needs_symbols() && args.iter().all(arith),
+            RamExpr::AutoIncrement => false,
+        }
+    }
     match c {
-        RamCond::True | RamCond::Comparison { .. } => true,
+        RamCond::True => true,
+        RamCond::Comparison { lhs, rhs, .. } => arith(lhs) && arith(rhs),
         RamCond::Conjunction(cs) => cs.iter().all(is_pure_arith),
         RamCond::Negation(inner) => is_pure_arith(inner),
         RamCond::EmptinessCheck { .. } | RamCond::ExistenceCheck { .. } => false,
@@ -885,6 +994,7 @@ mod tests {
                 v
             }
             INode::Filter { cond, body } => vec![&**cond, &**body],
+            INode::FilterFused { body, .. } | INode::FilterNative { body, .. } => vec![&**body],
             INode::ProjectSuper { generic, .. } => generic.iter().map(|(_, e)| e).collect(),
             INode::ProjectPlain { values, .. } => values.iter().collect(),
             INode::Aggregate {
@@ -1033,7 +1143,7 @@ mod tests {
                 INode::IndexScanStatic { body, .. } | INode::IndexScanDynamic { body, .. } => {
                     find(body, f)
                 }
-                INode::Filter { body, .. } => find(body, f),
+                INode::Filter { body, .. } | INode::FilterFused { body, .. } => find(body, f),
                 _ => {}
             }
         }
@@ -1052,5 +1162,224 @@ mod tests {
             }
         });
         assert!(checked, "found the super-instruction projection");
+    }
+
+    /// Every `FilterFused` / `Fused` program of a tree, in tree order.
+    fn fused_programs<'a>(node: &'a INode<'_>, out: &mut Vec<&'a [FusedInstr]>) {
+        match node {
+            INode::FilterFused { prog, body } => {
+                out.push(prog);
+                fused_programs(body, out);
+            }
+            INode::Fused(prog) => out.push(prog),
+            INode::Seq(v) | INode::Conj(v) => v.iter().for_each(|c| fused_programs(c, out)),
+            INode::Loop { body, .. }
+            | INode::Query { body, .. }
+            | INode::ScanStatic { body, .. }
+            | INode::IndexScanStatic { body, .. } => fused_programs(body, out),
+            INode::Filter { cond, body } => {
+                fused_programs(cond, out);
+                fused_programs(body, out);
+            }
+            _ => {}
+        }
+    }
+
+    fn mem() -> InterpreterConfig {
+        InterpreterConfig::optimized().with_storage(StorageBackend::Mem)
+    }
+
+    #[test]
+    fn pure_arithmetic_looks_into_the_expressions() {
+        let cmp = |lhs: RamExpr| RamCond::Comparison {
+            kind: CmpKind::GtS,
+            lhs,
+            rhs: RamExpr::Constant(3),
+        };
+        let reg = RamExpr::TupleElement {
+            level: 0,
+            column: 0,
+        };
+        let call = |op, args| RamExpr::intrinsic(op, args);
+        assert!(is_pure_arith(&cmp(reg.clone())));
+        assert!(is_pure_arith(&cmp(call(
+            IntrinsicOp::ModS,
+            vec![reg.clone(), RamExpr::Constant(0)]
+        ))));
+        assert!(is_pure_arith(&RamCond::Negation(Box::new(
+            cmp(reg.clone())
+        ))));
+        // `strlen(s) > 3`, `cat(a, b) > 3` and anything drawing `$` need
+        // the symbol table or the counter: not functions of the arena.
+        assert!(!is_pure_arith(&cmp(call(
+            IntrinsicOp::Strlen,
+            vec![reg.clone()]
+        ))));
+        let cat = call(IntrinsicOp::Cat, vec![reg.clone(), reg.clone()]);
+        assert!(!is_pure_arith(&cmp(call(
+            IntrinsicOp::Add,
+            vec![reg.clone(), cat]
+        ))));
+        assert!(!is_pure_arith(&cmp(RamExpr::AutoIncrement)));
+        let nested = call(IntrinsicOp::Neg, vec![RamExpr::AutoIncrement]);
+        assert!(!is_pure_arith(&RamCond::Conjunction(vec![
+            cmp(reg),
+            cmp(nested)
+        ])));
+        assert!(!is_pure_arith(&RamCond::EmptinessCheck { rel: RelId(0) }));
+    }
+
+    #[test]
+    fn arithmetic_guards_lower_to_one_postfix_program() {
+        let src = "\
+            .decl e(x: number, y: number)\n.decl r(x: number)\n\
+            e(1, 2).\n\
+            r(x) :- e(x, y), x >= y - 4096, (x bxor y) band 7 != 3, x * 2 - y > (x + 1) * (y + 2).\n";
+        let ram = ram(src);
+        let tree = build(&ram, &mem());
+        let mut progs = Vec::new();
+        fused_programs(&tree.root, &mut progs);
+        use FusedOp::{Set, Test};
+        use IntrinsicOp::{Add, BAnd, BXor, Mul, Sub};
+        // Arena: x, y | scratch 2..10 | pooled constants from 10.
+        let pool = [4096, 7, 3, 2, 1];
+        let k = |v: u32| 10 + pool.iter().position(|&c| c == v).expect("pooled");
+        let ins = |op, a, b| FusedInstr { op, a, b };
+        assert_eq!(
+            progs,
+            vec![
+                &[
+                    ins(Set(Sub, 2), 1, k(4096)),
+                    ins(Test(CmpKind::GeS), 0, 2),
+                    ins(Set(BXor, 2), 0, 1),
+                    ins(Set(BAnd, 2), 2, k(7)),
+                    ins(Test(CmpKind::Ne), 2, k(3)),
+                    ins(Set(Mul, 2), 0, k(2)),
+                    ins(Set(Sub, 2), 2, 1),
+                    ins(Set(Add, 3), 0, k(1)),
+                    ins(Set(Add, 4), 1, k(2)),
+                    ins(Set(Mul, 3), 3, 4),
+                    ins(Test(CmpKind::GtS), 2, 3),
+                ][..]
+            ]
+        );
+        let arenas = count_kind(&tree.root, &|n| match n {
+            INode::Query {
+                arena_size, consts, ..
+            } => *arena_size == 2 + FUSED_SCRATCH + 5 && consts[..] == pool,
+            _ => false,
+        });
+        assert_eq!(arenas, 1, "the rule's arena ends in the constant pool");
+        assert_eq!(
+            count_kind(&tree.root, &|n| matches!(n, INode::Cmp { .. })),
+            0,
+            "nothing is left to the tree walk"
+        );
+        // `--no-super` is the off switch, and a hand-installed fusion
+        // still wins for its query.
+        let plain = InterpreterConfig {
+            super_instructions: false,
+            ..mem()
+        };
+        for (tree, natives) in [
+            (build(&ram, &plain), 0),
+            (
+                build_with_fusions(
+                    &ram,
+                    &mem(),
+                    &[Fusion {
+                        label_contains: "r(x)".into(),
+                        cond: |_| true,
+                    }],
+                ),
+                1,
+            ),
+        ] {
+            let mut progs = Vec::new();
+            fused_programs(&tree.root, &mut progs);
+            assert!(progs.is_empty());
+            assert_eq!(
+                count_kind(&tree.root, &|n| matches!(n, INode::FilterNative { .. })),
+                natives
+            );
+        }
+    }
+
+    #[test]
+    fn mixed_conjunctions_fuse_runs_and_keep_their_order() {
+        let src = "\
+            .decl e(x: number, y: number)\n.decl s(x: symbol)\n.decl r(x: number)\n\
+            e(1, 2).\ns(\"ab\").\n\
+            r(x) :- e(x, y), s(t), x < y, x != 7, !e(y, x), strlen(t) > x, y band 1 = 0.\n";
+        let ram = ram(src);
+        let tree = build(&ram, &mem());
+        let mut shapes = Vec::new();
+        fn conj<'a, 'p>(n: &'a INode<'p>, out: &mut Vec<&'a [INode<'p>]>) {
+            match n {
+                INode::Seq(v) => v.iter().for_each(|c| conj(c, out)),
+                INode::Query { body, .. }
+                | INode::ScanStatic { body, .. }
+                | INode::IndexScanStatic { body, .. } => conj(body, out),
+                INode::Filter { cond, body } => {
+                    if let INode::Conj(parts) = &**cond {
+                        out.push(parts);
+                    }
+                    conj(body, out);
+                }
+                _ => {}
+            }
+        }
+        conj(&tree.root, &mut shapes);
+        let guard = shapes
+            .iter()
+            .find(|parts| parts.iter().any(|p| matches!(p, INode::Fused(_))))
+            .expect("the rule's guard");
+        let kinds: Vec<String> = guard
+            .iter()
+            .map(|p| match p {
+                INode::Fused(prog) => {
+                    let tests = prog.iter().filter(|i| matches!(i.op, FusedOp::Test(_)));
+                    format!("{} fused", tests.count())
+                }
+                INode::Not(_) => "probe".to_owned(),
+                INode::Cmp { .. } => "strlen".to_owned(),
+                other => panic!("unexpected conjunct {other:?}"),
+            })
+            .collect();
+        assert_eq!(kinds, ["2 fused", "probe", "strlen", "1 fused"]);
+    }
+
+    #[test]
+    fn a_comparison_needing_too_many_scratch_registers_stays_tree_walked() {
+        // A balanced sum of 2^d leaves needs d scratch registers.
+        fn sum(depth: usize) -> String {
+            if depth == 0 {
+                "x".to_owned()
+            } else {
+                format!("({} + {})", sum(depth - 1), sum(depth - 1))
+            }
+        }
+        for (depth, fused) in [(FUSED_SCRATCH, 2), (FUSED_SCRATCH + 1, 1)] {
+            let src = format!(
+                ".decl e(x: number)\n.decl r(x: number)\ne(1).\n\
+                 r(x) :- e(x), x > 0, {} > x * 3.\n",
+                sum(depth)
+            );
+            let ram = ram(&src);
+            let tree = build(&ram, &mem());
+            let mut progs = Vec::new();
+            fused_programs(&tree.root, &mut progs);
+            let tests: usize = progs
+                .iter()
+                .flat_map(|p| p.iter())
+                .filter(|i| matches!(i.op, FusedOp::Test(_)))
+                .count();
+            assert_eq!(tests, fused, "depth {depth}");
+            assert_eq!(
+                count_kind(&tree.root, &|n| matches!(n, INode::Cmp { .. })),
+                2 - fused,
+                "depth {depth}"
+            );
+        }
     }
 }

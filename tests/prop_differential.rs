@@ -26,7 +26,20 @@ enum BodyAtom {
     Lt(usize, usize),
     /// `v_k = v_i + c`
     Bind(usize, usize, i64),
+    /// One of [`GUARDS`] over `v_i`, `v_j`.
+    Guard(usize, usize, usize),
 }
+
+/// Arithmetic guards within the reference evaluator's subset (signed
+/// comparisons; `band`, `bxor`, `*`, `-`), `A`/`B` standing for the two
+/// variables: the shapes the interpreter fuses.
+const GUARDS: [&str; 5] = [
+    "(A bxor B) band 1 = 0",
+    "A * 2 - B > 1",
+    "A - B != 3",
+    "A band 6 <= B",
+    "(A + 1) * (B - 4) >= 0 - A",
+];
 
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -36,17 +49,18 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Weighted pick mirroring the original proptest strategy
-/// (3:3:1:1:1 across E/F/NotE/Lt/Bind).
+/// Weighted pick: the original proptest strategy's 3:3:1:1:1 across
+/// E/F/NotE/Lt/Bind, plus 2 for Guard.
 fn body_atom(state: &mut u64) -> BodyAtom {
     let a = (splitmix(state) % 4) as usize;
     let b = (splitmix(state) % 4) as usize;
-    match splitmix(state) % 9 {
+    match splitmix(state) % 11 {
         0..=2 => BodyAtom::E(a, b),
         3..=5 => BodyAtom::F(a, b),
         6 => BodyAtom::NotE(a, b),
         7 => BodyAtom::Lt(a, b),
-        _ => BodyAtom::Bind(a, b, (splitmix(state) % 7) as i64 - 3),
+        8 => BodyAtom::Bind(a, b, (splitmix(state) % 7) as i64 - 3),
+        _ => BodyAtom::Guard(a, b, (splitmix(state) % GUARDS.len() as u64) as usize),
     }
 }
 
@@ -81,6 +95,13 @@ fn render_rule(head: (usize, usize), body: &[BodyAtom]) -> Option<String> {
                     return None;
                 }
                 parts.push(format!("v{a} < v{b}"));
+            }
+            BodyAtom::Guard(a, b, g) => {
+                if !bound[*a] || !bound[*b] {
+                    return None;
+                }
+                let (va, vb) = (format!("v{a}"), format!("v{b}"));
+                parts.push(GUARDS[*g].replace('A', &va).replace('B', &vb));
             }
             BodyAtom::Bind(k, i, c) => {
                 if !bound[*i] || bound[*k] {
@@ -181,4 +202,224 @@ fn random_programs_agree_with_reference() {
         checked_cases >= 20,
         "generator degenerated: only {checked_cases} well-formed cases"
     );
+}
+
+// ---- arithmetic guards: fused ≡ tree-walked, down to the error ---------
+
+/// The configurations whose answers must coincide: the default fuses
+/// arithmetic guards, `--no-super` and `legacy` walk them, `dynamic`
+/// fuses them over the other access path, and `--jobs 2` with two-tuple
+/// morsels evaluates them on worker frames.
+fn configurations() -> [(&'static str, InterpreterConfig); 5] {
+    let sti = InterpreterConfig::optimized();
+    let no_super = InterpreterConfig {
+        super_instructions: false,
+        ..sti
+    };
+    [
+        ("default", sti.with_jobs(1)),
+        ("--no-super", no_super.with_jobs(1)),
+        ("dynamic", InterpreterConfig::dynamic_adapter().with_jobs(1)),
+        ("legacy", InterpreterConfig::legacy().with_jobs(1)),
+        ("--jobs 2", sti.with_jobs(2).with_morsel_size(2)),
+    ]
+}
+
+/// What one configuration made of a program: its rendered output rows,
+/// or the error it raised.
+type Outcome = Result<BTreeSet<String>, String>;
+
+/// Evaluates `src` under every configuration and returns the outcome
+/// they all agree on.
+fn agreed_outcome(src: &str, inputs: &InputData, what: &str) -> Outcome {
+    let engine = Engine::from_source(src).unwrap_or_else(|e| panic!("{what}: {e}\n{src}"));
+    let mut agreed: Option<Outcome> = None;
+    for (name, config) in configurations() {
+        let got: Outcome = match engine.run(config, inputs) {
+            Ok(out) => Ok(out.outputs["r"]
+                .iter()
+                .map(|row| row.iter().map(|v| format!("{v} ")).collect())
+                .collect()),
+            Err(e) => Err(e.to_string()),
+        };
+        match &agreed {
+            None => agreed = Some(got),
+            Some(first) => assert_eq!(&got, first, "{what}: {name} vs default\nprogram:\n{src}"),
+        }
+    }
+    agreed.expect("at least one configuration")
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Domain {
+    Number,
+    Unsigned,
+    Float,
+}
+
+impl Domain {
+    fn name(self) -> &'static str {
+        match self {
+            Domain::Number => "number",
+            Domain::Unsigned => "unsigned",
+            Domain::Float => "float",
+        }
+    }
+
+    /// The value a raw draw `0..9` stands for: negatives for `number`,
+    /// one value above `i32::MAX` for `unsigned` (where signed and
+    /// unsigned order disagree), halves for `float`.
+    fn value(self, raw: i64) -> Value {
+        match self {
+            Domain::Number => Value::Number(raw as i32 - 4),
+            Domain::Unsigned if raw == 8 => Value::Unsigned(4_000_000_000),
+            Domain::Unsigned => Value::Unsigned(raw as u32),
+            Domain::Float => Value::Float(raw as f32 * 0.5 - 1.0),
+        }
+    }
+
+    fn literal(self, state: &mut u64) -> String {
+        let raw = splitmix(state) % 5;
+        match self {
+            Domain::Float => format!("{raw}.5"),
+            Domain::Unsigned if raw == 4 => "3000000000".to_owned(),
+            _ => raw.to_string(),
+        }
+    }
+}
+
+/// A random expression over `v0..v2`, fully parenthesised. `hazard` is
+/// the program's one operator that can raise (`/` or `%`): a program
+/// with a single kind of error raises the same one whichever tuple, rule
+/// or worker reaches a zero divisor first.
+fn arith_expr(state: &mut u64, depth: u32, domain: Domain, hazard: &str) -> String {
+    if depth == 0 || splitmix(state).is_multiple_of(3) {
+        return if splitmix(state).is_multiple_of(3) {
+            domain.literal(state)
+        } else {
+            format!("v{}", splitmix(state) % 3)
+        };
+    }
+    let ops: &[&str] = match domain {
+        Domain::Float => &["+", "-", "*", "/"],
+        _ => &["+", "-", "*", "band", "bxor", hazard, hazard],
+    };
+    let op = ops[(splitmix(state) % ops.len() as u64) as usize];
+    let lhs = arith_expr(state, depth - 1, domain, hazard);
+    let rhs = arith_expr(state, depth - 1, domain, hazard);
+    format!("({lhs} {op} {rhs})")
+}
+
+#[test]
+fn arithmetic_guards_agree_across_configurations() {
+    let (mut raised, mut answered) = (0, 0);
+    for seed in 1u64..=120 {
+        let mut state = seed.wrapping_mul(0xD6E8_FEB8_6659_FD93);
+        let domain = [Domain::Number, Domain::Unsigned, Domain::Float][(seed % 3) as usize];
+        let hazard = if splitmix(&mut state).is_multiple_of(2) {
+            "/"
+        } else {
+            "%"
+        };
+        let mut body = vec!["e(v0, v1)".to_owned(), "f(v1, v2)".to_owned()];
+        for g in 0..1 + splitmix(&mut state) % 4 {
+            let cmp = ["<", "<=", ">", ">=", "=", "!="][(splitmix(&mut state) % 6) as usize];
+            let lhs = arith_expr(&mut state, 2, domain, hazard);
+            let rhs = arith_expr(&mut state, 1, domain, hazard);
+            body.push(format!("{lhs} {cmp} {rhs}"));
+            if g == 1 && splitmix(&mut state).is_multiple_of(2) {
+                // A probe in the middle splits the arithmetic run.
+                body.push("!e(v2, v0)".to_owned());
+            }
+        }
+        let ty = domain.name();
+        let src = format!(
+            ".decl e(x: {ty}, y: {ty})\n.input e\n\
+             .decl f(x: {ty}, y: {ty})\n.input f\n\
+             .decl r(x: {ty}, y: {ty})\n.output r\n\
+             r(v0, v2) :- {}.\n",
+            body.join(", ")
+        );
+        let rows = |seed: u64, n: usize| -> Vec<Vec<Value>> {
+            edge_set(seed, n)
+                .iter()
+                .map(|t| t.iter().map(|&raw| domain.value(raw)).collect())
+                .collect()
+        };
+        let mut inputs = InputData::new();
+        inputs.insert("e".into(), rows(seed, 14));
+        inputs.insert("f".into(), rows(seed.wrapping_mul(31), 10));
+        match agreed_outcome(&src, &inputs, &format!("seed {seed}")) {
+            Ok(_) => answered += 1,
+            Err(e) => {
+                assert!(e.contains("by zero"), "seed {seed}: {e}");
+                raised += 1;
+            }
+        }
+    }
+    assert!(
+        raised >= 10 && answered >= 40,
+        "generator degenerated: {raised} programs raised, {answered} answered"
+    );
+}
+
+fn numbers(rows: &[&[i32]]) -> Vec<Vec<Value>> {
+    rows.iter()
+        .map(|r| r.iter().map(|&n| Value::Number(n)).collect())
+        .collect()
+}
+
+#[test]
+fn guards_short_circuit_in_source_order_fused_and_unfused_alike() {
+    let decls = ".decl e(x: number)\n.input e\n.decl r(x: number, y: number)\n.output r\n";
+    let mut inputs = InputData::new();
+    inputs.insert("e".into(), numbers(&[&[0], &[2], &[5], &[20]]));
+    // The zero never reaches the division...
+    let guarded = format!("{decls}r(x, 10 / x) :- e(x), x != 0, 10 / x > 1.\n");
+    let rows = agreed_outcome(&guarded, &inputs, "guard first").expect("never raises");
+    assert_eq!(rows.len(), 2, "{rows:?}");
+    // ...unless the division comes first.
+    let unguarded = format!("{decls}r(x, 10 / x) :- e(x), 10 / x > 1, x != 0.\n");
+    let err = agreed_outcome(&unguarded, &inputs, "division first").expect_err("raises");
+    assert!(err.contains("division by zero"), "{err}");
+    let rem = format!("{decls}r(x, x) :- e(x), x >= 0, 10 % x = 0.\n");
+    let err = agreed_outcome(&rem, &inputs, "remainder").expect_err("raises");
+    assert!(err.contains("remainder by zero"), "{err}");
+}
+
+#[test]
+fn mixed_conjunctions_keep_probes_between_their_arithmetic_runs() {
+    let src = ".decl p(a: number, b: number)\n.input p\n\
+               .decl q(a: number, b: number)\n.input q\n\
+               .decl r(a: number, b: number)\n.output r\n\
+               r(a, b) :- p(a, b), a < b, !q(a, b), (a bxor b) band 1 = 0.\n";
+    let mut p: Vec<Vec<i32>> = Vec::new();
+    for a in -3..6 {
+        for b in -3..6 {
+            p.push(vec![a, b]);
+        }
+    }
+    let p: Vec<&[i32]> = p.iter().map(|r| &r[..]).collect();
+    let mut inputs = InputData::new();
+    inputs.insert("p".into(), numbers(&p));
+    inputs.insert("q".into(), numbers(&[&[1, 3], &[-3, 5], &[0, 1]]));
+    let rows = agreed_outcome(src, &inputs, "mixed").expect("no error to raise");
+    let expected: BTreeSet<String> = p
+        .iter()
+        .filter(|r| r[0] < r[1] && ![[1, 3], [-3, 5]].contains(&[r[0], r[1]]))
+        .filter(|r| (r[0] ^ r[1]) & 1 == 0)
+        .map(|r| format!("{} {} ", r[0], r[1]))
+        .collect();
+    assert_eq!(rows, expected);
+}
+
+#[test]
+fn signed_overflow_in_division_and_remainder_wraps() {
+    let src = ".decl e(x: number, y: number)\n.input e\n\
+               .decl r(x: number, y: number)\n.output r\n\
+               r(x / y, x % y) :- e(x, y), x / y < 0, x % y = 0, (x / y) - 1 > 0.\n";
+    let mut inputs = InputData::new();
+    inputs.insert("e".into(), numbers(&[&[i32::MIN, -1], &[7, -1], &[-8, 2]]));
+    let rows = agreed_outcome(src, &inputs, "i32::MIN / -1").expect("wraps, never traps");
+    assert_eq!(rows, BTreeSet::from([format!("{} 0 ", i32::MIN)]));
 }

@@ -111,6 +111,39 @@ fn dispatch_and_iteration_counters_match_across_modes() {
 }
 
 #[test]
+fn a_fused_guard_costs_one_dispatch_and_one_super_hit_per_evaluation() {
+    // 6 `e` tuples reach the guard; 3 pass it. Tree-walked, the guard is
+    // a Filter over a Conj of two Cmp trees of 3 and 7 nodes; fused, it
+    // is one FilterFused dispatch. (The first conjunct always holds, so
+    // no walk is cut short.)
+    let src = "\
+        .decl e(x: number)\n.decl r(x: number)\n.output r\n\
+        e(1). e(2). e(3). e(4). e(5). e(6).\n\
+        r(x) :- e(x), x > 0, (x * 3) band 1 = 1.\n";
+    let engine = Engine::from_source(src).expect("compiles");
+    let profile = |config: InterpreterConfig| {
+        let out = engine.run(config.with_profile().with_jobs(1), &InputData::new());
+        out.expect("runs").profile.expect("profile")
+    };
+    let sti = profile(InterpreterConfig::optimized());
+    let dynamic = profile(InterpreterConfig::dynamic_adapter());
+    assert_eq!(sti.dispatches, dynamic.dispatches);
+    assert_eq!(sti.super_hits, dynamic.super_hits);
+    let mut walked = InterpreterConfig::optimized();
+    walked.super_instructions = false;
+    let walked = profile(walked);
+    assert_eq!(walked.super_hits, 0);
+    // Per evaluation: one hit for the guard; per derived tuple: one for
+    // the projection (facts are loaded, not projected).
+    assert_eq!(sti.super_hits, 6 + 3);
+    // The walk pays Conj + 3 + 7 nodes per evaluation on top of the
+    // Filter dispatch both pay, and one dispatch per projected column.
+    assert_eq!(walked.dispatches - sti.dispatches, 6 * (1 + 3 + 7) + 3);
+    assert_eq!(sti.iterations, walked.iterations);
+    assert_eq!(sti.total_inserts, walked.total_inserts);
+}
+
+#[test]
 fn telemetry_off_leaves_no_trace() {
     let tel = Telemetry::off();
     let engine = Engine::from_source_with(TC, Some(&tel)).expect("compiles");
