@@ -1307,10 +1307,12 @@ mod tests {
 
     #[test]
     fn mixed_conjunctions_fuse_runs_and_keep_their_order() {
+        // Every guard reads `n`, bound by the innermost atom, so all five
+        // share one conjunction there.
         let src = "\
-            .decl e(x: number, y: number)\n.decl s(x: symbol)\n.decl r(x: number)\n\
-            e(1, 2).\ns(\"ab\").\n\
-            r(x) :- e(x, y), s(t), x < y, x != 7, !e(y, x), strlen(t) > x, y band 1 = 0.\n";
+            .decl e(x: number, y: number)\n.decl s(x: symbol, n: number)\n.decl r(x: number)\n\
+            e(1, 2).\ns(\"ab\", 4).\n\
+            r(x) :- e(x, y), s(t, n), x < n, n != 7, !e(y, n), strlen(t) > x, n band 1 = 0.\n";
         let ram = ram(src);
         let tree = build(&ram, &mem());
         let mut shapes = Vec::new();

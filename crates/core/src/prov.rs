@@ -50,7 +50,8 @@ pub struct ProofNode {
     pub opaque: bool,
     /// The depth or node limit cut the tree here; premises are omitted.
     pub truncated: bool,
-    /// Sub-proofs of the rule's positive body atoms, in body order.
+    /// Sub-proofs of the rule's positive body atoms, in the order its plan
+    /// joins them.
     pub premises: Vec<ProofNode>,
 }
 

@@ -41,7 +41,7 @@ pub(crate) trait Visitor {
     /// into it?
     fn admit(&mut self, bound: &[Premise], rel: RelId, candidate: &[RamDomain]) -> bool;
 
-    /// The binding `premises` (body order) projects onto the target.
+    /// The binding `premises` (plan order) projects onto the target.
     /// `true` keeps looking for further bindings, `false` ends the search.
     fn complete(&mut self, premises: &[Premise]) -> bool;
 }

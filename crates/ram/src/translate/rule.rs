@@ -1,19 +1,30 @@
 //! Translation of a single Datalog rule into a RAM query.
 //!
-//! The body is processed left to right. Positive atoms become scans
-//! (indexed when previously-bound values constrain columns); negations and
-//! constraints are placed at the earliest point where all their variables
-//! are bound; equalities `X = e` with unbound `X` become substitutions
-//! (every later use of `X` re-evaluates `e`, exactly like Soufflé — this
-//! is what produces the dispatch-heavy filters of the paper's §5.2 case
-//! study); aggregates (already desugared to single-atom bodies) become
-//! `Aggregate` operations.
+//! The translator, not the rule's author, chooses the join order (a
+//! static SIPS, as Soufflé's). Outermost is an update-seed variant's
+//! `upd_` atom, else the first atom written; then, among the atoms whose
+//! argument expressions can be evaluated, the one with the most bound
+//! columns (constants, bound variables, evaluable expressions). Ties go
+//! to the longest bound prefix of the declared columns — authors declare
+//! relations key first (`obj_type(o, t)`) — then to relations small by
+//! construction (`.input`, the `delta_`/`upd_` frontiers), then to
+//! source order. Positive atoms become scans (indexed when bound values
+//! constrain columns); negations and constraints are placed at the
+//! earliest level where their variables are bound; equalities `X = e`
+//! with unbound `X` become substitutions (every later use of `X`
+//! re-evaluates `e`, exactly like Soufflé — this is what produces the
+//! dispatch-heavy filters of the paper's §5.2 case study); aggregates
+//! (already desugared to single-atom bodies) become `Aggregate`
+//! operations once every atom is joined. A variable with an atom
+//! position has that position's declared type whichever literal binds
+//! it, so the order never changes how an operator is typed.
 
 use crate::expr::{CmpKind, IntrinsicOp, RamExpr};
-use crate::program::{RamRelation, RelId, ReprKind};
+use crate::program::{RamRelation, RelId, ReprKind, Role};
 use crate::stmt::{AggFunc, RamCond, RamOp, RamStmt};
 use crate::translate::typing::{infer_var_types, join_numeric};
 use crate::translate::TranslateError;
+use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap};
 use stir_frontend::analysis::CheckedProgram;
 use stir_frontend::ast::{
@@ -90,6 +101,8 @@ enum Pending {
 
 struct Builder<'a, 'b> {
     cx: &'b mut RuleCx<'a>,
+    /// Declared type of every variable that occupies an atom position.
+    types: HashMap<String, AttrType>,
     bindings: HashMap<String, (RamExpr, AttrType)>,
     steps: Vec<Step>,
     level_arity: Vec<usize>,
@@ -112,11 +125,8 @@ pub fn translate_rule(
     rule: &Rule,
     rec: Option<&RecursiveInfo>,
 ) -> Result<RamStmt, TranslateError> {
-    // Variable types flow through `bindings`; atom-position types come
-    // from declarations at bind time (infer_var_types is used by tests and
-    // kept for external consumers).
-    let _ = infer_var_types(rule, cx.checked);
     let mut b = Builder {
+        types: infer_var_types(rule, cx.checked),
         cx,
         bindings: HashMap::new(),
         steps: Vec::new(),
@@ -125,6 +135,11 @@ pub fn translate_rule(
         recursive: rec.is_some_and(|i| !i.allow_counter),
     };
 
+    // Resolve every positive atom's relation in source order (the
+    // delta/upd occurrence numbers count source positions); everything
+    // else waits until its variables are bound.
+    let mut atoms: Vec<(&Atom, RelId)> = Vec::new();
+    let mut seed: Option<usize> = None;
     let mut pending: Vec<Pending> = Vec::new();
     let mut scc_occurrence = 0usize;
     let mut upd_occurrence = 0usize;
@@ -144,6 +159,7 @@ pub fn translate_rule(
                     }
                     Some(info) if info.upd.contains_key(&atom.name) => {
                         let r = if Some(upd_occurrence) == info.upd_occurrence {
+                            seed = Some(atoms.len());
                             info.upd[&atom.name]
                         } else {
                             b.cx.rel_ids[&atom.name]
@@ -153,12 +169,26 @@ pub fn translate_rule(
                     }
                     _ => b.cx.rel_ids[&atom.name],
                 };
-                b.emit_positive(atom, rel)?;
+                atoms.push((atom, rel));
             }
             Literal::Negative(atom) => pending.push(Pending::Neg(atom.clone())),
             Literal::Constraint(c) => pending.push(Pending::Con(c.clone())),
         }
+    }
+
+    // Join order: the seed's `upd_` atom, else the first placeable atom in
+    // source order; then, greedily, the most-bound placeable atom. The
+    // earliest remaining atom is placeable whenever source order would
+    // have been, so this never fails where source order succeeds.
+    b.flush_pending(&mut pending, false)?;
+    let mut next = seed
+        .filter(|&i| b.placeable(atoms[i].0))
+        .or_else(|| atoms.iter().position(|(a, _)| b.placeable(a)));
+    while !atoms.is_empty() {
+        let (atom, rel) = atoms.remove(next.take().unwrap_or(0));
+        b.emit_positive(atom, rel)?;
         b.flush_pending(&mut pending, false)?;
+        next = b.most_bound(&atoms);
     }
     // Final flush: aggregates are only placed here, once every variable
     // that the outer rule can bind is bound, so helper-atom variables
@@ -314,6 +344,44 @@ fn mark_scans_parallel(op: &mut RamOp) {
 }
 
 impl Builder<'_, '_> {
+    /// Whether every argument of `atom` that is not a plain variable can be
+    /// evaluated under the current bindings.
+    fn placeable(&self, atom: &Atom) -> bool {
+        atom.args.iter().all(|a| match a {
+            Expr::Var(..) | Expr::Wildcard(_) => true,
+            e => !contains_aggregate(e) && self.expr_ready(e),
+        })
+    }
+
+    /// The next atom to join: among the placeable ones, a nullary presence
+    /// test first, then the most bound columns, then the longest bound
+    /// prefix of the declared columns, then the small relations (`.input`,
+    /// and the `delta_`/`upd_` frontiers), then source order.
+    fn most_bound(&self, atoms: &[(&Atom, RelId)]) -> Option<usize> {
+        let key = |i: usize| {
+            let (atom, rel) = atoms[i];
+            let bound: Vec<bool> = (atom.args)
+                .iter()
+                .map(|e| match e {
+                    Expr::Var(v, _) => self.bindings.contains_key(v),
+                    Expr::Wildcard(_) => false,
+                    _ => true,
+                })
+                .collect();
+            let r = &self.cx.relations[rel.0];
+            (
+                atom.args.is_empty(),
+                bound.iter().filter(|&&b| b).count(),
+                bound.iter().take_while(|&&b| b).count(),
+                r.is_input || r.role != Role::Standard,
+                Reverse(i),
+            )
+        };
+        (0..atoms.len())
+            .filter(|&i| self.placeable(atoms[i].0))
+            .max_by_key(|&i| key(i))
+    }
+
     fn emit_positive(&mut self, atom: &Atom, rel: RelId) -> Result<(), TranslateError> {
         let arity = atom.args.len();
         if arity == 0 {
@@ -507,20 +575,22 @@ impl Builder<'_, '_> {
     }
 
     fn place_constraint(&mut self, c: &Constraint) -> Result<(), TranslateError> {
-        // Binding equality?
+        // Binding equality? A variable with an atom position keeps that
+        // position's declared type, whichever side defines it.
         if c.op == CmpOp::Eq {
-            match (&c.lhs, &c.rhs) {
-                (Expr::Var(v, _), rhs) if !self.bindings.contains_key(v) => {
-                    let (e, ty) = self.lower_expr(rhs)?;
-                    self.bindings.insert(v.clone(), (e, ty));
-                    return Ok(());
+            let binding = match (&c.lhs, &c.rhs) {
+                (Expr::Var(v, _), def) | (def, Expr::Var(v, _))
+                    if !self.bindings.contains_key(v) =>
+                {
+                    Some((v, def))
                 }
-                (lhs, Expr::Var(v, _)) if !self.bindings.contains_key(v) => {
-                    let (e, ty) = self.lower_expr(lhs)?;
-                    self.bindings.insert(v.clone(), (e, ty));
-                    return Ok(());
-                }
-                _ => {}
+                _ => None,
+            };
+            if let Some((v, def)) = binding {
+                let (e, ty) = self.lower_expr(def)?;
+                let ty = self.types.get(v).copied().unwrap_or(ty);
+                self.bindings.insert(v.clone(), (e, ty));
+                return Ok(());
             }
         }
         let (lhs, lty) = self.lower_expr(&c.lhs)?;

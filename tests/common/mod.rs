@@ -3,19 +3,24 @@
 //! The reference implementation shares *no* code with the engine's
 //! evaluation path: it interprets the checked AST directly with naive
 //! (non-semi-naive) fixpoint iteration and backtracking joins. It covers
-//! the number-typed core of the language (positive/negative literals,
+//! the integer core of the language (positive/negative literals,
 //! comparison constraints, arithmetic with binding equalities) — enough
 //! to differentially test every structural feature of the engine.
+//!
+//! Values are the 32-bit patterns, held as the `i64` of their `i32`
+//! reading. A variable occupying an `unsigned` atom position is
+//! `unsigned`, and a comparison with an `unsigned` variable on either side
+//! compares unsigned; everything else is `number`.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use stir_core::Value;
 use stir_frontend::analysis::CheckedProgram;
-use stir_frontend::ast::{BinOp, CmpOp, Expr, Literal, UnOp};
+use stir_frontend::ast::{AttrType, BinOp, CmpOp, Expr, Literal, UnOp};
 
 pub type Tuple = Vec<i64>;
 pub type Db = HashMap<String, BTreeSet<Tuple>>;
 
-/// Naively evaluates a checked program over number-typed relations.
+/// Naively evaluates a checked program over `number`/`unsigned` relations.
 ///
 /// # Panics
 ///
@@ -49,16 +54,33 @@ pub fn eval_reference(checked: &CheckedProgram, inputs: &Db) -> Db {
             let mut grew = false;
             for &ri in &stratum.rules {
                 let rule = &checked.ast.rules[ri];
+                let mut unsigned = HashSet::new();
+                for lit in &rule.body {
+                    if let Literal::Positive(a) | Literal::Negative(a) = lit {
+                        for (arg, attr) in a.args.iter().zip(&checked.decl(&a.name).attrs) {
+                            if let (Expr::Var(v, _), AttrType::Unsigned) = (arg, attr.ty) {
+                                unsigned.insert(v.clone());
+                            }
+                        }
+                    }
+                }
                 let mut derived: Vec<Tuple> = Vec::new();
-                join(&db, &rule.body, 0, &mut HashMap::new(), &mut |env| {
-                    let tuple: Tuple = rule
-                        .head
-                        .args
-                        .iter()
-                        .map(|a| eval_expr(a, env).expect("head is grounded"))
-                        .collect();
-                    derived.push(tuple);
-                });
+                join(
+                    &db,
+                    &rule.body,
+                    &unsigned,
+                    0,
+                    &mut HashMap::new(),
+                    &mut |env| {
+                        let tuple: Tuple = rule
+                            .head
+                            .args
+                            .iter()
+                            .map(|a| eval_expr(a, env).expect("head is grounded"))
+                            .collect();
+                        derived.push(tuple);
+                    },
+                );
                 let target = db.get_mut(&rule.head.name).expect("declared");
                 for t in derived {
                     grew |= target.insert(t);
@@ -75,6 +97,7 @@ pub fn eval_reference(checked: &CheckedProgram, inputs: &Db) -> Db {
 fn join(
     db: &Db,
     body: &[Literal],
+    unsigned: &HashSet<String>,
     idx: usize,
     env: &mut HashMap<String, i64>,
     emit: &mut dyn FnMut(&HashMap<String, i64>),
@@ -111,7 +134,7 @@ fn join(
                         },
                     }
                 }
-                join(db, body, idx + 1, env, emit);
+                join(db, body, unsigned, idx + 1, env, emit);
                 unbind(env, &bound);
             }
         }
@@ -123,7 +146,7 @@ fn join(
                 })
             });
             if !matched {
-                join(db, body, idx + 1, env, emit);
+                join(db, body, unsigned, idx + 1, env, emit);
             }
         }
         Literal::Constraint(c) => {
@@ -134,7 +157,7 @@ fn join(
                         if !env.contains_key(name) {
                             if let Some(v) = eval_expr(other, env) {
                                 env.insert(name.clone(), v);
-                                join(db, body, idx + 1, env, emit);
+                                join(db, body, unsigned, idx + 1, env, emit);
                                 env.remove(name);
                             }
                             return;
@@ -142,9 +165,16 @@ fn join(
                     }
                 }
             }
-            let (Some(a), Some(b)) = (eval_expr(&c.lhs, env), eval_expr(&c.rhs, env)) else {
+            let (Some(mut a), Some(mut b)) = (eval_expr(&c.lhs, env), eval_expr(&c.rhs, env))
+            else {
                 panic!("reference evaluator: ungrounded constraint {c}");
             };
+            let mut vars = Vec::new();
+            c.lhs.collect_vars(&mut vars);
+            c.rhs.collect_vars(&mut vars);
+            if vars.iter().any(|v| unsigned.contains(*v)) {
+                (a, b) = (i64::from(a as u32), i64::from(b as u32));
+            }
             let holds = match c.op {
                 CmpOp::Eq => a == b,
                 CmpOp::Ne => a != b,
@@ -154,7 +184,7 @@ fn join(
                 CmpOp::Ge => a >= b,
             };
             if holds {
-                join(db, body, idx + 1, env, emit);
+                join(db, body, unsigned, idx + 1, env, emit);
             }
         }
     }

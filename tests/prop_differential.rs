@@ -423,3 +423,235 @@ fn signed_overflow_in_division_and_remainder_wraps() {
     let rows = agreed_outcome(src, &inputs, "i32::MIN / -1").expect("wraps, never traps");
     assert_eq!(rows, BTreeSet::from([format!("{} 0 ", i32::MIN)]));
 }
+
+// ---- body order: the translator's join order, not the author's ----------
+
+/// Variables of the body-order grammar: `number`-typed `n*` (positions of
+/// `e`, `f` and the head), `unsigned`-typed `u*` (positions of `g`).
+const VARS: [&str; 5] = ["n0", "n1", "n2", "u0", "u1"];
+
+/// One literal of the body-order grammar, over indexes into [`VARS`].
+#[derive(Debug, Clone, Copy)]
+enum Lit {
+    /// `rel(a, b)`: `e`/`f` over number variables, `g` over unsigned ones.
+    Atom(&'static str, usize, usize),
+    /// `!rel(a, b)`.
+    Not(&'static str, usize, usize),
+    /// `a < b`, unsigned if either side is.
+    Lt(usize, usize),
+    /// `k = i + c`: `k` is first bound here and occupies a later atom
+    /// position, so both evaluators type it by that position.
+    Bind(usize, usize, i64),
+    /// One of [`GUARDS`] over `a`, `b`.
+    Guard(usize, usize, usize),
+}
+
+impl Lit {
+    fn render(self) -> String {
+        match self {
+            Lit::Atom(rel, a, b) => format!("{rel}({}, {})", VARS[a], VARS[b]),
+            Lit::Not(rel, a, b) => format!("!{rel}({}, {})", VARS[a], VARS[b]),
+            Lit::Lt(a, b) => format!("{} < {}", VARS[a], VARS[b]),
+            Lit::Bind(k, i, c) => format!("{} = {} + {c}", VARS[k], VARS[i]),
+            Lit::Guard(a, b, g) => GUARDS[g].replace('A', VARS[a]).replace('B', VARS[b]),
+        }
+    }
+}
+
+/// The variables `body[..q]` binds, read left to right.
+fn bound_before(body: &[Lit], q: usize) -> [bool; 5] {
+    let mut bound = [false; 5];
+    for l in &body[..q] {
+        match *l {
+            Lit::Atom(_, a, b) => (bound[a], bound[b]) = (true, true),
+            Lit::Bind(k, ..) => bound[k] = true,
+            _ => {}
+        }
+    }
+    bound
+}
+
+/// A random rule `r(n, n) :- body` whose body grounds left to right (the
+/// reference evaluates it in that order): one to three atoms, then up to
+/// four negations, comparisons, guards and equalities inserted at random
+/// positions where their variables are bound. `None` when no `number`
+/// variable is bound for the head.
+fn body_order_rule(state: &mut u64) -> Option<Vec<String>> {
+    let mut pick = |n: usize| (splitmix(state) % n as u64) as usize;
+    let mut body: Vec<Lit> = (0..1 + pick(3))
+        .map(|_| match pick(3) {
+            0 => Lit::Atom("e", pick(3), pick(3)),
+            1 => Lit::Atom("f", pick(3), pick(3)),
+            _ => Lit::Atom("g", 3 + pick(2), 3 + pick(2)),
+        })
+        .collect();
+    for _ in 0..1 + pick(4) {
+        let q = pick(body.len() + 1);
+        let bound = bound_before(&body, q);
+        let vars: Vec<usize> = (0..5).filter(|&v| bound[v]).collect();
+        // Unbound before `q` but in an atom after it: equality targets.
+        let later: Vec<usize> = (0..5)
+            .filter(|&v| !bound[v])
+            .filter(|&v| {
+                let in_atom = |l: &Lit| matches!(*l, Lit::Atom(_, a, b) if a == v || b == v);
+                body[q..].iter().any(in_atom)
+            })
+            .collect();
+        if vars.is_empty() {
+            continue;
+        }
+        let (a, b) = (vars[pick(vars.len())], vars[pick(vars.len())]);
+        let lit = match pick(6) {
+            // A negation over the relation of `a`'s type.
+            0 => {
+                let same: Vec<usize> = vars
+                    .iter()
+                    .copied()
+                    .filter(|&v| (v < 3) == (a < 3))
+                    .collect();
+                Lit::Not(if a < 3 { "e" } else { "g" }, a, same[pick(same.len())])
+            }
+            1 => Lit::Lt(a, b),
+            // An equality, then a comparison reading its target: how that
+            // compares is what the target's type decides.
+            2 | 3 if !later.is_empty() => {
+                let k = later[pick(later.len())];
+                body.insert(q, Lit::Lt(k, b));
+                Lit::Bind(k, a, pick(5) as i64 - 2)
+            }
+            _ => Lit::Guard(a, b, pick(GUARDS.len())),
+        };
+        body.insert(q, lit);
+    }
+    let numbers: Vec<usize> = (0..3)
+        .filter(|&v| bound_before(&body, body.len())[v])
+        .collect();
+    if numbers.is_empty() {
+        return None;
+    }
+    let head = format!(
+        "r({}, {})",
+        VARS[numbers[pick(numbers.len())]],
+        VARS[numbers[pick(numbers.len())]]
+    );
+    Some(
+        std::iter::once(head)
+            .chain(body.iter().map(|l| l.render()))
+            .collect(),
+    )
+}
+
+#[test]
+fn body_order_does_not_change_the_answer() {
+    let (mut checked_cases, mut cross_binds) = (0, 0);
+    for seed in 1u64..=160 {
+        let mut state = seed.wrapping_mul(0xA076_1D64_78BD_642F);
+        let mut rules: Vec<Vec<String>> = Vec::new();
+        for _ in 0..1 + splitmix(&mut state) % 3 {
+            rules.extend(body_order_rule(&mut state));
+        }
+        if rules.is_empty() {
+            continue;
+        }
+        if splitmix(&mut state).is_multiple_of(2) {
+            rules.push(
+                ["r(n0, n2)", "r(n0, n1)", "e(n1, n2)"]
+                    .map(String::from)
+                    .to_vec(),
+            );
+        }
+        let render = |rules: &[Vec<String>]| {
+            let text: Vec<String> = rules
+                .iter()
+                .map(|r| format!("{} :- {}.", r[0], r[1..].join(", ")))
+                .collect();
+            format!(
+                ".decl e(x: number, y: number)\n.input e\n\
+                 .decl f(x: number, y: number)\n.input f\n\
+                 .decl g(x: unsigned, y: unsigned)\n.input g\n\
+                 .decl r(x: number, y: number)\n.output r\n{}\n",
+                text.join("\n")
+            )
+        };
+        let src = render(&rules);
+        // A random permutation of every rule body (Fisher–Yates).
+        let mut permuted = rules.clone();
+        for rule in &mut permuted {
+            let body = &mut rule[1..];
+            for i in (1..body.len()).rev() {
+                body.swap(i, (splitmix(&mut state) % (i as u64 + 1)) as usize);
+            }
+        }
+        let shuffled = render(&permuted);
+        let checked = parse_and_check(&src).expect("generated programs check");
+
+        // Values -2..2, dense enough for joins to meet; `g` holds the same
+        // bit patterns as unsigned, so equalities across the types match
+        // and signed and unsigned comparisons of them disagree.
+        let raw = |seed: u64, n: usize| -> BTreeSet<Vec<i64>> {
+            edge_set(seed, n)
+                .iter()
+                .map(|t| t.iter().map(|v| v % 5 - 2).collect())
+                .collect()
+        };
+        let mut db = Db::new();
+        db.insert("e".into(), raw(seed, 14));
+        db.insert("f".into(), raw(seed.wrapping_mul(31), 10));
+        db.insert("g".into(), raw(seed.wrapping_mul(17), 12));
+        let mut inputs = InputData::new();
+        for (name, rows) in &db {
+            let value = |v: i64| match name.as_str() {
+                "g" => Value::Unsigned(v as i32 as u32),
+                _ => Value::Number(v as i32),
+            };
+            inputs.insert(
+                name.clone(),
+                rows.iter()
+                    .map(|t| t.iter().map(|&v| value(v)).collect())
+                    .collect(),
+            );
+        }
+        let reference: BTreeSet<String> = eval_reference(&checked, &db)["r"]
+            .iter()
+            .map(|t| t.iter().map(|v| format!("{v} ")).collect())
+            .collect();
+
+        let what = format!("seed {seed}");
+        let original = agreed_outcome(&src, &inputs, &what);
+        assert_eq!(
+            original,
+            Ok(reference),
+            "{what}: reference\nprogram:\n{src}"
+        );
+        let reordered = agreed_outcome(&shuffled, &inputs, &what);
+        assert_eq!(
+            reordered, original,
+            "{what}: permuted\n{shuffled}\noriginal:\n{src}"
+        );
+        checked_cases += 1;
+        cross_binds += usize::from(["u0 = n", "u1 = n", " = u"].iter().any(|b| src.contains(b)));
+    }
+    assert!(
+        checked_cases >= 100 && cross_binds >= 10,
+        "generator degenerated: {checked_cases} programs, {cross_binds} binding across types"
+    );
+}
+
+#[test]
+fn equality_bound_variables_take_their_atom_type_in_either_order() {
+    let decls = ".decl a(x: number)\n.input a\n.decl b(y: unsigned)\n.input b\n\
+                 .decl r(y: unsigned)\n.output r\n";
+    let mut inputs = InputData::new();
+    inputs.insert("a".into(), numbers(&[&[-1], &[3]]));
+    inputs.insert(
+        "b".into(),
+        vec![vec![Value::Unsigned(u32::MAX)], vec![Value::Unsigned(3)]],
+    );
+    // `y` occupies `b`'s unsigned column, so `y < 5` compares unsigned and
+    // 4294967295 fails it, whether `x = y` or `b(y)` binds `y`.
+    for body in ["a(x), x = y, b(y), y < 5", "a(x), b(y), x = y, y < 5"] {
+        let src = format!("{decls}r(y) :- {body}.\n");
+        let rows = agreed_outcome(&src, &inputs, body).expect("no error to raise");
+        assert_eq!(rows, BTreeSet::from(["3 ".to_owned()]), "{body}");
+    }
+}
