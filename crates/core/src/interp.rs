@@ -2,13 +2,16 @@
 //! interpreter tree.
 //!
 //! Dispatch is a `match` on the [`INode`] variant — the Rust rendering of
-//! the paper's `switch (node->type)` (Fig. 5). The statically-dispatched
-//! relational instructions downcast the relation's index to its concrete
-//! `(representation, arity)` type once per instruction execution and then
-//! run fully monomorphized loops (§4.1); the `with_static_set!` /
-//! `with_static_adapter!` macros below play the role of the paper's
-//! `FOR_EACH` C-macro family (Figs. 8–11), stamping out one `match` arm
-//! per pre-instantiated index type.
+//! the paper's `switch (node->type)` (Fig. 5). Each relational operation
+//! has one node and one handler: [`INode::Scan`] (full or range) and
+//! `Aggregate` read tuples through one source, `Interpreter::for_each`,
+//! and [`INode::Exists`] probes. A node's `static_dispatch` field picks,
+//! once per execution, between downcasting the index to its concrete
+//! `(representation, arity)` type and running a fully monomorphized loop
+//! (§4.1) or iterating through the virtual adapter; the
+//! `with_static_set!` / `with_static_adapter!` macros below play the role
+//! of the paper's `FOR_EACH` C-macro family (Figs. 8–11), stamping out
+//! one `match` arm per pre-instantiated index type.
 //!
 //! The `OUT` const-generic parameter realizes the §4.3 ablation: with
 //! `OUT = true`, heavy instruction handlers are forced out of line behind
@@ -77,19 +80,19 @@ macro_rules! with_index_type {
     };
 }
 
-/// Dispatches a read-only operation to the monomorphized set behind an
-/// index adapter. `$method` must be generic as
-/// `fn m<const OUT: bool, const PROF: bool, const N: usize, S: StaticSet<N>>(&self, set: &S, ...)`.
+/// Evaluates `$body` with `$set` bound to the monomorphized set behind
+/// an index adapter (and `N` to its arity), in the match arm of its
+/// pre-instantiated type.
 macro_rules! with_static_set {
-    ($self:ident, $out:ident, $prof:ident, $repr:expr, $arity:expr, $idx:expr, $method:ident, ($($arg:expr),*)) => {
-        with_index_type!(
-            $repr,
-            $arity,
-            $self.$method::<$out, $prof, N, _>(
-                $idx.as_any().downcast_ref::<Idx>().expect("index matches its spec").raw(),
-                $($arg),*
-            )
-        )
+    ($repr:expr, $arity:expr, $idx:expr, |$set:ident| $body:expr) => {
+        with_index_type!($repr, $arity, {
+            let $set = $idx
+                .as_any()
+                .downcast_ref::<Idx>()
+                .expect("index matches its spec")
+                .raw();
+            $body
+        })
     };
 }
 
@@ -495,90 +498,15 @@ impl<'p, 'd> Interpreter<'p, 'd> {
                 }
                 Ok(())
             }
-            INode::ScanStatic {
-                rel,
-                index,
-                dst,
-                copy,
-                parallel,
-                body,
-            } => {
-                self.tick_prof::<PROF>(|p| p.count_scan(rel.0));
+            INode::Scan { rel, bounds, .. } => {
+                self.tick_prof::<PROF>(|p| match bounds {
+                    None => p.count_scan(rel.0),
+                    Some(_) => p.count_range(rel.0),
+                });
                 if OUT {
-                    outline(|| {
-                        self.scan_static::<OUT, PROF>(
-                            *rel, *index, dst, copy, *parallel, body, regs,
-                        )
-                    })
+                    outline(|| self.scan::<OUT, PROF>(node, regs))
                 } else {
-                    self.scan_static::<OUT, PROF>(*rel, *index, dst, copy, *parallel, body, regs)
-                }
-            }
-            INode::ScanDynamic {
-                rel,
-                index,
-                dst,
-                copy,
-                buffered,
-                parallel,
-                body,
-            } => {
-                self.tick_prof::<PROF>(|p| p.count_scan(rel.0));
-                if OUT {
-                    outline(|| {
-                        self.scan_dynamic::<OUT, PROF>(
-                            *rel, *index, dst, copy, *buffered, *parallel, body, regs,
-                        )
-                    })
-                } else {
-                    self.scan_dynamic::<OUT, PROF>(
-                        *rel, *index, dst, copy, *buffered, *parallel, body, regs,
-                    )
-                }
-            }
-            INode::IndexScanStatic {
-                rel,
-                index,
-                dst,
-                copy,
-                bounds,
-                parallel,
-                body,
-            } => {
-                self.tick_prof::<PROF>(|p| p.count_range(rel.0));
-                if OUT {
-                    outline(|| {
-                        self.index_scan_static::<OUT, PROF>(
-                            *rel, *index, dst, copy, bounds, *parallel, body, regs,
-                        )
-                    })
-                } else {
-                    self.index_scan_static::<OUT, PROF>(
-                        *rel, *index, dst, copy, bounds, *parallel, body, regs,
-                    )
-                }
-            }
-            INode::IndexScanDynamic {
-                rel,
-                index,
-                dst,
-                copy,
-                buffered,
-                bounds,
-                parallel,
-                body,
-            } => {
-                self.tick_prof::<PROF>(|p| p.count_range(rel.0));
-                if OUT {
-                    outline(|| {
-                        self.index_scan_dynamic::<OUT, PROF>(
-                            *rel, *index, dst, copy, *buffered, bounds, *parallel, body, regs,
-                        )
-                    })
-                } else {
-                    self.index_scan_dynamic::<OUT, PROF>(
-                        *rel, *index, dst, copy, *buffered, bounds, *parallel, body, regs,
-                    )
+                    self.scan::<OUT, PROF>(node, regs)
                 }
             }
             INode::ProjectSuper {
@@ -615,46 +543,12 @@ impl<'p, 'd> Interpreter<'p, 'd> {
                 self.insert::<PROF>(*rel, *static_dispatch, &tuple[..values.len()], *rule);
                 Ok(())
             }
-            INode::Aggregate {
-                static_dispatch,
-                rel,
-                index,
-                func,
-                dst,
-                copy,
-                bounds,
-                value,
-                body,
-            } => {
+            INode::Aggregate { rel, .. } => {
                 self.tick_prof::<PROF>(|p| p.count_range(rel.0));
                 if OUT {
-                    outline(|| {
-                        self.aggregate::<OUT, PROF>(
-                            *static_dispatch,
-                            *rel,
-                            *index,
-                            *func,
-                            dst,
-                            copy,
-                            bounds,
-                            value.as_deref(),
-                            body,
-                            regs,
-                        )
-                    })
+                    outline(|| self.aggregate::<OUT, PROF>(node, regs))
                 } else {
-                    self.aggregate::<OUT, PROF>(
-                        *static_dispatch,
-                        *rel,
-                        *index,
-                        *func,
-                        dst,
-                        copy,
-                        bounds,
-                        value.as_deref(),
-                        body,
-                        regs,
-                    )
+                    self.aggregate::<OUT, PROF>(node, regs)
                 }
             }
             other => unreachable!("not an operation node: {other:?}"),
@@ -663,49 +557,161 @@ impl<'p, 'd> Interpreter<'p, 'd> {
 
     // ---- scan handlers --------------------------------------------------
 
-    #[allow(clippy::too_many_arguments)]
+    /// The one scan handler, for full (`bounds: None`) and range scans
+    /// alike: evaluates the bounds, offers the rule to [`Self::fan_out`]
+    /// while the gate is open, and otherwise runs the body once per tuple
+    /// through [`Self::for_each`].
     #[inline(always)]
-    fn scan_static<const OUT: bool, const PROF: bool>(
+    fn scan<const OUT: bool, const PROF: bool>(
         &self,
-        rel: RelId,
-        index: usize,
-        dst: &Slot,
-        copy: &CopySpec,
-        parallel: bool,
-        body: &INode<'p>,
+        node: &INode<'p>,
         regs: &mut [u32],
     ) -> Result<(), EvalError> {
-        if parallel
-            && self.gate.get()
-            && self.fan_out::<OUT, PROF>(rel, index, dst, copy, None, body, regs)?
-        {
-            return Ok(());
+        let INode::Scan {
+            rel,
+            index,
+            dst,
+            copy,
+            bounds,
+            parallel,
+            body,
+            ..
+        } = node
+        else {
+            unreachable!("not a scan node: {node:?}")
+        };
+        let mut lo = [0u32; MAX_ARITY];
+        let mut hi = [u32::MAX; MAX_ARITY];
+        if let Some(b) = bounds {
+            self.fill_bounds::<OUT, PROF>(b, regs, &mut lo, &mut hi)?;
         }
+        if *parallel && self.gate.get() {
+            // Copies for the out-of-line call: were `lo`/`hi` themselves to
+            // escape, every index scan would keep them in memory (+4 % on
+            // the sequential join path).
+            let (lo, hi) = (lo, hi);
+            let range = bounds.as_ref().map(|b| (&lo[..b.arity], &hi[..b.arity]));
+            if self.fan_out::<OUT, PROF>(*rel, *index, dst, copy, range, body, regs)? {
+                return Ok(());
+            }
+        }
+        let range = bounds.is_some().then_some((&lo, &hi));
+        self.for_each::<OUT, PROF>(node, range, regs, |regs| {
+            self.eval_op::<OUT, PROF>(body, regs)
+        })
+    }
+
+    /// The tuple source of a scan or an aggregate (`node`): lands every
+    /// tuple of its index — those inside `range`, or all of them when
+    /// `None` — in its slot and calls `visit`. Full or range, static or
+    /// dynamic, buffered or not, eqrel pairs or a set: each choice is
+    /// taken here, once per execution, never per tuple. A full scan walks
+    /// the whole index, with no upper bound to compare against.
+    #[inline(always)]
+    fn for_each<const OUT: bool, const PROF: bool>(
+        &self,
+        node: &INode<'p>,
+        range: Option<(&[u32; MAX_ARITY], &[u32; MAX_ARITY])>,
+        regs: &mut [u32],
+        mut visit: impl FnMut(&mut [u32]) -> Result<(), EvalError>,
+    ) -> Result<(), EvalError> {
+        let (INode::Scan {
+            rel,
+            index,
+            dst,
+            copy,
+            static_dispatch,
+            buffered,
+            ..
+        }
+        | INode::Aggregate {
+            rel,
+            index,
+            dst,
+            copy,
+            static_dispatch,
+            buffered,
+            ..
+        }) = node
+        else {
+            unreachable!("not a scan node: {node:?}")
+        };
         let meta = &self.cx.ram.relations[rel.0];
-        let r = self.rel(rel);
-        if meta.repr == ReprKind::EqRel {
-            let eq = r
-                .index(index)
-                .as_any()
-                .downcast_ref::<EqRelIndex>()
-                .expect("eqrel index");
-            for pair in eq.raw().iter_pairs() {
+        let r = self.rel(*rel);
+        let idx = r.index(*index);
+        if !*static_dispatch {
+            let n = meta.arity;
+            let mut it: Box<dyn TupleIter + '_> = match range {
+                None => idx.scan(),
+                Some((lo, hi)) => {
+                    // Copies, so the virtual call does not pin the caller's
+                    // arrays in memory (see `scan`).
+                    let (lo, hi) = (*lo, *hi);
+                    idx.range(&lo[..n], &hi[..n])
+                }
+            };
+            if *buffered {
+                it = Box::new(BufferedTupleIter::new(it));
+            }
+            let mut scratch = [0u32; MAX_ARITY];
+            while let Some(t) = it.next_tuple() {
+                scratch[..n].copy_from_slice(t);
                 self.tick_iter::<PROF>();
-                self.copy_out(dst, copy, &pair, regs);
-                self.eval_op::<OUT, PROF>(body, regs)?;
+                self.copy_out(dst, copy, &scratch[..n], regs);
+                visit(regs)?;
             }
             return Ok(());
         }
-        with_static_set!(
-            self,
-            OUT,
-            PROF,
-            meta.repr,
-            meta.arity,
-            r.index(index),
-            scan_set,
-            (dst, copy, body, regs)
-        )
+        if meta.repr == ReprKind::EqRel {
+            let eq = idx.as_any().downcast_ref::<EqRelIndex>();
+            let eq = eq.expect("eqrel index").raw();
+            let pairs = match range {
+                None => eq.iter_pairs(),
+                Some((lo, hi)) => eq.range_pairs([lo[0], lo[1]], [hi[0], hi[1]]),
+            };
+            return self.drive::<PROF, 2>(pairs.into_iter(), dst, copy, regs, visit);
+        }
+        with_static_set!(meta.repr, meta.arity, idx, |set| match range {
+            None => self.drive::<PROF, N>(set.iter_tuples(), dst, copy, regs, visit),
+            Some((lo, hi)) => {
+                let lo: [u32; N] = lo[..N].try_into().expect("arity");
+                let hi: [u32; N] = hi[..N].try_into().expect("arity");
+                self.drive::<PROF, N>(set.range_tuples(&lo, &hi), dst, copy, regs, visit)
+            }
+        })
+    }
+
+    /// The per-tuple loop of every statically dispatched scan,
+    /// monomorphized over the tuple iterator: land each tuple in `dst`,
+    /// then `visit`.
+    #[inline(always)]
+    fn drive<const PROF: bool, const N: usize>(
+        &self,
+        tuples: impl Iterator<Item = [u32; N]>,
+        dst: &Slot,
+        copy: &CopySpec,
+        regs: &mut [u32],
+        mut visit: impl FnMut(&mut [u32]) -> Result<(), EvalError>,
+    ) -> Result<(), EvalError> {
+        match copy {
+            CopySpec::Direct => {
+                for t in tuples {
+                    self.tick_iter::<PROF>();
+                    regs[dst.ofs..dst.ofs + N].copy_from_slice(&t);
+                    visit(regs)?;
+                }
+            }
+            CopySpec::Permuted(ord) => {
+                for t in tuples {
+                    self.tick_iter::<PROF>();
+                    for i in 0..N {
+                        regs[dst.ofs + ord[i]] = t[i];
+                    }
+                    visit(regs)?;
+                }
+            }
+        }
+        Ok(())
     }
 
     #[inline(always)]
@@ -718,173 +724,6 @@ impl<'p, 'd> Interpreter<'p, 'd> {
                 }
             }
         }
-    }
-
-    #[inline(always)]
-    fn scan_set<const OUT: bool, const PROF: bool, const N: usize, S: StaticSet<N>>(
-        &self,
-        set: &S,
-        dst: &Slot,
-        copy: &CopySpec,
-        body: &INode<'p>,
-        regs: &mut [u32],
-    ) -> Result<(), EvalError> {
-        match copy {
-            CopySpec::Direct => {
-                for t in set.iter_tuples() {
-                    self.tick_iter::<PROF>();
-                    regs[dst.ofs..dst.ofs + N].copy_from_slice(&t);
-                    self.eval_op::<OUT, PROF>(body, regs)?;
-                }
-            }
-            CopySpec::Permuted(ord) => {
-                for t in set.iter_tuples() {
-                    self.tick_iter::<PROF>();
-                    for i in 0..N {
-                        regs[dst.ofs + ord[i]] = t[i];
-                    }
-                    self.eval_op::<OUT, PROF>(body, regs)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    fn index_scan_static<const OUT: bool, const PROF: bool>(
-        &self,
-        rel: RelId,
-        index: usize,
-        dst: &Slot,
-        copy: &CopySpec,
-        bounds: &Bounds<'p>,
-        parallel: bool,
-        body: &INode<'p>,
-        regs: &mut [u32],
-    ) -> Result<(), EvalError> {
-        let mut lo = [0u32; MAX_ARITY];
-        let mut hi = [u32::MAX; MAX_ARITY];
-        self.fill_bounds::<OUT, PROF>(bounds, regs, &mut lo, &mut hi)?;
-        if parallel && self.gate.get() {
-            // Copies for the out-of-line call: were `lo`/`hi` themselves to
-            // escape, every index scan would keep them in memory (+4 % on
-            // the sequential join path).
-            let (lo, hi) = (lo, hi);
-            let range = Some((&lo[..bounds.arity], &hi[..bounds.arity]));
-            if self.fan_out::<OUT, PROF>(rel, index, dst, copy, range, body, regs)? {
-                return Ok(());
-            }
-        }
-        let meta = &self.cx.ram.relations[rel.0];
-        let r = self.rel(rel);
-        if meta.repr == ReprKind::EqRel {
-            let eq = r
-                .index(index)
-                .as_any()
-                .downcast_ref::<EqRelIndex>()
-                .expect("eqrel index");
-            for pair in eq.raw().range_pairs([lo[0], lo[1]], [hi[0], hi[1]]) {
-                self.tick_iter::<PROF>();
-                self.copy_out(dst, copy, &pair, regs);
-                self.eval_op::<OUT, PROF>(body, regs)?;
-            }
-            return Ok(());
-        }
-        with_static_set!(
-            self,
-            OUT,
-            PROF,
-            meta.repr,
-            meta.arity,
-            r.index(index),
-            range_set,
-            (&lo, &hi, dst, copy, body, regs)
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    fn range_set<const OUT: bool, const PROF: bool, const N: usize, S: StaticSet<N>>(
-        &self,
-        set: &S,
-        lo: &[u32; MAX_ARITY],
-        hi: &[u32; MAX_ARITY],
-        dst: &Slot,
-        copy: &CopySpec,
-        body: &INode<'p>,
-        regs: &mut [u32],
-    ) -> Result<(), EvalError> {
-        let lo: [u32; N] = lo[..N].try_into().expect("arity");
-        let hi: [u32; N] = hi[..N].try_into().expect("arity");
-        match copy {
-            CopySpec::Direct => {
-                for t in set.range_tuples(&lo, &hi) {
-                    self.tick_iter::<PROF>();
-                    regs[dst.ofs..dst.ofs + N].copy_from_slice(&t);
-                    self.eval_op::<OUT, PROF>(body, regs)?;
-                }
-            }
-            CopySpec::Permuted(ord) => {
-                for t in set.range_tuples(&lo, &hi) {
-                    self.tick_iter::<PROF>();
-                    for i in 0..N {
-                        regs[dst.ofs + ord[i]] = t[i];
-                    }
-                    self.eval_op::<OUT, PROF>(body, regs)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    fn scan_dynamic<const OUT: bool, const PROF: bool>(
-        &self,
-        rel: RelId,
-        index: usize,
-        dst: &Slot,
-        copy: &CopySpec,
-        buffered: bool,
-        parallel: bool,
-        body: &INode<'p>,
-        regs: &mut [u32],
-    ) -> Result<(), EvalError> {
-        if parallel
-            && self.gate.get()
-            && self.fan_out::<OUT, PROF>(rel, index, dst, copy, None, body, regs)?
-        {
-            return Ok(());
-        }
-        let r = self.rel(rel);
-        let mut it: Box<dyn TupleIter + '_> = if buffered {
-            Box::new(BufferedTupleIter::new(r.index(index).scan()))
-        } else {
-            r.index(index).scan()
-        };
-        self.drive_dynamic::<OUT, PROF>(&mut *it, dst, copy, body, regs)
-    }
-
-    /// The shared virtual-iterator loop of the dynamic scan paths.
-    #[inline(always)]
-    fn drive_dynamic<const OUT: bool, const PROF: bool>(
-        &self,
-        it: &mut dyn TupleIter,
-        dst: &Slot,
-        copy: &CopySpec,
-        body: &INode<'p>,
-        regs: &mut [u32],
-    ) -> Result<(), EvalError> {
-        let mut scratch = [0u32; MAX_ARITY];
-        let n = dst.arity;
-        while let Some(t) = it.next_tuple() {
-            scratch[..n].copy_from_slice(t);
-            self.tick_iter::<PROF>();
-            self.copy_out(dst, copy, &scratch[..n], regs);
-            self.eval_op::<OUT, PROF>(body, regs)?;
-        }
-        Ok(())
     }
 
     /// The fan-out decision of a rule evaluation, taken by the query's
@@ -1070,98 +909,44 @@ impl<'p, 'd> Interpreter<'p, 'd> {
         Ok(true)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    fn index_scan_dynamic<const OUT: bool, const PROF: bool>(
-        &self,
-        rel: RelId,
-        index: usize,
-        dst: &Slot,
-        copy: &CopySpec,
-        buffered: bool,
-        bounds: &Bounds<'p>,
-        parallel: bool,
-        body: &INode<'p>,
-        regs: &mut [u32],
-    ) -> Result<(), EvalError> {
-        let mut lo = [0u32; MAX_ARITY];
-        let mut hi = [u32::MAX; MAX_ARITY];
-        self.fill_bounds::<OUT, PROF>(bounds, regs, &mut lo, &mut hi)?;
-        let n = bounds.arity;
-        if parallel && self.gate.get() {
-            let (lo, hi) = (lo, hi); // copies, as in `index_scan_static`
-            let range = Some((&lo[..n], &hi[..n]));
-            if self.fan_out::<OUT, PROF>(rel, index, dst, copy, range, body, regs)? {
-                return Ok(());
-            }
-        }
-        let r = self.rel(rel);
-        let mut it: Box<dyn TupleIter + '_> = if buffered {
-            Box::new(BufferedTupleIter::new(
-                r.index(index).range(&lo[..n], &hi[..n]),
-            ))
-        } else {
-            r.index(index).range(&lo[..n], &hi[..n])
-        };
-        self.drive_dynamic::<OUT, PROF>(&mut *it, dst, copy, body, regs)
-    }
-
-    #[allow(clippy::too_many_arguments)]
+    /// Folds the aggregate's range through [`Self::for_each`], then runs
+    /// the body once with the result bound.
     #[inline(always)]
     fn aggregate<const OUT: bool, const PROF: bool>(
         &self,
-        static_dispatch: bool,
-        rel: RelId,
-        index: usize,
-        func: AggFunc,
-        dst: &Slot,
-        copy: &CopySpec,
-        bounds: &Bounds<'p>,
-        value: Option<&INode<'p>>,
-        body: &INode<'p>,
+        node: &INode<'p>,
         regs: &mut [u32],
     ) -> Result<(), EvalError> {
+        let INode::Aggregate {
+            rel,
+            func,
+            dst,
+            bounds,
+            value,
+            body,
+            ..
+        } = node
+        else {
+            unreachable!("not an aggregate node: {node:?}")
+        };
         let mut lo = [0u32; MAX_ARITY];
         let mut hi = [u32::MAX; MAX_ARITY];
         self.fill_bounds::<OUT, PROF>(bounds, regs, &mut lo, &mut hi)?;
-        let meta = &self.cx.ram.relations[rel.0];
-        let mut acc = AggAcc::new(func);
-
-        if meta.arity == 0 {
+        let mut acc = AggAcc::new(*func);
+        if self.cx.ram.relations[rel.0].arity == 0 {
             // Aggregating a nullary relation: one empty match if present.
-            if !self.rel(rel).is_empty() {
+            if !self.rel(*rel).is_empty() {
                 acc.add(0);
             }
         } else {
-            let r = self.rel(rel);
-            let n = meta.arity;
-            if static_dispatch && meta.repr != ReprKind::EqRel {
-                with_static_set!(
-                    self,
-                    OUT,
-                    PROF,
-                    meta.repr,
-                    meta.arity,
-                    r.index(index),
-                    agg_set,
-                    (&lo, &hi, dst, copy, value, &mut acc, regs)
-                )?;
-            } else {
-                let mut it = BufferedTupleIter::new(r.index(index).range(&lo[..n], &hi[..n]));
-                let mut scratch = [0u32; MAX_ARITY];
-                while let Some(t) = it.next_tuple() {
-                    scratch[..n].copy_from_slice(t);
-                    self.tick_iter::<PROF>();
-                    self.copy_out(dst, copy, &scratch[..n], regs);
-                    let v = match value {
-                        Some(e) => self.eval_expr::<OUT, PROF>(e, regs)?,
-                        None => 0,
-                    };
-                    acc.add(v);
-                }
-            }
+            self.for_each::<OUT, PROF>(node, Some((&lo, &hi)), regs, |regs| {
+                acc.add(match value {
+                    Some(e) => self.eval_expr::<OUT, PROF>(e, regs)?,
+                    None => 0,
+                });
+                Ok(())
+            })?;
         }
-
         match acc.finish() {
             Some(result) => {
                 regs[dst.ofs] = result;
@@ -1171,33 +956,6 @@ impl<'p, 'd> Interpreter<'p, 'd> {
             // body never runs (Soufflé semantics).
             None => Ok(()),
         }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    fn agg_set<const OUT: bool, const PROF: bool, const N: usize, S: StaticSet<N>>(
-        &self,
-        set: &S,
-        lo: &[u32; MAX_ARITY],
-        hi: &[u32; MAX_ARITY],
-        dst: &Slot,
-        copy: &CopySpec,
-        value: Option<&INode<'p>>,
-        acc: &mut AggAcc,
-        regs: &mut [u32],
-    ) -> Result<(), EvalError> {
-        let lo: [u32; N] = lo[..N].try_into().expect("arity");
-        let hi: [u32; N] = hi[..N].try_into().expect("arity");
-        for t in set.range_tuples(&lo, &hi) {
-            self.tick_iter::<PROF>();
-            self.copy_out(dst, copy, &t, regs);
-            let v = match value {
-                Some(e) => self.eval_expr::<OUT, PROF>(e, regs)?,
-                None => 0,
-            };
-            acc.add(v);
-        }
-        Ok(())
     }
 
     /// Inserts one source-order tuple into all indexes of a relation —
@@ -1272,7 +1030,12 @@ impl<'p, 'd> Interpreter<'p, 'd> {
                 eval_fused(prog, regs)
             }
             INode::Empty(rel) => Ok(self.rel(*rel).is_empty()),
-            INode::ExistsStatic { rel, index, bounds } => {
+            INode::Exists {
+                rel,
+                index,
+                bounds,
+                static_dispatch,
+            } => {
                 self.tick_prof::<PROF>(|p| p.count_exists(rel.0));
                 let mut lo = [0u32; MAX_ARITY];
                 let mut hi = [u32::MAX; MAX_ARITY];
@@ -1282,88 +1045,36 @@ impl<'p, 'd> Interpreter<'p, 'd> {
                 if meta.arity == 0 {
                     return Ok(!r.is_empty());
                 }
-                if meta.repr == ReprKind::EqRel {
-                    let eq = r
-                        .index(*index)
-                        .as_any()
-                        .downcast_ref::<EqRelIndex>()
-                        .expect("eqrel index");
+                let idx = r.index(*index);
+                if !*static_dispatch {
+                    let (lo, hi, n) = (lo, hi, bounds.arity); // copies, see `for_each`
                     return Ok(if bounds.full {
-                        eq.raw().contains(lo[0], lo[1])
+                        idx.contains_stored(&lo[..n])
                     } else {
-                        !eq.raw()
-                            .range_pairs([lo[0], lo[1]], [hi[0], hi[1]])
-                            .is_empty()
+                        idx.range(&lo[..n], &hi[..n]).next_tuple().is_some()
                     });
                 }
-                if bounds.full {
-                    with_static_set!(
-                        self,
-                        OUT,
-                        PROF,
-                        meta.repr,
-                        meta.arity,
-                        r.index(*index),
-                        contains_set,
-                        (&lo)
-                    )
-                } else {
-                    with_static_set!(
-                        self,
-                        OUT,
-                        PROF,
-                        meta.repr,
-                        meta.arity,
-                        r.index(*index),
-                        nonempty_set,
-                        (&lo, &hi)
-                    )
+                if meta.repr == ReprKind::EqRel {
+                    let eq = idx.as_any().downcast_ref::<EqRelIndex>();
+                    let eq = eq.expect("eqrel index").raw();
+                    return Ok(if bounds.full {
+                        eq.contains(lo[0], lo[1])
+                    } else {
+                        !eq.range_pairs([lo[0], lo[1]], [hi[0], hi[1]]).is_empty()
+                    });
                 }
-            }
-            INode::ExistsDynamic { rel, index, bounds } => {
-                self.tick_prof::<PROF>(|p| p.count_exists(rel.0));
-                let mut lo = [0u32; MAX_ARITY];
-                let mut hi = [u32::MAX; MAX_ARITY];
-                self.fill_bounds::<OUT, PROF>(bounds, regs, &mut lo, &mut hi)?;
-                let meta = &self.cx.ram.relations[rel.0];
-                let r = self.rel(*rel);
-                if meta.arity == 0 {
-                    return Ok(!r.is_empty());
-                }
-                let n = bounds.arity;
-                if bounds.full {
-                    Ok(r.index(*index).contains_stored(&lo[..n]))
-                } else {
-                    let mut it = r.index(*index).range(&lo[..n], &hi[..n]);
-                    Ok(it.next_tuple().is_some())
-                }
+                Ok(with_static_set!(meta.repr, meta.arity, idx, |set| {
+                    let lo: [u32; N] = lo[..N].try_into().expect("arity");
+                    let hi: [u32; N] = hi[..N].try_into().expect("arity");
+                    if bounds.full {
+                        set.contains_tuple(&lo)
+                    } else {
+                        set.range_nonempty(&lo, &hi)
+                    }
+                }))
             }
             other => unreachable!("not a condition node: {other:?}"),
         }
-    }
-
-    #[allow(clippy::extra_unused_type_parameters)]
-    #[inline(always)]
-    fn contains_set<const OUT: bool, const PROF: bool, const N: usize, S: StaticSet<N>>(
-        &self,
-        set: &S,
-        lo: &[u32; MAX_ARITY],
-    ) -> Result<bool, EvalError> {
-        let key: [u32; N] = lo[..N].try_into().expect("arity");
-        Ok(set.contains_tuple(&key))
-    }
-
-    #[allow(clippy::extra_unused_type_parameters)]
-    #[inline(always)]
-    fn nonempty_set<const OUT: bool, const PROF: bool, const N: usize, S: StaticSet<N>>(
-        &self,
-        set: &S,
-        lo: &[u32; MAX_ARITY],
-        hi: &[u32; MAX_ARITY],
-    ) -> Result<bool, EvalError> {
-        let lo: [u32; N] = lo[..N].try_into().expect("arity");
-        let hi: [u32; N] = hi[..N].try_into().expect("arity");
-        Ok(set.range_nonempty(&lo, &hi))
     }
 
     #[inline]

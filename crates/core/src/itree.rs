@@ -5,11 +5,15 @@
 //! needs — arena offsets instead of `(level, column)` pairs, prefilled
 //! bound templates, pre-split super-instruction fields — plus a *shadow
 //! pointer* into the RAM tree for static information (query labels,
-//! listings). All four optimizations of §4 are applied here, steered by
-//! [`InterpreterConfig`]:
+//! listings). A relational operation is one node whatever its storage:
+//! [`INode::Scan`] covers full scans (`bounds: None`) and range scans,
+//! [`INode::Exists`] every probe, and like `Aggregate` and the `Project*`
+//! inserts each carries its dispatch choice as a field. All four
+//! optimizations of §4 are applied here, steered by [`InterpreterConfig`]:
 //!
-//! * **static dispatch** chooses `...Static` node kinds whose handlers
-//!   downcast to monomorphized index types (§4.1);
+//! * **static dispatch** sets `static_dispatch`, so the handler downcasts
+//!   to the monomorphized index type (§4.1) — unless the relation is
+//!   disk-backed, which only the virtual interface serves;
 //! * **static reordering** rewrites tuple-element accesses into each
 //!   scan's stored order so tuples are never decoded at runtime (§4.2);
 //! * **super-instructions** fold `Constant`/`TupleElement` children into
@@ -164,8 +168,9 @@ pub enum INode<'p> {
     Swap(RelId, RelId),
 
     // ---- operations ---------------------------------------------------
-    /// Full scan, statically dispatched on `(repr, arity)`.
-    ScanStatic {
+    /// Scan: every tuple of `rel`'s index `index` (`bounds: None`), or
+    /// those inside a range (`Some`), runs the body once.
+    Scan {
         /// Scanned relation.
         rel: RelId,
         /// Index to iterate.
@@ -174,59 +179,14 @@ pub enum INode<'p> {
         dst: Slot,
         /// How it lands.
         copy: CopySpec,
-        /// Whether the scan may be partitioned across workers.
-        parallel: bool,
-        /// Loop body.
-        body: Box<INode<'p>>,
-    },
-    /// Full scan through the virtual adapter (optionally buffered).
-    ScanDynamic {
-        /// Scanned relation.
-        rel: RelId,
-        /// Index to iterate.
-        index: usize,
-        /// Where the tuple lands.
-        dst: Slot,
-        /// How it lands.
-        copy: CopySpec,
-        /// Whether the 128-tuple buffer amortizes the virtual calls.
+        /// The search bounds; `None` scans the whole index.
+        bounds: Option<Bounds<'p>>,
+        /// Whether the handler downcasts to the monomorphized index type
+        /// (§4.1) instead of calling through the virtual adapter.
+        static_dispatch: bool,
+        /// Whether the 128-tuple buffer amortizes the virtual calls of a
+        /// dynamic scan.
         buffered: bool,
-        /// Whether the scan may be partitioned across workers.
-        parallel: bool,
-        /// Loop body.
-        body: Box<INode<'p>>,
-    },
-    /// Range scan, statically dispatched.
-    IndexScanStatic {
-        /// Scanned relation.
-        rel: RelId,
-        /// Index to range over.
-        index: usize,
-        /// Where the tuple lands.
-        dst: Slot,
-        /// How it lands.
-        copy: CopySpec,
-        /// The search bounds.
-        bounds: Bounds<'p>,
-        /// Whether the scan may be partitioned across workers.
-        parallel: bool,
-        /// Loop body.
-        body: Box<INode<'p>>,
-    },
-    /// Range scan through the virtual adapter (optionally buffered).
-    IndexScanDynamic {
-        /// Scanned relation.
-        rel: RelId,
-        /// Index to range over.
-        index: usize,
-        /// Where the tuple lands.
-        dst: Slot,
-        /// How it lands.
-        copy: CopySpec,
-        /// Whether the 128-tuple buffer amortizes the virtual calls.
-        buffered: bool,
-        /// The search bounds.
-        bounds: Bounds<'p>,
         /// Whether the scan may be partitioned across workers.
         parallel: bool,
         /// Loop body.
@@ -290,6 +250,8 @@ pub enum INode<'p> {
     Aggregate {
         /// Whether the scan is statically dispatched.
         static_dispatch: bool,
+        /// Whether a dynamic scan is buffered, as in [`INode::Scan`].
+        buffered: bool,
         /// Scanned relation.
         rel: RelId,
         /// Index to range over.
@@ -329,23 +291,16 @@ pub enum INode<'p> {
     Fused(Vec<FusedInstr>),
     /// `rel = ∅`.
     Empty(RelId),
-    /// Existence probe, statically dispatched.
-    ExistsStatic {
+    /// Existence probe: is any tuple inside the bounds?
+    Exists {
         /// Probed relation.
         rel: RelId,
         /// Index to probe.
         index: usize,
         /// The probe bounds.
         bounds: Bounds<'p>,
-    },
-    /// Existence probe through the virtual adapter.
-    ExistsDynamic {
-        /// Probed relation.
-        rel: RelId,
-        /// Index to probe.
-        index: usize,
-        /// The probe bounds.
-        bounds: Bounds<'p>,
+        /// Whether the probe is statically dispatched.
+        static_dispatch: bool,
     },
 
     // ---- expressions ----------------------------------------------------
@@ -585,35 +540,7 @@ impl<'p> Builder<'p> {
                 level,
                 parallel,
                 body,
-            } => {
-                let ord = self.emission_order(*rel, 0, false);
-                let copy = self.level_plumbing(*level, &ord);
-                let dst = Slot {
-                    ofs: self.offsets[*level],
-                    arity: self.ram.relations[rel.0].arity,
-                };
-                let body = Box::new(self.op(body));
-                if self.static_ok(*rel) {
-                    INode::ScanStatic {
-                        rel: *rel,
-                        index: 0,
-                        dst,
-                        copy,
-                        parallel: *parallel,
-                        body,
-                    }
-                } else {
-                    INode::ScanDynamic {
-                        rel: *rel,
-                        index: 0,
-                        dst,
-                        copy,
-                        buffered: self.config.buffered_iterators,
-                        parallel: *parallel,
-                        body,
-                    }
-                }
-            }
+            } => self.scan(*rel, 0, *level, None, false, *parallel, body),
             RamOp::IndexScan {
                 rel,
                 index,
@@ -622,39 +549,15 @@ impl<'p> Builder<'p> {
                 eqrel_swap,
                 parallel,
                 body,
-            } => {
-                let storage = self.storage_order(*rel, *index);
-                let bounds = self.bounds(pattern, &storage);
-                let ord = self.emission_order(*rel, *index, *eqrel_swap);
-                let copy = self.level_plumbing(*level, &ord);
-                let dst = Slot {
-                    ofs: self.offsets[*level],
-                    arity: self.ram.relations[rel.0].arity,
-                };
-                let body = Box::new(self.op(body));
-                if self.static_ok(*rel) {
-                    INode::IndexScanStatic {
-                        rel: *rel,
-                        index: *index,
-                        dst,
-                        copy,
-                        bounds,
-                        parallel: *parallel,
-                        body,
-                    }
-                } else {
-                    INode::IndexScanDynamic {
-                        rel: *rel,
-                        index: *index,
-                        dst,
-                        copy,
-                        buffered: self.config.buffered_iterators,
-                        bounds,
-                        parallel: *parallel,
-                        body,
-                    }
-                }
-            }
+            } => self.scan(
+                *rel,
+                *index,
+                *level,
+                Some(pattern),
+                *eqrel_swap,
+                *parallel,
+                body,
+            ),
             RamOp::Filter { cond, body } => {
                 if let Some(func) = self.active_fusion {
                     if is_pure_arith(cond) {
@@ -708,6 +611,7 @@ impl<'p> Builder<'p> {
                 let body = Box::new(self.op(body));
                 INode::Aggregate {
                     static_dispatch: self.static_ok(*rel),
+                    buffered: self.config.buffered_iterators,
                     rel: *rel,
                     index: *index,
                     func: *func,
@@ -718,6 +622,39 @@ impl<'p> Builder<'p> {
                     body,
                 }
             }
+        }
+    }
+
+    /// A scan of `rel` landing at `level`: a full scan without a search
+    /// `pattern`, a range scan with one.
+    #[allow(clippy::too_many_arguments)]
+    fn scan(
+        &mut self,
+        rel: RelId,
+        index: usize,
+        level: usize,
+        pattern: Option<&[Option<RamExpr>]>,
+        eqrel_swap: bool,
+        parallel: bool,
+        body: &'p RamOp,
+    ) -> INode<'p> {
+        let bounds = pattern.map(|p| self.bounds(p, &self.storage_order(rel, index)));
+        let ord = self.emission_order(rel, index, eqrel_swap);
+        let copy = self.level_plumbing(level, &ord);
+        let dst = Slot {
+            ofs: self.offsets[level],
+            arity: self.ram.relations[rel.0].arity,
+        };
+        INode::Scan {
+            rel,
+            index,
+            dst,
+            copy,
+            bounds,
+            static_dispatch: self.static_ok(rel),
+            buffered: self.config.buffered_iterators,
+            parallel,
+            body: Box::new(self.op(body)),
         }
     }
 
@@ -900,18 +837,11 @@ impl<'p> Builder<'p> {
                     }
                     _ => self.bounds(pattern, &ord),
                 };
-                if self.static_ok(*rel) {
-                    INode::ExistsStatic {
-                        rel: *rel,
-                        index: *index,
-                        bounds,
-                    }
-                } else {
-                    INode::ExistsDynamic {
-                        rel: *rel,
-                        index: *index,
-                        bounds,
-                    }
+                INode::Exists {
+                    rel: *rel,
+                    index: *index,
+                    bounds,
+                    static_dispatch: self.static_ok(*rel),
                 }
             }
         }
@@ -986,10 +916,12 @@ mod tests {
             INode::Exit(b) | INode::Not(b) => vec![&**b],
             INode::Loop { body, .. } => vec![&**body],
             INode::Query { body, .. } => vec![&**body],
-            INode::ScanStatic { body, .. } | INode::ScanDynamic { body, .. } => vec![&**body],
-            INode::IndexScanStatic { bounds, body, .. }
-            | INode::IndexScanDynamic { bounds, body, .. } => {
-                let mut v: Vec<&INode<'_>> = bounds.dynamic.iter().map(|(_, e)| e).collect();
+            INode::Scan { bounds, body, .. } => {
+                let mut v: Vec<&INode<'_>> = bounds
+                    .iter()
+                    .flat_map(|b| &b.dynamic)
+                    .map(|(_, e)| e)
+                    .collect();
                 v.push(&**body);
                 v
             }
@@ -1011,9 +943,7 @@ mod tests {
                 v
             }
             INode::Cmp { lhs, rhs, .. } => vec![&**lhs, &**rhs],
-            INode::ExistsStatic { bounds, .. } | INode::ExistsDynamic { bounds, .. } => {
-                bounds.dynamic.iter().map(|(_, e)| e).collect()
-            }
+            INode::Exists { bounds, .. } => bounds.dynamic.iter().map(|(_, e)| e).collect(),
             INode::Intrinsic { args, .. } => args.iter().collect(),
             _ => vec![],
         };
@@ -1023,6 +953,11 @@ mod tests {
         n
     }
 
+    /// Whether `node` is a range scan dispatched statically or not.
+    fn is_range_scan(node: &INode<'_>, statically: bool) -> bool {
+        matches!(node, INode::Scan { bounds: Some(_), static_dispatch, .. } if *static_dispatch == statically)
+    }
+
     #[test]
     fn static_config_builds_static_nodes() {
         let ram = ram(TC);
@@ -1030,11 +965,8 @@ mod tests {
         // legitimately demote standard-relation access to dynamic nodes.
         let cfg = InterpreterConfig::optimized().with_storage(StorageBackend::Mem);
         let tree = build(&ram, &cfg);
-        assert!(count_kind(&tree.root, &|n| matches!(n, INode::IndexScanStatic { .. })) > 0);
-        assert_eq!(
-            count_kind(&tree.root, &|n| matches!(n, INode::IndexScanDynamic { .. })),
-            0
-        );
+        assert!(count_kind(&tree.root, &|n| is_range_scan(n, true)) > 0);
+        assert_eq!(count_kind(&tree.root, &|n| is_range_scan(n, false)), 0);
         assert!(count_kind(&tree.root, &|n| matches!(n, INode::ProjectSuper { .. })) > 0);
         // One exit rule + one delta version of the recursive rule.
         assert_eq!(tree.labels.len(), 2);
@@ -1044,11 +976,18 @@ mod tests {
     fn dynamic_config_builds_dynamic_nodes() {
         let ram = ram(TC);
         let tree = build(&ram, &InterpreterConfig::dynamic_adapter());
-        assert_eq!(
-            count_kind(&tree.root, &|n| matches!(n, INode::IndexScanStatic { .. })),
-            0
-        );
-        assert!(count_kind(&tree.root, &|n| matches!(n, INode::IndexScanDynamic { .. })) > 0);
+        assert_eq!(count_kind(&tree.root, &|n| is_range_scan(n, true)), 0);
+        assert!(count_kind(&tree.root, &|n| is_range_scan(n, false)) > 0);
+        let static_probes = count_kind(&tree.root, &|n| {
+            matches!(
+                n,
+                INode::Exists {
+                    static_dispatch: true,
+                    ..
+                }
+            )
+        });
+        assert_eq!(static_probes, 0);
     }
 
     #[test]
@@ -1062,14 +1001,21 @@ mod tests {
         let is_disk_rel = |rel: &RelId| crate::database::disk_backed(&ram.relations[rel.0]);
         assert_eq!(
             count_kind(&tree.root, &|n| match n {
-                INode::ScanStatic { rel, .. } | INode::IndexScanStatic { rel, .. } =>
-                    is_disk_rel(rel),
-                INode::ProjectSuper {
+                INode::Scan {
+                    rel,
+                    static_dispatch,
+                    ..
+                }
+                | INode::ProjectSuper {
+                    rel,
+                    static_dispatch,
+                    ..
+                }
+                | INode::Exists {
                     rel,
                     static_dispatch,
                     ..
                 } => *static_dispatch && is_disk_rel(rel),
-                INode::ExistsStatic { rel, .. } => is_disk_rel(rel),
                 _ => false,
             }),
             0,
@@ -1078,14 +1024,20 @@ mod tests {
         assert!(
             count_kind(&tree.root, &|n| matches!(
                 n,
-                INode::ScanDynamic { .. } | INode::IndexScanDynamic { .. }
+                INode::Scan {
+                    static_dispatch: false,
+                    ..
+                }
             )) > 0,
             "disk-backed relations scan dynamically"
         );
         assert!(
             count_kind(&tree.root, &|n| match n {
-                INode::ScanStatic { rel, .. } | INode::IndexScanStatic { rel, .. } =>
-                    !is_disk_rel(rel),
+                INode::Scan {
+                    rel,
+                    static_dispatch: true,
+                    ..
+                } => !is_disk_rel(rel),
                 _ => false,
             }) > 0,
             "auxiliary relations keep static dispatch"
@@ -1104,7 +1056,10 @@ mod tests {
         // The constant 7 is baked into the bound template: no dynamic
         // entries, no generic Constant nodes under the scan.
         let dyn_entries = count_kind(&with.root, &|n| match n {
-            INode::IndexScanStatic { bounds, .. } => !bounds.dynamic.is_empty(),
+            INode::Scan {
+                bounds: Some(bounds),
+                ..
+            } => !bounds.dynamic.is_empty(),
             _ => false,
         });
         assert_eq!(dyn_entries, 0);
@@ -1117,7 +1072,10 @@ mod tests {
             },
         );
         let dyn_entries = count_kind(&without.root, &|n| match n {
-            INode::IndexScanStatic { bounds, .. } => !bounds.dynamic.is_empty(),
+            INode::Scan {
+                bounds: Some(bounds),
+                ..
+            } => !bounds.dynamic.is_empty(),
             _ => false,
         });
         assert!(dyn_entries > 0);
@@ -1139,10 +1097,7 @@ mod tests {
                 INode::Loop { body, .. } => find(body, f),
                 INode::Exit(b) => find(b, f),
                 INode::Query { body, .. } => find(body, f),
-                INode::ScanStatic { body, .. } | INode::ScanDynamic { body, .. } => find(body, f),
-                INode::IndexScanStatic { body, .. } | INode::IndexScanDynamic { body, .. } => {
-                    find(body, f)
-                }
+                INode::Scan { body, .. } => find(body, f),
                 INode::Filter { body, .. } | INode::FilterFused { body, .. } => find(body, f),
                 _ => {}
             }
@@ -1173,10 +1128,9 @@ mod tests {
             }
             INode::Fused(prog) => out.push(prog),
             INode::Seq(v) | INode::Conj(v) => v.iter().for_each(|c| fused_programs(c, out)),
-            INode::Loop { body, .. }
-            | INode::Query { body, .. }
-            | INode::ScanStatic { body, .. }
-            | INode::IndexScanStatic { body, .. } => fused_programs(body, out),
+            INode::Loop { body, .. } | INode::Query { body, .. } | INode::Scan { body, .. } => {
+                fused_programs(body, out)
+            }
             INode::Filter { cond, body } => {
                 fused_programs(cond, out);
                 fused_programs(body, out);
@@ -1319,9 +1273,7 @@ mod tests {
         fn conj<'a, 'p>(n: &'a INode<'p>, out: &mut Vec<&'a [INode<'p>]>) {
             match n {
                 INode::Seq(v) => v.iter().for_each(|c| conj(c, out)),
-                INode::Query { body, .. }
-                | INode::ScanStatic { body, .. }
-                | INode::IndexScanStatic { body, .. } => conj(body, out),
+                INode::Query { body, .. } | INode::Scan { body, .. } => conj(body, out),
                 INode::Filter { cond, body } => {
                     if let INode::Conj(parts) = &**cond {
                         out.push(parts);

@@ -185,18 +185,35 @@ fn shared_flags_reject_the_same_values_in_both_binaries() {
     }
 }
 
+/// The files of an output directory, by name, with their bytes.
+fn output_files(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .expect("output directory written")
+        .map(|entry| {
+            let path = entry.expect("directory entry").path();
+            let name = path.file_name().expect("a file").to_string_lossy().into();
+            (name, std::fs::read(&path).expect("output file readable"))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
 #[test]
 fn jobs_flag_preserves_outputs_in_every_mode() {
     let dir = setup("jobs");
     for mode in ["sti", "dynamic", "unopt", "legacy"] {
         let mut results = Vec::new();
-        for jobs in ["1", "4"] {
+        for jobs in ["1", "2", "4"] {
+            let out_dir = dir.join(format!("out-{mode}-j{jobs}"));
             // `--jobs` before `--mode`, so this also checks that the
             // mode switch does not clobber the worker count.
             let out = stir()
                 .arg(dir.join("tc.dl"))
                 .arg("-F")
                 .arg(&dir)
+                .arg("-D")
+                .arg(&out_dir)
                 .arg("--jobs")
                 .arg(jobs)
                 .arg("--mode")
@@ -208,10 +225,16 @@ fn jobs_flag_preserves_outputs_in_every_mode() {
                 "mode {mode} jobs {jobs}: {}",
                 String::from_utf8_lossy(&out.stderr)
             );
-            results.push(String::from_utf8_lossy(&out.stdout).to_string());
+            results.push((out.stdout, output_files(&out_dir)));
         }
-        assert_eq!(results[0], results[1], "mode {mode}");
-        assert!(results[0].contains("--- path (3 tuples)"));
+        // Byte-identical output directories, file by file.
+        for r in &results[1..] {
+            assert_eq!(&results[0], r, "mode {mode}");
+        }
+        let files = &results[0].1;
+        let names: Vec<&str> = files.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(names, ["path.csv"], "mode {mode}");
+        assert_eq!(files[0].1, b"1\t2\n1\t3\n2\t3\n", "mode {mode}");
     }
 }
 

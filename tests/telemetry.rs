@@ -81,33 +81,104 @@ fn profile_json_round_trips_through_parser() {
     assert_eq!(sizes, vec![3, 2, 1]);
 }
 
+/// One program reaching every relational node kind: full scans, range
+/// scans, full and partial existence probes, an aggregate, and an eqrel
+/// relation scanned, ranged and probed both ways.
+const EVERY_NODE: &str = "\
+    .decl e(x: number, y: number)\n\
+    .decl s(x: number, y: number) eqrel\n\
+    .decl full(x: number, y: number)\n.decl join(x: number, z: number)\n\
+    .decl lone(x: number)\n.decl deg(x: number, n: number)\n\
+    .decl cls(x: number, y: number)\n.decl near(x: number, y: number)\n\
+    .decl apart(x: number, y: number)\n.decl unlinked(y: number)\n\
+    e(1, 2). e(2, 3). e(3, 1). e(3, 4).\n\
+    s(1, 2). s(5, 5).\n\
+    full(x, y) :- e(x, y), !e(y, x).\n\
+    join(x, z) :- e(x, y), e(y, z).\n\
+    lone(x) :- e(_, x), !e(x, _).\n\
+    deg(x, n) :- e(x, _), n = count : { e(x, _) }.\n\
+    cls(x, y) :- s(x, y).\n\
+    near(x, y) :- e(x, _), s(x, y).\n\
+    apart(x, y) :- e(x, y), !s(x, y).\n\
+    unlinked(y) :- e(_, y), !s(_, y).\n";
+
 #[test]
 fn dispatch_and_iteration_counters_match_across_modes() {
     // §4.1's static dispatch changes *how* instructions execute, never
     // how often: the interpreter tree has the same shape and the same
     // per-tuple tick sites in both modes, so the counters must agree.
-    let engine = Engine::from_source(TC).expect("compiles");
-    let sti = engine
-        .run(
-            InterpreterConfig::optimized().with_profile(),
-            &InputData::new(),
-        )
-        .expect("sti runs")
-        .profile
-        .expect("profile");
-    let dynamic = engine
-        .run(
-            InterpreterConfig::dynamic_adapter().with_profile(),
-            &InputData::new(),
-        )
-        .expect("dynamic runs")
-        .profile
-        .expect("profile");
+    let profile = |src: &str, config: InterpreterConfig| {
+        let engine = Engine::from_source(src).expect("compiles");
+        let out = engine.run(config.with_profile(), &InputData::new());
+        let profile = out.expect("runs").profile.expect("profile");
+        (engine, profile)
+    };
+    let seq = |config: InterpreterConfig| config.with_jobs(1);
+    let (_, sti) = profile(TC, seq(InterpreterConfig::optimized()));
+    let (_, dynamic) = profile(TC, seq(InterpreterConfig::dynamic_adapter()));
     assert_eq!(sti.dispatches, dynamic.dispatches);
     assert_eq!(sti.iterations, dynamic.iterations);
     assert_eq!(sti.total_inserts, dynamic.total_inserts);
     assert_eq!(sti.frontier, dynamic.frontier);
     assert_eq!(sti.relations, dynamic.relations);
+
+    // Every node kind, in all four modes and fanned out over tiny
+    // morsels. Static and dynamic pairs tick alike; each mode opens the
+    // same scans, ranges and probes.
+    let runs = [
+        ("optimized", seq(InterpreterConfig::optimized())),
+        ("dynamic", seq(InterpreterConfig::dynamic_adapter())),
+        (
+            "optimized --jobs 4",
+            InterpreterConfig::optimized()
+                .with_jobs(4)
+                .with_morsel_size(2),
+        ),
+        ("unoptimized", seq(InterpreterConfig::unoptimized())),
+        ("legacy", seq(InterpreterConfig::legacy())),
+    ]
+    .map(|(name, config)| (name, profile(EVERY_NODE, config)));
+    for (name, (engine, p)) in &runs {
+        let ops = |rel: &str| {
+            let id = engine.ram().relation_by_name(rel).expect("declared").id;
+            let r = &p.relations[id.0];
+            (r.scans, r.range_queries, r.exists_checks)
+        };
+        // `e` (4 tuples): one full scan by each of the seven rules over
+        // it and by the aggregate's helper `__agg0`; `join` ranges it once
+        // per outer tuple; `full` probes it with the whole tuple, `lone`
+        // with the first column.
+        assert_eq!(ops("e"), (8, 4, 8), "{name}: e");
+        // The aggregate ranges its helper once per `e` tuple.
+        assert_eq!(ops("__agg0"), (0, 4, 0), "{name}: __agg0");
+        // `s`: `cls` scans it; `near` ranges it and `apart`/`unlinked`
+        // probe it (whole pair, second column) once per `e` tuple.
+        assert_eq!(ops("s"), (1, 4, 8), "{name}: s");
+        for rel in [
+            "full", "join", "lone", "deg", "cls", "near", "apart", "unlinked",
+        ] {
+            assert_eq!(ops(rel), (0, 0, 0), "{name}: {rel}");
+        }
+    }
+    let (_, sti) = &runs[0].1;
+    let (_, dynamic) = &runs[1].1;
+    let (_, fanned) = &runs[2].1;
+    let (_, unopt) = &runs[3].1;
+    let (_, legacy) = &runs[4].1;
+    for (pair, a, b) in [
+        ("optimized/dynamic", sti, dynamic),
+        ("optimized/--jobs 4", sti, fanned),
+        ("unoptimized/legacy", unopt, legacy),
+    ] {
+        assert_eq!(a.dispatches, b.dispatches, "{pair}");
+        assert_eq!(a.iterations, b.iterations, "{pair}");
+        assert_eq!(a.total_inserts, b.total_inserts, "{pair}");
+    }
+    // Iterations: 8 full scans of `e`, `join`'s 1 + 1 + 2 + 0 matches of
+    // e(y, _), the aggregate's 1 + 1 + 2 + 2 counted tuples, `cls`'s 5
+    // eqrel pairs and `near`'s 2 + 2 class members of 1 and 2 (3 has
+    // none).
+    assert_eq!(sti.iterations, 8 * 4 + 4 + 6 + 5 + 4);
 }
 
 #[test]
