@@ -21,7 +21,7 @@ use stir_der::dynindex::DynBTreeIndex;
 use stir_der::factory::{IndexSpec, Representation};
 use stir_der::order::Order;
 use stir_der::relation::Relation;
-use stir_der::IndexAdapter;
+use stir_der::{IndexAdapter, RamDomain};
 use stir_frontend::SymbolTable;
 use stir_ram::program::{RamProgram, RamRelation, RelId, ReprKind, Role};
 
@@ -61,6 +61,17 @@ fn unpoison<G>(r: Result<G, std::sync::PoisonError<G>>) -> G {
 /// fired; the tuple is an axiom). Re-exported from the RAM layer's
 /// provenance module.
 pub const RULE_INPUT: u32 = stir_ram::prov::RULE_INPUT;
+
+/// Inserts an axiom — a source-text fact, an input or a served insert —
+/// annotated `(0, RULE_INPUT)` under provenance. Returns whether it was
+/// new.
+pub(crate) fn admit(rel: &mut Relation, tuple: &[RamDomain], provenance: bool) -> bool {
+    let fresh = rel.insert(tuple);
+    if fresh && provenance {
+        rel.record_annotation(tuple, 0, RULE_INPUT);
+    }
+    fresh
+}
 
 /// Whether a relation is *eligible* for disk-backed storage. Auxiliary
 /// relations (`delta_`/`new_`/`upd_`) are working sets of a single
@@ -191,10 +202,7 @@ impl Database {
             provenance,
         };
         for (rel, tuple) in &ram.facts {
-            let mut target = db.wr(*rel);
-            if target.insert(tuple) && provenance {
-                target.record_annotation(tuple, 0, RULE_INPUT);
-            }
+            admit(&mut db.wr(*rel), tuple, provenance);
         }
         db
     }
@@ -269,9 +277,7 @@ impl Database {
                 for v in tuple {
                     encoded.push(v.encode(&mut symbols));
                 }
-                if target.insert(&encoded) && self.provenance {
-                    target.record_annotation(&encoded, 0, RULE_INPUT);
-                }
+                admit(&mut target, &encoded, self.provenance);
             }
         }
         Ok(())

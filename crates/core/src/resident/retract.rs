@@ -1,0 +1,468 @@
+//! Retraction, the deletion dual of an insert: a DRed-style
+//! delete-and-re-derive in three phases.
+//!
+//! 1. **Cone** — with the doomed tuples staged in `upd_target` and the
+//!    database *unmutated*, the stratum walk runs each affected stratum's
+//!    deletion-mode twin statement ([`stir_ram::deletion`]): every derived
+//!    tuple with at least one derivation touching a removed tuple — the
+//!    *over-delete cone* — accumulates in its `upd_` relation. Strata the
+//!    fallback rule sends to a recompute are only planned here.
+//! 2. **Erase** — the doomed tuples and every collected cone leave their
+//!    relations. All `upd_` staging is then cleared: it holds *deleted*
+//!    tuples, which a downstream insertion-mode statement would otherwise
+//!    happily treat as new.
+//! 3. **Re-derive** — bottom-up again: fallback strata recompute from
+//!    scratch; incremental strata re-admit each cone member that is still
+//!    a ground fact or still one-step derivable ([`crate::rederive`]) from
+//!    the post-deletion database, then run the *normal* update statement
+//!    so restored seeds propagate (within-stratum recursion included).
+//!    Skipping the statement when no seed survives is sound: any truly
+//!    derivable cone member of minimal derivation height has all its
+//!    premises outside the cone, so it would have been a seed.
+
+use super::*;
+
+impl ResidentEngine {
+    /// Applies one validated retraction batch (see the module docs). Does
+    /// *not* touch the WAL: serving appends first, recovery replays it.
+    pub(super) fn retract_internal(
+        &mut self,
+        target: RelId,
+        rows: &[Vec<Value>],
+        deadline: Option<Instant>,
+        tel: Option<&Telemetry>,
+    ) -> Result<RetractReport, EvalError> {
+        let upd = self.ram.upd_of(target);
+
+        // Encode, dedup, and keep only tuples actually present. A row
+        // naming a never-interned symbol cannot be present.
+        let symbols = self.db.symbols_rd();
+        let mut doomed: Vec<_> = rows
+            .iter()
+            .filter_map(|r| encode_existing(&symbols, r))
+            .collect();
+        drop(symbols);
+        doomed.sort_unstable();
+        doomed.dedup();
+        {
+            let rel_rd = self.db.rd(target);
+            doomed.retain(|t| rel_rd.contains(t));
+        }
+        let c = &self.counters;
+        c.retract_tuples
+            .fetch_add(doomed.len() as u64, Ordering::Relaxed);
+        let mut report = RetractReport {
+            retracted: doomed.len() as u64,
+            ..RetractReport::default()
+        };
+        if doomed.is_empty() {
+            report.deadline_exceeded = elapsed(deadline);
+            return Ok(report);
+        }
+
+        // The retracted rows stop being ground: a fallback replay (or a
+        // recovery that loads this state from a snapshot) must not
+        // resurrect them.
+        for t in &doomed {
+            self.ground[target.0].erase(t);
+        }
+
+        // ---- Phase 1: collect the over-delete cone (DB unmutated). ----
+        self.clear_staging();
+        if let Some(u) = upd {
+            let mut w = self.db.wr(u);
+            for t in &doomed {
+                w.insert(t);
+            }
+        }
+        let strata = self.ram.strata.len();
+        let mut fallback = vec![false; strata];
+        // Per incremental stratum: each defined relation's cone.
+        let mut cones: Vec<Vec<(RelId, Vec<Vec<RamDomain>>)>> = vec![Vec::new(); strata];
+        let walk = self.walk_strata(WalRecordKind::Delete, target, |i, twin| {
+            fallback[i] = true;
+            let Some(stmt) = twin else { return Ok(false) };
+            self.run_stmt(&stmt, tel)?;
+            let defines = self.ram.strata[i].defines.iter();
+            let staged = |d: &RelId| self.ram.upd_of(*d).expect("deletion_stmt requires upd");
+            let stratum: Vec<_> = defines
+                .map(|d| (*d, self.db.rd(staged(d)).to_sorted_tuples()))
+                .collect();
+            let cone_total: usize = stratum.iter().map(|(_, cone)| cone.len()).sum();
+            let live_total: usize = stratum.iter().map(|(d, _)| self.db.rd(*d).len()).sum();
+            // Cost-based demotion: when the deletion wave swallows most of
+            // a non-trivial stratum, erasing and re-checking the cone tuple
+            // by tuple costs more than recomputing the stratum outright.
+            // Tiny strata stay incremental — either path is cheap and the
+            // counters stay stable.
+            if live_total > 1024 && cone_total * 2 > live_total {
+                return Ok(false);
+            }
+            (fallback[i], cones[i]) = (false, stratum);
+            Ok(true)
+        });
+        (report.strata_rerun, report.full_fallbacks) = walk?;
+
+        // ---- Phase 2: erase the doomed tuples and the cones. ----
+        if upd.is_none() {
+            // An eqrel input cannot erase a single pair soundly (the
+            // closure may re-imply it); rebuild it from the surviving
+            // ground facts and let insertion re-close it.
+            self.db.wr(target).clear();
+            self.replay_ground(target);
+        } else {
+            let mut w = self.db.wr(target);
+            for t in &doomed {
+                w.erase(t);
+            }
+        }
+        for (d, cone) in cones.iter().flatten() {
+            let mut w = self.db.wr(*d);
+            for t in cone {
+                w.erase(t);
+            }
+        }
+        // Phase 1 left doomed tuples and cones staged in `upd_`; an
+        // insertion-mode statement in phase 3 would consume them as if
+        // they were fresh inserts. Restart the staging from empty.
+        self.clear_staging();
+
+        // ---- Phase 3: re-derive survivors, bottom-up. ----
+        for (i, stratum) in cones.iter().enumerate() {
+            if fallback[i] {
+                self.recompute_stratum(i, tel)?;
+                continue;
+            }
+            let mut seeded = false;
+            for (d, cone) in stratum.iter().filter(|(_, cone)| !cone.is_empty()) {
+                let u = self.ram.upd_of(*d).expect("incremental plan");
+                // The batch checker shares the per-rule matching state
+                // across the whole cone; seeds go in only after it
+                // returns, which is the pure DRed re-derive step (the
+                // insertion statement below restores multi-step survivors
+                // from the seeds).
+                let derivable = crate::rederive::derivable_batch(&self.ram, &self.db, *d, cone);
+                for (t, ok) in cone.iter().zip(derivable) {
+                    // Ground facts of `d` (an `.input` relation can also
+                    // be a rule head) survive unconditionally.
+                    if ok || self.ground[d.0].contains(t) {
+                        self.db.wr(*d).insert(t);
+                        self.db.wr(u).insert(t);
+                        report.rederived += 1;
+                        seeded = true;
+                    }
+                }
+            }
+            if seeded {
+                // The *insertion* statement: restored seeds propagate to
+                // their within-stratum consequences, and its `upd_`
+                // staging feeds downstream strata.
+                let stmt = self.ram.strata[i].update.as_ref();
+                self.run_stmt(stmt.expect("incremental plan"), tel)?;
+            }
+        }
+
+        let c = &self.counters;
+        c.rederived.fetch_add(report.rederived, Ordering::Relaxed);
+        report.deadline_exceeded = elapsed(deadline);
+        Ok(report)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::fixtures::*;
+    use super::*;
+
+    #[test]
+    fn retraction_removes_the_derived_cone_incrementally() {
+        let mut inputs = InputData::new();
+        inputs.insert("e".into(), pairs(&[(1, 2), (2, 3), (3, 4)]));
+        let mut r = resident(TC, &inputs);
+        assert_eq!(r.outputs()["p"].len(), 6);
+
+        let report = r
+            .retract_facts("e", &pairs(&[(2, 3)]), None)
+            .expect("retracts");
+        assert_eq!(report.retracted, 1);
+        assert!(report.strata_rerun >= 1);
+        assert_eq!(report.full_fallbacks, 0, "monotone program stays delta");
+        // Only e(1,2)→p(1,2) and e(3,4)→p(3,4) survive.
+        assert_eq!(r.outputs()["p"], pairs(&[(1, 2), (3, 4)]));
+        assert_eq!(r.query("e", &[None, None], None).expect("queries").len(), 2);
+    }
+
+    #[test]
+    fn retraction_restores_alternatively_derivable_tuples() {
+        // Diamond: p(1,4) via 2 and via 3. Removing one path must keep it.
+        let mut inputs = InputData::new();
+        inputs.insert("e".into(), pairs(&[(1, 2), (2, 4), (1, 3), (3, 4)]));
+        let mut r = resident(TC, &inputs);
+
+        let report = r
+            .retract_facts("e", &pairs(&[(2, 4)]), None)
+            .expect("retracts");
+        assert_eq!(report.retracted, 1);
+        assert!(report.rederived >= 1, "p(1,4) must be restored: {report:?}");
+        assert_eq!(r.outputs()["p"], pairs(&[(1, 2), (1, 3), (1, 4), (3, 4)]));
+    }
+
+    #[test]
+    fn retracting_absent_or_unknown_tuples_is_a_noop() {
+        let mut inputs = InputData::new();
+        inputs.insert("e".into(), pairs(&[(1, 2)]));
+        let mut r = resident(TC, &inputs);
+        let report = r
+            .retract_facts("e", &pairs(&[(7, 8)]), None)
+            .expect("retracts");
+        assert_eq!(report.retracted, 0);
+        assert_eq!(report.strata_rerun + report.full_fallbacks, 0);
+        assert_eq!(r.outputs()["p"], pairs(&[(1, 2)]));
+    }
+
+    #[test]
+    fn retraction_cascades_across_strata() {
+        let src = "\
+            .decl e(x: number, y: number)\n.input e\n\
+            .decl p(x: number, y: number)\n\
+            .decl q(x: number)\n.output q\n\
+            p(x, y) :- e(x, y).\n\
+            p(x, z) :- p(x, y), e(y, z).\n\
+            q(y) :- p(1, y).\n";
+        let mut inputs = InputData::new();
+        inputs.insert("e".into(), pairs(&[(1, 2), (2, 3)]));
+        let mut r = resident(src, &inputs);
+        assert_eq!(r.outputs()["q"].len(), 2);
+
+        let report = r
+            .retract_facts("e", &pairs(&[(2, 3)]), None)
+            .expect("retracts");
+        assert!(report.strata_rerun >= 2, "{report:?}");
+        assert_eq!(report.full_fallbacks, 0);
+        assert_eq!(r.outputs()["q"], vec![vec![Value::Number(2)]]);
+    }
+
+    #[test]
+    fn negation_reader_gains_tuples_via_fallback() {
+        let src = "\
+            .decl a(x: number)\n.input a\n\
+            .decl b(x: number)\n.input b\n\
+            .decl r(x: number)\n.output r\n\
+            r(x) :- a(x), !b(x).\n";
+        let mut inputs = InputData::new();
+        inputs.insert("a".into(), vec![vec![Value::Number(1)]]);
+        inputs.insert("b".into(), vec![vec![Value::Number(1)]]);
+        let mut r = resident(src, &inputs);
+        assert!(r.outputs()["r"].is_empty());
+
+        // Shrinking a negated relation *adds* downstream tuples — only
+        // the full-recompute fallback can produce them.
+        let report = r
+            .retract_facts("b", &[vec![Value::Number(1)]], None)
+            .expect("retracts");
+        assert!(report.full_fallbacks >= 1, "{report:?}");
+        assert_eq!(r.outputs()["r"], vec![vec![Value::Number(1)]]);
+    }
+
+    #[test]
+    fn interleaved_inserts_and_retractions_match_from_scratch() {
+        let mut inputs = InputData::new();
+        inputs.insert("e".into(), pairs(&[(1, 2)]));
+        let mut r = resident(TC, &inputs);
+        r.insert_facts("e", &pairs(&[(2, 3), (3, 4)]), None)
+            .expect("inserts");
+        r.retract_facts("e", &pairs(&[(1, 2)]), None)
+            .expect("retracts");
+        r.insert_facts("e", &pairs(&[(4, 1)]), None)
+            .expect("inserts");
+        r.retract_facts("e", &pairs(&[(3, 4)]), None)
+            .expect("retracts");
+
+        // Survivors: e(2,3), e(4,1).
+        let mut fresh_inputs = InputData::new();
+        fresh_inputs.insert("e".into(), pairs(&[(2, 3), (4, 1)]));
+        let fresh = resident(TC, &fresh_inputs);
+        assert_eq!(r.outputs(), fresh.outputs());
+    }
+
+    /// `a` is a program-fact relation *and* the head of a stratum behind
+    /// negation, so `+b(3)` recomputes it from the ground-fact list.
+    const GROUND: &str = "\
+        .decl a(x: number)\n.input a\n\
+        .decl b(x: number)\n.input b\n\
+        .decl c(x: number)\n.input c\n\
+        .decl r(x: number)\n.output r\n\
+        a(1). a(2). b(9).\n\
+        a(x) :- c(x), !b(x).\n\
+        r(x) :- a(x), !b(x).\n";
+
+    /// After `-a(1)`, forces the negation fallbacks with `+b(3)`: the
+    /// retracted program fact must stay gone, and `a(2)` must survive
+    /// the recompute.
+    fn retracted_program_fact_stays_gone(r: &mut ResidentEngine, setup: &str) {
+        let report = r
+            .insert_facts("b", &[vec![Value::Number(3)]], None)
+            .expect("inserts");
+        assert!(report.full_fallbacks >= 2, "{setup}: {report:?}");
+        let two = vec![vec![Value::Number(2)]];
+        assert_eq!(
+            r.query("a", &[None], None).expect("queries"),
+            two,
+            "{setup}"
+        );
+        assert_eq!(r.outputs()["r"], two, "{setup}");
+    }
+
+    #[test]
+    fn retracting_a_program_ground_fact_sticks() {
+        let mut r = resident(GROUND, &InputData::new());
+        assert_eq!(r.outputs()["r"].len(), 2);
+        r.retract_facts("a", &[vec![Value::Number(1)]], None)
+            .expect("retracts");
+        assert_eq!(r.outputs()["r"], vec![vec![Value::Number(2)]]);
+        retracted_program_fact_stays_gone(&mut r, "in memory");
+
+        // Across recovery: the retraction covered by a snapshot, then
+        // only in the WAL suffix.
+        for (setup, config) in all_setups() {
+            for snapshot in [true, false] {
+                let dir = tmpdir("ground-recovery");
+                let (inputs, opts) = (InputData::new(), PersistOptions::default());
+                let (mut w, _) = open_dir(GROUND, config, &inputs, &dir, opts);
+                w.retract_facts("a", &[vec![Value::Number(1)]], None)
+                    .expect("retracts");
+                if snapshot {
+                    w.snapshot(None).expect("snapshots");
+                }
+                drop(w);
+                let (mut r, rec) = open_dir(GROUND, config, &inputs, &dir, opts);
+                let setup = format!("{setup}, snapshot={snapshot}");
+                assert_eq!(rec.snapshot_loaded, snapshot, "{setup}");
+                assert_eq!(rec.replayed_batches, u64::from(!snapshot), "{setup}");
+                retracted_program_fact_stays_gone(&mut r, &setup);
+                drop(r);
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
+    }
+
+    #[test]
+    fn eqrel_input_retraction_rebuilds_the_closure() {
+        let src = "\
+            .decl eq(x: number, y: number) eqrel\n.input eq\n\
+            .decl out(x: number, y: number)\n.output out\n\
+            out(x, y) :- eq(x, y).\n";
+        let mut r = resident(src, &InputData::new());
+        r.insert_facts("eq", &pairs(&[(1, 2), (2, 3)]), None)
+            .expect("inserts");
+        let one_three = [Some(Value::Number(1)), Some(Value::Number(3))];
+        assert_eq!(r.query("eq", &one_three, None).expect("queries").len(), 1);
+
+        let report = r
+            .retract_facts("eq", &pairs(&[(1, 2)]), None)
+            .expect("retracts");
+        assert_eq!(report.retracted, 1);
+        assert!(report.full_fallbacks >= 1, "eqrel readers recompute");
+        // The closure of the surviving generator {(2,3)} excludes 1.
+        assert!(r
+            .query("eq", &[Some(Value::Number(1)), None], None)
+            .expect("queries")
+            .is_empty());
+        let two_three = [Some(Value::Number(2)), Some(Value::Number(3))];
+        assert_eq!(r.query("out", &two_three, None).expect("queries").len(), 1);
+    }
+
+    #[test]
+    fn retraction_survives_wal_replay() {
+        let dir = tmpdir("retract-wal");
+        let mut inputs = InputData::new();
+        inputs.insert("e".into(), pairs(&[(1, 2)]));
+        let opts = PersistOptions::default();
+
+        let (mut r, _) = open_dir(TC, InterpreterConfig::optimized(), &inputs, &dir, opts);
+        r.insert_facts("e", &pairs(&[(2, 3)]), None)
+            .expect("inserts");
+        r.retract_facts("e", &pairs(&[(1, 2)]), None)
+            .expect("retracts");
+        let before = r.outputs();
+        drop(r); // crash: recovery must replay the delete record too
+
+        let (r, rec) = open_dir(TC, InterpreterConfig::optimized(), &inputs, &dir, opts);
+        assert_eq!(rec.replayed_batches, 2);
+        assert_eq!(r.outputs(), before);
+        assert_eq!(r.outputs()["p"], pairs(&[(2, 3)]));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn retraction_is_covered_by_snapshots() {
+        // Retract a *program* ground fact, snapshot, recover: neither
+        // `Database::new_with`'s fact pre-load nor the replay list may
+        // resurrect it.
+        let src = "\
+            .decl e(x: number, y: number)\n.input e\n\
+            .decl p(x: number, y: number)\n.output p\n\
+            e(1, 2). e(2, 3).\n\
+            p(x, y) :- e(x, y).\n\
+            p(x, z) :- p(x, y), e(y, z).\n";
+        let dir = tmpdir("retract-snap");
+        let (config, opts) = (InterpreterConfig::optimized(), PersistOptions::default());
+
+        let (mut r, _) = open_dir(src, config, &InputData::new(), &dir, opts);
+        r.retract_facts("e", &pairs(&[(1, 2)]), None)
+            .expect("retracts");
+        r.snapshot(None).expect("snapshots");
+        let before = r.outputs();
+        drop(r);
+
+        let (mut r, rec) = open_dir(src, config, &InputData::new(), &dir, opts);
+        assert!(rec.snapshot_loaded);
+        assert_eq!(rec.replayed_batches, 0);
+        assert_eq!(r.outputs(), before);
+        assert_eq!(r.outputs()["p"], pairs(&[(2, 3)]));
+        // And a post-recovery fallback recompute must not resurrect it
+        // from the reconciled replay list either.
+        let report = r
+            .retract_facts("e", &pairs(&[(2, 3)]), None)
+            .expect("retracts");
+        assert_eq!(report.retracted, 1);
+        assert!(r.outputs()["p"].is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn retract_deadline_sets_flag_but_commits() {
+        let mut inputs = InputData::new();
+        inputs.insert("e".into(), pairs(&[(1, 2), (2, 3)]));
+        let mut r = resident(TC, &inputs);
+        let past = Instant::now() - std::time::Duration::from_secs(1);
+        let report = r
+            .retract_facts_deadline("e", &pairs(&[(2, 3)]), Some(past), None)
+            .expect("applies despite deadline");
+        assert!(report.deadline_exceeded);
+        assert_eq!(report.retracted, 1, "the retraction still committed");
+        assert_eq!(r.outputs()["p"], pairs(&[(1, 2)]));
+    }
+
+    #[test]
+    fn retraction_matches_from_scratch_in_every_mode() {
+        for config in [
+            InterpreterConfig::optimized(),
+            InterpreterConfig::dynamic_adapter(),
+            InterpreterConfig::unoptimized(),
+            InterpreterConfig::legacy(),
+        ] {
+            let mut inputs = InputData::new();
+            inputs.insert("e".into(), pairs(&[(1, 2), (2, 3), (3, 1), (3, 4)]));
+            let mut r = ResidentEngine::from_source(TC, config, &inputs, None).expect("builds");
+            r.retract_facts("e", &pairs(&[(2, 3)]), None)
+                .expect("retracts");
+
+            let mut fresh_inputs = InputData::new();
+            fresh_inputs.insert("e".into(), pairs(&[(1, 2), (3, 1), (3, 4)]));
+            let fresh =
+                ResidentEngine::from_source(TC, config, &fresh_inputs, None).expect("builds");
+            assert_eq!(r.outputs(), fresh.outputs(), "mode {config:?}");
+        }
+    }
+}

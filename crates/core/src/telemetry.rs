@@ -27,7 +27,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant, SystemTime};
-use stir_ram::program::{RamProgram, ReprKind, Role};
+use stir_ram::program::{RamProgram, ReprKind};
 
 /// Verbosity of the [`Logger`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -256,14 +256,6 @@ impl Tracer {
             .iter()
             .map(|(k, v)| (k.clone(), *v))
             .collect()
-    }
-
-    /// The total time recorded under a top-level span name, if any.
-    pub fn total_of(&self, path: &str) -> Option<Duration> {
-        self.stats
-            .borrow()
-            .get(path)
-            .map(|s| Duration::from_nanos(s.total_ns))
     }
 
     /// Renders the aggregation as flamegraph *folded stacks*: one line
@@ -1067,17 +1059,6 @@ pub fn profile_json(
             ("program".into(), Json::Obj(program)),
         ]),
     )])
-}
-
-/// Relations in the semi-naive frontier: the `delta_R` auxiliaries whose
-/// sizes the interpreter samples each fixpoint iteration.
-pub fn delta_relations(ram: &RamProgram) -> Vec<usize> {
-    ram.relations
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| matches!(r.role, Role::Delta(_)))
-        .map(|(i, _)| i)
-        .collect()
 }
 
 #[cfg(test)]

@@ -645,7 +645,9 @@ impl WalWriter {
         self.append_kind(WalRecordKind::Delete, rel, rows)
     }
 
-    fn append_kind(
+    /// Appends one batch of either kind; [`WalWriter::append`] and
+    /// [`WalWriter::append_delete`] fix the kind.
+    pub(crate) fn append_kind(
         &mut self,
         kind: WalRecordKind,
         rel: &str,

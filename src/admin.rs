@@ -22,13 +22,12 @@
 //! backs the line protocol's `.stats json`, so a scrape and an in-band
 //! stats request can be diffed key for key.
 
-use crate::serve::RequestCtx;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 use std::time::Duration;
-use stir_core::telemetry::{Logger, MetricSnapshot, ServeMetrics};
+use stir_core::telemetry::{Logger, MetricSnapshot};
 use stir_core::{HealthState, Json, LogLevel, ResidentEngine};
 
 /// Where the daemon is in its lifecycle, as `/readyz` reports it.
@@ -323,28 +322,10 @@ fn handle_conn(mut sock: TcpStream, state: &AdminState, logger: &Logger, peer: &
     let _ = sock.flush();
 }
 
-/// Builds the per-connection serving context `stird` hands to
-/// [`crate::serve::run_session`].
-pub fn request_ctx(
-    metrics: Arc<ServeMetrics>,
-    client: String,
-    slow_ms: Option<u64>,
-    logger: Logger,
-    admission: Option<Arc<crate::serve::WriteAdmission>>,
-) -> RequestCtx {
-    RequestCtx {
-        metrics,
-        client,
-        slow_ms,
-        logger,
-        admission,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stir_core::{InputData, InterpreterConfig};
+    use stir_core::{InputData, InterpreterConfig, ServeMetrics};
 
     fn engine() -> Arc<RwLock<ResidentEngine>> {
         let src = "\

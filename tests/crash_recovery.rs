@@ -642,6 +642,40 @@ fn rejected_snapshot_is_logged_at_default_flags() {
     assert_eq!(query_path(&server), oracle(config_for("sti"), &[]));
 }
 
+/// The server dies mid-compaction, while the replacement snapshot is
+/// still a temp. The old snapshot survives (write-new, fsync, rename), a
+/// fault-free restart returns every acked fact — the one accepted after
+/// the snapshot included — and `.compact` over the same directory then
+/// succeeds.
+#[test]
+fn crash_during_compaction_loses_nothing_acked() {
+    let disk = ["--storage", "disk", "--durability", "always"];
+    for mode in MODES {
+        let dir = setup(&format!("compact-crash-{mode}"));
+        let server = Server::start(&dir, mode, Some("compact_write:crash"), &disk);
+        let (mut acked, _) = insert_until_crash(&server, &[[3, 4]]);
+        let reply = request(&server, ".snapshot");
+        assert!(reply.starts_with("ok snapshot"), "{mode}: {reply}");
+        acked.extend(insert_until_crash(&server, &[[4, 5]]).0);
+        assert_eq!(acked.len(), 2, "{mode}: both inserts acked");
+        let mut conn = server.connect();
+        let _ = conn.write_all(b".compact\n");
+        let _ = std::io::Read::read_to_end(&mut conn, &mut Vec::new());
+        let status = {
+            let mut server = server;
+            server.child.wait().expect("crashed server reaped")
+        };
+        assert!(!status.success(), "{mode}: compaction should have crashed");
+
+        let server = Server::start(&dir, mode, None, &disk[..2]);
+        let config = config_for(mode);
+        assert_eq!(query_path(&server), oracle(config, &acked), "{mode}");
+        let reply = request(&server, ".compact");
+        assert!(reply.starts_with("ok compact"), "{mode}: {reply}");
+        assert_eq!(query_path(&server), oracle(config, &acked), "{mode}");
+    }
+}
+
 /// A publish that fails before the rename must not leave its temp file
 /// (a whole extra image of the database) behind.
 #[test]
