@@ -112,25 +112,10 @@ impl Engine {
         config: InterpreterConfig,
         inputs: &InputData,
     ) -> Result<EvalOutcome, EngineError> {
-        self.run_fused(config, inputs, &[])
+        self.run_with(config, inputs, None)
     }
 
-    /// Like [`Engine::run`], additionally installing hand-crafted native
-    /// super-instructions for matching queries (the §5.2 case study).
-    ///
-    /// # Errors
-    ///
-    /// Propagates input-loading and runtime errors.
-    pub fn run_fused(
-        &self,
-        config: InterpreterConfig,
-        inputs: &InputData,
-        fusions: &[itree::Fusion],
-    ) -> Result<EvalOutcome, EngineError> {
-        self.run_with(config, inputs, fusions, None)
-    }
-
-    /// Like [`Engine::run_fused`], with an attached telemetry bundle:
+    /// Like [`Engine::run`], with an attached telemetry bundle:
     /// phase spans (`build-db`, `load-inputs`, `build-itree`,
     /// `evaluate`) go to the tracer, per-statement spans are recorded
     /// when [`InterpreterConfig::trace`] is set, and the database's
@@ -144,10 +129,9 @@ impl Engine {
         &self,
         config: InterpreterConfig,
         inputs: &InputData,
-        fusions: &[itree::Fusion],
         tel: Option<&Telemetry>,
     ) -> Result<EvalOutcome, EngineError> {
-        let up = bring_up(&self.ram, config, fusions, tel, |db| {
+        let up = bring_up(&self.ram, config, tel, |db| {
             let _span = tel.map(|t| t.tracer.span("phase:load-inputs"));
             db.load_inputs(&self.ram, inputs)?;
             Ok(true)
@@ -180,7 +164,6 @@ pub(crate) struct BroughtUp {
 pub(crate) fn bring_up(
     ram: &RamProgram,
     config: InterpreterConfig,
-    fusions: &[itree::Fusion],
     tel: Option<&Telemetry>,
     load: impl FnOnce(&Database) -> Result<bool, EngineError>,
 ) -> Result<BroughtUp, EngineError> {
@@ -198,7 +181,7 @@ pub(crate) fn bring_up(
     if load(&db)? {
         let tree = {
             let _span = tracer.map(|t| t.span("phase:build-itree"));
-            itree::build_with_fusions(ram, &config, fusions)
+            itree::build(ram, &config)
         };
         let mut interp = Interpreter::new(ram, &db, config);
         if let Some(t) = tel {

@@ -484,13 +484,6 @@ impl<'p, 'd> Interpreter<'p, 'd> {
                 }
                 Ok(())
             }
-            INode::FilterNative { func, body } => {
-                self.tick_prof::<PROF>(ProfileState::count_super);
-                if func(regs) {
-                    self.eval_op::<OUT, PROF>(body, regs)?;
-                }
-                Ok(())
-            }
             INode::FilterFused { prog, body } => {
                 self.tick_prof::<PROF>(ProfileState::count_super);
                 if eval_fused(prog, regs)? {

@@ -72,22 +72,6 @@ pub struct Bounds<'p> {
     pub full: bool,
 }
 
-/// A hand-crafted native condition (paper §5.2): a function evaluating an
-/// entire filter conjunction against the register arena in one dispatch.
-pub type NativeCond = fn(&[u32]) -> bool;
-
-/// A request to fuse the arithmetic filter chain of matching queries into
-/// one [`NativeCond`] call — the paper's hand-written super-instructions
-/// for the `moved_label`-style outlier rules. The provided function must
-/// compute exactly the conjunction of the collapsed filter conditions.
-#[derive(Debug, Clone)]
-pub struct Fusion {
-    /// Applied to queries whose label contains this substring.
-    pub label_contains: String,
-    /// The native replacement condition.
-    pub cond: NativeCond,
-}
-
 /// Scratch registers every query arena reserves for the intermediate
 /// results of fused programs. Leaves need none, so an expression takes
 /// `d` of them only once it nests two non-leaf operands `d` deep; a
@@ -196,15 +180,6 @@ pub enum INode<'p> {
     Filter {
         /// The guard condition.
         cond: Box<INode<'p>>,
-        /// Run when the guard holds.
-        body: Box<INode<'p>>,
-    },
-    /// Conditional execution through a hand-crafted native condition: the
-    /// whole (possibly multi-filter) arithmetic guard costs one dispatch
-    /// (paper §5.2).
-    FilterNative {
-        /// The fused condition.
-        func: NativeCond,
         /// Run when the guard holds.
         body: Box<INode<'p>>,
     },
@@ -336,38 +311,17 @@ pub struct ITree<'p> {
 /// This is the "extra code generation" phase whose cost is included in
 /// all interpreter timings (paper §5).
 pub fn build<'p>(ram: &'p RamProgram, config: &InterpreterConfig) -> ITree<'p> {
-    build_with_fusions(ram, config, &[])
-}
-
-/// Like [`build`], additionally installing hand-crafted super-instructions
-/// for the matching queries (paper §5.2): in each query whose label
-/// matches a [`Fusion`], the maximal chain of purely arithmetic `Filter`s
-/// is collapsed into a single [`INode::FilterNative`].
-pub fn build_with_fusions<'p>(
-    ram: &'p RamProgram,
-    config: &InterpreterConfig,
-    fusions: &[Fusion],
-) -> ITree<'p> {
-    build_tree(ram, config, fusions, &ram.main)
+    build_stmt(ram, config, &ram.main)
 }
 
 /// Builds a tree for one statement of `ram` instead of its `main` — the
-/// serving subsystem uses this to interpret a stratum's incremental
-/// update statement (or its recomputation statement) in isolation. Tree
+/// serving subsystem uses this to interpret a stratum's update, deletion,
+/// re-derive or recomputation statement in isolation. Tree
 /// generation is cheap (the paper's core premise), so resident engines
 /// rebuild these per request rather than caching self-referential trees.
 pub fn build_stmt<'p>(
     ram: &'p RamProgram,
     config: &InterpreterConfig,
-    stmt: &'p RamStmt,
-) -> ITree<'p> {
-    build_tree(ram, config, &[], stmt)
-}
-
-fn build_tree<'p>(
-    ram: &'p RamProgram,
-    config: &InterpreterConfig,
-    fusions: &[Fusion],
     stmt: &'p RamStmt,
 ) -> ITree<'p> {
     let mut b = Builder {
@@ -376,8 +330,6 @@ fn build_tree<'p>(
         labels: Vec::new(),
         offsets: Vec::new(),
         maps: Vec::new(),
-        fusions: fusions.to_vec(),
-        active_fusion: None,
         loops: 0,
         scratch: 0,
         consts: None,
@@ -397,10 +349,6 @@ struct Builder<'p> {
     offsets: Vec<usize>,
     /// Per-level source-column → stored-position map (`None` = identity).
     maps: Vec<Option<Vec<usize>>>,
-    /// Requested filter fusions.
-    fusions: Vec<Fusion>,
-    /// The fusion applying to the query under construction, if any.
-    active_fusion: Option<NativeCond>,
     /// Loops assigned so far (tree order).
     loops: usize,
     /// Arena offset of the current query's first scratch register (they
@@ -450,11 +398,6 @@ impl<'p> Builder<'p> {
             } => {
                 let label_id = self.labels.len();
                 self.labels.push(label.clone());
-                self.active_fusion = self
-                    .fusions
-                    .iter()
-                    .find(|f| label.contains(&f.label_contains))
-                    .map(|f| f.cond);
                 // Arena layout: one slot per level, packed.
                 self.offsets.clear();
                 self.maps.clear();
@@ -559,24 +502,6 @@ impl<'p> Builder<'p> {
                 body,
             ),
             RamOp::Filter { cond, body } => {
-                if let Some(func) = self.active_fusion {
-                    if is_pure_arith(cond) {
-                        // Collapse the maximal chain of arithmetic filters
-                        // into one native dispatch.
-                        let mut inner: &'p RamOp = body;
-                        while let RamOp::Filter { cond, body } = inner {
-                            if is_pure_arith(cond) {
-                                inner = body;
-                            } else {
-                                break;
-                            }
-                        }
-                        return INode::FilterNative {
-                            func,
-                            body: Box::new(self.op(inner)),
-                        };
-                    }
-                }
                 let body = Box::new(self.op(body));
                 match self.cond(cond) {
                     INode::Fused(prog) => INode::FilterFused { prog, body },
@@ -926,7 +851,7 @@ mod tests {
                 v
             }
             INode::Filter { cond, body } => vec![&**cond, &**body],
-            INode::FilterFused { body, .. } | INode::FilterNative { body, .. } => vec![&**body],
+            INode::FilterFused { body, .. } => vec![&**body],
             INode::ProjectSuper { generic, .. } => generic.iter().map(|(_, e)| e).collect(),
             INode::ProjectPlain { values, .. } => values.iter().collect(),
             INode::Aggregate {
@@ -1229,34 +1154,14 @@ mod tests {
             0,
             "nothing is left to the tree walk"
         );
-        // `--no-super` is the off switch, and a hand-installed fusion
-        // still wins for its query.
+        // `--no-super` is the off switch.
         let plain = InterpreterConfig {
             super_instructions: false,
             ..mem()
         };
-        for (tree, natives) in [
-            (build(&ram, &plain), 0),
-            (
-                build_with_fusions(
-                    &ram,
-                    &mem(),
-                    &[Fusion {
-                        label_contains: "r(x)".into(),
-                        cond: |_| true,
-                    }],
-                ),
-                1,
-            ),
-        ] {
-            let mut progs = Vec::new();
-            fused_programs(&tree.root, &mut progs);
-            assert!(progs.is_empty());
-            assert_eq!(
-                count_kind(&tree.root, &|n| matches!(n, INode::FilterNative { .. })),
-                natives
-            );
-        }
+        let (tree, mut progs) = (build(&ram, &plain), Vec::new());
+        fused_programs(&tree.root, &mut progs);
+        assert!(progs.is_empty());
     }
 
     #[test]

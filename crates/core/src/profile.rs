@@ -20,7 +20,7 @@ pub struct ProfileState {
     pub dispatches: Cell<u64>,
     /// Total scan-loop iterations.
     pub iterations: Cell<u64>,
-    /// Super-instruction executions (`ProjectSuper` + `FilterNative`).
+    /// Super-instruction executions (`ProjectSuper` + `FilterFused`).
     pub super_hits: Cell<u64>,
     /// Total tuples inserted across all queries.
     pub total_inserts: Cell<u64>,

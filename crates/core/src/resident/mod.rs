@@ -31,9 +31,9 @@
 //! back when
 //!
 //! * it lacks the statement this kind of write needs: the update
-//!   statement; for a retraction also a deletion twin, heads that can be
-//!   re-matched (no opaque auto-increment values), and provenance off (a
-//!   recompute re-annotates exactly);
+//!   statement; for a retraction also a deletion twin, a re-derive
+//!   statement (none when a rule draws auto-increment values), and
+//!   provenance off (a recompute re-annotates exactly);
 //! * a changed relation is read under negation or aggregation, where
 //!   growth can retract conclusions and shrinkage can add them; or
 //! * one of its inputs or heads was rebuilt, so its `upd_` staging is not
@@ -231,7 +231,7 @@ impl ResidentEngine {
                 facts
             })
             .collect();
-        let up = bring_up(&ram, config, &[], tel, |db| {
+        let up = bring_up(&ram, config, tel, |db| {
             // `.input` relations whose content the snapshot states whole.
             let mut covered = vec![false; ram.relations.len()];
             let recompute = match snapshot {
@@ -367,7 +367,7 @@ impl ResidentEngine {
         let mut all_upds = Vec::new();
         for r in &ram.relations {
             match r.role {
-                Role::Standard => {}
+                Role::Standard | Role::Cone(_) => {}
                 Role::Delta(b) | Role::New(b) => aux_of[b.0].push(r.id),
                 Role::Upd(b) => {
                     aux_of[b.0].push(r.id);

@@ -23,14 +23,6 @@ use crate::wal::WalRecord;
 use std::borrow::Cow;
 use stir_ram::deletion::deletion_stmt;
 
-/// Whether a head of stratum `i` has a rule the re-matcher cannot replay.
-fn opaque(ram: &RamProgram, i: usize) -> bool {
-    ram.strata[i].defines.iter().any(|d| {
-        let mut rules = ram.prov.rules.iter().filter(|r| r.head == *d).peekable();
-        rules.peek().is_none() || rules.any(|r| r.opaque || r.stmt.is_none())
-    })
-}
-
 /// What one [`ResidentEngine::insert_facts`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct UpdateReport {
@@ -284,11 +276,12 @@ impl ResidentEngine {
             let plan = match (s.update.as_ref().filter(|_| !stale), kind) {
                 (None, _) => None,
                 (Some(update), WalRecordKind::Insert) => Some(Cow::Borrowed(update)),
-                // Phase 3 re-checks over-deleted heads by re-matching their
-                // rules, which an opaque (auto-increment) head or a head
-                // without a plan defeats; under provenance a recompute
-                // re-annotates exactly.
-                (Some(_), WalRecordKind::Delete) if self.config.provenance || opaque(ram, i) => {
+                // Phase 3 re-checks over-deleted heads with the stratum's
+                // re-derive statement, which a rule drawing `$` values
+                // lacks; under provenance a recompute re-annotates exactly.
+                (Some(_), WalRecordKind::Delete)
+                    if self.config.provenance || s.rederive.is_none() =>
+                {
                     None
                 }
                 (Some(_), WalRecordKind::Delete) => deletion_stmt(ram, i).map(Cow::Owned),

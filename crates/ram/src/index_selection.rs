@@ -13,7 +13,7 @@
 //! algorithm (signature sets are small) and read the chains off the
 //! matching.
 
-use crate::program::{ColumnOrder, RamProgram, ReprKind};
+use crate::program::{ColumnOrder, RamProgram, ReprKind, Role};
 use crate::stmt::{RamCond, RamOp, RamStmt};
 use std::collections::{BTreeSet, HashMap};
 
@@ -161,11 +161,8 @@ pub fn assign_indexes(program: &mut RamProgram) {
             collect_cond(cond, &mut signatures);
         }
     };
-    program.main.walk(&mut collect);
-    for stratum in &program.strata {
-        if let Some(update) = &stratum.update {
-            update.walk(&mut collect);
-        }
+    for stmt in program.stmts() {
+        stmt.walk(&mut collect);
     }
 
     // Provenance annotation columns are excluded by construction: the two
@@ -183,15 +180,14 @@ pub fn assign_indexes(program: &mut RamProgram) {
     // A relation and its `delta_`/`new_` versions are one logical relation:
     // they exchange contents via MERGE/SWAP, so they must share one index
     // layout. Union their signatures and select once per group (this is
-    // also what Soufflé's index analysis does).
+    // also what Soufflé's index analysis does). A `cone_` relation is only
+    // ever scanned whole, so it keeps one natural-order index of its own.
     let group_of: Vec<usize> = program
         .relations
         .iter()
         .map(|r| match r.role {
-            crate::program::Role::Delta(base)
-            | crate::program::Role::New(base)
-            | crate::program::Role::Upd(base) => base.0,
-            crate::program::Role::Standard => r.id.0,
+            Role::Delta(base) | Role::New(base) | Role::Upd(base) => base.0,
+            Role::Standard | Role::Cone(_) => r.id.0,
         })
         .collect();
     let mut group_signatures: Vec<BTreeSet<Signature>> = vec![BTreeSet::new(); nrels];
@@ -251,11 +247,8 @@ pub fn assign_indexes(program: &mut RamProgram) {
         RamStmt::Exit(cond) => patch_cond(cond, &results),
         _ => {}
     };
-    program.main.walk_mut(&mut patch);
-    for stratum in &mut program.strata {
-        if let Some(update) = &mut stratum.update {
-            update.walk_mut(&mut patch);
-        }
+    for stmt in program.stmts_mut() {
+        stmt.walk_mut(&mut patch);
     }
 }
 

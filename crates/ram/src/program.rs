@@ -31,6 +31,10 @@ pub enum Role {
     /// derived tuples), consumed by the update statements of downstream
     /// strata. The payload is the base relation.
     Upd(RelId),
+    /// The `cone_R` of a rule head with an `upd_R`: where a retraction
+    /// stages `R`'s over-deleted tuples for the stratum's re-derive
+    /// statement. The payload is the base relation.
+    Cone(RelId),
 }
 
 /// The representation chosen for a relation's indexes.
@@ -111,6 +115,13 @@ pub struct RamStratum {
     /// `None` when the stratum cannot be updated incrementally (eqrel
     /// heads) and must be recomputed instead.
     pub update: Option<RamStmt>,
+    /// DRed's one-step re-derive check: one variant per rule, which
+    /// enumerates the over-deleted tuples staged in the head's `cone_`
+    /// relation and projects those the surviving database still derives
+    /// into the head's `upd_` relation. `None` when a head has no `upd_`
+    /// sibling (eqrel) or a rule draws `$` values, which no check can
+    /// reproduce; a retraction then recomputes the stratum.
+    pub rederive: Option<RamStmt>,
 }
 
 /// A complete translated program.
@@ -177,6 +188,30 @@ impl RamProgram {
             .iter()
             .find(|r| r.role == Role::Upd(id))
             .map(|r| r.id)
+    }
+
+    /// The `cone_R` staging relation of `id`, if one was created (rule
+    /// heads with an `upd_` sibling).
+    pub fn cone_of(&self, id: RelId) -> Option<RelId> {
+        self.relations
+            .iter()
+            .find(|r| r.role == Role::Cone(id))
+            .map(|r| r.id)
+    }
+
+    /// Every statement index selection and the optimizer see: `main`,
+    /// then each stratum's update and re-derive statements.
+    pub fn stmts(&self) -> impl Iterator<Item = &RamStmt> {
+        let strata = self.strata.iter();
+        std::iter::once(&self.main)
+            .chain(strata.flat_map(|s| s.update.iter().chain(s.rederive.iter())))
+    }
+
+    /// [`Self::stmts`], mutably.
+    pub fn stmts_mut(&mut self) -> impl Iterator<Item = &mut RamStmt> {
+        let strata = self.strata.iter_mut();
+        std::iter::once(&mut self.main)
+            .chain(strata.flat_map(|s| s.update.iter_mut().chain(s.rederive.iter_mut())))
     }
 
     /// The main-`Seq` child implementing stratum `i` (its full

@@ -19,7 +19,7 @@ use crate::stmt::{RamCond, RamOp, RamStmt};
 use crate::IntrinsicOp;
 
 /// Runs all passes in place, over the main statement and every stratum's
-/// incremental update statement.
+/// update and re-derive statements.
 pub fn optimize(program: &mut RamProgram) {
     let mut pass = |stmt: &mut RamStmt| {
         if let RamStmt::Query { op, .. } = stmt {
@@ -30,11 +30,8 @@ pub fn optimize(program: &mut RamProgram) {
             fold_cond(cond);
         }
     };
-    program.main.walk_mut(&mut pass);
-    for stratum in &mut program.strata {
-        if let Some(update) = &mut stratum.update {
-            update.walk_mut(&mut pass);
-        }
+    for stmt in program.stmts_mut() {
+        stmt.walk_mut(&mut pass);
     }
 }
 

@@ -1,31 +1,14 @@
 //! A DDisasm-style binary analysis with the §5.2 case study attached:
-//! profile the rules, find the dispatch-heavy outliers, install
-//! hand-crafted super-instructions for them, and measure the win.
+//! profile the rules, find the dispatch-heavy outliers, and measure what
+//! the automatically fused arithmetic guards (super-instructions) save
+//! against walking them node by node.
 //!
 //! ```text
 //! cargo run --release --example disassembler
 //! ```
 
-use stir::core::itree::Fusion;
 use stir::workloads::spec::Scale;
 use stir::{Engine, InterpreterConfig};
-
-/// Native replacement for the `moved_label` filter chain (see the rule in
-/// `stir_workloads::ddisasm::PROGRAM`). Register layout: `t0 =
-/// sym_value(a, v)` at regs[0..2], `t1 = candidate(c, k)` at regs[2..4].
-fn moved_label_cond(regs: &[u32]) -> bool {
-    let v = regs[1] as i32;
-    let c = regs[2] as i32;
-    let k = regs[3] as i32;
-    let d = v.wrapping_sub(c);
-    v >= c.wrapping_sub(4096)
-        && v <= c.wrapping_add(4096)
-        && (v & 4095) != 0
-        && d != 0
-        && d % 8 == 0
-        && ((v ^ k) & 7) != 3
-        && v.wrapping_mul(2).wrapping_sub(c) > 16
-}
 
 fn main() -> Result<(), stir::EngineError> {
     let workload = stir::workloads::ddisasm::generate("demo-bin", Scale::Small, 77);
@@ -49,7 +32,7 @@ fn main() -> Result<(), stir::EngineError> {
     );
     let mut rules = plain.profile.as_ref().expect("profiled").by_rule();
     rules.sort_by_key(|r| std::cmp::Reverse(r.time));
-    println!("\nhottest rules before fusion:");
+    println!("\nhottest rules:");
     for rule in rules.iter().take(3) {
         println!(
             "  {:>9.3?}  {}",
@@ -58,18 +41,17 @@ fn main() -> Result<(), stir::EngineError> {
         );
     }
 
-    // Install the hand-crafted super-instruction (paper §5.2) and rerun.
-    let fusions = [Fusion {
-        label_contains: "moved_label(".into(),
-        cond: moved_label_cond,
-    }];
-    let fused = engine.run_fused(
-        InterpreterConfig::optimized().with_profile(),
+    // The same program with every guard walked node by node (`--no-super`).
+    let walked = engine.run(
+        InterpreterConfig {
+            super_instructions: false,
+            ..InterpreterConfig::optimized()
+        }
+        .with_profile(),
         &workload.inputs,
-        &fusions,
     )?;
     assert_eq!(
-        plain.outputs, fused.outputs,
+        plain.outputs, walked.outputs,
         "fusion must not change the fixpoint"
     );
 
@@ -80,14 +62,14 @@ fn main() -> Result<(), stir::EngineError> {
             .expect("profiled")
             .by_rule()
             .iter()
-            .find(|r| r.label.contains("moved_label("))
+            .find(|r| r.label.starts_with("moved_label("))
             .map(|r| r.time)
             .unwrap_or_default()
     };
     println!(
-        "\nmoved_label rule: {:?} -> {:?} with the hand-crafted super-instruction",
-        time_of(&plain),
-        time_of(&fused)
+        "\nmoved_label rule: {:?} walked -> {:?} with fused guards",
+        time_of(&walked),
+        time_of(&plain)
     );
     Ok(())
 }

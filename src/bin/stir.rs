@@ -412,7 +412,7 @@ fn main() -> ExitCode {
     }
 
     let started = std::time::Instant::now();
-    let result = match engine.run_with(opts.config, &inputs, &[], tel_ref) {
+    let result = match engine.run_with(opts.config, &inputs, tel_ref) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("stir: {e}");

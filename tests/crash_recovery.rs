@@ -49,6 +49,8 @@ fn setup(name: &str) -> PathBuf {
 struct Server {
     child: Child,
     port: u16,
+    /// The admin endpoint's port, when started with `--admin-addr`.
+    admin: Option<u16>,
 }
 
 impl Server {
@@ -70,18 +72,21 @@ impl Server {
         }
         let mut child = cmd.spawn().expect("spawns");
         let mut stdout = BufReader::new(child.stdout.take().expect("stdout"));
-        let mut banner = String::new();
-        stdout.read_line(&mut banner).expect("banner");
-        let addr = banner
-            .trim()
-            .strip_prefix("stird: listening on ")
-            .unwrap_or_else(|| panic!("unexpected banner: {banner:?}"));
-        let port = addr
-            .rsplit(':')
-            .next()
-            .and_then(|p| p.parse().ok())
-            .expect("port in banner");
-        Server { child, port }
+        let mut port_after = |prefix: &str| -> u16 {
+            let mut banner = String::new();
+            stdout.read_line(&mut banner).expect("banner");
+            let addr = banner
+                .trim()
+                .strip_prefix(prefix)
+                .unwrap_or_else(|| panic!("unexpected banner: {banner:?}"));
+            let port = addr.rsplit(':').next().and_then(|p| p.parse().ok());
+            port.expect("port in banner")
+        };
+        let port = port_after("stird: listening on ");
+        let admin = extra
+            .contains(&"--admin-addr")
+            .then(|| port_after("stird: admin listening on "));
+        Server { child, port, admin }
     }
 
     fn connect(&self) -> TcpStream {
@@ -148,9 +153,15 @@ fn retract_until_crash(server: &Server, edges: &[[i64; 2]]) -> (Vec<[i64; 2]>, O
 
 /// Queries `?path(_, _)` over a fresh connection and returns the rows.
 fn query_path(server: &Server) -> BTreeSet<Vec<i64>> {
+    query(server, "?path(_, _)")
+}
+
+/// Sends the query line `q` over a fresh connection and returns the rows.
+fn query(server: &Server, q: &str) -> BTreeSet<Vec<i64>> {
     let mut conn = server.connect();
     let mut reader = BufReader::new(conn.try_clone().expect("clone"));
-    conn.write_all(b"?path(_, _)\n").expect("query written");
+    conn.write_all(format!("{q}\n").as_bytes())
+        .expect("query written");
     conn.flush().expect("flushes");
     let mut rows = BTreeSet::new();
     loop {
@@ -719,4 +730,57 @@ fn temp_orphaned_by_a_crashed_publish_is_swept_at_open() {
     assert!(!tmp.exists(), "open sweeps it");
     // The batch reached the WAL before the auto-snapshot crashed.
     assert_eq!(query_path(&server), oracle(config_for("sti"), &[[3, 4]]));
+}
+
+/// Sends one HTTP GET to the admin endpoint and returns its body.
+fn admin_get(server: &Server, path: &str) -> String {
+    let port = server.admin.expect("started with --admin-addr");
+    let mut conn = TcpStream::connect(("127.0.0.1", port)).expect("admin connects");
+    write!(
+        conn,
+        "GET {path} HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n"
+    )
+    .expect("request written");
+    let mut raw = String::new();
+    std::io::Read::read_to_string(&mut conn, &mut raw).expect("admin response");
+    assert!(raw.starts_with("HTTP/1.1 200"), "{path}: {raw}");
+    raw.split_once("\r\n\r\n").expect("body").1.to_owned()
+}
+
+/// Disk cold start: a disk-backed server takes a snapshot and one more
+/// (WAL-only) batch, then is SIGKILLed. The restart maps the snapshot's
+/// runs, replays the WAL suffix, answers the same rows before and after
+/// `.compact` folds the overlays, and its admin endpoint reports ready,
+/// the page cache and the relations' resident bytes.
+#[test]
+fn disk_cold_start_maps_the_snapshot_and_replays_the_suffix() {
+    let disk = ["--storage", "disk", "--durability", "always"];
+    let dir = setup("disk-cold-start");
+    let server = Server::start(&dir, "sti", None, &disk);
+    let (mut acked, _) = insert_until_crash(&server, &[[3, 4]]);
+    assert!(request(&server, ".snapshot").starts_with("ok snapshot"));
+    acked.extend(insert_until_crash(&server, &[[4, 5]]).0);
+    assert_eq!(acked.len(), 2, "both inserts acked");
+    drop(server); // SIGKILL
+
+    let extra = [&disk[..], &["--admin-addr", "127.0.0.1:0"]].concat();
+    let server = Server::start(&dir, "sti", None, &extra);
+    let from_one: BTreeSet<Vec<i64>> = (oracle(config_for("sti"), &acked).into_iter())
+        .filter(|row| row[0] == 1)
+        .collect();
+    assert_eq!(from_one.len(), 4, "1 reaches 2, 3, 4 and 5");
+    assert_eq!(query(&server, "?path(1, _)"), from_one);
+    let reply = request(&server, ".compact");
+    assert!(reply.starts_with("ok compact"), "{reply}");
+    assert_eq!(query(&server, "?path(1, _)"), from_one);
+    assert_eq!(admin_get(&server, "/readyz").trim(), "ready");
+    let metrics = admin_get(&server, "/metrics");
+    assert!(
+        metrics.contains("stir_page_cache_resident_bytes"),
+        "{metrics}"
+    );
+    assert!(
+        metrics.contains("stir_relation_bytes{relation=\"path\"}"),
+        "{metrics}"
+    );
 }

@@ -7,7 +7,8 @@
 //! Programs come from the same restricted seeded grammar as
 //! `resident_differential` (negation included, so retraction's
 //! full-recompute fallback is exercised alongside the DRed over-delete /
-//! re-derive path). A second test retracts under annotated evaluation
+//! re-derive path), with non-recursive heads that carry a constant or an
+//! arithmetic column besides two plain variables. A second test retracts under annotated evaluation
 //! and re-checks every surviving `.explain` tree with the independent
 //! proof checker obligations (membership, height discipline, rule
 //! re-instantiation). proptest is not vendored; each failing case
@@ -46,7 +47,27 @@ fn body_atom(state: &mut u64) -> BodyAtom {
     }
 }
 
-fn render_rule(head: (usize, usize), body: &[BodyAtom]) -> Option<String> {
+/// The head of a generated (non-recursive) rule: two plain variables, a
+/// constant column, or an arithmetic column — each head argument the
+/// re-derive variant turns into an equality with its cone.
+#[derive(Debug, Clone, Copy)]
+enum Head {
+    Vars(usize, usize),
+    Const(usize),
+    Plus(usize, usize),
+}
+
+fn head(state: &mut u64) -> Head {
+    let a = (splitmix(state) % 4) as usize;
+    let b = (splitmix(state) % 4) as usize;
+    match splitmix(state) % 4 {
+        0 => Head::Const(a),
+        1 => Head::Plus(a, b),
+        _ => Head::Vars(a, b),
+    }
+}
+
+fn render_rule(head: Head, body: &[BodyAtom]) -> Option<String> {
     let mut bound = [false; 4];
     let mut parts: Vec<String> = Vec::new();
     let mut positives = 0;
@@ -85,15 +106,15 @@ fn render_rule(head: (usize, usize), body: &[BodyAtom]) -> Option<String> {
             }
         }
     }
-    if positives == 0 || !bound[head.0] || !bound[head.1] {
+    let (vars, head) = match head {
+        Head::Vars(a, b) => ([a, b], format!("r(v{a}, v{b})")),
+        Head::Const(a) => ([a, a], format!("r(v{a}, 7)")),
+        Head::Plus(a, b) => ([a, b], format!("r(v{a}, v{b} + 1)")),
+    };
+    if positives == 0 || vars.iter().any(|&v| !bound[v]) {
         return None;
     }
-    Some(format!(
-        "r(v{}, v{}) :- {}.",
-        head.0,
-        head.1,
-        parts.join(", ")
-    ))
+    Some(format!("{head} :- {}.", parts.join(", ")))
 }
 
 fn pairs(state: &mut u64, n: usize, dom: u64) -> Vec<Vec<Value>> {
@@ -186,6 +207,8 @@ fn interleaving(
 fn retraction_interleavings_match_from_scratch_survivors() {
     let mut checked_cases = 0;
     let (mut saw_incremental, mut saw_fallback, mut saw_rederive) = (false, false, false);
+    // A re-derived tuple in a program with a constant or arithmetic head.
+    let mut saw_shaped_rederive = false;
     for seed in 1u64..=40 {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD1E5;
         let n_rules = 1 + (splitmix(&mut state) % 3) as usize;
@@ -193,11 +216,7 @@ fn retraction_interleavings_match_from_scratch_survivors() {
         for _ in 0..n_rules {
             let n_atoms = 1 + (splitmix(&mut state) % 4) as usize;
             let body: Vec<BodyAtom> = (0..n_atoms).map(|_| body_atom(&mut state)).collect();
-            let head = (
-                (splitmix(&mut state) % 4) as usize,
-                (splitmix(&mut state) % 4) as usize,
-            );
-            if let Some(r) = render_rule(head, &body) {
+            if let Some(r) = render_rule(head(&mut state), &body) {
                 rules.push(r);
             }
         }
@@ -262,6 +281,8 @@ fn retraction_interleavings_match_from_scratch_survivors() {
                                 .retract_facts(rel, rows, None)
                                 .unwrap_or_else(|e| panic!("{ctx}: retract: {e}\n{src}"));
                             saw_rederive |= report.rederived > 0;
+                            let shaped = src.contains(", 7) :-") || src.contains(" + 1) :-");
+                            saw_shaped_rederive |= shaped && report.rederived > 0;
                         }
                     }
                 }
@@ -294,6 +315,10 @@ fn retraction_interleavings_match_from_scratch_survivors() {
         "no case exercised the DRed incremental path"
     );
     assert!(saw_rederive, "no case restored an over-deleted tuple");
+    assert!(
+        saw_shaped_rederive,
+        "no case restored a tuple of a constant or arithmetic head"
+    );
 
     // The grammar only rarely aims a retraction at a negatively-read
     // relation, so pin the recompute-fallback path deterministically:

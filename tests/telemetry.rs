@@ -20,7 +20,6 @@ fn folded_stacks_have_flamegraph_shape() {
         .run_with(
             InterpreterConfig::optimized().with_trace(),
             &InputData::new(),
-            &[],
             Some(&tel),
         )
         .expect("runs");
@@ -46,7 +45,6 @@ fn profile_json_round_trips_through_parser() {
         .run_with(
             InterpreterConfig::optimized().with_profile(),
             &InputData::new(),
-            &[],
             Some(&tel),
         )
         .expect("runs");
@@ -222,7 +220,6 @@ fn telemetry_off_leaves_no_trace() {
         .run_with(
             InterpreterConfig::optimized(),
             &InputData::new(),
-            &[],
             Some(&tel),
         )
         .expect("runs");
