@@ -258,7 +258,7 @@ impl<'p, 'd> Interpreter<'p, 'd> {
     /// # Errors
     ///
     /// Propagates runtime errors (division by zero, ...).
-    pub fn run(&mut self, tree: &ITree<'p>) -> Result<(), EvalError> {
+    pub fn run(&mut self, tree: &ITree) -> Result<(), EvalError> {
         if self.cx.config.profile {
             self.prof = Some(ProfileState::new(&tree.labels, self.cx.ram.relations.len()));
         }
@@ -321,7 +321,7 @@ impl<'p, 'd> Interpreter<'p, 'd> {
 
     fn eval_stmt<const OUT: bool, const PROF: bool>(
         &self,
-        node: &INode<'p>,
+        node: &INode,
     ) -> Result<Flow, EvalError> {
         self.tick::<PROF>();
         if PROF && self.cx.config.trace {
@@ -339,7 +339,7 @@ impl<'p, 'd> Interpreter<'p, 'd> {
 
     /// The span name of a statement node, or `None` for transparent
     /// sequencing nodes that would only add noise to the folded stacks.
-    fn span_name(ram: &RamProgram, node: &INode<'_>) -> Option<String> {
+    fn span_name(ram: &RamProgram, node: &INode) -> Option<String> {
         match node {
             INode::Loop { id, .. } => Some(format!("loop#{id}")),
             INode::Query { label, .. } => Some(format!("query:{label}")),
@@ -388,7 +388,7 @@ impl<'p, 'd> Interpreter<'p, 'd> {
 
     fn eval_stmt_inner<const OUT: bool, const PROF: bool>(
         &self,
-        node: &INode<'p>,
+        node: &INode,
     ) -> Result<Flow, EvalError> {
         match node {
             INode::Seq(stmts) => {
@@ -473,7 +473,7 @@ impl<'p, 'd> Interpreter<'p, 'd> {
 
     fn eval_op<const OUT: bool, const PROF: bool>(
         &self,
-        node: &INode<'p>,
+        node: &INode,
         regs: &mut [u32],
     ) -> Result<(), EvalError> {
         self.tick::<PROF>();
@@ -557,7 +557,7 @@ impl<'p, 'd> Interpreter<'p, 'd> {
     #[inline(always)]
     fn scan<const OUT: bool, const PROF: bool>(
         &self,
-        node: &INode<'p>,
+        node: &INode,
         regs: &mut [u32],
     ) -> Result<(), EvalError> {
         let INode::Scan {
@@ -603,7 +603,7 @@ impl<'p, 'd> Interpreter<'p, 'd> {
     #[inline(always)]
     fn for_each<const OUT: bool, const PROF: bool>(
         &self,
-        node: &INode<'p>,
+        node: &INode,
         range: Option<(&[u32; MAX_ARITY], &[u32; MAX_ARITY])>,
         regs: &mut [u32],
         mut visit: impl FnMut(&mut [u32]) -> Result<(), EvalError>,
@@ -763,7 +763,7 @@ impl<'p, 'd> Interpreter<'p, 'd> {
         dst: &Slot,
         copy: &CopySpec,
         range: Option<(&[u32], &[u32])>,
-        body: &INode<'p>,
+        body: &INode,
         regs: &[u32],
     ) -> Result<bool, EvalError> {
         debug_assert!(dst.arity > 0, "nullary atoms translate to filters");
@@ -907,7 +907,7 @@ impl<'p, 'd> Interpreter<'p, 'd> {
     #[inline(always)]
     fn aggregate<const OUT: bool, const PROF: bool>(
         &self,
-        node: &INode<'p>,
+        node: &INode,
         regs: &mut [u32],
     ) -> Result<(), EvalError> {
         let INode::Aggregate {
@@ -998,7 +998,7 @@ impl<'p, 'd> Interpreter<'p, 'd> {
 
     fn eval_cond<const OUT: bool, const PROF: bool>(
         &self,
-        node: &INode<'p>,
+        node: &INode,
         regs: &mut [u32],
     ) -> Result<bool, EvalError> {
         self.tick::<PROF>();
@@ -1073,7 +1073,7 @@ impl<'p, 'd> Interpreter<'p, 'd> {
     #[inline]
     fn fill_bounds<const OUT: bool, const PROF: bool>(
         &self,
-        b: &Bounds<'p>,
+        b: &Bounds,
         regs: &[u32],
         lo: &mut [u32; MAX_ARITY],
         hi: &mut [u32; MAX_ARITY],
@@ -1097,7 +1097,7 @@ impl<'p, 'd> Interpreter<'p, 'd> {
 
     fn eval_expr<const OUT: bool, const PROF: bool>(
         &self,
-        node: &INode<'p>,
+        node: &INode,
         regs: &[u32],
     ) -> Result<u32, EvalError> {
         self.tick::<PROF>();

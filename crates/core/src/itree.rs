@@ -3,13 +3,15 @@
 //! `build` turns a RAM program into lightweight interpreter nodes
 //! ([`INode`], paper §3/Fig. 4). Each node carries exactly what execution
 //! needs — arena offsets instead of `(level, column)` pairs, prefilled
-//! bound templates, pre-split super-instruction fields — plus a *shadow
-//! pointer* into the RAM tree for static information (query labels,
-//! listings). A relational operation is one node whatever its storage:
-//! [`INode::Scan`] covers full scans (`bounds: None`) and range scans,
-//! [`INode::Exists`] every probe, and like `Aggregate` and the `Project*`
-//! inserts each carries its dispatch choice as a field. All four
-//! optimizations of §4 are applied here, steered by [`InterpreterConfig`]:
+//! bound templates, pre-split super-instruction fields. The tree owns all
+//! of it and borrows nothing from the RAM program; the one piece of
+//! static information execution reports, each query's rule text, travels
+//! in the tree's label table. A relational operation is one node whatever
+//! its storage: [`INode::Scan`] covers full scans (`bounds: None`) and
+//! range scans, [`INode::Exists`] every probe, and like `Aggregate` and
+//! the `Project*` inserts each carries its dispatch choice as a field.
+//! All four optimizations of §4 are applied here, steered by
+//! [`InterpreterConfig`]:
 //!
 //! * **static dispatch** sets `static_dispatch`, so the handler downcasts
 //!   to the monomorphized index type (§4.1) — unless the relation is
@@ -56,7 +58,7 @@ pub enum CopySpec {
 /// bounds are baked in. At execution time the templates are copied to the
 /// stack and the `elems`/`dynamic` entries fill the remaining positions.
 #[derive(Debug)]
-pub struct Bounds<'p> {
+pub struct Bounds {
     /// Tuple arity.
     pub arity: usize,
     /// Lower-bound template.
@@ -67,7 +69,7 @@ pub struct Bounds<'p> {
     /// copied without dispatch.
     pub elems: Vec<(usize, usize)>,
     /// Generic expressions: `(stored position, expression)` pairs.
-    pub dynamic: Vec<(usize, INode<'p>)>,
+    pub dynamic: Vec<(usize, INode)>,
     /// Whether every position is bound (a whole-tuple existence probe).
     pub full: bool,
 }
@@ -111,19 +113,19 @@ pub struct FusedInstr {
 /// expressions share the enum; the variant is the opcode (the paper's
 /// `node->type` switch tag).
 #[derive(Debug)]
-pub enum INode<'p> {
+pub enum INode {
     // ---- statements -------------------------------------------------
     /// Run children in order.
-    Seq(Vec<INode<'p>>),
+    Seq(Vec<INode>),
     /// Repeat until an inner `Exit` fires.
     Loop {
         /// Ordinal of this loop in tree order (keys frontier samples).
         id: usize,
         /// The loop body.
-        body: Box<INode<'p>>,
+        body: Box<INode>,
     },
     /// Break the innermost loop when the condition holds.
-    Exit(Box<INode<'p>>),
+    Exit(Box<INode>),
     /// One rule evaluation.
     Query {
         /// Index into the profiler's label table.
@@ -135,9 +137,7 @@ pub enum INode<'p> {
         /// end of the arena when the query starts.
         consts: Vec<u32>,
         /// The operation tree.
-        body: Box<INode<'p>>,
-        /// Shadow pointer to the source RAM statement.
-        shadow: &'p RamStmt,
+        body: Box<INode>,
     },
     /// Remove all tuples.
     Clear(RelId),
@@ -164,7 +164,7 @@ pub enum INode<'p> {
         /// How it lands.
         copy: CopySpec,
         /// The search bounds; `None` scans the whole index.
-        bounds: Option<Bounds<'p>>,
+        bounds: Option<Bounds>,
         /// Whether the handler downcasts to the monomorphized index type
         /// (§4.1) instead of calling through the virtual adapter.
         static_dispatch: bool,
@@ -174,14 +174,14 @@ pub enum INode<'p> {
         /// Whether the scan may be partitioned across workers.
         parallel: bool,
         /// Loop body.
-        body: Box<INode<'p>>,
+        body: Box<INode>,
     },
     /// Conditional execution.
     Filter {
         /// The guard condition.
-        cond: Box<INode<'p>>,
+        cond: Box<INode>,
         /// Run when the guard holds.
-        body: Box<INode<'p>>,
+        body: Box<INode>,
     },
     /// Conditional execution through an automatically fused arithmetic
     /// guard: the whole conjunction costs one dispatch.
@@ -189,7 +189,7 @@ pub enum INode<'p> {
         /// The fused condition.
         prog: Vec<FusedInstr>,
         /// Run when the guard holds.
-        body: Box<INode<'p>>,
+        body: Box<INode>,
     },
     /// Insert with super-instruction fields (paper Fig. 14): the tuple
     /// template already holds the constants; `elems` are register-to-
@@ -207,7 +207,7 @@ pub enum INode<'p> {
         /// `(column, arena offset)` copies.
         elems: Vec<(usize, usize)>,
         /// `(column, expression)` evaluations.
-        generic: Vec<(usize, INode<'p>)>,
+        generic: Vec<(usize, INode)>,
     },
     /// Insert evaluating every column by dispatch.
     ProjectPlain {
@@ -219,7 +219,7 @@ pub enum INode<'p> {
         /// synthetic projections).
         rule: u32,
         /// One expression per column.
-        values: Vec<INode<'p>>,
+        values: Vec<INode>,
     },
     /// Aggregate over one indexed scan; binds a 1-value result.
     Aggregate {
@@ -239,28 +239,28 @@ pub enum INode<'p> {
         /// How scanned tuples land.
         copy: CopySpec,
         /// The search bounds.
-        bounds: Bounds<'p>,
+        bounds: Bounds,
         /// Folded expression (`None` for COUNT).
-        value: Option<Box<INode<'p>>>,
+        value: Option<Box<INode>>,
         /// Executed once with the result bound.
-        body: Box<INode<'p>>,
+        body: Box<INode>,
     },
 
     // ---- conditions ---------------------------------------------------
     /// Always true.
     True,
     /// All children hold.
-    Conj(Vec<INode<'p>>),
+    Conj(Vec<INode>),
     /// Child does not hold.
-    Not(Box<INode<'p>>),
+    Not(Box<INode>),
     /// Binary comparison.
     Cmp {
         /// Pre-typed operator.
         kind: CmpKind,
         /// Left operand.
-        lhs: Box<INode<'p>>,
+        lhs: Box<INode>,
         /// Right operand.
-        rhs: Box<INode<'p>>,
+        rhs: Box<INode>,
     },
     /// A run of pure-arithmetic comparisons, fused.
     Fused(Vec<FusedInstr>),
@@ -273,7 +273,7 @@ pub enum INode<'p> {
         /// Index to probe.
         index: usize,
         /// The probe bounds.
-        bounds: Bounds<'p>,
+        bounds: Bounds,
         /// Whether the probe is statically dispatched.
         static_dispatch: bool,
     },
@@ -293,15 +293,15 @@ pub enum INode<'p> {
         /// The operation.
         op: IntrinsicOp,
         /// Argument expressions.
-        args: Vec<INode<'p>>,
+        args: Vec<INode>,
     },
 }
 
 /// A built interpreter tree plus its query label table.
 #[derive(Debug)]
-pub struct ITree<'p> {
+pub struct ITree {
     /// The root statement.
-    pub root: INode<'p>,
+    pub root: INode,
     /// Query labels (rule texts), indexed by `INode::Query::label`.
     pub labels: Vec<String>,
 }
@@ -310,20 +310,16 @@ pub struct ITree<'p> {
 ///
 /// This is the "extra code generation" phase whose cost is included in
 /// all interpreter timings (paper §5).
-pub fn build<'p>(ram: &'p RamProgram, config: &InterpreterConfig) -> ITree<'p> {
+pub fn build(ram: &RamProgram, config: &InterpreterConfig) -> ITree {
     build_stmt(ram, config, &ram.main)
 }
 
 /// Builds a tree for one statement of `ram` instead of its `main` — the
-/// serving subsystem uses this to interpret a stratum's update, deletion,
-/// re-derive or recomputation statement in isolation. Tree
-/// generation is cheap (the paper's core premise), so resident engines
-/// rebuild these per request rather than caching self-referential trees.
-pub fn build_stmt<'p>(
-    ram: &'p RamProgram,
-    config: &InterpreterConfig,
-    stmt: &'p RamStmt,
-) -> ITree<'p> {
+/// serving subsystem uses this to interpret a stratum's recompute,
+/// update, deletion or re-derive statement in isolation. The tree owns
+/// its data, so a resident engine builds each of these once, at
+/// bring-up, and runs them for every request.
+pub fn build_stmt(ram: &RamProgram, config: &InterpreterConfig, stmt: &RamStmt) -> ITree {
     let mut b = Builder {
         ram,
         config: *config,
@@ -378,7 +374,7 @@ impl<'p> Builder<'p> {
         self.config.static_dispatch && !self.disk_override(rel)
     }
 
-    fn stmt(&mut self, s: &'p RamStmt) -> INode<'p> {
+    fn stmt(&mut self, s: &RamStmt) -> INode {
         match s {
             RamStmt::Seq(stmts) => INode::Seq(stmts.iter().map(|st| self.stmt(st)).collect()),
             RamStmt::Loop(body) => {
@@ -416,7 +412,6 @@ impl<'p> Builder<'p> {
                     arena_size: total + FUSED_SCRATCH + consts.len(),
                     consts,
                     body: Box::new(body),
-                    shadow: s,
                 }
             }
             RamStmt::Clear(rel) => INode::Clear(*rel),
@@ -476,7 +471,7 @@ impl<'p> Builder<'p> {
         }
     }
 
-    fn op(&mut self, o: &'p RamOp) -> INode<'p> {
+    fn op(&mut self, o: &RamOp) -> INode {
         match o {
             RamOp::Scan {
                 rel,
@@ -561,8 +556,8 @@ impl<'p> Builder<'p> {
         pattern: Option<&[Option<RamExpr>]>,
         eqrel_swap: bool,
         parallel: bool,
-        body: &'p RamOp,
-    ) -> INode<'p> {
+        body: &RamOp,
+    ) -> INode {
         let bounds = pattern.map(|p| self.bounds(p, &self.storage_order(rel, index)));
         let ord = self.emission_order(rel, index, eqrel_swap);
         let copy = self.level_plumbing(level, &ord);
@@ -583,7 +578,7 @@ impl<'p> Builder<'p> {
         }
     }
 
-    fn project(&mut self, rel: RelId, values: &'p [RamExpr], rule: Option<u32>) -> INode<'p> {
+    fn project(&mut self, rel: RelId, values: &[RamExpr], rule: Option<u32>) -> INode {
         let static_dispatch = self.static_ok(rel);
         // The rule id is absorbed at tree-generation time like any other
         // super-instruction constant; RULE_INPUT marks synthetic
@@ -622,7 +617,7 @@ impl<'p> Builder<'p> {
 
     /// Builds the bound templates for a search pattern against an index
     /// order.
-    fn bounds(&mut self, pattern: &[Option<RamExpr>], ord: &[usize]) -> Bounds<'p> {
+    fn bounds(&mut self, pattern: &[Option<RamExpr>], ord: &[usize]) -> Bounds {
         let arity = pattern.len();
         let mut lo = vec![0u32; arity];
         let mut hi = vec![u32::MAX; arity];
@@ -657,7 +652,7 @@ impl<'p> Builder<'p> {
     /// [`INode::Fused`] program; every other conjunct (a relation probe,
     /// a comparison that interns strings or draws `$`) stays where it is,
     /// so the conjunction still short-circuits in source order.
-    fn cond(&mut self, c: &RamCond) -> INode<'p> {
+    fn cond(&mut self, c: &RamCond) -> INode {
         let conjuncts = match c {
             RamCond::Conjunction(cs) => &cs[..],
             single => std::slice::from_ref(single),
@@ -736,7 +731,7 @@ impl<'p> Builder<'p> {
     }
 
     /// One tree-walked conjunct.
-    fn conjunct(&mut self, c: &RamCond) -> INode<'p> {
+    fn conjunct(&mut self, c: &RamCond) -> INode {
         match c {
             RamCond::True => INode::True,
             RamCond::Conjunction(_) => self.cond(c),
@@ -780,7 +775,7 @@ impl<'p> Builder<'p> {
         self.offsets[level] + col
     }
 
-    fn expr(&mut self, e: &RamExpr) -> INode<'p> {
+    fn expr(&mut self, e: &RamExpr) -> INode {
         match e {
             RamExpr::Constant(k) => INode::Constant(*k),
             RamExpr::TupleElement { level, column } => INode::TupleElement {
@@ -834,15 +829,15 @@ mod tests {
         p(x, y) :- e(x, y).\n\
         p(x, z) :- p(x, y), e(y, z).\n";
 
-    fn count_kind(node: &INode<'_>, pred: &dyn Fn(&INode<'_>) -> bool) -> usize {
+    fn count_kind(node: &INode, pred: &dyn Fn(&INode) -> bool) -> usize {
         let mut n = usize::from(pred(node));
-        let children: Vec<&INode<'_>> = match node {
+        let children: Vec<&INode> = match node {
             INode::Seq(v) | INode::Conj(v) => v.iter().collect(),
             INode::Exit(b) | INode::Not(b) => vec![&**b],
             INode::Loop { body, .. } => vec![&**body],
             INode::Query { body, .. } => vec![&**body],
             INode::Scan { bounds, body, .. } => {
-                let mut v: Vec<&INode<'_>> = bounds
+                let mut v: Vec<&INode> = bounds
                     .iter()
                     .flat_map(|b| &b.dynamic)
                     .map(|(_, e)| e)
@@ -860,7 +855,7 @@ mod tests {
                 body,
                 ..
             } => {
-                let mut v: Vec<&INode<'_>> = bounds.dynamic.iter().map(|(_, e)| e).collect();
+                let mut v: Vec<&INode> = bounds.dynamic.iter().map(|(_, e)| e).collect();
                 if let Some(val) = value {
                     v.push(&**val);
                 }
@@ -879,7 +874,7 @@ mod tests {
     }
 
     /// Whether `node` is a range scan dispatched statically or not.
-    fn is_range_scan(node: &INode<'_>, statically: bool) -> bool {
+    fn is_range_scan(node: &INode, statically: bool) -> bool {
         matches!(node, INode::Scan { bounds: Some(_), static_dispatch, .. } if *static_dispatch == statically)
     }
 
@@ -1015,7 +1010,7 @@ mod tests {
         let ram = ram(src);
         let tree = build(&ram, &InterpreterConfig::optimized());
         let mut checked = false;
-        fn find<'a, 'p>(n: &'a INode<'p>, f: &mut dyn FnMut(&'a INode<'p>)) {
+        fn find<'a>(n: &'a INode, f: &mut dyn FnMut(&'a INode)) {
             f(n);
             match n {
                 INode::Seq(v) => v.iter().for_each(|c| find(c, f)),
@@ -1045,7 +1040,7 @@ mod tests {
     }
 
     /// Every `FilterFused` / `Fused` program of a tree, in tree order.
-    fn fused_programs<'a>(node: &'a INode<'_>, out: &mut Vec<&'a [FusedInstr]>) {
+    fn fused_programs<'a>(node: &'a INode, out: &mut Vec<&'a [FusedInstr]>) {
         match node {
             INode::FilterFused { prog, body } => {
                 out.push(prog);
@@ -1175,7 +1170,7 @@ mod tests {
         let ram = ram(src);
         let tree = build(&ram, &mem());
         let mut shapes = Vec::new();
-        fn conj<'a, 'p>(n: &'a INode<'p>, out: &mut Vec<&'a [INode<'p>]>) {
+        fn conj<'a>(n: &'a INode, out: &mut Vec<&'a [INode]>) {
             match n {
                 INode::Seq(v) => v.iter().for_each(|c| conj(c, out)),
                 INode::Query { body, .. } | INode::Scan { body, .. } => conj(body, out),

@@ -12,9 +12,10 @@
 //!   what every request shares: the ground-fact list, and the front door
 //!   — one relation lookup that owns every refusal text, and one
 //!   `encode_existing` for rows that must not intern a symbol.
-//! * `write.rs` — inserts, and the write path all writes share: validate,
-//!   WAL append by kind, apply, auto-snapshot; WAL replay re-validates
-//!   and applies through the same step.
+//! * `write.rs` — the plan table of prebuilt interpreter trees, inserts,
+//!   and the write path all writes share: validate, WAL append by kind,
+//!   apply, auto-snapshot; WAL replay re-validates and applies through
+//!   the same step.
 //! * `retract.rs` — the retraction's delete-and-re-derive phases.
 //! * `storage.rs` — open and recovery, snapshots and `.compact`, storage
 //!   health, group commit.
@@ -30,13 +31,14 @@
 //! their ground facts replayed, its stratum statement re-run. It falls
 //! back when
 //!
-//! * it lacks the statement this kind of write needs: the update
-//!   statement; for a retraction also a deletion twin, a re-derive
-//!   statement (none when a rule draws auto-increment values), and
-//!   provenance off (a recompute re-annotates exactly);
-//! * a changed relation is read under negation or aggregation, where
+//! * (a) its plan-table entry lacks the tree this kind of write needs:
+//!   the update tree; for a retraction the deletion twin and re-derive
+//!   pair, which bring-up builds only with provenance off (a recompute
+//!   re-annotates exactly) and when the stratum has both statements (no
+//!   re-derive statement when a rule draws auto-increment values);
+//! * (b) a changed relation is read under negation or aggregation, where
 //!   growth can retract conclusions and shrinkage can add them; or
-//! * one of its inputs or heads was rebuilt, so its `upd_` staging is not
+//! * (c) one of its inputs or heads was rebuilt, so its `upd_` staging is not
 //!   a faithful "what changed" set.
 //!
 //! A retraction also demotes a stratum whose over-delete cone swallows
@@ -58,6 +60,7 @@ mod write;
 
 pub use metrics::ServerStats;
 pub use storage::{PersistOptions, RecoveryReport, PROBE_FILE, SNAPSHOT_FILE, WAL_FILE};
+use write::{build_plans, StratumPlan};
 pub use write::{RetractReport, UpdateReport};
 
 use crate::config::{InterpreterConfig, StorageBackend};
@@ -122,6 +125,8 @@ pub struct ResidentEngine {
     /// The translated program; never edited after construction.
     ram: RamProgram,
     config: InterpreterConfig,
+    /// Every stratum's prebuilt interpreter trees, by stratum index.
+    plans: Vec<StratumPlan>,
     db: Database,
     /// Every relation's ground facts, by relation id, each in one
     /// natural-order B-tree (see the module docs).
@@ -377,6 +382,7 @@ impl ResidentEngine {
         }
 
         Ok(ResidentEngine {
+            plans: build_plans(&ram, &config),
             ram,
             config,
             db,

@@ -85,10 +85,10 @@ impl ResidentEngine {
         let mut cones: Vec<Vec<(RelId, Vec<Vec<RamDomain>>)>> = vec![Vec::new(); strata];
         let walk = self.walk_strata(WalRecordKind::Delete, target, |i, twin| {
             fallback[i] = true;
-            let Some(stmt) = twin else { return Ok(false) };
-            self.run_stmt(&stmt, tel)?;
+            let Some(twin) = twin else { return Ok(false) };
+            self.run_tree(twin, tel)?;
             let defines = self.ram.strata[i].defines.iter();
-            let staged = |d: &RelId| self.ram.upd_of(*d).expect("deletion_stmt requires upd");
+            let staged = |d: &RelId| self.ram.upd_of(*d).expect("a deletion twin requires upd");
             let stratum: Vec<_> = defines
                 .map(|d| (*d, self.db.rd(staged(d)).to_sorted_tuples()))
                 .collect();
@@ -154,8 +154,11 @@ impl ResidentEngine {
                     w.insert(t);
                 }
             }
-            let rederive = ram.strata[i].rederive.as_ref();
-            let checked = self.run_stmt(rederive.expect("incremental plan"), tel);
+            let plan = &self.plans[i];
+            let (Some(update), Some((_, rederive))) = (&plan.update, &plan.retract) else {
+                unreachable!("walk_strata ran the deletion twin of stratum {i}");
+            };
+            let checked = self.run_tree(rederive, tel);
             for (d, _) in stratum {
                 self.db.wr(cone_of(d)).clear();
             }
@@ -195,8 +198,7 @@ impl ResidentEngine {
                 // The *insertion* statement: restored seeds propagate to
                 // their within-stratum consequences, and its `upd_`
                 // staging feeds downstream strata.
-                let stmt = ram.strata[i].update.as_ref();
-                self.run_stmt(stmt.expect("incremental plan"), tel)?;
+                self.run_tree(update, tel)?;
             }
         }
 
@@ -482,6 +484,15 @@ mod tests {
         assert_eq!(r.outputs()["p"], pairs(&[(1, 2)]));
     }
 
+    fn modes() -> [InterpreterConfig; 4] {
+        [
+            InterpreterConfig::optimized(),
+            InterpreterConfig::dynamic_adapter(),
+            InterpreterConfig::unoptimized(),
+            InterpreterConfig::legacy(),
+        ]
+    }
+
     /// Retracts `rows` from `rel` in every engine mode, checks the result
     /// against a from-scratch engine over the survivors, and returns each
     /// mode's report.
@@ -496,17 +507,11 @@ mod tests {
             .get_mut(rel)
             .expect("an input")
             .retain(|r| !rows.contains(r));
-        let modes = [
-            InterpreterConfig::optimized(),
-            InterpreterConfig::dynamic_adapter(),
-            InterpreterConfig::unoptimized(),
-            InterpreterConfig::legacy(),
-        ];
         let build = |inputs, config| {
             ResidentEngine::from_source(src, config, inputs, None).expect("builds")
         };
         let mut reports = Vec::new();
-        for config in modes {
+        for config in modes() {
             let mut r = build(inputs, config);
             reports.push(r.retract_facts(rel, rows, None).expect("retracts"));
             let fresh = build(&survivors, config);
@@ -626,6 +631,65 @@ mod tests {
                 (1, 0),
                 "{report:?}"
             );
+        }
+    }
+
+    #[test]
+    fn each_retraction_fallback_reason_recomputes_only_its_stratum_in_every_mode() {
+        // Three independent corners, one per input: `p` falls back only
+        // under provenance, `eq` for its eqrel head and `id` for drawing
+        // `$`; `r` and `s` share an input with the latter two and stay
+        // incremental.
+        let src = "\
+            .decl e(x: number, y: number)\n.input e\n\
+            .decl f(x: number, y: number)\n.input f\n\
+            .decl g(x: number)\n.input g\n\
+            .decl p(x: number, y: number)\n.output p\n\
+            .decl eq(x: number, y: number) eqrel\n.output eq\n\
+            .decl r(x: number)\n.output r\n\
+            .decl id(x: number, n: number)\n.output id\n\
+            .decl s(x: number)\n.output s\n\
+            p(x, y) :- e(x, y).\n\
+            p(x, z) :- p(x, y), e(y, z).\n\
+            eq(x, y) :- f(x, y).\n\
+            r(x) :- f(x, _).\n\
+            id(x, $) :- g(x).\n\
+            s(x) :- g(x).\n";
+        let mut inputs = InputData::new();
+        inputs.insert("e".into(), pairs(&[(1, 2), (2, 3)]));
+        inputs.insert("f".into(), pairs(&[(1, 2), (2, 3)]));
+        inputs.insert("g".into(), numbers(&[1, 2]));
+        // (reason, provenance, relation, retracted row, strata re-run)
+        let cases = [
+            ("provenance", true, "e", pairs(&[(2, 3)]), 0),
+            ("eqrel head", false, "f", pairs(&[(2, 3)]), 1),
+            ("draws `$`", false, "g", numbers(&[2]), 1),
+        ];
+        let build = |inputs: &InputData, config| {
+            ResidentEngine::from_source(src, config, inputs, None).expect("builds")
+        };
+        for mode in modes() {
+            for (reason, provenance, rel, rows, rerun) in &cases {
+                let config = if *provenance {
+                    mode.with_provenance()
+                } else {
+                    mode
+                };
+                let mut r = build(&inputs, config);
+                let report = r.retract_facts(rel, rows, None).expect("retracts");
+                let counts = (report.full_fallbacks, report.strata_rerun);
+                assert_eq!(counts, (1, *rerun), "{reason} in {config:?}");
+                let mut survivors = inputs.clone();
+                survivors
+                    .get_mut(*rel)
+                    .expect("input")
+                    .retain(|t| !rows.contains(t));
+                let (mut got, mut want) = (r.outputs(), build(&survivors, config).outputs());
+                // Recomputed `$` values depend on how often the counter ran.
+                got.remove("id");
+                want.remove("id");
+                assert_eq!(got, want, "{reason} in {config:?}");
+            }
         }
     }
 }

@@ -12,16 +12,51 @@
 //! tuples seed the semi-naive deltas, so only derivations that use at
 //! least one new tuple are enumerated, and the stratum's own newly
 //! derived tuples land in its `upd_` relations for downstream strata to
-//! pick up. Interpreter trees for these statements are rebuilt per
-//! request (microseconds, per the paper's thesis that tree generation is
-//! cheap).
+//! pick up. Every statement a write runs is lowered into its interpreter
+//! tree once, when the engine is assembled ([`build_plans`]); a write
+//! only looks trees up in that plan table, so no RAM is rewritten or
+//! lowered between a request and the interpreter.
 
 use super::*;
 use crate::interp::Interpreter;
-use crate::itree;
+use crate::itree::{self, ITree};
 use crate::wal::WalRecord;
-use std::borrow::Cow;
 use stir_ram::deletion::deletion_stmt;
+
+/// One stratum's prebuilt interpreter trees.
+#[derive(Debug)]
+pub(super) struct StratumPlan {
+    /// The full recompute: the stratum's child of the main statement.
+    pub(super) recompute: ITree,
+    /// The insertion-mode update statement; `None` for eqrel heads.
+    pub(super) update: Option<ITree>,
+    /// A retraction's deletion twin (phase 1) and re-derive check (phase
+    /// 3); `None` when every retraction reaching the stratum recomputes
+    /// it (fallback rule (a) in the module docs).
+    pub(super) retract: Option<(ITree, ITree)>,
+}
+
+/// Builds the plan table, one [`StratumPlan`] per stratum of `ram`: the
+/// only place the serving subsystem lowers RAM after bring-up's fixpoint.
+pub(super) fn build_plans(ram: &RamProgram, config: &InterpreterConfig) -> Vec<StratumPlan> {
+    let build = |stmt: &RamStmt| itree::build_stmt(ram, config, stmt);
+    let strata = ram.strata.iter().enumerate();
+    strata
+        .map(|(i, s)| {
+            // Phase 3 re-checks over-deleted heads with the stratum's
+            // re-derive statement, which a rule drawing `$` values lacks;
+            // under provenance a recompute re-annotates exactly.
+            let rederive = s.rederive.as_ref().filter(|_| !config.provenance);
+            let retract =
+                rederive.and_then(|check| Some((build(&deletion_stmt(ram, i)?), build(check))));
+            StratumPlan {
+                recompute: build(ram.stratum_stmt(i)),
+                update: s.update.as_ref().map(build),
+                retract,
+            }
+        })
+        .collect()
+}
 
 /// What one [`ResidentEngine::insert_facts`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -230,7 +265,7 @@ impl ResidentEngine {
         } else {
             self.walk_strata(WalRecordKind::Insert, target, |i, update| match update {
                 None => self.recompute_stratum(i, tel).map(|()| false),
-                Some(stmt) => self.run_stmt(&stmt, tel).map(|()| true),
+                Some(tree) => self.run_tree(tree, tel).map(|()| true),
             })?
         };
         Ok(UpdateReport {
@@ -243,8 +278,8 @@ impl ResidentEngine {
 
     /// The one bottom-up stratum walk of a write of `kind` to `target`.
     /// Each stratum that defines or reads a changed relation goes to
-    /// `step` with the statement that brings it up to date incrementally —
-    /// the update statement for an insert, its deletion twin for a
+    /// `step` with the tree that brings it up to date incrementally — the
+    /// update statement's for an insert, its deletion twin's for a
     /// retraction — or `None` when the fallback rule (module docs) sends
     /// it to a recompute. `step` answers whether the stratum stayed
     /// incremental. Returns `(strata_rerun, full_fallbacks)`, already
@@ -253,7 +288,7 @@ impl ResidentEngine {
         &self,
         kind: WalRecordKind,
         target: RelId,
-        mut step: impl FnMut(usize, Option<Cow<'_, RamStmt>>) -> Result<bool, EvalError>,
+        mut step: impl FnMut(usize, Option<&ITree>) -> Result<bool, EvalError>,
     ) -> Result<(u64, u64), EvalError> {
         let ram = &self.ram;
         let hit = |ids: &[RelId], flags: &[bool]| ids.iter().any(|r| flags[r.0]);
@@ -273,20 +308,13 @@ impl ResidentEngine {
             let stale = hit(&s.neg_agg_reads, &changed)
                 || hit(&s.pos_reads, &rebuilt)
                 || hit(&s.defines, &rebuilt);
-            let plan = match (s.update.as_ref().filter(|_| !stale), kind) {
-                (None, _) => None,
-                (Some(update), WalRecordKind::Insert) => Some(Cow::Borrowed(update)),
-                // Phase 3 re-checks over-deleted heads with the stratum's
-                // re-derive statement, which a rule drawing `$` values
-                // lacks; under provenance a recompute re-annotates exactly.
-                (Some(_), WalRecordKind::Delete)
-                    if self.config.provenance || s.rederive.is_none() =>
-                {
-                    None
-                }
-                (Some(_), WalRecordKind::Delete) => deletion_stmt(ram, i).map(Cow::Owned),
+            let plan = &self.plans[i];
+            let tree = match kind {
+                _ if stale => None,
+                WalRecordKind::Insert => plan.update.as_ref(),
+                WalRecordKind::Delete => plan.retract.as_ref().map(|(delete, _)| delete),
             };
-            if step(i, plan)? {
+            if step(i, tree)? {
                 for d in &s.defines {
                     let staged = ram.upd_of(*d);
                     changed[d.0] |= staged.is_some_and(|u| !self.db.rd(u).is_empty());
@@ -314,7 +342,7 @@ impl ResidentEngine {
     }
 
     /// Clears a stratum's relations, replays their ground facts, and
-    /// re-runs the original stratum statement. Correct at any point of
+    /// re-runs the stratum's recompute tree. Correct at any point of
     /// the bottom-up walk because every upstream relation is already
     /// fully up to date when its readers are visited.
     pub(super) fn recompute_stratum(
@@ -329,7 +357,7 @@ impl ResidentEngine {
             }
             self.replay_ground(*d);
         }
-        self.run_stmt(self.ram.stratum_stmt(i), tel)
+        self.run_tree(&self.plans[i].recompute, tel)
     }
 
     /// Re-admits `rel`'s ground facts after a recompute cleared it.
@@ -337,20 +365,15 @@ impl ResidentEngine {
         self.db.wr(rel).merge_from(&self.ground[rel.0]);
     }
 
-    /// Builds the statement's interpreter tree, runs it against the
-    /// resident database, and folds the run's work-stealing statistics
-    /// into the serving counters (also when the run fails part-way).
-    pub(super) fn run_stmt(
-        &self,
-        stmt: &RamStmt,
-        tel: Option<&Telemetry>,
-    ) -> Result<(), EvalError> {
-        let tree = itree::build_stmt(&self.ram, &self.config, stmt);
+    /// Runs a prebuilt tree against the resident database, and folds the
+    /// run's work-stealing statistics into the serving counters (also
+    /// when the run fails part-way).
+    pub(super) fn run_tree(&self, tree: &ITree, tel: Option<&Telemetry>) -> Result<(), EvalError> {
         let mut interp = Interpreter::new(&self.ram, &self.db, self.config);
         if let Some(t) = tel {
             interp.attach_telemetry(t);
         }
-        let res = interp.run(&tree);
+        let res = interp.run(tree);
         self.counters
             .absorb_parallel(interp.parallel_report().as_ref());
         res

@@ -19,10 +19,7 @@
 //! The header makes a section self-describing: a reader can reject an
 //! arity mismatch up front (previously a mismatch silently re-framed the
 //! payload into garbage tuples) and truncation errors can name the exact
-//! byte offset. Sections written before the header existed started
-//! directly with the `u64` count; [`read_tuples`] still accepts those —
-//! the magic cannot collide with a realistic count because it decodes to
-//! a count above 10^18.
+//! byte offset. A section that does not open with the magic is refused.
 //!
 //! Nullary relations encode their presence flag as a count of 0 or 1
 //! with zero payload bytes per tuple. Integrity (checksums) is the
@@ -78,51 +75,38 @@ fn read_at(r: &mut dyn Read, buf: &mut [u8], off: u64, what: &str) -> std::io::R
 }
 
 /// Reads a tuple section written by [`write_tuples`] for a relation of
-/// the given arity, returning the decoded tuples. Headerless sections
-/// written by older versions (starting directly with the `u64` count)
-/// are accepted too.
+/// the given arity, returning the decoded tuples.
 ///
 /// # Errors
 ///
 /// Fails on I/O errors, on truncated input (`UnexpectedEof`, naming the
-/// byte offset where the data ran out), on an unsupported section
-/// version, and on an arity mismatch between the header and `arity`
-/// (`InvalidData`, naming the offending offset).
+/// byte offset where the data ran out), and with `InvalidData` naming the
+/// offending offset on a missing magic, an unsupported section version,
+/// or an arity mismatch between the header and `arity`.
 pub fn read_tuples(r: &mut dyn Read, arity: usize) -> std::io::Result<Vec<Vec<RamDomain>>> {
-    // Both forms start with at least 8 bytes: magic+version+arity for the
-    // headered format, the u64 count for the legacy one.
     let mut head = [0u8; 8];
     read_at(r, &mut head, 0, "section header")?;
-    let mut off: u64 = 8;
-    let count = if head[..4] == SECTION_MAGIC {
-        let version = u16::from_le_bytes([head[4], head[5]]);
-        if version != SECTION_VERSION {
-            return Err(Error::new(
-                ErrorKind::InvalidData,
-                format!(
-                    "unsupported tuple section version {version} at byte offset 4 \
-                     (expected {SECTION_VERSION})"
-                ),
-            ));
-        }
-        let section_arity = u16::from_le_bytes([head[6], head[7]]) as usize;
-        if section_arity != arity {
-            return Err(Error::new(
-                ErrorKind::InvalidData,
-                format!(
-                    "tuple section arity mismatch at byte offset 6: \
-                     section holds arity-{section_arity} tuples, reader expected arity {arity}"
-                ),
-            ));
-        }
-        let mut count8 = [0u8; 8];
-        read_at(r, &mut count8, off, "tuple count")?;
-        off += 8;
-        u64::from_le_bytes(count8)
-    } else {
-        // Legacy headerless section: the 8 bytes were the count.
-        u64::from_le_bytes(head)
-    };
+    let invalid = |msg: String| Err(Error::new(ErrorKind::InvalidData, msg));
+    if head[..4] != SECTION_MAGIC {
+        return invalid("not a tuple section: no STDT magic at byte offset 0".to_owned());
+    }
+    let version = u16::from_le_bytes([head[4], head[5]]);
+    if version != SECTION_VERSION {
+        return invalid(format!(
+            "unsupported tuple section version {version} at byte offset 4 \
+             (expected {SECTION_VERSION})"
+        ));
+    }
+    let section_arity = u16::from_le_bytes([head[6], head[7]]) as usize;
+    if section_arity != arity {
+        return invalid(format!(
+            "tuple section arity mismatch at byte offset 6: \
+             section holds arity-{section_arity} tuples, reader expected arity {arity}"
+        ));
+    }
+    let mut count = [0u8; 8];
+    read_at(r, &mut count, 8, "tuple count")?;
+    let (count, mut off) = (u64::from_le_bytes(count), 16);
     let mut tuples = Vec::new();
     let mut word = [0u8; 4];
     for i in 0..count {
@@ -140,25 +124,6 @@ pub fn read_tuples(r: &mut dyn Read, arity: usize) -> std::io::Result<Vec<Vec<Ra
         tuples.push(t);
     }
     Ok(tuples)
-}
-
-/// Reads a tuple section and inserts every tuple into `rel` (all
-/// indexes). Duplicates already present are absorbed, so loading is
-/// idempotent.
-///
-/// Returns the number of tuples read (not the number freshly inserted).
-///
-/// # Errors
-///
-/// Fails on I/O errors, truncated input, and arity mismatches (see
-/// [`read_tuples`]).
-pub fn load_tuples(rel: &mut Relation, r: &mut dyn Read) -> std::io::Result<u64> {
-    let tuples = read_tuples(r, rel.arity())?;
-    let n = tuples.len() as u64;
-    for t in &tuples {
-        rel.insert(t);
-    }
-    Ok(n)
 }
 
 #[cfg(test)]
@@ -193,14 +158,10 @@ mod tests {
         assert_eq!(buf.len(), 16 + 3 * 2 * 4);
         assert_eq!(&buf[..4], b"STDT");
 
-        let mut dst = sample();
-        dst.clear();
         let mut cursor = buf.as_slice();
-        assert_eq!(load_tuples(&mut dst, &mut cursor).expect("loads"), 3);
+        let tuples = read_tuples(&mut cursor, 2).expect("reads");
         assert!(cursor.is_empty(), "section is self-delimiting");
-        assert_eq!(dst.to_sorted_tuples(), src.to_sorted_tuples());
-        // Secondary index is rebuilt too.
-        assert_eq!(dst.index(1).len(), 3);
+        assert_eq!(tuples, src.to_sorted_tuples());
     }
 
     #[test]
@@ -217,22 +178,14 @@ mod tests {
             2,
             vec![Box::new(DynBTreeIndex::new(Order::new(vec![1, 0]))) as Box<dyn IndexAdapter>],
         );
-        load_tuples(&mut legacy, &mut buf.as_slice()).expect("loads");
+        for t in read_tuples(&mut buf.as_slice(), 2).expect("reads") {
+            legacy.insert(&t);
+        }
         assert_eq!(legacy.to_sorted_tuples(), src.to_sorted_tuples());
 
         let mut back = Vec::new();
         write_tuples(&mut back, &legacy).expect("writes");
         assert_eq!(back, buf, "dump is layout-independent");
-    }
-
-    #[test]
-    fn load_is_idempotent() {
-        let src = sample();
-        let mut buf = Vec::new();
-        write_tuples(&mut buf, &src).expect("writes");
-        let mut dst = sample();
-        load_tuples(&mut dst, &mut buf.as_slice()).expect("loads");
-        assert_eq!(dst.len(), 3, "duplicates absorbed");
     }
 
     #[test]
@@ -244,27 +197,21 @@ mod tests {
         let mut buf = Vec::new();
         assert_eq!(write_tuples(&mut buf, &flag).expect("writes"), 1);
         assert_eq!(buf.len(), 16);
-
-        let mut restored = Relation::new("flag", 0, vec![]);
-        load_tuples(&mut restored, &mut buf.as_slice()).expect("loads");
-        assert_eq!(restored.len(), 1);
+        let tuples = read_tuples(&mut buf.as_slice(), 0).expect("reads");
+        assert_eq!(tuples, vec![Vec::<RamDomain>::new()]);
     }
 
     #[test]
-    fn legacy_headerless_sections_still_load() {
-        // The pre-header format: bare u64 count then packed tuples.
+    fn sections_without_the_magic_are_refused_at_offset_0() {
+        // A bare u64 count then packed tuples: no header, so no section.
         let mut buf = Vec::new();
         buf.extend_from_slice(&2u64.to_le_bytes());
         for v in [1u32, 9, 2, 8] {
             buf.extend_from_slice(&v.to_le_bytes());
         }
-        let mut dst = sample();
-        dst.clear();
-        assert_eq!(
-            load_tuples(&mut dst, &mut buf.as_slice()).expect("loads"),
-            2
-        );
-        assert_eq!(dst.to_sorted_tuples(), vec![vec![1, 9], vec![2, 8]]);
+        let err = read_tuples(&mut buf.as_slice(), 2).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("byte offset 0"), "{err}");
     }
 
     #[test]
@@ -273,9 +220,7 @@ mod tests {
         let mut buf = Vec::new();
         write_tuples(&mut buf, &src).expect("writes");
         buf.truncate(buf.len() - 2);
-        let mut dst = sample();
-        dst.clear();
-        let err = load_tuples(&mut dst, &mut buf.as_slice()).unwrap_err();
+        let err = read_tuples(&mut buf.as_slice(), 2).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
         // Payload starts at 16; tuple 2's second word sits at 16 + 5*4.
         assert!(
@@ -324,7 +269,9 @@ mod tests {
             2,
             vec![IndexSpec::new(Representation::EqRel, Order::natural(2))],
         );
-        load_tuples(&mut restored, &mut buf.as_slice()).expect("loads");
+        for t in read_tuples(&mut buf.as_slice(), 2).expect("reads") {
+            restored.insert(&t);
+        }
         assert_eq!(restored.to_sorted_tuples(), rel.to_sorted_tuples());
     }
 }

@@ -106,9 +106,6 @@ pub struct RamStratum {
     pub neg_agg_reads: Vec<RelId>,
     /// Whether the stratum is a recursive SCC.
     pub recursive: bool,
-    /// Position of the stratum's statement among the children of the
-    /// main `Seq`.
-    pub main_index: usize,
     /// Insertion-only incremental update statement: assumes the new
     /// tuples of upstream relations are staged in their `upd_` siblings
     /// and re-derives this stratum's consequences without clearing it.
@@ -224,7 +221,7 @@ impl RamProgram {
         let RamStmt::Seq(children) = &self.main else {
             panic!("main is always a Seq");
         };
-        &children[self.strata[i].main_index]
+        &children[i]
     }
 }
 

@@ -238,12 +238,11 @@ pub fn translate(checked: &CheckedProgram) -> Result<RamProgram, TranslateError>
                 collect_agg_reads(arg, &rel_ids, &mut neg_agg_reads);
             }
         }
-        let meta = |update, rederive, main_index| RamStratum {
+        let meta = |update, rederive| RamStratum {
             defines: stratum.relations.iter().map(|n| rel_ids[n]).collect(),
             pos_reads: pos_reads.iter().copied().collect(),
             neg_agg_reads: neg_agg_reads.iter().copied().collect(),
             recursive: stratum.recursive,
-            main_index,
             update,
             rederive,
         };
@@ -282,7 +281,7 @@ pub fn translate(checked: &CheckedProgram) -> Result<RamProgram, TranslateError>
             };
 
             let rederive = rederive_stmt(&mut cx, &stratum.rules, &staging)?;
-            strata.push(meta(update, rederive, main.len()));
+            strata.push(meta(update, rederive));
             main.push(RamStmt::Seq(seq));
             continue;
         }
@@ -394,7 +393,7 @@ pub fn translate(checked: &CheckedProgram) -> Result<RamProgram, TranslateError>
         };
 
         let rederive = rederive_stmt(&mut cx, &stratum.rules, &staging)?;
-        strata.push(meta(update, rederive, main.len()));
+        strata.push(meta(update, rederive));
         main.push(RamStmt::Seq(seq));
     }
 
@@ -895,6 +894,12 @@ mod tests {
         assert_eq!(s.defines, vec![ram.relation_by_name("p").unwrap().id]);
         assert_eq!(s.pos_reads, vec![ram.relation_by_name("e").unwrap().id]);
         assert!(s.neg_agg_reads.is_empty());
+        // `main` holds exactly one child per stratum, so stratum `i`'s
+        // recomputation statement is child `i`.
+        let RamStmt::Seq(children) = &ram.main else {
+            panic!("main is a Seq");
+        };
+        assert_eq!(children.len(), ram.strata.len());
         assert!(matches!(ram.stratum_stmt(0), RamStmt::Seq(_)));
         // The update statement seeds from upd_e / upd_p and re-enters the
         // fixpoint loop.

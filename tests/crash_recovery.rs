@@ -610,15 +610,59 @@ fn transient_wal_failure_refuses_the_insert() {
     );
 }
 
-/// Sends one request line and returns the reply's last line.
+/// Sends one request line and returns the whole reply, up to and
+/// including its `ok`/`err` terminator line.
 fn request(server: &Server, line: &str) -> String {
     let mut conn = server.connect();
     let mut reader = BufReader::new(conn.try_clone().expect("clone"));
     conn.write_all(format!("{line}\n").as_bytes())
         .expect("request written");
     let mut reply = String::new();
-    reader.read_line(&mut reply).expect("reply");
-    reply.trim_end().to_owned()
+    loop {
+        let start = reply.len();
+        assert!(reader.read_line(&mut reply).expect("reply") > 0, "{reply}");
+        if reply[start..].starts_with("ok ") || reply[start..].starts_with("err ") {
+            return reply.trim_end().to_owned();
+        }
+    }
+}
+
+/// A refused write leaves no trace, an acked one survives SIGKILL and is
+/// explainable after a restart with provenance on, and a retraction
+/// acked after that restart survives a second SIGKILL.
+#[test]
+fn refused_acked_and_retracted_writes_survive_sigkills() {
+    let dir = setup("wal-fault-sigkill");
+    let always = ["--durability", "always"];
+    let server = Server::start(&dir, "sti", Some("wal_write:once"), &always);
+    let refused = request(&server, "+edge(3, 4).");
+    assert!(refused.starts_with("err storage error"), "{refused}");
+    assert_eq!(request(&server, "+edge(4, 5)."), "ok 1 inserted");
+    drop(server); // SIGKILL
+
+    let provenance = [&always[..], &["--provenance"]].concat();
+    let server = Server::start(&dir, "sti", None, &provenance);
+    assert_eq!(
+        query(&server, "?path(_, 5)").len(),
+        1,
+        "edge(4, 5) recovered"
+    );
+    assert!(
+        query(&server, "?path(_, 4)").is_empty(),
+        "edge(3, 4) refused"
+    );
+    let proof = request(&server, ".explain path(4, 5)");
+    assert!(proof.contains("  edge(4, 5)  [input]"), "{proof}");
+    assert_eq!(request(&server, "-edge(2, 3)."), "ok 1 retracted");
+    assert!(query(&server, "?path(2, _)").is_empty(), "nothing leaves 2");
+    drop(server); // SIGKILL
+
+    let server = Server::start(&dir, "sti", None, &[]);
+    assert!(
+        query(&server, "?path(2, _)").is_empty(),
+        "edge(2, 3) stays gone"
+    );
+    assert_eq!(query(&server, "?path(4, _)").len(), 1, "edge(4, 5) stays");
 }
 
 /// A daemon that throws its snapshot away has lost every write the
