@@ -15,6 +15,7 @@ use stir_der::btree::BTreeIndexSet;
 use stir_der::dynindex::DynBTreeIndex;
 use stir_der::iter::{BufferedTupleIter, TupleIter};
 use stir_der::order::Order;
+use stir_der::TupleSet;
 
 const N: u32 = 20_000;
 

@@ -8,10 +8,12 @@
 //! and [`INode::Exists`] probes. A node's `static_dispatch` field picks,
 //! once per execution, between downcasting the index to its concrete
 //! `(representation, arity)` type and running a fully monomorphized loop
-//! (§4.1) or iterating through the virtual adapter; the
-//! `with_static_set!` / `with_static_adapter!` macros below play the role
-//! of the paper's `FOR_EACH` C-macro family (Figs. 8–11), stamping out
-//! one `match` arm per pre-instantiated index type.
+//! (§4.1) or iterating through the virtual adapter. The
+//! `with_index_type!` macro below plays the role of the paper's
+//! `FOR_EACH` C-macro family (Figs. 8–11), stamping out one `match` arm
+//! per pre-instantiated index type — eqrel included, so no handler has an
+//! eqrel case of its own — and the arm's body calls the set's
+//! [`TupleSet`] methods with no virtual dispatch.
 //!
 //! The `OUT` const-generic parameter realizes the §4.3 ablation: with
 //! `OUT = true`, heavy instruction handlers are forced out of line behind
@@ -28,15 +30,14 @@ use crate::itree::{Bounds, CopySpec, FusedInstr, FusedOp, INode, ITree, Slot};
 use crate::morsel::{MorselQueue, ParallelReport, WorkerStats};
 use crate::profile::{ProfileReport, ProfileState};
 use crate::sink::InsertSink;
-use crate::static_set::{StaticAdapter, StaticSet};
 use crate::telemetry::{LogLevel, Telemetry};
 use std::cell::{Cell, RefCell};
 use std::sync::RwLockReadGuard;
 use std::time::Instant;
-use stir_der::adapter::EqRelIndex;
 use stir_der::iter::{BufferedTupleIter, TupleIter};
 use stir_der::relation::Relation;
 use stir_der::tuple::MAX_ARITY;
+use stir_der::{IndexAdapter, TupleSet};
 use stir_ram::program::{RamProgram, RelId, ReprKind};
 use stir_ram::stmt::AggFunc;
 
@@ -75,6 +76,11 @@ macro_rules! with_index_type {
                 const N: usize = $n;
                 $body
             })*
+            (ReprKind::EqRel, 2) => {
+                type Idx = stir_der::adapter::EqRelIndex;
+                const N: usize = 2;
+                $body
+            }
             (repr, arity) => unreachable!("no pre-instantiated index for {repr:?}/{arity}"),
         }
     };
@@ -96,22 +102,6 @@ macro_rules! with_static_set {
     };
 }
 
-/// Dispatches a mutating insert to the monomorphized adapter.
-macro_rules! with_static_adapter {
-    ($repr:expr, $arity:expr, $idx:expr, $tuple:expr) => {
-        with_index_type!(
-            $repr,
-            $arity,
-            insert_one::<N, _>(
-                $idx.as_any_mut()
-                    .downcast_mut::<Idx>()
-                    .expect("index matches its spec"),
-                $tuple,
-            )
-        )
-    };
-}
-
 /// Evaluates a fused arithmetic guard in one pass over its flat program:
 /// no recursion, no dispatch per node, every operand one arena read. A
 /// failing test ends the pass, so nothing after it is evaluated and only
@@ -130,14 +120,6 @@ fn eval_fused(prog: &[FusedInstr], regs: &mut [u32]) -> Result<bool, EvalError> 
         }
     }
     Ok(true)
-}
-
-/// Monomorphized single-index insert (the paper's `evalInsert<RelType>`,
-/// Fig. 11c): the tuple is encoded and inserted with no virtual calls.
-#[inline(always)]
-fn insert_one<const N: usize, A: StaticAdapter<N>>(adapter: &mut A, tuple: &[u32]) -> bool {
-    let enc = adapter.encode_tuple(tuple);
-    adapter.insert_encoded(enc)
 }
 
 /// The immutable shared view of an evaluation: the program and
@@ -597,9 +579,9 @@ impl<'p, 'd> Interpreter<'p, 'd> {
     /// The tuple source of a scan or an aggregate (`node`): lands every
     /// tuple of its index — those inside `range`, or all of them when
     /// `None` — in its slot and calls `visit`. Full or range, static or
-    /// dynamic, buffered or not, eqrel pairs or a set: each choice is
-    /// taken here, once per execution, never per tuple. A full scan walks
-    /// the whole index, with no upper bound to compare against.
+    /// dynamic, buffered or not: each choice is taken here, once per
+    /// execution, never per tuple. A full scan walks the whole index,
+    /// with no upper bound to compare against.
     #[inline(always)]
     fn for_each<const OUT: bool, const PROF: bool>(
         &self,
@@ -655,21 +637,12 @@ impl<'p, 'd> Interpreter<'p, 'd> {
             }
             return Ok(());
         }
-        if meta.repr == ReprKind::EqRel {
-            let eq = idx.as_any().downcast_ref::<EqRelIndex>();
-            let eq = eq.expect("eqrel index").raw();
-            let pairs = match range {
-                None => eq.iter_pairs(),
-                Some((lo, hi)) => eq.range_pairs([lo[0], lo[1]], [hi[0], hi[1]]),
-            };
-            return self.drive::<PROF, 2>(pairs.into_iter(), dst, copy, regs, visit);
-        }
         with_static_set!(meta.repr, meta.arity, idx, |set| match range {
-            None => self.drive::<PROF, N>(set.iter_tuples(), dst, copy, regs, visit),
+            None => self.drive::<PROF, N>(set.iter(), dst, copy, regs, visit),
             Some((lo, hi)) => {
                 let lo: [u32; N] = lo[..N].try_into().expect("arity");
                 let hi: [u32; N] = hi[..N].try_into().expect("arity");
-                self.drive::<PROF, N>(set.range_tuples(&lo, &hi), dst, copy, regs, visit)
+                self.drive::<PROF, N>(set.range(&lo, &hi), dst, copy, regs, visit)
             }
         })
     }
@@ -734,9 +707,9 @@ impl<'p, 'd> Interpreter<'p, 'd> {
     /// projection goes to a per-worker [`InsertSink`] — so a worker's
     /// scans and probes synchronise on nothing, like synthesized code.
     /// The index range is split into morsels (structural B-tree / brie
-    /// chunks, or a size-bounded stream for representations that cannot
-    /// chunk) that the configured number of workers drain from a
-    /// work-stealing [`MorselQueue`]. Each worker owns a fresh frame — a
+    /// chunks, chunks of eqrel's pair buffer, or a size-bounded stream
+    /// for adapters that cannot chunk) that the configured number of
+    /// workers drain from a work-stealing [`MorselQueue`]. Each worker owns a fresh frame — a
     /// cloned register arena, a private profile state, a sink — and
     /// pulls tuple *batches*: one virtual `fill` per batch, then the rule
     /// body unchanged, ticking the same per-tuple counters as the
@@ -972,12 +945,20 @@ impl<'p, 'd> Interpreter<'p, 'd> {
         }
         let meta = &self.cx.ram.relations[rel.0];
         let mut r = self.cx.db.wr(rel);
-        let inserted = if !static_dispatch || meta.arity == 0 || meta.repr == ReprKind::EqRel {
+        let inserted = if !static_dispatch || meta.arity == 0 {
             r.insert(tuple)
         } else {
             let mut fresh = true;
             for k in 0..r.index_count() {
-                let ins = with_static_adapter!(meta.repr, meta.arity, r.index_mut(k), tuple);
+                // A direct insert on the concrete adapter (the paper's
+                // `evalInsert<RelType>`, Fig. 11c): the downcast is the
+                // only virtual call.
+                let idx = r.index_mut(k).as_any_mut();
+                #[allow(dead_code)] // the arm's `N`: `Idx` fixes the arity
+                let ins = with_index_type!(meta.repr, meta.arity, {
+                    let idx = idx.downcast_mut::<Idx>().expect("index matches its spec");
+                    idx.insert(tuple)
+                });
                 if k == 0 && !ins {
                     fresh = false;
                     break;
@@ -1047,22 +1028,13 @@ impl<'p, 'd> Interpreter<'p, 'd> {
                         idx.range(&lo[..n], &hi[..n]).next_tuple().is_some()
                     });
                 }
-                if meta.repr == ReprKind::EqRel {
-                    let eq = idx.as_any().downcast_ref::<EqRelIndex>();
-                    let eq = eq.expect("eqrel index").raw();
-                    return Ok(if bounds.full {
-                        eq.contains(lo[0], lo[1])
-                    } else {
-                        !eq.range_pairs([lo[0], lo[1]], [hi[0], hi[1]]).is_empty()
-                    });
-                }
                 Ok(with_static_set!(meta.repr, meta.arity, idx, |set| {
                     let lo: [u32; N] = lo[..N].try_into().expect("arity");
                     let hi: [u32; N] = hi[..N].try_into().expect("arity");
                     if bounds.full {
-                        set.contains_tuple(&lo)
+                        set.contains(&lo)
                     } else {
-                        set.range_nonempty(&lo, &hi)
+                        set.range(&lo, &hi).next().is_some()
                     }
                 }))
             }

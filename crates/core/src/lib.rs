@@ -8,7 +8,9 @@
 //!
 //! * the [`itree`] generator (RAM → Interpreter Tree, §3/§4),
 //! * the [`interp`] recursive executor with all four optimizations of §4
-//!   as independent [`config::InterpreterConfig`] toggles,
+//!   as independent [`config::InterpreterConfig`] toggles; its statically
+//!   dispatched handlers downcast an index to its concrete
+//!   `stir_der::SetIndex` and call [`stir_der::TupleSet`] on the set,
 //! * the legacy-interpreter baseline (runtime-comparator indexes, §5.1),
 //! * the per-rule [`profile`]r of §5.2,
 //! * the [`telemetry`] layer — phase/statement tracing, an engine
@@ -53,7 +55,6 @@ pub mod prov;
 pub mod resident;
 pub mod sink;
 pub mod snap2;
-pub mod static_set;
 pub mod telemetry;
 pub mod value;
 pub mod wal;

@@ -11,11 +11,11 @@
 //! slot's chunk iterator sits behind its own (uncontended) mutex that is
 //! taken exactly once, by the claimant.
 //!
-//! Representations that cannot chunk structurally yield a single
-//! [`Morsels::Stream`]; the queue then serves size-bounded batches out of
-//! one shared iterator, so those scans still parallelize (the body work
-//! dominates the serialized `fill`) without materializing per-partition
-//! copies.
+//! Adapters that cannot chunk (the legacy comparator index, a disk
+//! index's ranges) yield a single [`Morsels::Stream`]; the queue then
+//! serves size-bounded batches out of one shared iterator, so those scans
+//! still parallelize (the body work dominates the serialized `fill`)
+//! without materializing per-partition copies.
 //!
 //! Determinism: morsels are disjoint and cover the scanned range exactly,
 //! so the multiset of tuples delivered across all workers is independent

@@ -13,7 +13,7 @@
 use crate::brie::Brie;
 use crate::btree::BTreeIndexSet;
 use crate::eqrel::EquivalenceRelation;
-use crate::iter::{AdaptedIter, TupleIter, VecTupleIter};
+use crate::iter::{AdaptedIter, TupleIter};
 use crate::order::Order;
 use crate::tuple::{tuple_from_slice, RamDomain, Tuple};
 use std::any::Any;
@@ -69,10 +69,9 @@ pub trait IndexAdapter: Debug + Send + Sync {
     /// Removes a source-order tuple; `true` if it was present and the
     /// structure shrank. Best-effort on structures that do not store
     /// tuples explicitly: [`EqRelIndex`] can only drop a pair the
-    /// closure of the survivors does not re-derive (see
-    /// [`crate::eqrel::EquivalenceRelation::erase`]), so callers
-    /// needing generator-accurate eqrel deletion must rebuild from the
-    /// surviving input pairs instead.
+    /// closure of the survivors does not re-derive (see the eqrel set's
+    /// `remove`), so callers needing generator-accurate eqrel deletion
+    /// must rebuild from the surviving input pairs instead.
     fn erase(&mut self, t: &[RamDomain]) -> bool;
 
     /// Removes every tuple whose first `prefix.len()` *stored-order*
@@ -113,10 +112,9 @@ pub trait IndexAdapter: Debug + Send + Sync {
     /// The default streams the ordinary scan cursor: workers share it and
     /// drain `target`-sized batches under a lock, so representations
     /// without a structural split never materialize per-chunk copies (the
-    /// comparator-based legacy index and eqrel take this path — their
-    /// scans build one flat buffer which is then handed out in
-    /// size-bounded batches). Tree-backed adapters override this with
-    /// structural zero-copy chunks.
+    /// comparator-based legacy index takes this path). [`SetIndex`]
+    /// overrides it with its set's partitions: zero-copy windows of a
+    /// tree, or chunks cut from eqrel's flat pair buffer.
     fn morsels(&self, target: usize) -> Morsels<'_> {
         let _ = target;
         Morsels::Stream(self.scan())
@@ -168,17 +166,88 @@ fn chunk_count(len: usize, target: usize) -> usize {
     len.div_ceil(target.max(1)).max(1)
 }
 
-/// A B-tree index: [`BTreeIndexSet`] plus an insertion-time reordering.
+/// The stored-order face every de-specialized set shares: fixed-arity
+/// tuples in the natural lexicographic order, with inclusive windows and
+/// disjoint partitions for morsel-driven scans.
 ///
-/// The paper's `BTreeIndex<Arity>` adapter (Fig. 7).
+/// [`BTreeIndexSet`], [`Brie`] and [`EquivalenceRelation`] implement it
+/// directly, so [`SetIndex`] is written once and the interpreter's
+/// statically dispatched handlers call it on the downcast set with no
+/// virtual calls (paper §4.1).
+pub trait TupleSet<const N: usize>: Debug + Default + Send + Sync + 'static {
+    /// In-order iterator over stored tuples.
+    type Iter<'a>: Iterator<Item = Tuple<N>> + Send + 'a
+    where
+        Self: 'a;
+
+    /// Number of stored tuples (logical, after set semantics).
+    fn len(&self) -> usize;
+
+    /// Whether the set is empty.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Allocated tree/trie nodes (equivalence classes for eqrel).
+    fn node_count(&self) -> usize;
+
+    /// Estimated heap bytes, counted at allocated capacity.
+    fn estimated_bytes(&self) -> usize;
+
+    /// Removes all tuples.
+    fn clear(&mut self);
+
+    /// Inserts a tuple; `true` if the set grew.
+    fn insert(&mut self, t: Tuple<N>) -> bool;
+
+    /// Removes a tuple; `true` if the set shrank.
+    fn remove(&mut self, t: &Tuple<N>) -> bool;
+
+    /// Membership test.
+    fn contains(&self, t: &Tuple<N>) -> bool;
+
+    /// Iterates over all tuples in lexicographic order.
+    fn iter(&self) -> Self::Iter<'_>;
+
+    /// Iterates over tuples `t` with `lo <= t <= hi` in lexicographic
+    /// order — the *primitive search*: a prefix query on the first `k`
+    /// columns is `lo = (v1..vk, 0, ..)`, `hi = (v1..vk, MAX, ..)`.
+    fn range(&self, lo: &Tuple<N>, hi: &Tuple<N>) -> Self::Iter<'_>;
+
+    /// Splits the full scan into at most `n` disjoint sub-iterators (see
+    /// [`partition_range`](Self::partition_range)).
+    fn partition(&self, n: usize) -> Vec<Self::Iter<'_>> {
+        self.partition_range(&[0; N], &[RamDomain::MAX; N], n)
+    }
+
+    /// Splits the inclusive window `[lo, hi]` into at most `n` disjoint
+    /// sub-iterators whose in-order concatenation is `range(lo, hi)`.
+    fn partition_range(&self, lo: &Tuple<N>, hi: &Tuple<N>, n: usize) -> Vec<Self::Iter<'_>>;
+}
+
+/// An index: a [`TupleSet`] plus an insertion-time reordering.
+///
+/// The paper's `BTreeIndex<Arity>` adapter (Fig. 7), written once for
+/// every representation; [`BTreeIndex`], [`BrieIndex`] and
+/// [`EqRelIndex`] name its pre-instantiated forms.
 #[derive(Debug, Clone)]
-pub struct BTreeIndex<const N: usize> {
-    set: BTreeIndexSet<N>,
+pub struct SetIndex<S, const N: usize> {
+    set: S,
     order: Order,
     natural: bool,
 }
 
-impl<const N: usize> BTreeIndex<N> {
+/// A B-tree index.
+pub type BTreeIndex<const N: usize> = SetIndex<BTreeIndexSet<N>, N>;
+
+/// A Brie (trie) index.
+pub type BrieIndex<const N: usize> = SetIndex<Brie<N>, N>;
+
+/// An equivalence-relation index (always binary, always natural order —
+/// the relation is symmetric, so column order carries no information).
+pub type EqRelIndex = SetIndex<EquivalenceRelation, 2>;
+
+impl<S: TupleSet<N>, const N: usize> SetIndex<S, N> {
     /// Creates an empty index realizing `order`.
     ///
     /// # Panics
@@ -187,21 +256,16 @@ impl<const N: usize> BTreeIndex<N> {
     pub fn new(order: Order) -> Self {
         assert_eq!(order.arity(), N, "order arity must match index arity");
         let natural = order.is_natural();
-        BTreeIndex {
-            set: BTreeIndexSet::new(),
+        SetIndex {
+            set: S::default(),
             order,
             natural,
         }
     }
 
     /// Direct access to the monomorphized set (static instruction paths).
-    pub fn raw(&self) -> &BTreeIndexSet<N> {
+    pub fn raw(&self) -> &S {
         &self.set
-    }
-
-    /// Mutable access to the monomorphized set.
-    pub fn raw_mut(&mut self) -> &mut BTreeIndexSet<N> {
-        &mut self.set
     }
 
     /// Encodes a source-order slice into a stored-order tuple.
@@ -215,9 +279,14 @@ impl<const N: usize> BTreeIndex<N> {
             out
         }
     }
+
+    fn chunks<'a>(parts: Vec<S::Iter<'a>>) -> Morsels<'a> {
+        let boxed = |p| Box::new(AdaptedIter::<_, N>::new(p)) as Box<dyn TupleIter + Send + 'a>;
+        Morsels::Chunks(parts.into_iter().map(boxed).collect())
+    }
 }
 
-impl<const N: usize> IndexAdapter for BTreeIndex<N> {
+impl<S: TupleSet<N>, const N: usize> IndexAdapter for SetIndex<S, N> {
     fn order(&self) -> &Order {
         &self.order
     }
@@ -242,155 +311,7 @@ impl<const N: usize> IndexAdapter for BTreeIndex<N> {
         self.set.clear();
     }
 
-    fn insert(&mut self, t: &[RamDomain]) -> bool {
-        let enc = self.encode(t);
-        self.set.insert(enc)
-    }
-
-    fn erase(&mut self, t: &[RamDomain]) -> bool {
-        let enc = self.encode(t);
-        self.set.remove(&enc)
-    }
-
-    fn erase_prefix(&mut self, prefix: &[RamDomain]) -> usize {
-        debug_assert!(prefix.len() <= N);
-        let mut lo = [0; N];
-        let mut hi = [RamDomain::MAX; N];
-        lo[..prefix.len()].copy_from_slice(prefix);
-        hi[..prefix.len()].copy_from_slice(prefix);
-        let doomed: Vec<Tuple<N>> = self.set.range(&lo, &hi).copied().collect();
-        for t in &doomed {
-            self.set.remove(t);
-        }
-        doomed.len()
-    }
-
-    fn contains(&self, t: &[RamDomain]) -> bool {
-        let enc = self.encode(t);
-        self.set.contains(&enc)
-    }
-
-    fn contains_stored(&self, t: &[RamDomain]) -> bool {
-        self.set.contains(&tuple_from_slice(t))
-    }
-
-    fn scan(&self) -> Box<dyn TupleIter + Send + '_> {
-        Box::new(AdaptedIter::<_, N>::new(self.set.iter().copied()))
-    }
-
-    fn range(&self, lo: &[RamDomain], hi: &[RamDomain]) -> Box<dyn TupleIter + Send + '_> {
-        let lo: Tuple<N> = tuple_from_slice(lo);
-        let hi: Tuple<N> = tuple_from_slice(hi);
-        Box::new(AdaptedIter::<_, N>::new(self.set.range(&lo, &hi).copied()))
-    }
-
-    fn morsels(&self, target: usize) -> Morsels<'_> {
-        Morsels::Chunks(
-            self.set
-                .partition(chunk_count(self.set.len(), target))
-                .into_iter()
-                .map(|p| {
-                    Box::new(AdaptedIter::<_, N>::new(p.copied())) as Box<dyn TupleIter + Send>
-                })
-                .collect(),
-        )
-    }
-
-    fn morsels_range(&self, lo: &[RamDomain], hi: &[RamDomain], target: usize) -> Morsels<'_> {
-        let lo: Tuple<N> = tuple_from_slice(lo);
-        let hi: Tuple<N> = tuple_from_slice(hi);
-        Morsels::Chunks(
-            self.set
-                .partition_range(&lo, &hi, chunk_count(self.set.len(), target))
-                .into_iter()
-                .map(|p| {
-                    Box::new(AdaptedIter::<_, N>::new(p.copied())) as Box<dyn TupleIter + Send>
-                })
-                .collect(),
-        )
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-/// A Brie (trie) index.
-#[derive(Debug, Clone)]
-pub struct BrieIndex<const N: usize> {
-    set: Brie<N>,
-    order: Order,
-    natural: bool,
-}
-
-impl<const N: usize> BrieIndex<N> {
-    /// Creates an empty index realizing `order`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `order.arity() != N`.
-    pub fn new(order: Order) -> Self {
-        assert_eq!(order.arity(), N, "order arity must match index arity");
-        let natural = order.is_natural();
-        BrieIndex {
-            set: Brie::new(),
-            order,
-            natural,
-        }
-    }
-
-    /// Direct access to the monomorphized trie (static instruction paths).
-    pub fn raw(&self) -> &Brie<N> {
-        &self.set
-    }
-
-    /// Mutable access to the monomorphized trie.
-    pub fn raw_mut(&mut self) -> &mut Brie<N> {
-        &mut self.set
-    }
-
-    /// Encodes a source-order slice into a stored-order tuple.
     #[inline]
-    pub fn encode(&self, t: &[RamDomain]) -> Tuple<N> {
-        if self.natural {
-            tuple_from_slice(t)
-        } else {
-            let mut out = [0; N];
-            self.order.encode(t, &mut out);
-            out
-        }
-    }
-}
-
-impl<const N: usize> IndexAdapter for BrieIndex<N> {
-    fn order(&self) -> &Order {
-        &self.order
-    }
-
-    fn arity(&self) -> usize {
-        N
-    }
-
-    fn len(&self) -> usize {
-        self.set.len()
-    }
-
-    fn stats(&self) -> IndexStats {
-        IndexStats {
-            tuples: self.set.len(),
-            nodes: self.set.node_count(),
-            bytes: self.set.estimated_bytes(),
-        }
-    }
-
-    fn clear(&mut self) {
-        self.set.clear();
-    }
-
     fn insert(&mut self, t: &[RamDomain]) -> bool {
         let enc = self.encode(t);
         self.set.insert(enc)
@@ -408,10 +329,7 @@ impl<const N: usize> IndexAdapter for BrieIndex<N> {
         lo[..prefix.len()].copy_from_slice(prefix);
         hi[..prefix.len()].copy_from_slice(prefix);
         let doomed: Vec<Tuple<N>> = self.set.range(&lo, &hi).collect();
-        for t in &doomed {
-            self.set.remove(t);
-        }
-        doomed.len()
+        doomed.iter().filter(|t| self.set.remove(t)).count()
     }
 
     fn contains(&self, t: &[RamDomain]) -> bool {
@@ -434,144 +352,17 @@ impl<const N: usize> IndexAdapter for BrieIndex<N> {
     }
 
     fn morsels(&self, target: usize) -> Morsels<'_> {
-        Morsels::Chunks(
-            self.set
-                .partition(chunk_count(self.set.len(), target))
-                .into_iter()
-                .map(|p| Box::new(AdaptedIter::<_, N>::new(p)) as Box<dyn TupleIter + Send>)
-                .collect(),
-        )
+        Self::chunks(self.set.partition(chunk_count(self.set.len(), target)))
     }
 
     fn morsels_range(&self, lo: &[RamDomain], hi: &[RamDomain], target: usize) -> Morsels<'_> {
         let lo: Tuple<N> = tuple_from_slice(lo);
         let hi: Tuple<N> = tuple_from_slice(hi);
-        Morsels::Chunks(
+        Self::chunks(
             self.set
-                .partition_range(&lo, &hi, chunk_count(self.set.len(), target))
-                .into_iter()
-                .map(|p| Box::new(AdaptedIter::<_, N>::new(p)) as Box<dyn TupleIter + Send>)
-                .collect(),
+                .partition_range(&lo, &hi, chunk_count(self.set.len(), target)),
         )
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-/// An equivalence-relation index (always binary, always natural order —
-/// the relation is symmetric, so column order carries no information).
-#[derive(Debug, Clone)]
-pub struct EqRelIndex {
-    rel: EquivalenceRelation,
-    order: Order,
-}
-
-impl Default for EqRelIndex {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl EqRelIndex {
-    /// Creates an empty equivalence-relation index.
-    pub fn new() -> Self {
-        EqRelIndex {
-            rel: EquivalenceRelation::new(),
-            order: Order::natural(2),
-        }
-    }
-
-    /// Direct access to the union-find (static instruction paths).
-    pub fn raw(&self) -> &EquivalenceRelation {
-        &self.rel
-    }
-
-    /// Mutable access to the union-find.
-    pub fn raw_mut(&mut self) -> &mut EquivalenceRelation {
-        &mut self.rel
-    }
-}
-
-impl IndexAdapter for EqRelIndex {
-    fn order(&self) -> &Order {
-        &self.order
-    }
-
-    fn arity(&self) -> usize {
-        2
-    }
-
-    fn len(&self) -> usize {
-        self.rel.len()
-    }
-
-    fn stats(&self) -> IndexStats {
-        IndexStats {
-            tuples: self.rel.len(),
-            nodes: self.rel.class_count(),
-            bytes: self.rel.estimated_bytes(),
-        }
-    }
-
-    fn clear(&mut self) {
-        self.rel.clear();
-    }
-
-    fn insert(&mut self, t: &[RamDomain]) -> bool {
-        debug_assert_eq!(t.len(), 2);
-        self.rel.insert(t[0], t[1])
-    }
-
-    fn erase(&mut self, t: &[RamDomain]) -> bool {
-        debug_assert_eq!(t.len(), 2);
-        self.rel.erase(t[0], t[1])
-    }
-
-    fn erase_prefix(&mut self, prefix: &[RamDomain]) -> usize {
-        debug_assert!(prefix.len() <= 2);
-        let mut lo = [0; 2];
-        let mut hi = [RamDomain::MAX; 2];
-        lo[..prefix.len()].copy_from_slice(prefix);
-        hi[..prefix.len()].copy_from_slice(prefix);
-        let mut erased = 0;
-        for [a, b] in self.rel.range_pairs(lo, hi) {
-            if self.rel.erase(a, b) {
-                erased += 1;
-            }
-        }
-        erased
-    }
-
-    fn contains(&self, t: &[RamDomain]) -> bool {
-        debug_assert_eq!(t.len(), 2);
-        self.rel.contains(t[0], t[1])
-    }
-
-    fn contains_stored(&self, t: &[RamDomain]) -> bool {
-        self.contains(t)
-    }
-
-    fn scan(&self) -> Box<dyn TupleIter + Send + '_> {
-        Box::new(VecTupleIter::from_tuples(self.rel.iter_pairs()))
-    }
-
-    fn range(&self, lo: &[RamDomain], hi: &[RamDomain]) -> Box<dyn TupleIter + Send + '_> {
-        debug_assert_eq!(lo.len(), 2);
-        debug_assert_eq!(hi.len(), 2);
-        Box::new(VecTupleIter::from_tuples(
-            self.rel.range_pairs([lo[0], lo[1]], [hi[0], hi[1]]),
-        ))
-    }
-
-    // `morsels`/`morsels_range` stay on the streaming default: the
-    // union-find enumerates its closure into one flat pair buffer, which
-    // workers then drain in size-bounded batches — no per-chunk copies.
 
     fn as_any(&self) -> &dyn Any {
         self
@@ -585,6 +376,44 @@ impl IndexAdapter for EqRelIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Fills an `S` from `gens` and checks its stored-order face against
+    /// `want`, the sorted set it must hold.
+    fn exercise<S: TupleSet<2>>(gens: &[Tuple<2>], want: &[Tuple<2>]) {
+        let mut set = S::default();
+        for &t in gens {
+            set.insert(t);
+        }
+        assert_eq!(set.len(), want.len());
+        assert_eq!(set.iter().collect::<Vec<_>>(), want);
+        assert!(want.iter().all(|t| set.contains(t)));
+        assert!(!set.contains(&[9, 9]));
+        let (lo, hi) = ([1, 3], [2, 2]);
+        let window: Vec<_> = want
+            .iter()
+            .copied()
+            .filter(|t| (lo..=hi).contains(t))
+            .collect();
+        assert_eq!(set.range(&lo, &hi).collect::<Vec<_>>(), window);
+        assert_eq!(set.range(&[4, 0], &[4, u32::MAX]).next(), None);
+        for n in [1, 2, 3, 8] {
+            let parts = set.partition(n);
+            assert!(parts.len() <= n);
+            assert_eq!(parts.into_iter().flatten().collect::<Vec<_>>(), want);
+            let parts = set.partition_range(&lo, &hi, n);
+            assert_eq!(parts.into_iter().flatten().collect::<Vec<_>>(), window);
+        }
+    }
+
+    #[test]
+    fn every_set_exposes_the_same_face() {
+        let tuples = [[1, 2], [1, 3], [2, 2]];
+        exercise::<BTreeIndexSet<2>>(&tuples, &tuples);
+        exercise::<Brie<2>>(&tuples, &tuples);
+        // eqrel closes (1, 2) and (2, 3) into {1, 2, 3}².
+        let closure: Vec<_> = (1..=3).flat_map(|x| (1..=3).map(move |y| [x, y])).collect();
+        exercise::<EquivalenceRelation>(&[[1, 2], [2, 3]], &closure);
+    }
 
     #[test]
     fn btree_adapter_reorders_on_insert() {
@@ -634,7 +463,7 @@ mod tests {
 
     #[test]
     fn eqrel_adapter_closes_pairs() {
-        let mut idx = EqRelIndex::new();
+        let mut idx = EqRelIndex::new(Order::natural(2));
         assert!(idx.insert(&[1, 2]));
         assert!(idx.contains(&[2, 1]));
         assert!(idx.contains(&[1, 1]));
@@ -647,7 +476,7 @@ mod tests {
     fn adapter_stats_track_structure() {
         let mut bt = BTreeIndex::<2>::new(Order::natural(2));
         let mut br = BrieIndex::<2>::new(Order::natural(2));
-        let mut eq = EqRelIndex::new();
+        let mut eq = EqRelIndex::new(Order::natural(2));
         for i in 0..100u32 {
             bt.insert(&[i, i + 1]);
             br.insert(&[i, i + 1]);
@@ -688,7 +517,7 @@ mod tests {
         let order = Order::new(vec![1, 0]);
         let mut bt = BTreeIndex::<2>::new(order.clone());
         let mut br = BrieIndex::<2>::new(order);
-        let mut eq = EqRelIndex::new();
+        let mut eq = EqRelIndex::new(Order::natural(2));
         let mut seed = 3u32;
         for _ in 0..800 {
             seed = seed.wrapping_mul(48271) % 0x7fff_ffff;
@@ -748,7 +577,7 @@ mod tests {
         one.insert(&[9]);
         assert_eq!(drain(one.morsels(1024)), vec![vec![9]]);
         assert_eq!(drain(one.morsels(1)), vec![vec![9]]);
-        let eq = EqRelIndex::new();
+        let eq = EqRelIndex::new(Order::natural(2));
         assert_eq!(drain(eq.morsels(8)), Vec::<Vec<u32>>::new());
     }
 
@@ -771,7 +600,7 @@ mod tests {
             assert_eq!(idx.scan().collect_tuples(), Vec::<Vec<u32>>::new());
         }
 
-        let mut eq = EqRelIndex::new();
+        let mut eq = EqRelIndex::new(Order::natural(2));
         eq.insert(&[1, 2]);
         assert!(eq.erase(&[1, 2]), "pair class splits");
         assert!(!eq.contains(&[1, 2]));

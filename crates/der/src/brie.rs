@@ -11,6 +11,7 @@
 //! the final level is a sorted vector of values; this favours the
 //! insert-then-scan-heavy access pattern of semi-naive evaluation.
 
+use crate::adapter::TupleSet;
 use crate::tuple::{cmp_tuples, RamDomain, Tuple};
 use std::cmp::Ordering;
 
@@ -39,6 +40,7 @@ impl TrieNode {
 ///
 /// ```
 /// use stir_der::brie::Brie;
+/// use stir_der::TupleSet;
 ///
 /// let mut set = Brie::<2>::new();
 /// set.insert([1, 2]);
@@ -68,25 +70,22 @@ impl<const N: usize> Brie<N> {
             len: 0,
         }
     }
+}
 
-    /// Number of tuples stored.
-    pub fn len(&self) -> usize {
+impl<const N: usize> TupleSet<N> for Brie<N> {
+    type Iter<'a> = BrieIter<'a, N>;
+
+    fn len(&self) -> usize {
         self.len
     }
 
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Removes all tuples.
-    pub fn clear(&mut self) {
+    fn clear(&mut self) {
         self.root = TrieNode::new(N);
         self.len = 0;
     }
 
     /// Number of allocated trie nodes, including the root.
-    pub fn node_count(&self) -> usize {
+    fn node_count(&self) -> usize {
         fn walk(n: &TrieNode) -> usize {
             match n {
                 TrieNode::Leaf(_) => 1,
@@ -98,7 +97,7 @@ impl<const N: usize> Brie<N> {
 
     /// Estimated heap bytes held by the trie, counted at allocated
     /// capacity.
-    pub fn estimated_bytes(&self) -> usize {
+    fn estimated_bytes(&self) -> usize {
         use std::mem::size_of;
         fn walk(n: &TrieNode) -> usize {
             match n {
@@ -112,8 +111,7 @@ impl<const N: usize> Brie<N> {
         size_of::<TrieNode>() + walk(&self.root)
     }
 
-    /// Inserts a tuple, returning `true` if it was not already present.
-    pub fn insert(&mut self, key: Tuple<N>) -> bool {
+    fn insert(&mut self, key: Tuple<N>) -> bool {
         let mut node = &mut self.root;
         for (level, &v) in key.iter().enumerate().take(N - 1) {
             let TrieNode::Inner(edges) = node else {
@@ -144,7 +142,7 @@ impl<const N: usize> Brie<N> {
     /// Removes a tuple, returning `true` if it was present. Emptied
     /// trie paths are pruned on the way back up, so the node count
     /// tracks the live population.
-    pub fn remove(&mut self, key: &Tuple<N>) -> bool {
+    fn remove(&mut self, key: &Tuple<N>) -> bool {
         fn remove_rec(node: &mut TrieNode, key: &[RamDomain]) -> bool {
             match node {
                 TrieNode::Leaf(values) => match values.binary_search(&key[0]) {
@@ -179,8 +177,7 @@ impl<const N: usize> Brie<N> {
         removed
     }
 
-    /// Membership test.
-    pub fn contains(&self, key: &Tuple<N>) -> bool {
+    fn contains(&self, key: &Tuple<N>) -> bool {
         let mut node = &self.root;
         for &v in key.iter().take(N - 1) {
             let TrieNode::Inner(edges) = node else {
@@ -197,17 +194,11 @@ impl<const N: usize> Brie<N> {
         values.binary_search(&key[N - 1]).is_ok()
     }
 
-    /// Iterates over all tuples in lexicographic order.
-    pub fn iter(&self) -> BrieIter<'_, N> {
+    fn iter(&self) -> BrieIter<'_, N> {
         self.range(&[0; N], &[RamDomain::MAX; N])
     }
 
-    /// Iterates over tuples `t` with `lo <= t <= hi` in lexicographic order.
-    ///
-    /// Bounds are full lexicographic bounds, matching
-    /// [`crate::btree::BTreeIndexSet::range`]; prefix queries are the
-    /// special case where `lo` and `hi` agree on the first `k` columns.
-    pub fn range(&self, lo: &Tuple<N>, hi: &Tuple<N>) -> BrieIter<'_, N> {
+    fn range(&self, lo: &Tuple<N>, hi: &Tuple<N>) -> BrieIter<'_, N> {
         let mut iter = BrieIter {
             frames: Vec::new(),
             current: [0; N],
@@ -227,7 +218,7 @@ impl<const N: usize> Brie<N> {
     /// partitions fall on first-column boundaries: partition `j` covers
     /// `[(s_j, 0, ..), (s_{j+1}-1, MAX, ..)]`. Concatenating the parts in
     /// order reproduces the sequential range scan.
-    pub fn partition_range(&self, lo: &Tuple<N>, hi: &Tuple<N>, n: usize) -> Vec<BrieIter<'_, N>> {
+    fn partition_range(&self, lo: &Tuple<N>, hi: &Tuple<N>, n: usize) -> Vec<BrieIter<'_, N>> {
         if n <= 1 || self.len == 0 || cmp_tuples(lo, hi) == Ordering::Greater {
             return vec![self.range(lo, hi)];
         }
@@ -267,12 +258,6 @@ impl<const N: usize> Brie<N> {
         }
         parts.push(self.range(&start, hi));
         parts
-    }
-
-    /// Splits the full scan into at most `n` disjoint sub-iterators (see
-    /// [`Brie::partition_range`]).
-    pub fn partition(&self, n: usize) -> Vec<BrieIter<'_, N>> {
-        self.partition_range(&[0; N], &[RamDomain::MAX; N], n)
     }
 }
 

@@ -2,10 +2,10 @@
 //!
 //! After de-specialization, an index is identified by its representation
 //! and its arity alone — a parameter space small enough to pre-compile in
-//! full (paper §3). The `for_each_arity!` macro is the Rust analogue of
-//! the paper's `FOR_EACH`/`FOR_EACH_BTREE` C-macros (Figs. 8–9): it stamps
-//! out one monomorphized instantiation per arity `1..=16`, and
-//! [`new_index`] is the runtime factory selecting among them.
+//! full (paper §3). [`new_index`] is the runtime factory: its arm macro,
+//! the Rust analogue of the paper's `FOR_EACH`/`FOR_EACH_BTREE` C-macros
+//! (Figs. 8–9), stamps out one monomorphized [`crate::adapter::SetIndex`]
+//! per representation and arity `1..=16`.
 
 use crate::adapter::{BTreeIndex, BrieIndex, EqRelIndex, IndexAdapter};
 use crate::order::Order;
@@ -36,11 +36,7 @@ impl Representation {
 
 impl std::fmt::Display for Representation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Representation::BTree => write!(f, "btree"),
-            Representation::Brie => write!(f, "brie"),
-            Representation::EqRel => write!(f, "eqrel"),
-        }
+        f.write_str(self.name())
     }
 }
 
@@ -77,32 +73,6 @@ impl std::fmt::Display for IndexSpec {
     }
 }
 
-/// Invokes `$mac!(arity)` for every pre-instantiated arity `1..=16`.
-///
-/// Exported so the interpreter crate can stamp out its statically-dispatched
-/// instruction bodies over the same arity space (paper §4.1).
-#[macro_export]
-macro_rules! for_each_arity {
-    ($mac:ident) => {
-        $mac!(1);
-        $mac!(2);
-        $mac!(3);
-        $mac!(4);
-        $mac!(5);
-        $mac!(6);
-        $mac!(7);
-        $mac!(8);
-        $mac!(9);
-        $mac!(10);
-        $mac!(11);
-        $mac!(12);
-        $mac!(13);
-        $mac!(14);
-        $mac!(15);
-        $mac!(16);
-    };
-}
-
 /// Builds an index for `spec`.
 ///
 /// This is the paper's `BTreeIndexFactory` (Fig. 7), generalized over
@@ -120,34 +90,23 @@ pub fn new_index(spec: &IndexSpec) -> Box<dyn IndexAdapter> {
         (1..=MAX_ARITY).contains(&arity),
         "arity {arity} not supported (pre-instantiated range is 1..={MAX_ARITY})"
     );
+    macro_rules! arm {
+        ($index:ident) => {
+            arm!(@ $index, 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16)
+        };
+        (@ $index:ident, $($n:literal)*) => {
+            match arity {
+                $( $n => Box::new($index::<$n>::new(spec.order.clone())) as Box<dyn IndexAdapter>, )*
+                _ => unreachable!(),
+            }
+        };
+    }
     match spec.repr {
-        Representation::BTree => {
-            macro_rules! arm {
-                ($($n:literal),*) => {
-                    match arity {
-                        $( $n => Box::new(BTreeIndex::<$n>::new(spec.order.clone()))
-                            as Box<dyn IndexAdapter>, )*
-                        _ => unreachable!(),
-                    }
-                };
-            }
-            arm!(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16)
-        }
-        Representation::Brie => {
-            macro_rules! arm {
-                ($($n:literal),*) => {
-                    match arity {
-                        $( $n => Box::new(BrieIndex::<$n>::new(spec.order.clone()))
-                            as Box<dyn IndexAdapter>, )*
-                        _ => unreachable!(),
-                    }
-                };
-            }
-            arm!(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16)
-        }
+        Representation::BTree => arm!(BTreeIndex),
+        Representation::Brie => arm!(BrieIndex),
         Representation::EqRel => {
             assert_eq!(arity, 2, "eqrel indexes are binary");
-            Box::new(EqRelIndex::new())
+            Box::new(EqRelIndex::new(spec.order.clone()))
         }
     }
 }

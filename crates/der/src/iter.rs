@@ -168,19 +168,6 @@ impl VecTupleIter {
             pos: 0,
         }
     }
-
-    /// Creates an iterator from unflattened tuples.
-    pub fn from_tuples(tuples: Vec<[RamDomain; 2]>) -> Self {
-        let mut data = Vec::with_capacity(tuples.len() * 2);
-        for t in tuples {
-            data.extend_from_slice(&t);
-        }
-        VecTupleIter {
-            data,
-            arity: 2,
-            pos: 0,
-        }
-    }
 }
 
 impl TupleIter for VecTupleIter {

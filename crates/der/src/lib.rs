@@ -26,9 +26,12 @@
 //!    bit order).
 //!
 //! The remaining parameter space — representation × arity — is small enough
-//! to pre-instantiate: the [`factory`] module materializes every combination
-//! for arities `1..=16` behind the object-safe [`adapter::IndexAdapter`]
-//! trait, mirroring the paper's `BTreeIndexFactory`.
+//! to pre-instantiate. Every structure implements one stored-order set
+//! trait, [`adapter::TupleSet`], so the adapter is written once
+//! ([`adapter::SetIndex`]) and the [`factory`] module materializes every
+//! combination for arities `1..=16` behind the object-safe
+//! [`adapter::IndexAdapter`] trait, mirroring the paper's
+//! `BTreeIndexFactory`.
 //!
 //! # Example
 //!
@@ -65,7 +68,7 @@ pub mod order;
 pub mod relation;
 pub mod tuple;
 
-pub use adapter::{IndexAdapter, Morsels};
+pub use adapter::{IndexAdapter, Morsels, SetIndex, TupleSet};
 pub use buffer::InsertBuffer;
 pub use factory::{new_index, IndexSpec, Representation};
 pub use order::Order;

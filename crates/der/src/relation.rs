@@ -242,9 +242,9 @@ impl Relation {
     ///
     /// The primary index decides presence, exactly mirroring
     /// [`Relation::insert`]. An eqrel-backed relation erases only what
-    /// the closure of the survivors does not re-derive (see
-    /// [`crate::eqrel::EquivalenceRelation::erase`]); callers needing
-    /// generator-accurate eqrel deletion rebuild from surviving inputs.
+    /// the closure of the survivors does not re-derive (see the eqrel
+    /// set's `remove`); callers needing generator-accurate eqrel deletion
+    /// rebuild from surviving inputs.
     pub fn erase(&mut self, t: &[RamDomain]) -> bool {
         debug_assert_eq!(t.len(), self.arity, "tuple arity mismatch");
         if self.arity == 0 {

@@ -14,6 +14,7 @@ use stir_der::eqrel::EquivalenceRelation;
 use stir_der::factory::{new_index, IndexSpec, Representation};
 use stir_der::iter::{BufferedTupleIter, TupleIter};
 use stir_der::order::Order;
+use stir_der::TupleSet;
 
 struct Gen {
     state: u64,
@@ -65,10 +66,10 @@ fn btree_matches_std_model() {
             assert_eq!(ours.insert(*t), model.insert(*t), "seed {seed}");
         }
         assert_eq!(ours.len(), model.len());
-        let ours_all: Vec<_> = ours.iter().copied().collect();
+        let ours_all: Vec<_> = ours.iter().collect();
         let model_all: Vec<_> = model.iter().copied().collect();
         assert_eq!(ours_all, model_all, "seed {seed}");
-        let ours_range: Vec<_> = ours.range(&lo, &hi).copied().collect();
+        let ours_range: Vec<_> = ours.range(&lo, &hi).collect();
         let model_range: Vec<_> = if lo <= hi {
             model.range(lo..=hi).copied().collect()
         } else {
@@ -166,7 +167,7 @@ fn eqrel_matches_closure_model() {
             .collect();
         let mut ours = EquivalenceRelation::new();
         for (a, b) in &pairs {
-            ours.insert(*a, *b);
+            ours.insert([*a, *b]);
         }
         // Reference: naive fixpoint closure over the inserted pairs plus
         // reflexivity and symmetry.
@@ -192,11 +193,7 @@ fn eqrel_matches_closure_model() {
             }
         }
         assert_eq!(ours.len(), model.len(), "seed {seed}");
-        let ours_pairs: Vec<(u32, u32)> = ours
-            .iter_pairs()
-            .into_iter()
-            .map(|p| (p[0], p[1]))
-            .collect();
+        let ours_pairs: Vec<(u32, u32)> = ours.iter().map(|p| (p[0], p[1])).collect();
         let model_pairs: Vec<(u32, u32)> = model.into_iter().collect();
         assert_eq!(ours_pairs, model_pairs, "seed {seed}");
     }

@@ -1,29 +1,6 @@
 //! The `stir` command-line driver: run Datalog programs like `souffle`.
 //!
-//! ```text
-//! stir [repl|explain] PROGRAM.dl [ATOM] [-F facts_dir] [-D out_dir] [options]
-//!
-//!   -F, --fact-dir DIR     read <rel>.facts for every .input relation
-//!   -D, --output-dir DIR   write <rel>.csv for every .output relation
-//!                          (default: print outputs to stdout)
-//!       --mode MODE        sti | dynamic | unopt | legacy    (default sti)
-//!       --no-super         disable super-instructions
-//!       --no-reorder       disable static tuple reordering
-//!       --no-outline       disable handler outlining
-//!   -j, --jobs N           evaluate parallel scans with N workers
-//!                          (default: $STIR_JOBS or 1)
-//!       --provenance       annotated evaluation; `.explain` in the repl
-//!                          (and `stir explain`) serves proof trees
-//!       --profile          print the per-rule profile after the run
-//!       --profile-json F   write the machine-readable profile JSON to F
-//!       --trace-folded F   write flamegraph folded stacks to F
-//!       --log LEVEL        stderr verbosity: off|error|warn|info|debug
-//!       --ram              print the RAM listing and exit
-//!       --synthesize DIR   emit + rustc-compile the synthesized program
-//!                          into DIR instead of interpreting
-//!   -h, --help             print this help and exit
-//!   -V, --version          print the version and exit
-//! ```
+//! The usage text lives in one place, `HELP` below (`stir --help`).
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -1,51 +1,6 @@
 //! `stird` — the resident-engine TCP server.
 //!
-//! ```text
-//! stird PROGRAM.dl [-F facts_dir] [options]
-//!
-//!   -F, --fact-dir DIR       read <rel>.facts for every .input relation
-//!       --port PORT          TCP port to listen on (default 0 = pick a
-//!                            free port; the chosen address is printed as
-//!                            `stird: listening on ADDR`)
-//!       --mode MODE          sti | dynamic | unopt | legacy  (default sti)
-//!   -j, --jobs N             evaluate parallel scans with N workers
-//!                            (default: $STIR_JOBS or 1)
-//!       --provenance         annotate tuples with (rule, height) so
-//!                            `.explain rel(...)` can serve proof trees
-//!   -D, --data-dir DIR       persist inserts to a write-ahead log and
-//!                            snapshots under DIR; on restart the engine
-//!                            recovers every acknowledged insert
-//!       --durability MODE    none | batch | always
-//!                            (default: $STIR_DURABILITY or batch)
-//!       --snapshot-interval N  auto-snapshot (truncating the WAL) every
-//!                            N accepted insert batches
-//!       --max-conns N        refuse connections beyond N concurrent
-//!                            sessions with `err server busy retry-after
-//!                            <ms>` (default 64)
-//!       --max-pending-writes N  shed writes beyond N queued/executing
-//!                            with `err overloaded retry-after <ms>`;
-//!                            reads are never shed (default 64)
-//!       --heal-budget N      consecutive failed storage heal probes
-//!                            before the degraded engine gives up and
-//!                            reports Failed on /readyz (default 8)
-//!       --request-timeout S  per-request evaluation deadline in seconds
-//!       --max-line-bytes N   reject request lines longer than N bytes
-//!                            (default 1048576)
-//!       --profile-json F     write the machine-readable profile JSON to F
-//!                            at shutdown (covers the initial fixpoint and
-//!                            the whole serving session)
-//!       --admin-addr ADDR    serve GET /metrics (Prometheus text),
-//!                            /healthz, and /readyz on ADDR; binds before
-//!                            recovery so /readyz reports 503 until the
-//!                            engine is up, and again while draining
-//!       --slow-query-ms N    log any request slower than N ms (id,
-//!                            client, latency, tuples, truncated line)
-//!       --metrics-interval S periodically log the full metrics registry
-//!                            as one JSON object every S seconds
-//!       --log LEVEL          stderr verbosity: off|error|warn|info|debug
-//!                            (serving logs default to info)
-//!   -h, --help               print this help and exit
-//! ```
+//! The usage text lives in one place, `HELP` below (`stird --help`).
 //!
 //! One resident engine serves every connection with the line protocol of
 //! [`stir::serve`]: inserts take the engine's write lock (serialized),

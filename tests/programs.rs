@@ -194,6 +194,46 @@ fn eqrel_components_via_union_find() {
     assert_all_equal_and(&outs, "pair_count", |rows| {
         assert_eq!(rows, &[vec![Value::Number(20)]]);
     });
+
+    // Every statically dispatched eqrel path: the insert, probes under
+    // negation (fully bound, and second column only, which flips to the
+    // first), joins on either column, and the count's full scan.
+    let src = "\
+        .decl link(x: number, y: number)\n\
+        .decl same(x: number, y: number) eqrel\n\
+        .decl probe(x: number)\n\
+        .decl apart(x: number, y: number)\n.output apart\n\
+        .decl reached(y: number)\n.output reached\n\
+        .decl lonely(y: number)\n.output lonely\n\
+        .decl peer(x: number, y: number)\n.output peer\n\
+        .decl pair_count(n: number)\n.output pair_count\n\
+        link(1, 2). link(2, 3). link(5, 6).\n\
+        probe(1). probe(5). probe(9).\n\
+        same(x, y) :- link(x, y).\n\
+        apart(x, y) :- probe(x), probe(y), x < y, !same(x, y).\n\
+        reached(y) :- probe(y), same(_, y).\n\
+        lonely(y) :- probe(y), !same(_, y).\n\
+        peer(x, y) :- probe(x), same(x, y).\n\
+        pair_count(n) :- n = count : { same(_, _) }.\n";
+    let outs = run_all_configs(src, &InputData::new());
+    let num = |r: &[i32]| r.iter().map(|&v| Value::Number(v)).collect::<Vec<_>>();
+    // Classes {1,2,3} and {5,6}: no two probes share one.
+    assert_all_equal_and(&outs, "apart", |rows| {
+        assert_eq!(rows, [num(&[1, 5]), num(&[1, 9]), num(&[5, 9])]);
+    });
+    // 9 is in no class, so it is not even related to itself.
+    assert_all_equal_and(&outs, "reached", |rows| {
+        assert_eq!(rows, [num(&[1]), num(&[5])]);
+    });
+    assert_all_equal_and(&outs, "lonely", |rows| assert_eq!(rows, [num(&[9])]));
+    assert_all_equal_and(&outs, "peer", |rows| {
+        let want = [[1, 1], [1, 2], [1, 3], [5, 5], [5, 6]];
+        assert_eq!(rows, want.map(|r| num(&r)));
+    });
+    // 3² + 2² pairs.
+    assert_all_equal_and(&outs, "pair_count", |rows| {
+        assert_eq!(rows, &[num(&[13])]);
+    });
 }
 
 #[test]
