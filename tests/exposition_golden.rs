@@ -31,6 +31,9 @@
 //! is process-global (`STIR_FAULT`), so the degraded scenario goes first
 //! and spends the two `once` faults before any other engine exists.
 
+mod exposition_lint;
+
+use exposition_lint::lint_exposition;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock, RwLock};
@@ -533,37 +536,8 @@ fn catalogue_names_are_unique_and_well_formed() {
 #[test]
 fn every_metrics_family_has_one_help_one_type_and_a_sample() {
     for r in scenarios() {
-        let mut families: Vec<(&str, usize)> = Vec::new();
-        let mut lines = r.metrics.lines().peekable();
-        while let Some(line) = lines.next() {
-            let family = line
-                .strip_prefix("# HELP ")
-                .and_then(|rest| rest.split(' ').next())
-                .unwrap_or_else(|| panic!("{}: `{line}` outside a family", r.name));
-            let declared = lines.next().unwrap_or_default();
-            assert!(
-                declared.starts_with(&format!("# TYPE {family} ")),
-                "{}: `{family}` has no # TYPE after its # HELP",
-                r.name
-            );
-            let summary = declared.ends_with(" summary");
-            let mut samples = 0;
-            while let Some(sample) = lines.next_if(|l| !l.starts_with('#')) {
-                let bare = sample.split(['{', ' ']).next().expect("series name");
-                let legal = bare == family
-                    || (summary
-                        && [format!("{family}_sum"), format!("{family}_count")]
-                            .contains(&bare.to_string()));
-                assert!(legal, "{}: `{bare}` is not a sample of `{family}`", r.name);
-                samples += 1;
-            }
-            families.push((family, samples));
-        }
-        for (family, samples) in &families {
+        for family in lint_exposition(r.name, &r.metrics) {
             assert!(is_metric_name(family), "{}: `{family}`", r.name);
-            assert!(*samples > 0, "{}: `{family}` has no sample", r.name);
-            let declared = families.iter().filter(|(f, _)| f == family).count();
-            assert_eq!(declared, 1, "{}: `{family}` declared twice", r.name);
         }
     }
 }
