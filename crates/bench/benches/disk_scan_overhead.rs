@@ -39,20 +39,13 @@ fn disk_index(tag: &str, order: &Order, tuples: &[Vec<RamDomain>], budget: usize
     }
     let mut it = VecTupleIter::new(flat, arity);
     let mut buf = Vec::new();
-    let fence = write_run(
-        &mut buf,
-        &mut it,
-        tuples.len() as u64,
-        arity,
-        per_page,
-        None,
-    )
-    .expect("run serializes");
+    let fence =
+        write_run(&mut buf, &mut it, tuples.len() as u64, per_page).expect("run serializes");
     let path = tmpfile(tag);
     std::fs::write(&path, &buf).expect("run file");
     let file = RunFile::open(&path, budget).expect("run opens");
     let base = BaseRun::new(file, 8, tuples.len(), arity, per_page, fence);
-    DiskIndex::with_base(order.clone(), false, base)
+    DiskIndex::with_base(order.clone(), base)
 }
 
 /// Best time over [`reps`] runs of `op`, after one warm-up run.

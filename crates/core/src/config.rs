@@ -50,7 +50,8 @@ pub struct InterpreterConfig {
     /// dynamically-typed B-tree whose lexicographic order is a runtime
     /// comparator array consulted on every comparison. Tuples are stored
     /// un-permuted, so reordering questions vanish — and so does every
-    /// specialization benefit.
+    /// specialization benefit. Batch-only: the legacy layer is never
+    /// disk-backed, and [`crate::ResidentEngine`] refuses it.
     pub legacy_data: bool,
     /// Amortize virtual iterator calls with the 128-tuple buffer (paper
     /// §3). Only affects the dynamic (non-static-dispatch) paths; the
@@ -213,7 +214,9 @@ impl InterpreterConfig {
     }
 
     /// The legacy interpreter (§5.1): runtime-comparator indexes, no
-    /// specialization, no buffering, no interpreter optimizations.
+    /// specialization, no buffering, no interpreter optimizations. A
+    /// batch baseline: its relations stay in memory whatever
+    /// `$STIR_STORAGE` says, and a resident engine refuses it.
     pub fn legacy() -> Self {
         InterpreterConfig {
             static_dispatch: false,
@@ -226,7 +229,7 @@ impl InterpreterConfig {
             buffered_iterators: false,
             jobs: default_jobs(),
             morsel_size: default_morsel_size(),
-            storage: default_storage(),
+            storage: StorageBackend::Mem,
             provenance: false,
         }
     }
@@ -297,6 +300,7 @@ mod tests {
         assert!(none.with_provenance().provenance);
         assert!(!none.trace);
         assert!(none.with_trace().trace);
+        assert_eq!(InterpreterConfig::legacy().storage, StorageBackend::Mem);
     }
 
     #[test]

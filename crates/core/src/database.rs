@@ -121,9 +121,11 @@ impl Database {
 
     /// Builds the database on the selected storage backend: under
     /// [`StorageBackend::Disk`] every [`disk_backed`]-eligible relation
-    /// gets [`DiskIndex`] adapters (initially overlay-only; the resident
-    /// engine attaches snapshot base runs on cold start). Everything else
-    /// is identical to [`Database::new_with`].
+    /// of a [`DataMode::Specialized`] database gets [`DiskIndex`] adapters
+    /// (initially overlay-only; the resident engine attaches snapshot
+    /// base runs on cold start). The legacy layer stays in memory on
+    /// either backend. Everything else is identical to
+    /// [`Database::new_with`].
     pub fn new_with_storage(
         ram: &RamProgram,
         mode: DataMode,
@@ -136,17 +138,15 @@ impl Database {
             .map(|r| {
                 let rel = if r.arity == 0 {
                     Relation::new(r.name.clone(), 0, vec![])
-                } else if storage == StorageBackend::Disk && disk_backed(r) {
-                    // Source-layout mode keeps the legacy layer's
-                    // source-order calling convention while the bytes stay
-                    // layout-canonical.
-                    let source_layout = mode == DataMode::LegacyDynamic;
+                } else if mode == DataMode::Specialized
+                    && storage == StorageBackend::Disk
+                    && disk_backed(r)
+                {
                     let indexes: Vec<Box<dyn IndexAdapter>> = r
                         .orders
                         .iter()
                         .map(|o| {
-                            Box::new(DiskIndex::new(Order::new(o.clone()), source_layout))
-                                as Box<dyn IndexAdapter>
+                            Box::new(DiskIndex::new(Order::new(o.clone()))) as Box<dyn IndexAdapter>
                         })
                         .collect();
                     Relation::from_adapters(r.name.clone(), r.arity, indexes)
@@ -393,21 +393,14 @@ mod tests {
                 }
                 let rel = db.rd(meta.id);
                 let is_disk = rel.index(0).as_any().downcast_ref::<DiskIndex>().is_some();
+                // The legacy layer never meets a disk index.
                 assert_eq!(
                     is_disk,
-                    disk_backed(meta),
-                    "{} ({:?}) backend mismatch",
+                    mode == DataMode::Specialized && disk_backed(meta),
+                    "{mode:?}: {} ({:?}) backend mismatch",
                     meta.name,
                     meta.role
                 );
-                if is_disk {
-                    assert_eq!(
-                        rel.index(0).stores_source_order(),
-                        mode == DataMode::LegacyDynamic,
-                        "{} layout mismatch",
-                        meta.name
-                    );
-                }
             }
             // Facts loaded through the normal path land in the overlay.
             let e = ram.relation_by_name("e").unwrap().id;

@@ -14,6 +14,8 @@ use crate::interp::Interpreter;
 use crate::itree;
 use crate::morsel::ParallelReport;
 use crate::profile::ProfileReport;
+use crate::prov::{self, ExplainLimits};
+use crate::resident::explain_row;
 use crate::telemetry::Telemetry;
 use crate::value::Value;
 use std::collections::HashMap;
@@ -144,6 +146,31 @@ impl Engine {
             profile: up.profile,
             parallel: up.parallel,
         })
+    }
+
+    /// `stir explain`: runs the program under `config` with provenance
+    /// on and answers `.explain rel(row)` as a resident engine would, as
+    /// the rendered proof tree and its node count. A batch run, so every
+    /// configuration takes it, the legacy baseline included.
+    ///
+    /// # Errors
+    ///
+    /// Propagates input-loading and runtime errors and `.explain`'s
+    /// refusals.
+    pub fn explain_with(
+        &self,
+        config: InterpreterConfig,
+        inputs: &InputData,
+        rel: &str,
+        row: &[Value],
+        tel: Option<&Telemetry>,
+    ) -> Result<(String, usize), EngineError> {
+        let up = bring_up(&self.ram, config.with_provenance(), tel, |db| {
+            db.load_inputs(&self.ram, inputs)?;
+            Ok(true)
+        })?;
+        let node = explain_row(&self.ram, &up.db, rel, row, &ExplainLimits::default())?;
+        Ok((prov::render_proof(&self.ram, &up.db, &node), node.size()))
     }
 }
 

@@ -59,6 +59,7 @@ mod storage;
 mod write;
 
 pub use metrics::ServerStats;
+pub(crate) use read::explain_row;
 pub use storage::{PersistOptions, RecoveryReport, PROBE_FILE, SNAPSHOT_FILE, WAL_FILE};
 use write::{build_plans, StratumPlan};
 pub use write::{RetractReport, UpdateReport};
@@ -80,6 +81,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use stir_der::disk::{DiskIndex, RunFile};
 use stir_der::factory::IndexSpec;
+use stir_der::iter::{DecodingIter, TupleIter};
 use stir_der::order::Order;
 use stir_der::relation::Relation;
 use stir_der::IndexAdapter;
@@ -183,8 +185,9 @@ impl ResidentEngine {
     ///
     /// # Errors
     ///
-    /// Propagates input-loading and runtime errors from the initial
-    /// fixpoint.
+    /// Refuses the legacy data layer ([`InterpreterConfig::legacy_data`]),
+    /// a batch-only baseline. Propagates input-loading and runtime errors
+    /// from the initial fixpoint.
     pub fn new(
         engine: Engine,
         config: InterpreterConfig,
@@ -217,6 +220,12 @@ impl ResidentEngine {
         inputs: &InputData,
         tel: Option<&Telemetry>,
     ) -> Result<ResidentEngine, EngineError> {
+        if config.legacy_data {
+            return Err(EvalError::new(
+                "the legacy data layer is batch-only; a resident engine runs the STI",
+            )
+            .into());
+        }
         let ram = engine.into_ram();
         let tracer = tel.map(|t| &t.tracer);
         let snapshot: Option<&Snap2> = match &image {
@@ -308,14 +317,13 @@ impl ResidentEngine {
                                 }
                             }
                             None => {
-                                // Read the primary run through a source-layout
-                                // DiskIndex: its scan decodes stored order back
-                                // to source tuples, one page at a time.
+                                // Scan the primary run one page at a time and
+                                // decode its stored order back to source tuples.
                                 rel.clear();
                                 let order = Order::new(srel.runs[0].order.clone());
                                 let run =
-                                    DiskIndex::with_base(order, true, mapped.base_run(srel, 0));
-                                let mut it = run.scan();
+                                    DiskIndex::with_base(order.clone(), mapped.base_run(srel, 0));
+                                let mut it = DecodingIter::new(run.scan(), order);
                                 while let Some(t) = it.next_tuple() {
                                     admit(&mut rel, t, prov);
                                 }
@@ -429,42 +437,41 @@ impl ResidentEngine {
     pub fn outputs(&self) -> HashMap<String, Vec<Vec<Value>>> {
         self.db.extract_outputs(&self.ram)
     }
+}
 
-    /// The front door every request passes: `rel` when it exists, `access`
-    /// may use it, and every row length in `rows` is its arity; otherwise
-    /// the error the wire reports verbatim.
-    fn lookup(
-        &self,
-        rel: &str,
-        access: Access,
-        rows: impl IntoIterator<Item = usize>,
-    ) -> Result<&RamRelation, EvalError> {
-        let meta = self
-            .ram
-            .relation_by_name(rel)
-            .ok_or_else(|| EvalError::new(format!("unknown relation `{rel}`")))?;
-        let internal = meta.role != Role::Standard;
-        let refusal = match access {
-            Access::Write if !meta.is_input => Some("is not declared `.input`"),
-            Access::Query if internal => Some("is internal and cannot be queried"),
-            Access::Explain if internal => Some("is internal and cannot be explained"),
-            _ => None,
-        };
-        if let Some(why) = refusal {
-            return Err(EvalError::new(format!("relation `{rel}` {why}")));
-        }
-        let (row, unit) = match access {
-            Access::Write => ("tuple", "values"),
-            Access::Query => ("pattern", "terms"),
-            Access::Explain => ("fact", "values"),
-        };
-        match rows.into_iter().find(|&n| n != meta.arity) {
-            Some(n) => Err(EvalError::new(format!(
-                "{row} for `{rel}` has {n} {unit}, expected {}",
-                meta.arity
-            ))),
-            None => Ok(meta),
-        }
+/// The front door every request passes: `rel` when it exists, `access`
+/// may use it, and every row length in `rows` is its arity; otherwise
+/// the error the wire reports verbatim.
+fn lookup<'r>(
+    ram: &'r RamProgram,
+    rel: &str,
+    access: Access,
+    rows: impl IntoIterator<Item = usize>,
+) -> Result<&'r RamRelation, EvalError> {
+    let meta = ram
+        .relation_by_name(rel)
+        .ok_or_else(|| EvalError::new(format!("unknown relation `{rel}`")))?;
+    let internal = meta.role != Role::Standard;
+    let refusal = match access {
+        Access::Write if !meta.is_input => Some("is not declared `.input`"),
+        Access::Query if internal => Some("is internal and cannot be queried"),
+        Access::Explain if internal => Some("is internal and cannot be explained"),
+        _ => None,
+    };
+    if let Some(why) = refusal {
+        return Err(EvalError::new(format!("relation `{rel}` {why}")));
+    }
+    let (row, unit) = match access {
+        Access::Write => ("tuple", "values"),
+        Access::Query => ("pattern", "terms"),
+        Access::Explain => ("fact", "values"),
+    };
+    match rows.into_iter().find(|&n| n != meta.arity) {
+        Some(n) => Err(EvalError::new(format!(
+            "{row} for `{rel}` has {n} {unit}, expected {}",
+            meta.arity
+        ))),
+        None => Ok(meta),
     }
 }
 
@@ -523,13 +530,12 @@ mod fixtures {
         ResidentEngine::open(engine, config, inputs, dir, opts, None).expect("opens")
     }
 
-    /// The four engine modes under both storage backends.
+    /// The STI and the dynamic adapter (the path disk-backed relations
+    /// take) under both storage backends.
     pub(super) fn all_setups() -> Vec<(String, InterpreterConfig)> {
         let modes = [
             ("sti", InterpreterConfig::optimized()),
             ("dynamic", InterpreterConfig::dynamic_adapter()),
-            ("unopt", InterpreterConfig::unoptimized()),
-            ("legacy", InterpreterConfig::legacy()),
         ];
         let mut out = Vec::new();
         for (name, config) in modes {

@@ -48,7 +48,7 @@ impl ResidentEngine {
     ) -> Result<Vec<Vec<Value>>, EvalError> {
         let _span = tel.map(|t| t.tracer.span("phase:serve:query"));
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        let meta = self.lookup(rel, Access::Query, [pattern.len()])?;
+        let meta = lookup(&self.ram, rel, Access::Query, [pattern.len()])?;
         // Check once up front so an already-elapsed deadline aborts even
         // a tiny scan; the in-loop poll only fires every 4096 tuples.
         if elapsed(deadline) {
@@ -129,16 +129,7 @@ impl ResidentEngine {
         self.counters
             .explain_requests
             .fetch_add(1, Ordering::Relaxed);
-        let meta = self.lookup(rel, Access::Explain, [row.len()])?;
-        let Some(tuple) = encode_existing(&self.db.symbols_rd(), row) else {
-            // A never-interned symbol cannot be in any relation.
-            let vals: Vec<String> = row.iter().map(|v| v.to_string()).collect();
-            return Err(EvalError::new(format!(
-                "`{rel}({})` is not derivable",
-                vals.join(", ")
-            )));
-        };
-        let node = crate::prov::explain(&self.ram, &self.db, meta.id, &tuple, &limits)?;
+        let node = explain_row(&self.ram, &self.db, rel, row, &limits)?;
         self.counters
             .explain_nodes
             .fetch_add(node.size() as u64, Ordering::Relaxed);
@@ -150,6 +141,28 @@ impl ResidentEngine {
     pub fn render_proof(&self, node: &ProofNode) -> String {
         crate::prov::render_proof(&self.ram, &self.db, node)
     }
+}
+
+/// `.explain` over any database: the front door, then the proof tree of
+/// [`crate::prov::explain`]. The resident engine and the batch
+/// [`crate::Engine::explain_with`] share it.
+pub(crate) fn explain_row(
+    ram: &RamProgram,
+    db: &Database,
+    rel: &str,
+    row: &[Value],
+    limits: &ExplainLimits,
+) -> Result<ProofNode, EvalError> {
+    let meta = lookup(ram, rel, Access::Explain, [row.len()])?;
+    let Some(tuple) = encode_existing(&db.symbols_rd(), row) else {
+        // A never-interned symbol cannot be in any relation.
+        let vals: Vec<String> = row.iter().map(|v| v.to_string()).collect();
+        return Err(EvalError::new(format!(
+            "`{rel}({})` is not derivable",
+            vals.join(", ")
+        )));
+    };
+    crate::prov::explain(ram, db, meta.id, &tuple, limits)
 }
 
 #[cfg(test)]
@@ -234,8 +247,6 @@ mod tests {
         for config in [
             InterpreterConfig::optimized(),
             InterpreterConfig::dynamic_adapter(),
-            InterpreterConfig::unoptimized(),
-            InterpreterConfig::legacy(),
         ] {
             let mut inputs = InputData::new();
             inputs.insert("e".into(), scrambled.clone());

@@ -484,18 +484,16 @@ mod tests {
         assert_eq!(r.outputs()["p"], pairs(&[(1, 2)]));
     }
 
-    fn modes() -> [InterpreterConfig; 4] {
+    fn modes() -> [InterpreterConfig; 2] {
         [
             InterpreterConfig::optimized(),
             InterpreterConfig::dynamic_adapter(),
-            InterpreterConfig::unoptimized(),
-            InterpreterConfig::legacy(),
         ]
     }
 
-    /// Retracts `rows` from `rel` in every engine mode, checks the result
-    /// against a from-scratch engine over the survivors, and returns each
-    /// mode's report.
+    /// Retracts `rows` from `rel` under the STI and the dynamic adapter,
+    /// checks the result against a from-scratch engine over the
+    /// survivors, and returns each mode's report.
     fn matches_from_scratch(
         src: &str,
         inputs: &InputData,

@@ -139,8 +139,9 @@ impl ResidentEngine {
     ///
     /// # Errors
     ///
-    /// Propagates construction errors and I/O failures on the data
-    /// directory. An *invalid* snapshot or torn WAL tail is not an
+    /// Propagates construction errors (a legacy-data config is refused
+    /// before anything is written under `data_dir`) and I/O failures on
+    /// the data directory. An *invalid* snapshot or torn WAL tail is not an
     /// error: recovery degrades to re-evaluation and reports it
     /// ([`RecoveryReport::snapshot_rejected`]) — a retired-format
     /// `STIRSNP1` snapshot included. A retired-format `STIRWAL1` log *is*
@@ -496,6 +497,28 @@ mod tests {
             r.initial_profile().is_none(),
             "snapshot load skips the initial fixpoint"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The legacy data layer is a batch baseline: `open` refuses it
+    /// before writing anything under the data directory, and `new`
+    /// refuses it too.
+    #[test]
+    fn legacy_data_is_refused_and_leaves_the_data_dir_empty() {
+        let dir = tmpdir("legacy");
+        let engine = || Engine::from_source(TC).expect("compiles");
+        let (config, inputs) = (InterpreterConfig::legacy(), InputData::new());
+        let opts = PersistOptions::default();
+        let refusals = [
+            ResidentEngine::open(engine(), config, &inputs, &dir, opts, None).map(drop),
+            ResidentEngine::new(engine(), config, &inputs, None).map(drop),
+        ];
+        for refusal in refusals {
+            let err = refusal.expect_err("legacy is refused").to_string();
+            assert!(err.contains("batch-only"), "{err}");
+        }
+        let left: Vec<_> = std::fs::read_dir(&dir).into_iter().flatten().collect();
+        assert!(left.is_empty(), "{left:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -194,9 +194,7 @@ impl ResidentEngine {
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
         // Validate before logging, so the WAL only ever holds batches
         // the engine would accept on replay.
-        let target = self
-            .lookup(rel, Access::Write, rows.iter().map(Vec::len))?
-            .id;
+        let target = lookup(&self.ram, rel, Access::Write, rows.iter().map(Vec::len))?.id;
         if let Some(p) = &mut self.persistence {
             // WAL-then-evaluate: nothing is acknowledged (or applied)
             // unless it is recoverable first.
@@ -220,9 +218,13 @@ impl ResidentEngine {
         tel: Option<&Telemetry>,
     ) -> Result<u64, EvalError> {
         let rows = &rec.rows;
-        let id = self
-            .lookup(&rec.rel, Access::Write, rows.iter().map(Vec::len))?
-            .id;
+        let id = lookup(
+            &self.ram,
+            &rec.rel,
+            Access::Write,
+            rows.iter().map(Vec::len),
+        )?
+        .id;
         Ok(match rec.kind {
             WalRecordKind::Insert => self.insert_internal(id, rows, None, tel)?.inserted,
             WalRecordKind::Delete => self.retract_internal(id, rows, None, tel)?.retracted,

@@ -49,13 +49,13 @@
 //! anywhere, including deep inside a multi-gigabyte run region, fails
 //! recovery before any tuple is served. Every structural rejection names
 //! the byte offset it tripped over. Runs are stored in *stored* (index)
-//! order; the writer re-encodes source-layout adapters through
-//! [`stir_der::disk::write_run`], so the bytes are identical no matter
-//! which engine mode or storage backend produced them, and the
-//! fingerprint (FNV-1a over the printed RAM program, which does not
-//! depend on [`crate::InterpreterConfig`]) guarantees the reader derives
-//! the same index orders from the same RAM program and rejects snapshots
-//! of a different one.
+//! order, as both the specialized indexes and
+//! [`stir_der::disk::DiskIndex`] hold them, so the bytes are identical
+//! under either storage backend, and the fingerprint (FNV-1a over the
+//! printed RAM program, which does not depend on
+//! [`crate::InterpreterConfig`]) guarantees the reader derives the same
+//! index orders from the same RAM program and rejects snapshots of a
+//! different one.
 //!
 //! The file is published through [`crate::wal::publish_atomic`] — a
 //! crash mid-write never damages the previous snapshot. The periodic
@@ -245,15 +245,15 @@ pub fn write_snapshot_v2(
                 let count = idx.len() as u64;
                 let page_tuples = disk::page_tuples(meta.arity);
                 let offset = buf.len() as u64;
-                let encode = if idx.stores_source_order() && !order.is_natural() {
-                    Some(order)
-                } else {
-                    None
-                };
+                // Only the legacy comparator index scans in source order.
+                debug_assert!(
+                    !idx.stores_source_order(),
+                    "{} scans in source order",
+                    meta.name
+                );
                 let mut it = idx.scan();
-                let fence =
-                    disk::write_run(&mut buf, &mut *it, count, meta.arity, page_tuples, encode)
-                        .map_err(|e| StorageError::io("serialize snapshot run", &e))?;
+                let fence = disk::write_run(&mut buf, &mut *it, count, page_tuples)
+                    .map_err(|e| StorageError::io("serialize snapshot run", &e))?;
                 drop(it);
                 let len = buf.len() as u64 - offset;
                 runs.push(RunMeta {

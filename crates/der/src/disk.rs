@@ -22,12 +22,7 @@
 //! paged data.
 //!
 //! Tuples are kept in **stored (encoded) order** on disk and in the
-//! overlay, exactly like [`crate::adapter::BTreeIndex`]. For the legacy
-//! data layer (which talks to its indexes in source order, see
-//! [`crate::dynindex::DynBTreeIndex`]) a `DiskIndex` can be built in
-//! *source-layout* mode: bounds are encoded on the way in and tuples
-//! decoded on the way out, so "stored" order coincides with source order
-//! for its callers while the on-disk bytes stay layout-canonical.
+//! overlay, exactly like [`crate::adapter::BTreeIndex`].
 
 use crate::adapter::{IndexAdapter, IndexStats, Morsels};
 use crate::iter::TupleIter;
@@ -403,10 +398,6 @@ struct MergedIter<'a> {
     base_valid: bool,
     inserts: OverlayRange<'a>,
     tombs: &'a BTreeSet<Vec<RamDomain>>,
-    /// `Some(order)`: decode each yielded tuple back to source order
-    /// (source-layout mode for the legacy data layer).
-    decode: Option<Order>,
-    out: Vec<RamDomain>,
 }
 
 impl std::fmt::Debug for MergedIter<'_> {
@@ -444,22 +435,9 @@ impl TupleIter for MergedIter<'_> {
                 if self.tombs.contains(self.base_cur.as_slice()) {
                     continue;
                 }
-                return Some(match &self.decode {
-                    Some(o) => {
-                        o.decode(&self.base_cur, &mut self.out);
-                        &self.out
-                    }
-                    None => &self.base_cur,
-                });
+                return Some(&self.base_cur);
             }
-            let ins = self.inserts.next().expect("peeked");
-            return Some(match &self.decode {
-                Some(o) => {
-                    o.decode(ins, &mut self.out);
-                    &self.out
-                }
-                None => ins,
-            });
+            return self.inserts.next().map(Vec::as_slice);
         }
     }
 }
@@ -474,7 +452,6 @@ impl TupleIter for MergedIter<'_> {
 pub struct DiskIndex {
     order: Order,
     natural: bool,
-    source_layout: bool,
     base: Option<BaseRun>,
     inserts: BTreeSet<Vec<RamDomain>>,
     tombs: BTreeSet<Vec<RamDomain>>,
@@ -484,7 +461,6 @@ impl std::fmt::Debug for DiskIndex {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DiskIndex")
             .field("order", &self.order)
-            .field("source_layout", &self.source_layout)
             .field("base", &self.base.as_ref().map(|b| b.count))
             .field("inserts", &self.inserts.len())
             .field("tombs", &self.tombs.len())
@@ -495,12 +471,11 @@ impl std::fmt::Debug for DiskIndex {
 impl DiskIndex {
     /// An overlay-only index (no base run yet): the construction state of
     /// a fresh `--storage disk` database before any snapshot exists.
-    pub fn new(order: Order, source_layout: bool) -> Self {
+    pub fn new(order: Order) -> Self {
         let natural = order.is_natural();
         DiskIndex {
             order,
             natural,
-            source_layout,
             base: None,
             inserts: BTreeSet::new(),
             tombs: BTreeSet::new(),
@@ -508,9 +483,9 @@ impl DiskIndex {
     }
 
     /// An index served off `base` with an empty overlay (cold start).
-    pub fn with_base(order: Order, source_layout: bool, base: BaseRun) -> Self {
+    pub fn with_base(order: Order, base: BaseRun) -> Self {
         assert_eq!(order.arity(), base.arity, "run arity must match order");
-        let mut idx = DiskIndex::new(order, source_layout);
+        let mut idx = DiskIndex::new(order);
         idx.base = Some(base);
         idx
     }
@@ -568,54 +543,23 @@ impl DiskIndex {
     }
 
     /// The merge over stored-order bounds `[lo, hi]` (inclusive); `None`
-    /// bounds mean unbounded. `base_range` overrides the base slice when
-    /// the caller already knows it (morsel chunks).
-    fn merged(
-        &self,
-        lo: Option<&[RamDomain]>,
-        hi: Option<&[RamDomain]>,
-        base_range: Option<(usize, usize)>,
-    ) -> MergedIter<'_> {
-        let arity = self.order.arity();
-        let (start, end) = base_range.unwrap_or_else(|| match (&self.base, lo, hi) {
-            (None, _, _) => (0, 0),
-            (Some(b), None, None) => (0, b.count),
-            (Some(b), lo, hi) => (
-                lo.map(|l| b.bound(l, false)).unwrap_or(0),
-                hi.map(|h| b.bound(h, true)).unwrap_or(b.count),
+    /// bounds mean unbounded.
+    fn merged(&self, lo: Option<&[RamDomain]>, hi: Option<&[RamDomain]>) -> MergedIter<'_> {
+        let (start, end) = match &self.base {
+            None => (0, 0),
+            Some(b) => (
+                lo.map_or(0, |l| b.bound(l, false)),
+                hi.map_or(b.count, |h| b.bound(h, true)),
             ),
-        });
-        let base = self
-            .base
-            .as_ref()
-            .filter(|_| end > start)
-            .map(|b| BaseCursor::new(b.clone(), start, end));
-        let lo_bound = match lo {
-            Some(l) => Bound::Included(l.to_vec()),
-            None => Bound::Unbounded,
         };
-        let hi_bound = match hi {
-            Some(h) => Bound::Included(h.to_vec()),
-            None => Bound::Unbounded,
-        };
-        MergedIter {
-            arity,
-            base,
-            base_cur: Vec::with_capacity(arity),
-            base_valid: false,
-            inserts: self.inserts.range((lo_bound, hi_bound)).peekable(),
-            tombs: &self.tombs,
-            decode: if self.source_layout && !self.natural {
-                Some(self.order.clone())
-            } else {
-                None
-            },
-            out: vec![0; arity],
-        }
+        let bound =
+            |k: Option<&[RamDomain]>| k.map_or(Bound::Unbounded, |k| Bound::Included(k.to_vec()));
+        self.chunk(start, end, bound(lo), bound(hi))
     }
 
-    /// Morsel chunk bounded by insert-overlay keys (`lo` exclusive-side
-    /// handled by the caller passing fence tuples).
+    /// The merge of base positions `[base_start, base_end)` with the
+    /// overlay inserts inside `(ins_lo, ins_hi)`: a morsel chunk (bounded
+    /// by fence tuples) or, from [`Self::merged`], a whole range.
     fn chunk(
         &self,
         base_start: usize,
@@ -636,12 +580,6 @@ impl DiskIndex {
             base_valid: false,
             inserts: self.inserts.range((ins_lo, ins_hi)).peekable(),
             tombs: &self.tombs,
-            decode: if self.source_layout && !self.natural {
-                Some(self.order.clone())
-            } else {
-                None
-            },
-            out: vec![0; arity],
         }
     }
 }
@@ -708,10 +646,7 @@ impl IndexAdapter for DiskIndex {
         lo[..prefix.len()].copy_from_slice(prefix);
         hi[..prefix.len()].copy_from_slice(prefix);
         let doomed: Vec<Vec<RamDomain>> = {
-            let mut it = self.merged(Some(&lo), Some(&hi), None);
-            // Collect encoded keys regardless of layout mode: the erase
-            // below works on the internal stored order directly.
-            it.decode = None;
+            let mut it = self.merged(Some(&lo), Some(&hi));
             let mut out = Vec::new();
             while let Some(t) = it.next_tuple() {
                 out.push(t.to_vec());
@@ -733,32 +668,15 @@ impl IndexAdapter for DiskIndex {
     }
 
     fn contains_stored(&self, t: &[RamDomain]) -> bool {
-        if self.source_layout {
-            // "Stored" order coincides with source order for callers of a
-            // source-layout index.
-            self.contains(t)
-        } else {
-            self.contains_enc(t)
-        }
-    }
-
-    fn stores_source_order(&self) -> bool {
-        self.source_layout
+        self.contains_enc(t)
     }
 
     fn scan(&self) -> Box<dyn TupleIter + Send + '_> {
-        Box::new(self.merged(None, None, None))
+        Box::new(self.merged(None, None))
     }
 
     fn range(&self, lo: &[RamDomain], hi: &[RamDomain]) -> Box<dyn TupleIter + Send + '_> {
-        // Source-layout callers build bounds in source order; encode them
-        // into the internal stored order (component-wise bounds permute).
-        let (lo, hi) = if self.source_layout && !self.natural {
-            (self.order.encode_vec(lo), self.order.encode_vec(hi))
-        } else {
-            (lo.to_vec(), hi.to_vec())
-        };
-        if cmp_slices(&lo, &hi) == Ordering::Greater {
+        if cmp_slices(lo, hi) == Ordering::Greater {
             return Box::new(self.chunk(
                 0,
                 0,
@@ -766,7 +684,7 @@ impl IndexAdapter for DiskIndex {
                 Bound::Excluded(vec![0; lo.len()]),
             ));
         }
-        Box::new(self.merged(Some(&lo), Some(&hi), None))
+        Box::new(self.merged(Some(lo), Some(hi)))
     }
 
     fn morsels(&self, target: usize) -> Morsels<'_> {
@@ -821,10 +739,6 @@ impl IndexAdapter for DiskIndex {
 /// tuples — and returns the sparse page index (the first tuple of each
 /// page, flattened).
 ///
-/// `encode` re-permutes source-order tuples (from adapters that store
-/// source order) into the canonical stored order on the way out, so the
-/// on-disk bytes are identical no matter which adapter produced them.
-///
 /// # Errors
 ///
 /// Propagates I/O errors; reports a count mismatch (the iterator must
@@ -833,27 +747,17 @@ pub fn write_run(
     w: &mut dyn Write,
     iter: &mut dyn TupleIter,
     count: u64,
-    arity: usize,
     page_tuples: usize,
-    encode: Option<&Order>,
 ) -> std::io::Result<Vec<RamDomain>> {
     w.write_all(&count.to_le_bytes())?;
     let page_tuples = page_tuples.max(1);
     let mut fence = Vec::new();
     let mut written = 0u64;
-    let mut enc = vec![0; arity];
     while let Some(t) = iter.next_tuple() {
-        let stored: &[RamDomain] = match encode {
-            Some(o) if !o.is_natural() => {
-                o.encode(t, &mut enc);
-                &enc
-            }
-            _ => t,
-        };
         if written.is_multiple_of(page_tuples as u64) {
-            fence.extend_from_slice(stored);
+            fence.extend_from_slice(t);
         }
-        for &v in stored {
+        for &v in t {
             w.write_all(&v.to_le_bytes())?;
         }
         written += 1;
@@ -871,7 +775,6 @@ pub fn write_run(
 mod tests {
     use super::*;
     use crate::adapter::BTreeIndex;
-    use crate::dynindex::DynBTreeIndex;
     use std::path::PathBuf;
 
     fn tmpfile(tag: &str) -> PathBuf {
@@ -885,7 +788,6 @@ mod tests {
     fn disk_with_base(
         tag: &str,
         order: &Order,
-        source_layout: bool,
         tuples: &[Vec<RamDomain>],
         page_tuples: usize,
         budget: usize,
@@ -900,20 +802,12 @@ mod tests {
         }
         let mut it = crate::iter::VecTupleIter::new(flat, arity);
         let mut buf = Vec::new();
-        let fence = write_run(
-            &mut buf,
-            &mut it,
-            stored.len() as u64,
-            arity,
-            page_tuples,
-            None,
-        )
-        .expect("writes");
+        let fence = write_run(&mut buf, &mut it, stored.len() as u64, page_tuples).expect("writes");
         let path = tmpfile(tag);
         std::fs::write(&path, &buf).expect("run file");
         let file = RunFile::open(&path, budget).expect("opens");
         let base = BaseRun::new(file, 8, stored.len(), arity, page_tuples, fence);
-        DiskIndex::with_base(order.clone(), source_layout, base)
+        DiskIndex::with_base(order.clone(), base)
     }
 
     fn drain(m: Morsels<'_>) -> Vec<Vec<RamDomain>> {
@@ -932,7 +826,7 @@ mod tests {
     #[test]
     fn overlay_only_matches_btree_adapter() {
         let order = Order::new(vec![1, 0]);
-        let mut disk = DiskIndex::new(order.clone(), false);
+        let mut disk = DiskIndex::new(order.clone());
         let mut mem = BTreeIndex::<2>::new(order);
         let mut seed = 5u32;
         for step in 0..3000u32 {
@@ -962,7 +856,7 @@ mod tests {
             base_tuples.push(vec![i % 37, i % 23]);
         }
         // Tiny pages so every operation crosses page boundaries.
-        let mut disk = disk_with_base("oracle", &order, false, &base_tuples, 7, 1 << 20);
+        let mut disk = disk_with_base("oracle", &order, &base_tuples, 7, 1 << 20);
         let mut mem = BTreeIndex::<2>::new(order);
         for t in &base_tuples {
             mem.insert(t);
@@ -992,43 +886,10 @@ mod tests {
     }
 
     #[test]
-    fn source_layout_matches_dyn_btree() {
-        let order = Order::new(vec![1, 0]);
-        let base: Vec<Vec<RamDomain>> = (0..200u32).map(|i| vec![i % 19, i % 11]).collect();
-        let mut disk = disk_with_base("legacy", &order, true, &base, 5, 1 << 20);
-        let mut mem = DynBTreeIndex::new(order);
-        for t in &base {
-            mem.insert(t);
-        }
-        let mut seed = 23u32;
-        for step in 0..1500u32 {
-            seed = seed.wrapping_mul(48271) % 0x7fff_ffff;
-            let t = [seed % 23, seed % 13];
-            if step % 3 == 0 {
-                assert_eq!(disk.erase(&t), mem.erase(&t), "step {step}");
-            } else {
-                assert_eq!(disk.insert(&t), mem.insert(&t), "step {step}");
-            }
-        }
-        assert_eq!(disk.len(), mem.len());
-        // Source-layout scans yield source order, like the legacy index.
-        assert_eq!(disk.scan().collect_tuples(), mem.scan().collect_tuples());
-        // Source-order bounds (all tuples with column 1 == 7).
-        let lo = vec![0u32, 7];
-        let hi = vec![u32::MAX, 7];
-        assert_eq!(
-            disk.range(&lo, &hi).collect_tuples(),
-            mem.range(&lo, &hi).collect_tuples()
-        );
-        assert_eq!(disk.erase_prefix(&[7]), mem.erase_prefix(&[7]));
-        assert_eq!(disk.scan().collect_tuples(), mem.scan().collect_tuples());
-    }
-
-    #[test]
     fn morsels_concatenate_to_scan_across_page_boundaries() {
         let order = Order::natural(2);
         let base: Vec<Vec<RamDomain>> = (0..700u32).map(|i| vec![i / 3, i % 53]).collect();
-        let mut disk = disk_with_base("morsels", &order, false, &base, 11, 1 << 20);
+        let mut disk = disk_with_base("morsels", &order, &base, 11, 1 << 20);
         // Mix the overlay in: fresh inserts below, between, and above the
         // base keys, plus tombstones.
         for i in 0..300u32 {
@@ -1054,7 +915,7 @@ mod tests {
         let base: Vec<Vec<RamDomain>> = (0..20_000u32).map(|i| vec![i, i * 7]).collect();
         // Page = 128 tuples * 8 bytes = 1 KiB; budget of 4 KiB holds only
         // 4 of ~157 pages.
-        let disk = disk_with_base("budget", &order, false, &base, 128, 4 * 1024);
+        let disk = disk_with_base("budget", &order, &base, 128, 4 * 1024);
         let stats = disk.base.as_ref().expect("base").file.stats();
         for _ in 0..3 {
             assert_eq!(disk.scan().count_tuples(), 20_000);
@@ -1072,17 +933,10 @@ mod tests {
     #[test]
     fn inverted_and_empty_ranges_yield_nothing() {
         let order = Order::natural(2);
-        let disk = disk_with_base(
-            "empty",
-            &order,
-            false,
-            &[vec![5, 5], vec![6, 6]],
-            4,
-            1 << 20,
-        );
+        let disk = disk_with_base("empty", &order, &[vec![5, 5], vec![6, 6]], 4, 1 << 20);
         assert_eq!(disk.range(&[9, 0], &[8, 0]).count_tuples(), 0);
         assert_eq!(disk.range(&[7, 0], &[7, u32::MAX]).count_tuples(), 0);
-        let empty = DiskIndex::new(Order::natural(2), false);
+        let empty = DiskIndex::new(Order::natural(2));
         assert_eq!(empty.scan().count_tuples(), 0);
         assert!(matches!(empty.morsels(8), Morsels::Stream(_)));
         assert_eq!(drain(empty.morsels(8)), Vec::<Vec<u32>>::new());
@@ -1091,7 +945,7 @@ mod tests {
     #[test]
     fn resurrecting_a_tombstoned_tuple_round_trips() {
         let order = Order::natural(2);
-        let mut disk = disk_with_base("tomb", &order, false, &[vec![1, 2]], 4, 1 << 20);
+        let mut disk = disk_with_base("tomb", &order, &[vec![1, 2]], 4, 1 << 20);
         assert!(disk.erase(&[1, 2]));
         assert!(!disk.contains(&[1, 2]));
         assert_eq!(disk.len(), 0);
@@ -1104,10 +958,10 @@ mod tests {
     #[test]
     fn rebase_drops_the_overlay() {
         let order = Order::natural(1);
-        let mut disk = DiskIndex::new(order.clone(), false);
+        let mut disk = DiskIndex::new(order.clone());
         disk.insert(&[3]);
         disk.insert(&[9]);
-        let other = disk_with_base("rebase", &order, false, &[vec![3], vec![9]], 4, 1 << 20);
+        let other = disk_with_base("rebase", &order, &[vec![3], vec![9]], 4, 1 << 20);
         let base = other.base.clone().expect("base");
         disk.rebase(base);
         assert_eq!(disk.overlay_len(), (0, 0));

@@ -332,14 +332,14 @@ impl Relation {
         // The comparator-based legacy index keeps tuples un-permuted: its
         // range bounds and yielded tuples are in source layout, so bound
         // values land at their source positions and nothing is decoded.
-        let source_layout = idx.stores_source_order();
+        let unpermuted = idx.stores_source_order();
         let it: Box<dyn TupleIter + 'a> = if prefix == 0 {
             idx.scan()
         } else {
             let mut lo = vec![RamDomain::MIN; self.arity];
             let mut hi = vec![RamDomain::MAX; self.arity];
             for (pos, &c) in order.columns().iter().enumerate().take(prefix) {
-                let at = if source_layout { c } else { pos };
+                let at = if unpermuted { c } else { pos };
                 lo[at] = bound[c].expect("prefix columns are bound");
                 hi[at] = lo[at];
             }
@@ -347,7 +347,7 @@ impl Relation {
         };
         Select {
             it,
-            decode: (!source_layout && !order.is_natural()).then_some(order),
+            decode: (!unpermuted && !order.is_natural()).then_some(order),
             bound,
             src: vec![0; self.arity],
         }
@@ -521,7 +521,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_source_trusts_source_layout_adapters() {
+    fn scan_source_trusts_source_order_adapters() {
         use crate::dynindex::DynBTreeIndex;
         // A comparator-based (legacy) primary with a non-natural order
         // keeps tuples un-permuted, so scan_source must NOT decode them.
@@ -667,7 +667,7 @@ mod tests {
         assert!(dst.contains(&[1, 9]) && dst.contains(&[2, 8]));
         assert_eq!(dst.index(0).scan().collect_tuples()[0], vec![1, 9]);
 
-        // Contrast: a source-layout (legacy) primary with the same order
+        // Contrast: a source-order (legacy) primary with the same order
         // must NOT be decoded — the stores_source_order distinction.
         use crate::dynindex::DynBTreeIndex;
         let mut legacy_src = Relation::from_adapters(

@@ -49,13 +49,14 @@ usage: stir [repl|explain] PROGRAM.dl [ATOM] [-F facts_dir] [-D out_dir] [option
   -D, --output-dir DIR   write <rel>.csv for every .output relation
                          (default: print outputs to stdout)
       --mode MODE        sti | dynamic | unopt | legacy    (default sti)
+                         the three ablations are batch-only: the repl
+                         runs sti, and legacy runs in memory
       --storage BACKEND  mem | disk    (default: $STIR_STORAGE or mem)
                          disk serves base relations off the mapped v2
                          snapshot through a budgeted page cache
                          ($STIR_PAGE_CACHE bytes) with in-memory deltas
-      --no-super         disable super-instructions
-      --no-reorder       disable static tuple reordering
-      --no-outline       disable handler outlining
+      --no-super         disable super-instructions (batch-only)
+      --no-reorder       disable static tuple reordering (batch-only)
   -j, --jobs N           evaluate parallel scans with N workers
                          (default: $STIR_JOBS or 1)
       --provenance       annotate tuples with (rule, height); the repl
@@ -115,9 +116,9 @@ fn parse_args() -> Options {
         }
         match arg.as_str() {
             "-D" | "--output-dir" => output_dir = Some(PathBuf::from(common.value(&mut args))),
+            "--no-super" | "--no-reorder" if repl => common.batch_only(&arg),
             "--no-super" => common.mode.super_instructions = false,
             "--no-reorder" => common.mode.static_reordering = false,
-            "--no-outline" => common.mode.outlined_handlers = false,
             "--profile" => profile = true,
             "--trace-folded" => trace_folded = Some(PathBuf::from(common.value(&mut args))),
             "--ram" => print_ram = true,
@@ -135,6 +136,9 @@ fn parse_args() -> Options {
             }
             _ => common.usage(),
         }
+    }
+    if repl {
+        common.serve_sti();
     }
     // `stir explain` is pointless without annotations, so it implies them.
     common.provenance |= explain;
@@ -199,37 +203,31 @@ fn print_profile_table(profile: &ProfileReport) {
 }
 
 /// `stir explain PROG.dl 'rel(c1, ...)'`: run the fixpoint with
-/// annotations, print the fact's proof tree through the same `.explain`
-/// handler the serving protocol uses, and exit non-zero when the fact
-/// is not derivable (so scripts can branch on it).
+/// annotations, print the fact's proof tree and the `.explain` trailer,
+/// and exit non-zero when the fact is not derivable (so scripts can
+/// branch on it). A batch run: every `--mode` works.
 fn run_explain(
     opts: &Options,
-    engine: Engine,
+    engine: &Engine,
     inputs: &InputData,
     tel: &Telemetry,
     atom: &str,
 ) -> ExitCode {
-    let resident = match ResidentEngine::new(engine, opts.config, inputs, Some(tel)) {
-        Ok(r) => r,
+    let explained = stir::serve::parse_fact(engine.ram(), atom).and_then(|(rel, row)| {
+        engine
+            .explain_with(opts.config, inputs, &rel, &row, Some(tel))
+            .map_err(|e| e.to_string())
+    });
+    match explained {
+        Ok((tree, nodes)) => {
+            println!("{tree}ok {nodes} nodes");
+            ExitCode::SUCCESS
+        }
         Err(e) => {
             eprintln!("stir: {e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
-    let shared = RwLock::new(resident);
-    let mut buf = Vec::new();
-    let line = format!(".explain {atom}");
-    if let Err(e) = stir::serve::handle_line(&shared, &line, Some(tel), &mut buf) {
-        eprintln!("stir: {e}");
-        return ExitCode::FAILURE;
     }
-    let text = String::from_utf8_lossy(&buf);
-    if let Some(err) = text.strip_prefix("err ") {
-        eprintln!("stir: {}", err.trim_end());
-        return ExitCode::FAILURE;
-    }
-    print!("{text}");
-    ExitCode::SUCCESS
 }
 
 /// `stir repl`: make the engine resident and serve protocol lines from
@@ -382,7 +380,7 @@ fn main() -> ExitCode {
     };
 
     if let Some(atom) = opts.explain_atom.clone() {
-        return run_explain(&opts, engine, &inputs, &tel, &atom);
+        return run_explain(&opts, &engine, &inputs, &tel, &atom);
     }
     if opts.repl {
         return run_repl(&opts, engine, &inputs, &tel);

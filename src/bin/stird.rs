@@ -60,7 +60,8 @@ usage: stird PROGRAM.dl [-F facts_dir] [options]
 
   -F, --fact-dir DIR       read <rel>.facts for every .input relation
       --port PORT          TCP port (default 0 = pick a free port)
-      --mode MODE          sti | dynamic | unopt | legacy  (default sti)
+      --mode sti           the interpreter (default; the other modes
+                           of `stir --mode` are batch-only)
       --storage BACKEND    mem | disk  (default: $STIR_STORAGE or mem)
                            disk serves base relations off the mapped v2
                            snapshot through a budgeted page cache
@@ -123,9 +124,9 @@ fn parse_args() -> Options {
         }
         match arg.as_str() {
             "--port" => {
-                port = match args.next().map(|p| p.parse()) {
-                    Some(Ok(p)) => p,
-                    _ => common.usage(),
+                port = match common.value(&mut args).parse() {
+                    Ok(p) => p,
+                    Err(_) => common.fatal("--port needs a port number (0 to 65535)"),
                 }
             }
             "--max-conns" => max_conns = common.positive("--max-conns", &mut args),
@@ -159,6 +160,7 @@ fn parse_args() -> Options {
             _ => common.usage(),
         }
     }
+    common.serve_sti();
     Options {
         program: program.unwrap_or_else(|| common.usage()),
         config: common.config(),

@@ -7,6 +7,10 @@
 //! text, a malformed value prints `BIN: reason`, both exit 2. Each
 //! binary's `parse_args` offers every argument to [`CommonArgs::accept`]
 //! first and handles only its own flags itself.
+//!
+//! The servers (`stird`, `stir repl`) run the STI only
+//! ([`CommonArgs::serve_sti`]): the other `--mode` values are the paper's
+//! batch ablations, and `legacy` also refuses `--storage disk`.
 
 use std::path::PathBuf;
 use stir_core::{Durability, InterpreterConfig, LogLevel, PersistOptions, StorageBackend};
@@ -23,6 +27,8 @@ pub struct CommonArgs {
     /// ablation flags edit it in place. Read the result with
     /// [`CommonArgs::config`].
     pub mode: InterpreterConfig,
+    /// The `--mode` value `mode` was built from.
+    mode_name: &'static str,
     jobs: Option<usize>,
     storage: Option<StorageBackend>,
     /// `--provenance`.
@@ -46,6 +52,7 @@ impl CommonArgs {
             help,
             fact_dir: None,
             mode: InterpreterConfig::optimized(),
+            mode_name: "sti",
             jobs: None,
             storage: None,
             provenance: false,
@@ -95,12 +102,12 @@ impl CommonArgs {
         match flag {
             "-F" | "--fact-dir" => self.fact_dir = Some(self.value(args).into()),
             "--mode" => {
-                self.mode = match args.next().as_deref() {
-                    Some("sti") => InterpreterConfig::optimized(),
-                    Some("dynamic") => InterpreterConfig::dynamic_adapter(),
-                    Some("unopt") => InterpreterConfig::unoptimized(),
-                    Some("legacy") => InterpreterConfig::legacy(),
-                    _ => self.usage(),
+                (self.mode_name, self.mode) = match self.value(args).as_str() {
+                    "sti" => ("sti", InterpreterConfig::optimized()),
+                    "dynamic" => ("dynamic", InterpreterConfig::dynamic_adapter()),
+                    "unopt" => ("unopt", InterpreterConfig::unoptimized()),
+                    "legacy" => ("legacy", InterpreterConfig::legacy()),
+                    _ => self.fatal("--mode needs sti, dynamic, unopt or legacy"),
                 }
             }
             "-j" | "--jobs" => match self.value(args).parse() {
@@ -130,10 +137,25 @@ impl CommonArgs {
         true
     }
 
+    /// Refuses every `--mode` but `sti`: the servers run the STI, and
+    /// the other modes are batch-only ablations.
+    pub fn serve_sti(&self) {
+        if self.mode_name != "sti" {
+            self.batch_only(&format!("--mode {}", self.mode_name));
+        }
+    }
+
+    /// Refuses `what` in a server with `BIN: WHAT is batch-only; the
+    /// server runs the STI`.
+    pub fn batch_only(&self, what: &str) -> ! {
+        self.fatal(&format!("{what} is batch-only; the server runs the STI"))
+    }
+
     /// The interpreter configuration the flags ask for. `--mode` rebuilds
     /// the configuration, so the worker count, storage backend and
     /// provenance switch are applied here, after parsing, to make flag
-    /// order irrelevant; `--profile-json` turns the profiler on.
+    /// order irrelevant; `--profile-json` turns the profiler on. The
+    /// legacy mode with `--storage disk` is refused here.
     pub fn config(&self) -> InterpreterConfig {
         let mut config = self.mode;
         config.profile |= self.profile_json.is_some();
@@ -141,6 +163,9 @@ impl CommonArgs {
             config.jobs = n;
         }
         if let Some(s) = self.storage {
+            if config.legacy_data && s == StorageBackend::Disk {
+                self.fatal("--mode legacy keeps its relations in memory; drop --storage disk");
+            }
             config.storage = s;
         }
         config.provenance |= self.provenance;

@@ -44,6 +44,7 @@ use stir_core::io::parse_field;
 use stir_core::telemetry::{LogLevel, Logger, MetricSnapshot, Reach, ServeMetrics};
 use stir_core::{ResidentEngine, Telemetry, Value};
 use stir_frontend::ast::AttrType;
+use stir_ram::RamProgram;
 
 /// `retry-after` hint (milliseconds) on `err overloaded` replies: shed
 /// writes should come back after roughly one write-queue drain.
@@ -501,7 +502,7 @@ fn write_fact(
     let (report, ticket) = {
         let mut engine = engine.write().unwrap_or_else(PoisonError::into_inner);
         gate_write(&engine)?;
-        let types = attr_types(&engine, &rel, terms.len())?;
+        let types = attr_types(engine.ram(), &rel, terms.len())?;
         let mut row = Vec::with_capacity(terms.len());
         for (i, (term, ty)) in terms.iter().zip(&types).enumerate() {
             row.push(constant(term, *ty).map_err(|e| format!("term {}: {e}", i + 1))?);
@@ -542,7 +543,7 @@ fn query(
     let atom = atom.strip_suffix('.').unwrap_or(atom);
     let (rel, terms) = parse_atom(atom)?;
     let engine = rd(engine);
-    let types = attr_types(&engine, &rel, terms.len())?;
+    let types = attr_types(engine.ram(), &rel, terms.len())?;
     let mut pattern = Vec::with_capacity(terms.len());
     for (i, (term, ty)) in terms.iter().zip(&types).enumerate() {
         pattern.push(match term {
@@ -560,36 +561,45 @@ fn query(
         .map_err(|e| e.to_string())
 }
 
-/// Answers `.explain rel(c1, ...)`: all terms must be constants (a proof
-/// is of one concrete fact), and the engine must run with provenance on.
-/// Returns the rendered tree plus its node count for the `ok` trailer.
+/// Answers `.explain rel(c1, ...)`: the engine must run with provenance
+/// on. Returns the rendered tree plus its node count for the `ok` trailer.
 fn explain(
     engine: &RwLock<ResidentEngine>,
     atom: &str,
     tel: Option<&Telemetry>,
 ) -> Result<(String, usize), String> {
-    let atom = atom.strip_suffix('.').unwrap_or(atom);
-    if atom.is_empty() {
-        return Err("usage: .explain rel(c1, c2, ...)".into());
-    }
-    let (rel, terms) = parse_atom(atom)?;
     let engine = rd(engine);
-    let types = attr_types(&engine, &rel, terms.len())?;
-    let mut row = Vec::with_capacity(terms.len());
-    for (i, (term, ty)) in terms.iter().zip(&types).enumerate() {
-        row.push(constant(term, *ty).map_err(|e| format!("term {}: {e}", i + 1))?);
-    }
+    let (rel, row) = parse_fact(engine.ram(), atom)?;
     let node = engine
         .explain(&rel, &row, stir_core::ExplainLimits::default(), tel)
         .map_err(|e| e.to_string())?;
     Ok((engine.render_proof(&node), node.size()))
 }
 
+/// Parses the fact of `.explain rel(c1, ...)` (or `stir explain`), all
+/// constants, against `ram`'s column types.
+///
+/// # Errors
+///
+/// The `err` reason the session would answer.
+pub fn parse_fact(ram: &RamProgram, atom: &str) -> Result<(String, Vec<Value>), String> {
+    let atom = atom.strip_suffix('.').unwrap_or(atom);
+    if atom.is_empty() {
+        return Err("usage: .explain rel(c1, c2, ...)".into());
+    }
+    let (rel, terms) = parse_atom(atom)?;
+    let types = attr_types(ram, &rel, terms.len())?;
+    let mut row = Vec::with_capacity(terms.len());
+    for (i, (term, ty)) in terms.iter().zip(&types).enumerate() {
+        row.push(constant(term, *ty).map_err(|e| format!("term {}: {e}", i + 1))?);
+    }
+    Ok((rel, row))
+}
+
 /// Looks the relation up and checks the term count, returning the
 /// declared column types (cloned so the engine lock can be reused).
-fn attr_types(engine: &ResidentEngine, rel: &str, n: usize) -> Result<Vec<AttrType>, String> {
-    let meta = engine
-        .ram()
+fn attr_types(ram: &RamProgram, rel: &str, n: usize) -> Result<Vec<AttrType>, String> {
+    let meta = ram
         .relation_by_name(rel)
         .ok_or_else(|| format!("unknown relation `{rel}`"))?;
     if meta.arity != n {

@@ -1,7 +1,8 @@
 //! Integration tests for the `stir` command-line driver.
 
+use std::io::{BufRead, BufReader, Read, Write};
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn stir() -> Command {
     Command::new(env!("CARGO_BIN_EXE_stir"))
@@ -121,7 +122,10 @@ fn shared_flags_reject_the_same_values_in_both_binaries() {
         (&["-F"], None),
         (&["--fact-dir"], None),
         (&["--mode"], None),
-        (&["--mode", "turbo"], None),
+        (
+            &["--mode", "turbo"],
+            Some("--mode needs sti, dynamic, unopt or legacy".into()),
+        ),
         (&["-j"], None),
         (&["--jobs"], None),
         (&["-j", "0"], Some(format!("--jobs {POSITIVE}"))),
@@ -158,16 +162,24 @@ fn shared_flags_reject_the_same_values_in_both_binaries() {
         ),
         (&["--no-such-flag"], None),
     ];
-    let binaries = [
-        ("stir", env!("CARGO_BIN_EXE_stir")),
-        ("stird", env!("CARGO_BIN_EXE_stird")),
+    // `stird`'s own flag with a value: the same two failure behaviours.
+    let port: &[(&[&str], Option<String>)] = &[
+        (&["--port"], None),
+        (
+            &["--port", "abc"],
+            Some("--port needs a port number (0 to 65535)".into()),
+        ),
     ];
-    for (name, path) in binaries {
+    let binaries = [
+        ("stir", env!("CARGO_BIN_EXE_stir"), &[][..]),
+        ("stird", env!("CARGO_BIN_EXE_stird"), port),
+    ];
+    for (name, path, own) in binaries {
         let help = Command::new(path).arg("--help").output().expect("runs");
         assert!(help.status.success(), "{name} --help");
         let usage = String::from_utf8_lossy(&help.stdout).into_owned();
         assert!(usage.starts_with(&format!("usage: {name} ")), "{usage}");
-        for (args, complaint) in table {
+        for (args, complaint) in table.iter().chain(own) {
             let out = Command::new(path)
                 .arg(dir.join("tc.dl"))
                 .args(*args)
@@ -183,6 +195,113 @@ fn shared_flags_reject_the_same_values_in_both_binaries() {
             assert_eq!(stderr, want, "{name} {args:?}");
         }
     }
+}
+
+/// The servers run the STI. `stird` and `stir repl` refuse the three
+/// ablation modes, and the REPL also refuses the ablation flags (which
+/// `stird` never had). Batch `stir` keeps every mode but refuses the
+/// legacy one on disk storage. Each refusal is one `BIN: reason` line,
+/// exit code 2 and nothing on stdout.
+#[test]
+fn servers_refuse_the_batch_only_modes_and_flags() {
+    let dir = setup("batch-only");
+    let prog = dir.join("tc.dl");
+    let batch_only = "is batch-only; the server runs the STI";
+    // (binary, leading arguments, arguments after the program, complaint)
+    let mut table: Vec<(&str, &[&str], Vec<&str>, String)> = Vec::new();
+    for mode in ["dynamic", "unopt", "legacy"] {
+        let refused = format!("--mode {mode} {batch_only}");
+        table.push(("stird", &[], vec!["--mode", mode], refused.clone()));
+        table.push(("stir", &["repl"], vec!["--mode", mode], refused));
+    }
+    for flag in ["--no-super", "--no-reorder"] {
+        let refused = format!("{flag} {batch_only}");
+        table.push(("stir", &["repl"], vec![flag], refused));
+    }
+    table.push((
+        "stir",
+        &[],
+        vec!["--mode", "legacy", "--storage", "disk"],
+        "--mode legacy keeps its relations in memory; drop --storage disk".into(),
+    ));
+    for (name, lead, args, complaint) in table {
+        let path = match name {
+            "stird" => env!("CARGO_BIN_EXE_stird"),
+            _ => env!("CARGO_BIN_EXE_stir"),
+        };
+        let out = Command::new(path)
+            .args(lead)
+            .arg(&prog)
+            .args(&args)
+            .stdin(Stdio::null())
+            .output()
+            .expect("runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{name} {lead:?} {args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{name} {lead:?} {args:?}");
+        assert_eq!(
+            stderr,
+            format!("{name}: {complaint}\n"),
+            "{name} {lead:?} {args:?}"
+        );
+    }
+}
+
+/// The benchmark's exact `stird` invocation still serves, on either
+/// storage backend.
+#[test]
+fn stird_serves_the_benchmark_invocation() {
+    let dir = setup("bench-invocation");
+    for storage in ["mem", "disk"] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_stird"))
+            .arg(dir.join("tc.dl"))
+            .args(["--port", "0", "-F"])
+            .arg(&dir)
+            .args(["--mode", "sti", "--jobs", "1", "--storage", storage])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawns");
+        let mut banner = String::new();
+        BufReader::new(child.stdout.take().expect("stdout"))
+            .read_line(&mut banner)
+            .expect("banner");
+        let addr = banner.trim().strip_prefix("stird: listening on ");
+        let addr = addr.unwrap_or_else(|| panic!("{storage}: banner {banner:?}"));
+        let mut conn = std::net::TcpStream::connect(addr).expect("connects");
+        conn.write_all(b"?path(1, _)\n.stop\n")
+            .expect("request written");
+        let mut reply = String::new();
+        conn.read_to_string(&mut reply).expect("reply");
+        assert_eq!(reply, "1\t2\n1\t3\nok 2 rows\nbye\n", "{storage}");
+        assert!(child.wait().expect("exits").success(), "{storage}");
+    }
+}
+
+/// `stir explain` is a batch run: every mode proves a fact alike.
+#[test]
+fn explain_answers_alike_in_every_mode() {
+    let dir = setup("explain-modes");
+    let mut proofs = Vec::new();
+    for mode in ["sti", "dynamic", "unopt", "legacy"] {
+        let out = stir()
+            .arg("explain")
+            .arg(dir.join("tc.dl"))
+            .arg("path(1, 3)")
+            .arg("-F")
+            .arg(&dir)
+            .args(["--mode", mode])
+            .output()
+            .expect("runs");
+        assert!(out.status.success(), "mode {mode}");
+        proofs.push(String::from_utf8_lossy(&out.stdout).into_owned());
+    }
+    assert!(proofs[0].ends_with("ok 4 nodes\n"), "{}", proofs[0]);
+    assert!(proofs.windows(2).all(|w| w[0] == w[1]), "{proofs:?}");
 }
 
 /// The files of an output directory, by name, with their bytes.

@@ -27,8 +27,6 @@ path(x, z) :- path(x, y), edge(y, z).\n";
 
 const BASE_EDGES: &[[i64; 2]] = &[[1, 2], [2, 3]];
 
-const MODES: &[&str] = &["sti", "dynamic", "unopt", "legacy"];
-
 /// Where [`Server::start`] sends the latest server's stderr, inside the
 /// scenario directory.
 const STDERR_LOG: &str = "stderr.log";
@@ -54,13 +52,11 @@ struct Server {
 }
 
 impl Server {
-    fn start(dir: &Path, mode: &str, fault: Option<&str>, extra: &[&str]) -> Server {
+    fn start(dir: &Path, fault: Option<&str>, extra: &[&str]) -> Server {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_stird"));
         cmd.arg(dir.join("tc.dl"))
             .arg("-F")
             .arg(dir)
-            .arg("--mode")
-            .arg(mode)
             .arg("--data-dir")
             .arg(dir.join("data"))
             .args(extra)
@@ -183,7 +179,7 @@ fn query(server: &Server, q: &str) -> BTreeSet<Vec<i64>> {
 /// The from-scratch oracle: evaluate the program in-process over the
 /// base facts plus `extra` edges, entirely bypassing the durability
 /// stack, and return the `path` rows.
-fn oracle(config: InterpreterConfig, extra: &[[i64; 2]]) -> BTreeSet<Vec<i64>> {
+fn oracle(extra: &[[i64; 2]]) -> BTreeSet<Vec<i64>> {
     let engine = Engine::from_source(PROGRAM).expect("oracle builds");
     let mut inputs = InputData::new();
     let edges: Vec<Vec<Value>> = BASE_EDGES
@@ -192,7 +188,9 @@ fn oracle(config: InterpreterConfig, extra: &[[i64; 2]]) -> BTreeSet<Vec<i64>> {
         .map(|&[x, y]| vec![Value::Number(x as i32), Value::Number(y as i32)])
         .collect();
     inputs.insert("edge".to_owned(), edges);
-    let result = engine.run(config, &inputs).expect("oracle runs");
+    let result = engine
+        .run(InterpreterConfig::optimized(), &inputs)
+        .expect("oracle runs");
     result.outputs["path"]
         .iter()
         .map(|row| {
@@ -206,16 +204,6 @@ fn oracle(config: InterpreterConfig, extra: &[[i64; 2]]) -> BTreeSet<Vec<i64>> {
         .collect()
 }
 
-fn config_for(mode: &str) -> InterpreterConfig {
-    match mode {
-        "sti" => InterpreterConfig::optimized(),
-        "dynamic" => InterpreterConfig::dynamic_adapter(),
-        "unopt" => InterpreterConfig::unoptimized(),
-        "legacy" => InterpreterConfig::legacy(),
-        other => panic!("unknown mode {other}"),
-    }
-}
-
 /// A fresh chain suffix per scenario so every insert genuinely extends
 /// the transitive closure.
 fn edges_for_run(n: usize) -> Vec<[i64; 2]> {
@@ -225,11 +213,11 @@ fn edges_for_run(n: usize) -> Vec<[i64; 2]> {
 /// Runs one crash scenario end to end and asserts the recovery
 /// invariant. `fault` must eventually kill the server while the insert
 /// stream is running.
-fn crash_scenario(name: &str, mode: &str, fault: &str, extra: &[&str]) {
-    let dir = setup(&format!("{name}-{mode}"));
+fn crash_scenario(name: &str, fault: &str, extra: &[&str]) {
+    let dir = setup(name);
     let edges = edges_for_run(8);
 
-    let server = Server::start(&dir, mode, Some(fault), extra);
+    let server = Server::start(&dir, Some(fault), extra);
     let (acked, in_flight) = insert_until_crash(&server, &edges);
     let status = {
         let mut server = server;
@@ -237,41 +225,36 @@ fn crash_scenario(name: &str, mode: &str, fault: &str, extra: &[&str]) {
     };
     assert!(
         !status.success(),
-        "{name}/{mode}: the injected fault should have killed the server"
+        "{name}: the injected fault should have killed the server"
     );
     assert!(
         in_flight.is_some(),
-        "{name}/{mode}: the crash should interrupt the insert stream"
+        "{name}: the crash should interrupt the insert stream"
     );
 
     // Restart fault-free over the same data dir and read what survived.
-    let server = Server::start(&dir, mode, None, extra);
+    let server = Server::start(&dir, None, extra);
     let recovered = query_path(&server);
 
-    let config = config_for(mode);
-    let floor = oracle(config, &acked);
+    let floor = oracle(&acked);
     assert!(
         recovered.is_superset(&floor),
-        "{name}/{mode}: acknowledged inserts lost in recovery\n  \
+        "{name}: acknowledged inserts lost in recovery\n  \
          acked={acked:?}\n  missing={:?}",
         floor.difference(&recovered).collect::<Vec<_>>()
     );
     let mut ceiling_edges = acked.clone();
     ceiling_edges.extend(in_flight);
-    let ceiling = oracle(config, &ceiling_edges);
+    let ceiling = oracle(&ceiling_edges);
     assert!(
         recovered.is_subset(&ceiling),
-        "{name}/{mode}: recovery invented tuples\n  extra={:?}",
+        "{name}: recovery invented tuples\n  extra={:?}",
         recovered.difference(&ceiling).collect::<Vec<_>>()
     );
 
     // The recovered server must still accept work.
     let (more, none) = insert_until_crash(&server, &[[90, 91]]);
-    assert_eq!(
-        more.len(),
-        1,
-        "{name}/{mode}: recovered server rejects inserts"
-    );
+    assert_eq!(more.len(), 1, "{name}: recovered server rejects inserts");
     assert!(none.is_none());
 }
 
@@ -281,16 +264,16 @@ fn crash_scenario(name: &str, mode: &str, fault: &str, extra: &[&str]) {
 /// acknowledged retractions; the one in flight may or may not have
 /// reached the WAL, so the recovered set must match one of the two
 /// possible worlds — never a third.
-fn delete_crash_scenario(name: &str, mode: &str, fault: &str, extra: &[&str]) {
-    let dir = setup(&format!("{name}-{mode}"));
+fn delete_crash_scenario(name: &str, fault: &str, extra: &[&str]) {
+    let dir = setup(name);
     let edges = edges_for_run(8);
 
-    let server = Server::start(&dir, mode, Some(fault), extra);
+    let server = Server::start(&dir, Some(fault), extra);
     let (inserted, none) = insert_until_crash(&server, &edges);
     assert_eq!(
         inserted.len(),
         edges.len(),
-        "{name}/{mode}: inserts must not trip a delete-record fault"
+        "{name}: inserts must not trip a delete-record fault"
     );
     assert!(none.is_none());
     let (retracted, in_flight) = retract_until_crash(&server, &edges);
@@ -300,15 +283,14 @@ fn delete_crash_scenario(name: &str, mode: &str, fault: &str, extra: &[&str]) {
     };
     assert!(
         !status.success(),
-        "{name}/{mode}: the injected fault should have killed the server"
+        "{name}: the injected fault should have killed the server"
     );
     let in_flight =
-        in_flight.unwrap_or_else(|| panic!("{name}/{mode}: crash should interrupt the stream"));
+        in_flight.unwrap_or_else(|| panic!("{name}: crash should interrupt the stream"));
 
-    let server = Server::start(&dir, mode, None, extra);
+    let server = Server::start(&dir, None, extra);
     let recovered = query_path(&server);
 
-    let config = config_for(mode);
     let survivors = |gone: &[[i64; 2]]| -> Vec<[i64; 2]> {
         edges
             .iter()
@@ -316,94 +298,74 @@ fn delete_crash_scenario(name: &str, mode: &str, fault: &str, extra: &[&str]) {
             .copied()
             .collect()
     };
-    let committed = oracle(config, &survivors(&retracted));
+    let committed = oracle(&survivors(&retracted));
     let mut with_in_flight = retracted.clone();
     with_in_flight.push(in_flight);
-    let also_in_flight = oracle(config, &survivors(&with_in_flight));
+    let also_in_flight = oracle(&survivors(&with_in_flight));
     assert!(
         recovered == committed || recovered == also_in_flight,
-        "{name}/{mode}: recovery matches neither acked-only nor \
+        "{name}: recovery matches neither acked-only nor \
          acked+in-flight\n  retracted={retracted:?}\n  in_flight={in_flight:?}\n  \
          recovered={recovered:?}"
     );
 
     // The recovered server must accept both kinds of work.
     let (more, none) = insert_until_crash(&server, &[[90, 91]]);
-    assert_eq!(
-        more.len(),
-        1,
-        "{name}/{mode}: recovered server rejects inserts"
-    );
+    assert_eq!(more.len(), 1, "{name}: recovered server rejects inserts");
     assert!(none.is_none());
     let (gone, none) = retract_until_crash(&server, &[[90, 91]]);
     assert_eq!(
         gone.len(),
         1,
-        "{name}/{mode}: recovered server rejects retractions"
+        "{name}: recovered server rejects retractions"
     );
     assert!(none.is_none());
 }
 
 #[test]
 fn crash_during_wal_write_loses_nothing_acked() {
-    for mode in MODES {
-        crash_scenario("wal-write", mode, "wal_write:crash_at=3", &[]);
-    }
+    crash_scenario("wal-write", "wal_write:crash_at=3", &[]);
 }
 
 #[test]
 fn crash_during_wal_fsync_loses_nothing_acked() {
-    for mode in MODES {
-        crash_scenario(
-            "wal-fsync",
-            mode,
-            "wal_fsync:crash_at=2",
-            &["--durability", "always"],
-        );
-    }
+    crash_scenario(
+        "wal-fsync",
+        "wal_fsync:crash_at=2",
+        &["--durability", "always"],
+    );
 }
 
 #[test]
 fn crash_during_snapshot_write_loses_nothing_acked() {
-    for mode in MODES {
-        crash_scenario(
-            "snap-write",
-            mode,
-            "snapshot_write:crash_at=2",
-            &["--snapshot-interval", "1"],
-        );
-    }
+    crash_scenario(
+        "snap-write",
+        "snapshot_write:crash_at=2",
+        &["--snapshot-interval", "1"],
+    );
 }
 
 #[test]
 fn crash_during_snapshot_rename_loses_nothing_acked() {
-    for mode in MODES {
-        crash_scenario(
-            "snap-rename",
-            mode,
-            "snapshot_rename:crash_at=2",
-            &["--snapshot-interval", "1"],
-        );
-    }
+    crash_scenario(
+        "snap-rename",
+        "snapshot_rename:crash_at=2",
+        &["--snapshot-interval", "1"],
+    );
 }
 
 #[test]
 fn crash_during_wal_delete_write_loses_no_acked_retraction() {
-    for mode in MODES {
-        delete_crash_scenario("wal-del-write", mode, "wal_delete_write:crash_at=3", &[]);
-    }
+    delete_crash_scenario("wal-del-write", "wal_delete_write:crash_at=3", &[]);
 }
 
 #[test]
 fn crash_during_wal_delete_fsync_loses_no_acked_retraction() {
-    for mode in MODES {
-        delete_crash_scenario(
-            "wal-del-fsync",
-            mode,
-            "wal_delete_fsync:crash_at=2",
-            &["--durability", "always"],
-        );
-    }
+    delete_crash_scenario(
+        "wal-del-fsync",
+        "wal_delete_fsync:crash_at=2",
+        &["--durability", "always"],
+    );
 }
 
 /// SIGKILL after a mixed insert/retract stream: with `--durability
@@ -413,7 +375,7 @@ fn crash_during_wal_delete_fsync_loses_no_acked_retraction() {
 fn sigkill_after_retractions_recovers_the_survivors() {
     let dir = setup("sigkill-retract");
     let edges = edges_for_run(6);
-    let server = Server::start(&dir, "sti", None, &["--durability", "always"]);
+    let server = Server::start(&dir, None, &["--durability", "always"]);
     let (acked, none) = insert_until_crash(&server, &edges);
     assert_eq!(acked.len(), edges.len());
     assert!(none.is_none());
@@ -427,7 +389,7 @@ fn sigkill_after_retractions_recovers_the_survivors() {
         server.child.wait().expect("reaped");
     }
 
-    let server = Server::start(&dir, "sti", None, &[]);
+    let server = Server::start(&dir, None, &[]);
     let recovered = query_path(&server);
     let survivors: Vec<[i64; 2]> = edges
         .iter()
@@ -436,7 +398,7 @@ fn sigkill_after_retractions_recovers_the_survivors() {
         .collect();
     assert_eq!(
         recovered,
-        oracle(InterpreterConfig::optimized(), &survivors),
+        oracle(&survivors),
         "SIGKILL after acked retractions must not resurrect the doomed facts"
     );
 }
@@ -446,7 +408,7 @@ fn sigkill_after_retractions_recovers_the_survivors() {
 #[test]
 fn transient_delete_record_failure_refuses_the_retraction() {
     let dir = setup("wal-del-once");
-    let server = Server::start(&dir, "sti", Some("wal_delete_write:once"), &[]);
+    let server = Server::start(&dir, Some("wal_delete_write:once"), &[]);
     let mut conn = server.connect();
     let mut reader = BufReader::new(conn.try_clone().expect("clone"));
 
@@ -479,11 +441,11 @@ fn transient_delete_record_failure_refuses_the_retraction() {
     // holds — edge(50, 51) stays gone.
     drop(conn);
     drop(server);
-    let server = Server::start(&dir, "sti", None, &[]);
+    let server = Server::start(&dir, None, &[]);
     let recovered = query_path(&server);
     assert_eq!(
         recovered,
-        oracle(InterpreterConfig::optimized(), &[]),
+        oracle(&[]),
         "the retraction must survive the restart"
     );
 }
@@ -492,7 +454,7 @@ fn transient_delete_record_failure_refuses_the_retraction() {
 fn sigkill_mid_stream_loses_nothing_acked() {
     let dir = setup("sigkill");
     let edges = edges_for_run(6);
-    let server = Server::start(&dir, "sti", None, &["--durability", "always"]);
+    let server = Server::start(&dir, None, &["--durability", "always"]);
     let (acked, in_flight) = insert_until_crash(&server, &edges);
     assert_eq!(
         acked.len(),
@@ -506,11 +468,11 @@ fn sigkill_mid_stream_loses_nothing_acked() {
         server.child.wait().expect("reaped");
     }
 
-    let server = Server::start(&dir, "sti", None, &[]);
+    let server = Server::start(&dir, None, &[]);
     let recovered = query_path(&server);
     assert_eq!(
         recovered,
-        oracle(InterpreterConfig::optimized(), &acked),
+        oracle(&acked),
         "SIGKILL after ack must not lose data under --durability always"
     );
 }
@@ -522,7 +484,7 @@ fn sigkill_mid_stream_loses_nothing_acked() {
 fn hostile_wal_record_fails_startup_with_the_offset() {
     let dir = setup("wal-hostile");
     {
-        let server = Server::start(&dir, "sti", None, &["--durability", "always"]);
+        let server = Server::start(&dir, None, &["--durability", "always"]);
         let (acked, none) = insert_until_crash(&server, &[[10, 11], [11, 12]]);
         assert_eq!(acked.len(), 2, "both inserts acked and fsynced");
         assert!(none.is_none());
@@ -578,7 +540,7 @@ fn hostile_wal_record_fails_startup_with_the_offset() {
 #[test]
 fn transient_wal_failure_refuses_the_insert() {
     let dir = setup("wal-once");
-    let server = Server::start(&dir, "sti", Some("wal_write:once"), &[]);
+    let server = Server::start(&dir, Some("wal_write:once"), &[]);
     let mut conn = server.connect();
     let mut reader = BufReader::new(conn.try_clone().expect("clone"));
 
@@ -601,11 +563,11 @@ fn transient_wal_failure_refuses_the_insert() {
     // Restart: only the acked batch is recovered.
     drop(conn);
     drop(server);
-    let server = Server::start(&dir, "sti", None, &[]);
+    let server = Server::start(&dir, None, &[]);
     let recovered = query_path(&server);
     assert_eq!(
         recovered,
-        oracle(InterpreterConfig::optimized(), &[[60, 61]]),
+        oracle(&[[60, 61]]),
         "refused batch must not reappear, acked batch must survive"
     );
 }
@@ -634,14 +596,14 @@ fn request(server: &Server, line: &str) -> String {
 fn refused_acked_and_retracted_writes_survive_sigkills() {
     let dir = setup("wal-fault-sigkill");
     let always = ["--durability", "always"];
-    let server = Server::start(&dir, "sti", Some("wal_write:once"), &always);
+    let server = Server::start(&dir, Some("wal_write:once"), &always);
     let refused = request(&server, "+edge(3, 4).");
     assert!(refused.starts_with("err storage error"), "{refused}");
     assert_eq!(request(&server, "+edge(4, 5)."), "ok 1 inserted");
     drop(server); // SIGKILL
 
     let provenance = [&always[..], &["--provenance"]].concat();
-    let server = Server::start(&dir, "sti", None, &provenance);
+    let server = Server::start(&dir, None, &provenance);
     assert_eq!(
         query(&server, "?path(_, 5)").len(),
         1,
@@ -657,7 +619,7 @@ fn refused_acked_and_retracted_writes_survive_sigkills() {
     assert!(query(&server, "?path(2, _)").is_empty(), "nothing leaves 2");
     drop(server); // SIGKILL
 
-    let server = Server::start(&dir, "sti", None, &[]);
+    let server = Server::start(&dir, None, &[]);
     assert!(
         query(&server, "?path(2, _)").is_empty(),
         "edge(2, 3) stays gone"
@@ -671,7 +633,7 @@ fn refused_acked_and_retracted_writes_survive_sigkills() {
 #[test]
 fn rejected_snapshot_is_logged_at_default_flags() {
     let dir = setup("rejected-snapshot");
-    let server = Server::start(&dir, "sti", None, &[]);
+    let server = Server::start(&dir, None, &[]);
     let (acked, _) = insert_until_crash(&server, &[[3, 4]]);
     assert_eq!(acked.len(), 1);
     assert!(request(&server, ".snapshot").starts_with("ok snapshot"));
@@ -684,7 +646,7 @@ fn rejected_snapshot_is_logged_at_default_flags() {
     bytes[mid] ^= 0x10;
     std::fs::write(&snapshot, &bytes).expect("bit flipped");
 
-    let server = Server::start(&dir, "sti", None, &[]);
+    let server = Server::start(&dir, None, &[]);
     let log = std::fs::read_to_string(dir.join(STDERR_LOG)).expect("stderr log");
     assert!(log.contains("recovery snapshot=false"), "{log}");
     let rejection = log
@@ -694,7 +656,7 @@ fn rejected_snapshot_is_logged_at_default_flags() {
     assert!(rejection.contains("stird[error]"), "{rejection}");
     assert!(rejection.contains("checksum mismatch"), "{rejection}");
     // And the loss it announces is real: edge(3, 4) is gone.
-    assert_eq!(query_path(&server), oracle(config_for("sti"), &[]));
+    assert_eq!(query_path(&server), oracle(&[]));
 }
 
 /// The server dies mid-compaction, while the replacement snapshot is
@@ -705,30 +667,27 @@ fn rejected_snapshot_is_logged_at_default_flags() {
 #[test]
 fn crash_during_compaction_loses_nothing_acked() {
     let disk = ["--storage", "disk", "--durability", "always"];
-    for mode in MODES {
-        let dir = setup(&format!("compact-crash-{mode}"));
-        let server = Server::start(&dir, mode, Some("compact_write:crash"), &disk);
-        let (mut acked, _) = insert_until_crash(&server, &[[3, 4]]);
-        let reply = request(&server, ".snapshot");
-        assert!(reply.starts_with("ok snapshot"), "{mode}: {reply}");
-        acked.extend(insert_until_crash(&server, &[[4, 5]]).0);
-        assert_eq!(acked.len(), 2, "{mode}: both inserts acked");
-        let mut conn = server.connect();
-        let _ = conn.write_all(b".compact\n");
-        let _ = std::io::Read::read_to_end(&mut conn, &mut Vec::new());
-        let status = {
-            let mut server = server;
-            server.child.wait().expect("crashed server reaped")
-        };
-        assert!(!status.success(), "{mode}: compaction should have crashed");
+    let dir = setup("compact-crash");
+    let server = Server::start(&dir, Some("compact_write:crash"), &disk);
+    let (mut acked, _) = insert_until_crash(&server, &[[3, 4]]);
+    let reply = request(&server, ".snapshot");
+    assert!(reply.starts_with("ok snapshot"), "{reply}");
+    acked.extend(insert_until_crash(&server, &[[4, 5]]).0);
+    assert_eq!(acked.len(), 2, "both inserts acked");
+    let mut conn = server.connect();
+    let _ = conn.write_all(b".compact\n");
+    let _ = std::io::Read::read_to_end(&mut conn, &mut Vec::new());
+    let status = {
+        let mut server = server;
+        server.child.wait().expect("crashed server reaped")
+    };
+    assert!(!status.success(), "compaction should have crashed");
 
-        let server = Server::start(&dir, mode, None, &disk[..2]);
-        let config = config_for(mode);
-        assert_eq!(query_path(&server), oracle(config, &acked), "{mode}");
-        let reply = request(&server, ".compact");
-        assert!(reply.starts_with("ok compact"), "{mode}: {reply}");
-        assert_eq!(query_path(&server), oracle(config, &acked), "{mode}");
-    }
+    let server = Server::start(&dir, None, &disk[..2]);
+    assert_eq!(query_path(&server), oracle(&acked));
+    let reply = request(&server, ".compact");
+    assert!(reply.starts_with("ok compact"), "{reply}");
+    assert_eq!(query_path(&server), oracle(&acked));
 }
 
 /// A publish that fails before the rename must not leave its temp file
@@ -736,7 +695,7 @@ fn crash_during_compaction_loses_nothing_acked() {
 #[test]
 fn failed_snapshot_publish_removes_its_temp() {
     let dir = setup("publish-fails");
-    let server = Server::start(&dir, "sti", Some("snapshot_rename:once"), &[]);
+    let server = Server::start(&dir, Some("snapshot_rename:once"), &[]);
     let reply = request(&server, ".snapshot");
     assert!(reply.starts_with("err "), "fault must surface: {reply}");
     let data = dir.join("data");
@@ -754,7 +713,6 @@ fn temp_orphaned_by_a_crashed_publish_is_swept_at_open() {
     let dir = setup("publish-crashes");
     let server = Server::start(
         &dir,
-        "sti",
         Some("snapshot_rename:crash"),
         &["--snapshot-interval", "1"],
     );
@@ -770,10 +728,10 @@ fn temp_orphaned_by_a_crashed_publish_is_swept_at_open() {
     let tmp = dir.join("data").join("snapshot.tmp");
     assert!(tmp.exists(), "the crash leaves the temp behind");
 
-    let server = Server::start(&dir, "sti", None, &[]);
+    let server = Server::start(&dir, None, &[]);
     assert!(!tmp.exists(), "open sweeps it");
     // The batch reached the WAL before the auto-snapshot crashed.
-    assert_eq!(query_path(&server), oracle(config_for("sti"), &[[3, 4]]));
+    assert_eq!(query_path(&server), oracle(&[[3, 4]]));
 }
 
 /// Sends one HTTP GET to the admin endpoint and returns its body.
@@ -800,7 +758,7 @@ fn admin_get(server: &Server, path: &str) -> String {
 fn disk_cold_start_maps_the_snapshot_and_replays_the_suffix() {
     let disk = ["--storage", "disk", "--durability", "always"];
     let dir = setup("disk-cold-start");
-    let server = Server::start(&dir, "sti", None, &disk);
+    let server = Server::start(&dir, None, &disk);
     let (mut acked, _) = insert_until_crash(&server, &[[3, 4]]);
     assert!(request(&server, ".snapshot").starts_with("ok snapshot"));
     acked.extend(insert_until_crash(&server, &[[4, 5]]).0);
@@ -808,8 +766,8 @@ fn disk_cold_start_maps_the_snapshot_and_replays_the_suffix() {
     drop(server); // SIGKILL
 
     let extra = [&disk[..], &["--admin-addr", "127.0.0.1:0"]].concat();
-    let server = Server::start(&dir, "sti", None, &extra);
-    let from_one: BTreeSet<Vec<i64>> = (oracle(config_for("sti"), &acked).into_iter())
+    let server = Server::start(&dir, None, &extra);
+    let from_one: BTreeSet<Vec<i64>> = (oracle(&acked).into_iter())
         .filter(|row| row[0] == 1)
         .collect();
     assert_eq!(from_one.len(), 4, "1 reaches 2, 3, 4 and 5");

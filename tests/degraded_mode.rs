@@ -70,13 +70,11 @@ struct Server {
 }
 
 impl Server {
-    fn start(dir: &Path, mode: &str, faults: Option<&Faults>, extra: &[&str]) -> Server {
+    fn start(dir: &Path, faults: Option<&Faults>, extra: &[&str]) -> Server {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_stird"));
         cmd.arg(dir.join("tc.dl"))
             .arg("-F")
             .arg(dir)
-            .arg("--mode")
-            .arg(mode)
             .arg("--data-dir")
             .arg(dir.join("data"))
             .arg("--admin-addr")
@@ -203,7 +201,7 @@ fn query_path(server: &Server) -> BTreeSet<Vec<i64>> {
 }
 
 /// From-scratch oracle over the base facts plus `extra` edges.
-fn oracle(config: InterpreterConfig, extra: &[[i64; 2]]) -> BTreeSet<Vec<i64>> {
+fn oracle(extra: &[[i64; 2]]) -> BTreeSet<Vec<i64>> {
     let engine = Engine::from_source(PROGRAM).expect("oracle builds");
     let mut inputs = InputData::new();
     let edges: Vec<Vec<Value>> = BASE_EDGES
@@ -212,7 +210,9 @@ fn oracle(config: InterpreterConfig, extra: &[[i64; 2]]) -> BTreeSet<Vec<i64>> {
         .map(|&[x, y]| vec![Value::Number(x as i32), Value::Number(y as i32)])
         .collect();
     inputs.insert("edge".to_owned(), edges);
-    let result = engine.run(config, &inputs).expect("oracle runs");
+    let result = engine
+        .run(InterpreterConfig::optimized(), &inputs)
+        .expect("oracle runs");
     result.outputs["path"]
         .iter()
         .map(|row| {
@@ -226,28 +226,18 @@ fn oracle(config: InterpreterConfig, extra: &[[i64; 2]]) -> BTreeSet<Vec<i64>> {
         .collect()
 }
 
-fn config_for(mode: &str) -> InterpreterConfig {
-    match mode {
-        "sti" => InterpreterConfig::optimized(),
-        "dynamic" => InterpreterConfig::dynamic_adapter(),
-        "unopt" => InterpreterConfig::unoptimized(),
-        "legacy" => InterpreterConfig::legacy(),
-        other => panic!("unknown mode {other}"),
-    }
-}
-
 /// The chaos soak (see module docs). Writers use disjoint edge ranges
 /// so `acked`/`attempted` stay per-edge attributable.
-fn chaos_soak(mode: &str, seed: u64) {
-    let dir = setup(&format!("soak-{mode}"));
+#[test]
+fn chaos_soak_sti() {
+    let dir = setup("soak");
     let faults = Faults {
         spec: "wal_write:p=0.25,wal_fsync:p=0.25,wal_probe:p=0.4",
-        seed,
+        seed: 11,
         window_ms: Some(2_000),
     };
     let server = Server::start(
         &dir,
-        mode,
         Some(&faults),
         &["--durability", "always", "--heal-budget", "100000"],
     );
@@ -305,11 +295,44 @@ fn chaos_soak(mode: &str, seed: u64) {
                 })
             })
             .collect();
+        // Churn: a fresh connection per write, as short-lived clients
+        // open them. The query behind the write must answer, and `.quit`
+        // must close the connection cleanly, degraded or not.
+        let churn = s.spawn(|| {
+            let (mut acked, mut attempted) = (Vec::new(), Vec::new());
+            let t0 = Instant::now();
+            let mut i = 0i64;
+            while t0.elapsed() < soak {
+                let edge = [100_000 + i, 100_001 + i];
+                let mut conn = server.connect();
+                let (x, y) = (edge[0], edge[1]);
+                write!(conn, "+edge({x}, {y}).\n?path(1, _)\n.quit\n").expect("written");
+                let mut resp = String::new();
+                conn.read_to_string(&mut resp).expect("read until close");
+                let lines: Vec<&str> = resp.lines().collect();
+                let [write, .., query, bye] = lines[..] else {
+                    panic!("short churn session: {resp:?}");
+                };
+                assert_eq!(bye, "bye", "{resp:?}");
+                assert!(
+                    query.starts_with("ok ") && query.ends_with(" rows"),
+                    "read failed during degradation: {resp:?}"
+                );
+                if write.starts_with("ok ") {
+                    acked.push(edge);
+                } else {
+                    assert!(write.starts_with("err "), "unexpected reply {write}");
+                    attempted.push(edge);
+                }
+                i += 1;
+            }
+            (acked, attempted)
+        });
         let served = reads.join().expect("reader");
         assert!(served > 0, "reader never completed a query");
         let mut acked = Vec::new();
         let mut attempted = Vec::new();
-        for h in writers {
+        for h in writers.into_iter().chain([churn]) {
             let (a, t) = h.join().expect("writer");
             acked.extend(a);
             attempted.extend(t);
@@ -375,43 +398,22 @@ fn chaos_soak(mode: &str, seed: u64) {
     server.child.kill().expect("sigkill");
     server.child.wait().expect("reaped");
     drop(server);
-    let server = Server::start(&dir, mode, None, &["--durability", "always"]);
+    let server = Server::start(&dir, None, &["--durability", "always"]);
     let recovered = query_path(&server);
-    let config = config_for(mode);
-    let floor = oracle(config, &acked);
+    let floor = oracle(&acked);
     let mut all = acked.clone();
     all.extend(&attempted);
-    let ceiling = oracle(config, &all);
+    let ceiling = oracle(&all);
     assert!(
         floor.is_subset(&recovered),
-        "{mode}: lost acked writes: {:?}",
+        "lost acked writes: {:?}",
         floor.difference(&recovered).take(5).collect::<Vec<_>>()
     );
     assert!(
         recovered.is_subset(&ceiling),
-        "{mode}: recovered rows no client ever sent: {:?}",
+        "recovered rows no client ever sent: {:?}",
         recovered.difference(&ceiling).take(5).collect::<Vec<_>>()
     );
-}
-
-#[test]
-fn chaos_soak_sti() {
-    chaos_soak("sti", 11);
-}
-
-#[test]
-fn chaos_soak_dynamic() {
-    chaos_soak("dynamic", 12);
-}
-
-#[test]
-fn chaos_soak_unopt() {
-    chaos_soak("unopt", 13);
-}
-
-#[test]
-fn chaos_soak_legacy() {
-    chaos_soak("legacy", 14);
 }
 
 #[test]
@@ -427,7 +429,6 @@ fn degraded_mode_refuses_writes_serves_reads_and_heals() {
     };
     let server = Server::start(
         &dir,
-        "sti",
         Some(&faults),
         &["--durability", "always", "--heal-budget", "1000"],
     );
@@ -508,7 +509,6 @@ fn heal_budget_exhaustion_latches_failed_and_readyz_503() {
     };
     let server = Server::start(
         &dir,
-        "sti",
         Some(&faults),
         &["--durability", "always", "--heal-budget", "1"],
     );

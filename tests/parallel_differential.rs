@@ -215,8 +215,6 @@ fn proof_heights_are_job_count_invariant() {
     for (mode, config) in [
         ("sti", InterpreterConfig::optimized()),
         ("dynamic", InterpreterConfig::dynamic_adapter()),
-        ("unopt", InterpreterConfig::unoptimized()),
-        ("legacy", InterpreterConfig::legacy()),
     ] {
         let config = config.with_provenance();
         let seq = ResidentEngine::from_source(TC, config.with_jobs(1), &inputs, None)

@@ -13,10 +13,11 @@
 //!    must be derivable from exactly those premises.
 //!
 //! Programs × facts are seeded (proptest is not vendored); every shape
-//! runs in all four interpreter modes at jobs 1 and 4. A final
-//! differential pins the off-mode contract: with provenance off, the
-//! derived database and the profile are indistinguishable from a build
-//! that never heard of annotations.
+//! runs under the STI and the dynamic adapter at jobs 1 and 4. A final
+//! differential, a batch run in all four interpreter modes, pins the
+//! off-mode contract: with provenance off, the derived database and the
+//! profile are indistinguishable from a build that never heard of
+//! annotations.
 
 use std::collections::BTreeSet;
 use stir::{
@@ -126,12 +127,11 @@ fn pairs(state: &mut u64, n: usize, dom: u64) -> Vec<Vec<Value>> {
         .collect()
 }
 
-fn modes() -> [(&'static str, InterpreterConfig); 4] {
+/// The modes a resident engine is tested in.
+fn modes() -> [(&'static str, InterpreterConfig); 2] {
     [
         ("sti", InterpreterConfig::optimized()),
         ("dynamic", InterpreterConfig::dynamic_adapter()),
-        ("unopt", InterpreterConfig::unoptimized()),
-        ("legacy", InterpreterConfig::legacy()),
     ]
 }
 
@@ -263,7 +263,7 @@ fn every_explain_tree_passes_the_independent_checker() {
 /// 100 000-candidate budget on non-matching tuples and answers
 /// `p(70, 100) … (opaque)`. The shared re-matcher is head-driven and
 /// index-backed, so the full 60-node proof (30 `p` steps, 30 `e` leaves)
-/// comes back in every mode and passes the independent checker.
+/// comes back in both modes and passes the independent checker.
 #[test]
 fn long_chain_proofs_are_complete_within_the_default_budget() {
     let shape = &SHAPES[0];
@@ -305,7 +305,11 @@ fn provenance_off_is_invisible_and_on_changes_no_tuples() {
     inputs.insert("f".into(), pairs(&mut state, 7, 6));
 
     let engine = Engine::from_source(shape.src).expect("compiles");
-    for (mode, config) in modes() {
+    let batch_only = [
+        ("unopt", InterpreterConfig::unoptimized()),
+        ("legacy", InterpreterConfig::legacy()),
+    ];
+    for (mode, config) in modes().into_iter().chain(batch_only) {
         let off = engine
             .run(config.with_profile(), &inputs)
             .unwrap_or_else(|e| panic!("mode {mode} off: {e}"));

@@ -1,7 +1,7 @@
 //! Randomized differential testing for the resident engine: applying
 //! random insertion batches incrementally must leave the database in
 //! exactly the state of a from-scratch evaluation over the union of all
-//! facts, in every interpreter mode.
+//! facts, under the STI and the dynamic adapter.
 //!
 //! Programs come from the same restricted seeded grammar as
 //! `prop_differential` (negation included, so the full-recompute
@@ -115,11 +115,9 @@ fn sorted(rows: &[Vec<Value>]) -> BTreeSet<String> {
 
 #[test]
 fn incremental_batches_match_from_scratch_union() {
-    let modes: [(&str, InterpreterConfig); 4] = [
+    let modes: [(&str, InterpreterConfig); 2] = [
         ("sti", InterpreterConfig::optimized()),
         ("dynamic", InterpreterConfig::dynamic_adapter()),
-        ("unopt", InterpreterConfig::unoptimized()),
-        ("legacy", InterpreterConfig::legacy()),
     ];
     let mut checked_cases = 0;
     let (mut saw_incremental, mut saw_fallback) = (false, false);

@@ -1,8 +1,8 @@
 //! Randomized differential testing for retraction: interleaving random
 //! insertion and retraction batches through the resident engine must
 //! leave the database in exactly the state of a from-scratch evaluation
-//! over the *surviving* facts, in every interpreter mode at jobs 1
-//! and 4.
+//! over the *surviving* facts, under the STI and the dynamic adapter at
+//! jobs 1 and 4.
 //!
 //! Programs come from the same restricted seeded grammar as
 //! `resident_differential` (negation included, so retraction's
@@ -139,12 +139,10 @@ fn sorted(rows: &[Vec<Value>]) -> BTreeSet<String> {
         .collect()
 }
 
-fn modes() -> [(&'static str, InterpreterConfig); 4] {
+fn modes() -> [(&'static str, InterpreterConfig); 2] {
     [
         ("sti", InterpreterConfig::optimized()),
         ("dynamic", InterpreterConfig::dynamic_adapter()),
-        ("unopt", InterpreterConfig::unoptimized()),
-        ("legacy", InterpreterConfig::legacy()),
     ]
 }
 
