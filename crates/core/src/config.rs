@@ -73,7 +73,7 @@ pub struct InterpreterConfig {
     pub morsel_size: usize,
     /// Storage backend for standard relations: `Mem` keeps every index
     /// fully in RAM (the classic configuration); `Disk` installs
-    /// [`stir_der::disk::DiskIndex`] adapters — an immutable paged base
+    /// [`stir_der::disk::DiskIndex`] indexes — an immutable paged base
     /// run from the latest snapshot plus an in-memory delta overlay — so
     /// a database larger than RAM can be served within a bounded page
     /// cache and cold starts can map the snapshot instead of replaying a

@@ -16,7 +16,6 @@ use crate::value::Value;
 use std::collections::HashMap;
 use std::sync::atomic::AtomicU32;
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
-use stir_der::disk::DiskIndex;
 use stir_der::dynindex::DynBTreeIndex;
 use stir_der::factory::{IndexSpec, Representation};
 use stir_der::order::Order;
@@ -79,17 +78,38 @@ pub(crate) fn admit(rel: &mut Relation, tuple: &[RamDomain], provenance: bool) -
 /// in memory. Equivalence relations are semantic (the union-find closes
 /// pairs); serving them off a materialized run would silently drop that
 /// behavior. Nullary relations are a single presence bit. Everything else
-/// — every standard B-tree or Brie relation — can live on disk. The
-/// interpreter-tree builder consults the same predicate to route these
-/// relations through the dynamic (adapter-based) instruction variants.
+/// — every standard B-tree or Brie relation — can live on disk, where
+/// [`index_repr`] gives it [`Representation::Disk`].
 pub fn disk_backed(rel: &RamRelation) -> bool {
     rel.role == Role::Standard && rel.repr != ReprKind::EqRel && rel.arity > 0
+}
+
+/// The representation of every index of `rel` in a database of `mode` on
+/// `storage`: what [`Database::new_with_storage`] builds, and so what the
+/// interpreter's statically dispatched handlers downcast to. `None` is the
+/// legacy layer's dynamic B-tree, which has no static form. The legacy
+/// layer stays in memory on either backend, and keeps eqrel: that
+/// representation is semantic (it closes pairs).
+pub fn index_repr(
+    rel: &RamRelation,
+    mode: DataMode,
+    storage: StorageBackend,
+) -> Option<Representation> {
+    match (rel.repr, mode) {
+        (ReprKind::EqRel, _) => Some(Representation::EqRel),
+        (_, DataMode::LegacyDynamic) => None,
+        _ if storage == StorageBackend::Disk && disk_backed(rel) => Some(Representation::Disk),
+        (ReprKind::BTree, _) => Some(Representation::BTree),
+        (ReprKind::Brie, _) => Some(Representation::Brie),
+    }
 }
 
 /// The relations, symbol table, and counter of one evaluation.
 #[derive(Debug)]
 pub struct Database {
     relations: Vec<RwLock<Relation>>,
+    /// [`index_repr`] of each relation, as built.
+    reprs: Vec<Option<Representation>>,
     /// The symbol table grows at runtime (`cat`, `to_string`).
     pub symbols: RwLock<SymbolTable>,
     /// The `$` auto-increment counter.
@@ -119,12 +139,12 @@ impl Database {
         Self::new_with_storage(ram, mode, provenance, StorageBackend::Mem)
     }
 
-    /// Builds the database on the selected storage backend: under
-    /// [`StorageBackend::Disk`] every [`disk_backed`]-eligible relation
-    /// of a [`DataMode::Specialized`] database gets [`DiskIndex`] adapters
+    /// Builds the database on the selected storage backend: every index
+    /// of a relation gets the representation [`index_repr`] decides —
+    /// under [`StorageBackend::Disk`], [`Representation::Disk`] for the
+    /// [`disk_backed`] relations of a [`DataMode::Specialized`] database
     /// (initially overlay-only; the resident engine attaches snapshot
-    /// base runs on cold start). The legacy layer stays in memory on
-    /// either backend. Everything else is identical to
+    /// base runs on cold start). Everything else is identical to
     /// [`Database::new_with`].
     pub fn new_with_storage(
         ram: &RamProgram,
@@ -132,62 +152,28 @@ impl Database {
         provenance: bool,
         storage: StorageBackend,
     ) -> Database {
+        let reprs: Vec<_> = (ram.relations.iter())
+            .map(|r| index_repr(r, mode, storage))
+            .collect();
         let relations = ram
             .relations
             .iter()
-            .map(|r| {
-                let rel = if r.arity == 0 {
-                    Relation::new(r.name.clone(), 0, vec![])
-                } else if mode == DataMode::Specialized
-                    && storage == StorageBackend::Disk
-                    && disk_backed(r)
-                {
-                    let indexes: Vec<Box<dyn IndexAdapter>> = r
-                        .orders
-                        .iter()
-                        .map(|o| {
-                            Box::new(DiskIndex::new(Order::new(o.clone()))) as Box<dyn IndexAdapter>
-                        })
-                        .collect();
-                    Relation::from_adapters(r.name.clone(), r.arity, indexes)
-                } else {
-                    match mode {
-                        DataMode::Specialized => {
-                            let repr = match r.repr {
-                                ReprKind::BTree => Representation::BTree,
-                                ReprKind::Brie => Representation::Brie,
-                                ReprKind::EqRel => Representation::EqRel,
-                            };
-                            let specs: Vec<IndexSpec> = r
-                                .orders
-                                .iter()
-                                .map(|o| IndexSpec::new(repr, Order::new(o.clone())))
-                                .collect();
-                            Relation::new(r.name.clone(), r.arity, specs)
-                        }
-                        DataMode::LegacyDynamic => {
-                            if r.repr == ReprKind::EqRel {
-                                // The equivalence-relation representation is
-                                // semantic (it closes pairs), so even the
-                                // legacy layer keeps it.
-                                let specs =
-                                    vec![IndexSpec::new(Representation::EqRel, Order::natural(2))];
-                                Relation::new(r.name.clone(), r.arity, specs)
-                            } else {
-                                let indexes: Vec<Box<dyn IndexAdapter>> = r
-                                    .orders
-                                    .iter()
-                                    .map(|o| {
-                                        Box::new(DynBTreeIndex::new(Order::new(o.clone())))
-                                            as Box<dyn IndexAdapter>
-                                    })
-                                    .collect();
-                                Relation::from_adapters(r.name.clone(), r.arity, indexes)
-                            }
-                        }
+            .zip(&reprs)
+            .map(|(r, repr)| {
+                let orders = r.orders.iter().map(|o| Order::new(o.clone()));
+                let mut rel = match repr {
+                    _ if r.arity == 0 => Relation::new(r.name.clone(), 0, vec![]),
+                    Some(repr) => {
+                        let specs = orders.map(|o| IndexSpec::new(*repr, o)).collect();
+                        Relation::new(r.name.clone(), r.arity, specs)
+                    }
+                    None => {
+                        let indexes = orders
+                            .map(|o| Box::new(DynBTreeIndex::new(o)) as Box<dyn IndexAdapter>)
+                            .collect();
+                        Relation::from_adapters(r.name.clone(), r.arity, indexes)
                     }
                 };
-                let mut rel = rel;
                 if provenance {
                     rel.enable_annotations();
                 }
@@ -196,6 +182,7 @@ impl Database {
             .collect();
         let db = Database {
             relations,
+            reprs,
             symbols: RwLock::new(ram.symbols.clone()),
             counter: AtomicU32::new(0),
             epoch: AtomicU32::new(0),
@@ -210,6 +197,11 @@ impl Database {
     /// Whether annotated evaluation is enabled.
     pub fn provenance(&self) -> bool {
         self.provenance
+    }
+
+    /// The representation of relation `id`'s indexes ([`index_repr`]).
+    pub fn repr(&self, id: RelId) -> Option<Representation> {
+        self.reprs[id.0]
     }
 
     /// The relation lock for `id`.
@@ -392,10 +384,13 @@ mod tests {
                     continue;
                 }
                 let rel = db.rd(meta.id);
-                let is_disk = rel.index(0).as_any().downcast_ref::<DiskIndex>().is_some();
+                let disk = (rel.index(0).as_any())
+                    .downcast_ref::<stir_der::disk::DiskIndex<2>>()
+                    .is_some();
+                assert_eq!(disk, db.repr(meta.id) == Some(Representation::Disk));
                 // The legacy layer never meets a disk index.
                 assert_eq!(
-                    is_disk,
+                    disk,
                     mode == DataMode::Specialized && disk_backed(meta),
                     "{mode:?}: {} ({:?}) backend mismatch",
                     meta.name,

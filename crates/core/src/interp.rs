@@ -37,8 +37,8 @@ use std::time::Instant;
 use stir_der::iter::{BufferedTupleIter, TupleIter};
 use stir_der::relation::Relation;
 use stir_der::tuple::MAX_ARITY;
-use stir_der::{IndexAdapter, TupleSet};
-use stir_ram::program::{RamProgram, RelId, ReprKind};
+use stir_der::{IndexAdapter, Representation, TupleSet};
+use stir_ram::program::{RamProgram, RelId};
 use stir_ram::stmt::AggFunc;
 
 /// Control flow of statement evaluation.
@@ -59,24 +59,31 @@ fn outline<R>(f: impl FnOnce() -> R) -> R {
 /// Runs `$body` in the `match` arm of the pre-instantiated index type for
 /// `($repr, $arity)`, with `Idx` naming that adapter type and `N` its
 /// arity: one arm per representation and arity, stamped from the arity
-/// list below.
+/// list below. `$repr` is the relation's [`crate::database::index_repr`].
 macro_rules! with_index_type {
     ($repr:expr, $arity:expr, $body:expr) => {
         with_index_type!(@arms $repr, $arity, $body, 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16)
     };
     (@arms $repr:expr, $arity:expr, $body:expr, $($n:literal)*) => {
         match ($repr, $arity) {
-            $((ReprKind::BTree, $n) => {
+            $((Some(Representation::BTree), $n) => {
                 type Idx = stir_der::adapter::BTreeIndex<$n>;
                 const N: usize = $n;
                 $body
             })*
-            $((ReprKind::Brie, $n) => {
+            $((Some(Representation::Brie), $n) => {
                 type Idx = stir_der::adapter::BrieIndex<$n>;
                 const N: usize = $n;
                 $body
             })*
-            (ReprKind::EqRel, 2) => {
+            // Out of line: the disk set's merge iterators would otherwise
+            // widen the recursive dispatcher's frame for every scan.
+            $((Some(Representation::Disk), $n) => {
+                type Idx = stir_der::disk::DiskIndex<$n>;
+                const N: usize = $n;
+                outline(|| $body)
+            })*
+            (Some(Representation::EqRel), 2) => {
                 type Idx = stir_der::adapter::EqRelIndex;
                 const N: usize = 2;
                 $body
@@ -637,7 +644,7 @@ impl<'p, 'd> Interpreter<'p, 'd> {
             }
             return Ok(());
         }
-        with_static_set!(meta.repr, meta.arity, idx, |set| match range {
+        with_static_set!(self.cx.db.repr(*rel), meta.arity, idx, |set| match range {
             None => self.drive::<PROF, N>(set.iter(), dst, copy, regs, visit),
             Some((lo, hi)) => {
                 let lo: [u32; N] = lo[..N].try_into().expect("arity");
@@ -955,7 +962,7 @@ impl<'p, 'd> Interpreter<'p, 'd> {
                 // only virtual call.
                 let idx = r.index_mut(k).as_any_mut();
                 #[allow(dead_code)] // the arm's `N`: `Idx` fixes the arity
-                let ins = with_index_type!(meta.repr, meta.arity, {
+                let ins = with_index_type!(self.cx.db.repr(rel), meta.arity, {
                     let idx = idx.downcast_mut::<Idx>().expect("index matches its spec");
                     idx.insert(tuple)
                 });
@@ -1028,15 +1035,20 @@ impl<'p, 'd> Interpreter<'p, 'd> {
                         idx.range(&lo[..n], &hi[..n]).next_tuple().is_some()
                     });
                 }
-                Ok(with_static_set!(meta.repr, meta.arity, idx, |set| {
-                    let lo: [u32; N] = lo[..N].try_into().expect("arity");
-                    let hi: [u32; N] = hi[..N].try_into().expect("arity");
-                    if bounds.full {
-                        set.contains(&lo)
-                    } else {
-                        set.range(&lo, &hi).next().is_some()
+                Ok(with_static_set!(
+                    self.cx.db.repr(*rel),
+                    meta.arity,
+                    idx,
+                    |set| {
+                        let lo: [u32; N] = lo[..N].try_into().expect("arity");
+                        let hi: [u32; N] = hi[..N].try_into().expect("arity");
+                        if bounds.full {
+                            set.contains(&lo)
+                        } else {
+                            set.range(&lo, &hi).next().is_some()
+                        }
                     }
-                }))
+                ))
             }
             other => unreachable!("not a condition node: {other:?}"),
         }

@@ -14,8 +14,7 @@
 //! [`InterpreterConfig`]:
 //!
 //! * **static dispatch** sets `static_dispatch`, so the handler downcasts
-//!   to the monomorphized index type (§4.1) — unless the relation is
-//!   disk-backed, which only the virtual interface serves;
+//!   to the monomorphized index type (§4.1), disk-backed or not;
 //! * **static reordering** rewrites tuple-element accesses into each
 //!   scan's stored order so tuples are never decoded at runtime (§4.2);
 //! * **super-instructions** fold `Constant`/`TupleElement` children into
@@ -25,7 +24,7 @@
 //! * the **outlining** ablation (§4.3 analogue) is an execution-time
 //!   choice and does not affect tree shape.
 
-use crate::config::{InterpreterConfig, StorageBackend};
+use crate::config::InterpreterConfig;
 use stir_ram::expr::{CmpKind, RamExpr};
 use stir_ram::program::{RamProgram, RelId, ReprKind};
 use stir_ram::stmt::{AggFunc, RamCond, RamOp, RamStmt};
@@ -356,24 +355,6 @@ struct Builder<'p> {
 }
 
 impl<'p> Builder<'p> {
-    /// Whether `rel` is served by disk-backed (`DiskIndex`) adapters and
-    /// must therefore answer through the virtual interface: the
-    /// monomorphized static handlers downcast to the factory's
-    /// specialized index types and would miss. This is the paper's
-    /// de-specialization seam doing its job — swapping the storage of one
-    /// relation is a per-relation dispatch decision here, not an engine
-    /// rewrite.
-    fn disk_override(&self, rel: RelId) -> bool {
-        self.config.storage == StorageBackend::Disk
-            && crate::database::disk_backed(&self.ram.relations[rel.0])
-    }
-
-    /// Whether accesses to `rel` may use statically-dispatched
-    /// instruction variants.
-    fn static_ok(&self, rel: RelId) -> bool {
-        self.config.static_dispatch && !self.disk_override(rel)
-    }
-
     fn stmt(&mut self, s: &RamStmt) -> INode {
         match s {
             RamStmt::Seq(stmts) => INode::Seq(stmts.iter().map(|st| self.stmt(st)).collect()),
@@ -530,7 +511,7 @@ impl<'p> Builder<'p> {
                 self.maps[*level] = None;
                 let body = Box::new(self.op(body));
                 INode::Aggregate {
-                    static_dispatch: self.static_ok(*rel),
+                    static_dispatch: self.config.static_dispatch,
                     buffered: self.config.buffered_iterators,
                     rel: *rel,
                     index: *index,
@@ -571,7 +552,7 @@ impl<'p> Builder<'p> {
             dst,
             copy,
             bounds,
-            static_dispatch: self.static_ok(rel),
+            static_dispatch: self.config.static_dispatch,
             buffered: self.config.buffered_iterators,
             parallel,
             body: Box::new(self.op(body)),
@@ -579,7 +560,7 @@ impl<'p> Builder<'p> {
     }
 
     fn project(&mut self, rel: RelId, values: &[RamExpr], rule: Option<u32>) -> INode {
-        let static_dispatch = self.static_ok(rel);
+        let static_dispatch = self.config.static_dispatch;
         // The rule id is absorbed at tree-generation time like any other
         // super-instruction constant; RULE_INPUT marks synthetic
         // projections (aggregate helpers, update seeds without a rule).
@@ -761,7 +742,7 @@ impl<'p> Builder<'p> {
                     rel: *rel,
                     index: *index,
                     bounds,
-                    static_dispatch: self.static_ok(*rel),
+                    static_dispatch: self.config.static_dispatch,
                 }
             }
         }
@@ -814,6 +795,7 @@ fn is_pure_arith(c: &RamCond) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::StorageBackend;
     use stir_frontend::parse_and_check;
     use stir_ram::translate::translate;
 
@@ -881,10 +863,7 @@ mod tests {
     #[test]
     fn static_config_builds_static_nodes() {
         let ram = ram(TC);
-        // Pin mem storage: under `STIR_STORAGE=disk` the presets would
-        // legitimately demote standard-relation access to dynamic nodes.
-        let cfg = InterpreterConfig::optimized().with_storage(StorageBackend::Mem);
-        let tree = build(&ram, &cfg);
+        let tree = build(&ram, &InterpreterConfig::optimized());
         assert!(count_kind(&tree.root, &|n| is_range_scan(n, true)) > 0);
         assert_eq!(count_kind(&tree.root, &|n| is_range_scan(n, false)), 0);
         assert!(count_kind(&tree.root, &|n| matches!(n, INode::ProjectSuper { .. })) > 0);
@@ -911,15 +890,14 @@ mod tests {
     }
 
     #[test]
-    fn disk_storage_forces_dynamic_nodes_for_standard_relations() {
+    fn disk_storage_keeps_every_access_static() {
         let ram = ram(TC);
         let cfg = InterpreterConfig::optimized().with_storage(StorageBackend::Disk);
         let tree = build(&ram, &cfg);
-        // Standard relations (e, p) answer through the adapter interface;
-        // the auxiliary delta/new relations keep their specialized static
-        // handlers.
-        let is_disk_rel = |rel: &RelId| crate::database::disk_backed(&ram.relations[rel.0]);
-        assert_eq!(
+        // Disk is one more representation: scans, probes and inserts over
+        // the disk-backed relations (e, p) dispatch statically like those
+        // over the in-memory delta/new relations.
+        let accesses = |statically: bool| {
             count_kind(&tree.root, &|n| match n {
                 INode::Scan {
                     rel,
@@ -935,33 +913,19 @@ mod tests {
                     rel,
                     static_dispatch,
                     ..
-                } => *static_dispatch && is_disk_rel(rel),
-                _ => false,
-            }),
-            0,
-            "no static access to a disk-backed relation"
-        );
-        assert!(
-            count_kind(&tree.root, &|n| matches!(
-                n,
-                INode::Scan {
-                    static_dispatch: false,
-                    ..
+                } => {
+                    *static_dispatch == statically
+                        && crate::database::disk_backed(&ram.relations[rel.0])
                 }
-            )) > 0,
-            "disk-backed relations scan dynamically"
-        );
-        assert!(
-            count_kind(&tree.root, &|n| match n {
-                INode::Scan {
-                    rel,
-                    static_dispatch: true,
-                    ..
-                } => !is_disk_rel(rel),
                 _ => false,
-            }) > 0,
-            "auxiliary relations keep static dispatch"
+            })
+        };
+        assert_eq!(
+            accesses(false),
+            0,
+            "no dynamic access to a disk-backed relation"
         );
+        assert!(accesses(true) > 0);
     }
 
     #[test]
@@ -971,8 +935,8 @@ mod tests {
             e(7, 8).\n\
             r(y) :- e(7, y).\n";
         let ram = ram(src);
-        let mem = InterpreterConfig::optimized().with_storage(StorageBackend::Mem);
-        let with = build(&ram, &mem);
+        let sti = InterpreterConfig::optimized();
+        let with = build(&ram, &sti);
         // The constant 7 is baked into the bound template: no dynamic
         // entries, no generic Constant nodes under the scan.
         let dyn_entries = count_kind(&with.root, &|n| match n {
@@ -988,7 +952,7 @@ mod tests {
             &ram,
             &InterpreterConfig {
                 super_instructions: false,
-                ..mem
+                ..sti
             },
         );
         let dyn_entries = count_kind(&without.root, &|n| match n {
@@ -1059,10 +1023,6 @@ mod tests {
         }
     }
 
-    fn mem() -> InterpreterConfig {
-        InterpreterConfig::optimized().with_storage(StorageBackend::Mem)
-    }
-
     #[test]
     fn pure_arithmetic_looks_into_the_expressions() {
         let cmp = |lhs: RamExpr| RamCond::Comparison {
@@ -1110,7 +1070,7 @@ mod tests {
             e(1, 2).\n\
             r(x) :- e(x, y), x >= y - 4096, (x bxor y) band 7 != 3, x * 2 - y > (x + 1) * (y + 2).\n";
         let ram = ram(src);
-        let tree = build(&ram, &mem());
+        let tree = build(&ram, &InterpreterConfig::optimized());
         let mut progs = Vec::new();
         fused_programs(&tree.root, &mut progs);
         use FusedOp::{Set, Test};
@@ -1152,7 +1112,7 @@ mod tests {
         // `--no-super` is the off switch.
         let plain = InterpreterConfig {
             super_instructions: false,
-            ..mem()
+            ..InterpreterConfig::optimized()
         };
         let (tree, mut progs) = (build(&ram, &plain), Vec::new());
         fused_programs(&tree.root, &mut progs);
@@ -1168,7 +1128,7 @@ mod tests {
             e(1, 2).\ns(\"ab\", 4).\n\
             r(x) :- e(x, y), s(t, n), x < n, n != 7, !e(y, n), strlen(t) > x, n band 1 = 0.\n";
         let ram = ram(src);
-        let tree = build(&ram, &mem());
+        let tree = build(&ram, &InterpreterConfig::optimized());
         let mut shapes = Vec::new();
         fn conj<'a>(n: &'a INode, out: &mut Vec<&'a [INode]>) {
             match n {
@@ -1220,7 +1180,7 @@ mod tests {
                 sum(depth)
             );
             let ram = ram(&src);
-            let tree = build(&ram, &mem());
+            let tree = build(&ram, &InterpreterConfig::optimized());
             let mut progs = Vec::new();
             fused_programs(&tree.root, &mut progs);
             let tests: usize = progs

@@ -79,12 +79,10 @@ use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
-use stir_der::disk::{DiskIndex, RunFile};
+use stir_der::disk::RunFile;
 use stir_der::factory::IndexSpec;
-use stir_der::iter::{DecodingIter, TupleIter};
 use stir_der::order::Order;
 use stir_der::relation::Relation;
-use stir_der::IndexAdapter;
 use stir_frontend::SymbolTable;
 use stir_ram::expr::RamDomain;
 use stir_ram::program::{RamProgram, RamRelation, RelId, Role};
@@ -172,6 +170,17 @@ fn encode_existing<'v>(
         .collect()
 }
 
+/// Refuses the legacy data layer, a batch-only baseline: a resident
+/// engine runs the STI.
+fn refuse_legacy(config: &InterpreterConfig) -> Result<(), EvalError> {
+    if config.legacy_data {
+        return Err(EvalError::new(
+            "the legacy data layer is batch-only; a resident engine runs the STI",
+        ));
+    }
+    Ok(())
+}
+
 /// Whether `deadline` has passed.
 fn elapsed(deadline: Option<Instant>) -> bool {
     deadline.is_some_and(|d| Instant::now() > d)
@@ -194,6 +203,7 @@ impl ResidentEngine {
         inputs: &InputData,
         tel: Option<&Telemetry>,
     ) -> Result<ResidentEngine, EngineError> {
+        refuse_legacy(&config)?;
         Self::assemble(engine, config, SnapshotImage::Missing, inputs, tel)
     }
 
@@ -220,12 +230,6 @@ impl ResidentEngine {
         inputs: &InputData,
         tel: Option<&Telemetry>,
     ) -> Result<ResidentEngine, EngineError> {
-        if config.legacy_data {
-            return Err(EvalError::new(
-                "the legacy data layer is batch-only; a resident engine runs the STI",
-            )
-            .into());
-        }
         let ram = engine.into_ram();
         let tracer = tel.map(|t| &t.tracer);
         let snapshot: Option<&Snap2> = match &image {
@@ -321,12 +325,11 @@ impl ResidentEngine {
                                 // decode its stored order back to source tuples.
                                 rel.clear();
                                 let order = Order::new(srel.runs[0].order.clone());
-                                let run =
-                                    DiskIndex::with_base(order.clone(), mapped.base_run(srel, 0));
-                                let mut it = DecodingIter::new(run.scan(), order);
-                                while let Some(t) = it.next_tuple() {
-                                    admit(&mut rel, t, prov);
-                                }
+                                let mut src = vec![0; srel.arity];
+                                mapped.base_run(srel, 0).for_each(|t| {
+                                    order.decode(t, &mut src);
+                                    admit(&mut rel, &src, prov);
+                                });
                             }
                         }
                     }

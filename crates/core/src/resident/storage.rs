@@ -87,9 +87,9 @@ impl Persistence {
 }
 
 /// Rebases every index of `rel` onto its persisted run in `snap` (cold
-/// start and `.compact`). Every index must be a [`DiskIndex`] whose
-/// order matches the run's: the fingerprint makes a mismatch a
-/// corruption, not a version skew.
+/// start and `.compact`). Every index must be a disk index
+/// ([`disk::rebase`]) whose order matches the run's: the fingerprint
+/// makes a mismatch a corruption, not a version skew.
 pub(super) fn rebase_runs(
     rel: &mut Relation,
     snap: &Snap2,
@@ -114,15 +114,12 @@ pub(super) fn rebase_runs(
                 idx.order().columns()
             )));
         }
-        idx.as_any_mut()
-            .downcast_mut::<DiskIndex>()
-            .ok_or_else(|| {
-                StorageError::new(format!(
-                    "snapshot relation `{}` is run-backed but index {k} is not a disk index",
-                    srel.name
-                ))
-            })?
-            .rebase(base);
+        if !disk::rebase(idx, base) {
+            return Err(StorageError::new(format!(
+                "snapshot relation `{}` is run-backed but index {k} is not a disk index",
+                srel.name
+            )));
+        }
     }
     Ok(())
 }
@@ -140,7 +137,7 @@ impl ResidentEngine {
     /// # Errors
     ///
     /// Propagates construction errors (a legacy-data config is refused
-    /// before anything is written under `data_dir`) and I/O failures on
+    /// before any I/O on `data_dir`) and I/O failures on
     /// the data directory. An *invalid* snapshot or torn WAL tail is not an
     /// error: recovery degrades to re-evaluation and reports it
     /// ([`RecoveryReport::snapshot_rejected`]) — a retired-format
@@ -154,6 +151,7 @@ impl ResidentEngine {
         opts: PersistOptions,
         tel: Option<&Telemetry>,
     ) -> Result<(ResidentEngine, RecoveryReport), EngineError> {
+        refuse_legacy(&config)?;
         std::fs::create_dir_all(data_dir).map_err(|e| StorageError::io("create data dir", &e))?;
         let fp = wal::fingerprint(&engine.ram().to_string());
         let snap_path = data_dir.join(SNAPSHOT_FILE);
@@ -505,20 +503,32 @@ mod tests {
     /// refuses it too.
     #[test]
     fn legacy_data_is_refused_and_leaves_the_data_dir_empty() {
-        let dir = tmpdir("legacy");
         let engine = || Engine::from_source(TC).expect("compiles");
         let (config, inputs) = (InterpreterConfig::legacy(), InputData::new());
         let opts = PersistOptions::default();
-        let refusals = [
-            ResidentEngine::open(engine(), config, &inputs, &dir, opts, None).map(drop),
-            ResidentEngine::new(engine(), config, &inputs, None).map(drop),
-        ];
-        for refusal in refusals {
-            let err = refusal.expect_err("legacy is refused").to_string();
-            assert!(err.contains("batch-only"), "{err}");
-        }
-        let left: Vec<_> = std::fs::read_dir(&dir).into_iter().flatten().collect();
-        assert!(left.is_empty(), "{left:?}");
+        let refused = |dir: &Path| {
+            let refusals = [
+                ResidentEngine::open(engine(), config, &inputs, dir, opts, None).map(drop),
+                ResidentEngine::new(engine(), config, &inputs, None).map(drop),
+            ];
+            for refusal in refusals {
+                let err = refusal.expect_err("legacy is refused").to_string();
+                assert!(err.contains("batch-only"), "{err}");
+            }
+        };
+        // The refusal comes before any I/O: a missing directory is not
+        // created...
+        let dir = tmpdir("legacy");
+        refused(&dir);
+        assert!(!dir.exists(), "refused open created {}", dir.display());
+        // ...and a stale snapshot temp file is not swept.
+        std::fs::create_dir_all(&dir).expect("data dir");
+        let stale = dir
+            .join(SNAPSHOT_FILE)
+            .with_extension(wal::SNAPSHOT_TMP_EXT);
+        std::fs::write(&stale, b"half a snapshot").expect("stale temp file");
+        refused(&dir);
+        assert!(stale.exists(), "refused open swept {}", stale.display());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -711,11 +721,10 @@ mod tests {
         {
             let rel = r.db.rd(p);
             for k in 0..rel.index_count() {
-                let di = rel
-                    .index(k)
-                    .as_any()
-                    .downcast_ref::<DiskIndex>()
-                    .expect("disk index");
+                let di = (rel.index(k).as_any())
+                    .downcast_ref::<disk::DiskIndex<2>>()
+                    .expect("disk index")
+                    .raw();
                 assert!(di.has_base());
                 assert_eq!(di.overlay_len(), (0, 0), "overlay folded into the base");
             }

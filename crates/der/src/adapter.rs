@@ -114,7 +114,8 @@ pub trait IndexAdapter: Debug + Send + Sync {
     /// without a structural split never materialize per-chunk copies (the
     /// comparator-based legacy index takes this path). [`SetIndex`]
     /// overrides it with its set's partitions: zero-copy windows of a
-    /// tree, or chunks cut from eqrel's flat pair buffer.
+    /// tree, chunks cut from eqrel's flat pair buffer, or page-aligned
+    /// slices of a disk run.
     fn morsels(&self, target: usize) -> Morsels<'_> {
         let _ = target;
         Morsels::Stream(self.scan())
@@ -170,10 +171,10 @@ fn chunk_count(len: usize, target: usize) -> usize {
 /// tuples in the natural lexicographic order, with inclusive windows and
 /// disjoint partitions for morsel-driven scans.
 ///
-/// [`BTreeIndexSet`], [`Brie`] and [`EquivalenceRelation`] implement it
-/// directly, so [`SetIndex`] is written once and the interpreter's
-/// statically dispatched handlers call it on the downcast set with no
-/// virtual calls (paper §4.1).
+/// [`BTreeIndexSet`], [`Brie`], [`EquivalenceRelation`] and
+/// [`crate::disk::DiskSet`] implement it directly, so [`SetIndex`] is
+/// written once and the interpreter's statically dispatched handlers call
+/// it on the downcast set with no virtual calls (paper §4.1).
 pub trait TupleSet<const N: usize>: Debug + Default + Send + Sync + 'static {
     /// In-order iterator over stored tuples.
     type Iter<'a>: Iterator<Item = Tuple<N>> + Send + 'a
@@ -228,8 +229,8 @@ pub trait TupleSet<const N: usize>: Debug + Default + Send + Sync + 'static {
 /// An index: a [`TupleSet`] plus an insertion-time reordering.
 ///
 /// The paper's `BTreeIndex<Arity>` adapter (Fig. 7), written once for
-/// every representation; [`BTreeIndex`], [`BrieIndex`] and
-/// [`EqRelIndex`] name its pre-instantiated forms.
+/// every representation; [`BTreeIndex`], [`BrieIndex`], [`EqRelIndex`]
+/// and [`crate::disk::DiskIndex`] name its pre-instantiated forms.
 #[derive(Debug, Clone)]
 pub struct SetIndex<S, const N: usize> {
     set: S,
@@ -266,6 +267,11 @@ impl<S: TupleSet<N>, const N: usize> SetIndex<S, N> {
     /// Direct access to the monomorphized set (static instruction paths).
     pub fn raw(&self) -> &S {
         &self.set
+    }
+
+    /// Mutable access to the set; tuples it takes are in stored order.
+    pub(crate) fn raw_mut(&mut self) -> &mut S {
+        &mut self.set
     }
 
     /// Encodes a source-order slice into a stored-order tuple.
@@ -376,14 +382,20 @@ impl<S: TupleSet<N>, const N: usize> IndexAdapter for SetIndex<S, N> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::disk::{DiskIndex, DiskSet};
 
-    /// Fills an `S` from `gens` and checks its stored-order face against
-    /// `want`, the sorted set it must hold.
-    fn exercise<S: TupleSet<2>>(gens: &[Tuple<2>], want: &[Tuple<2>]) {
+    /// A set holding `gens`, inserted in order.
+    fn filled<S: TupleSet<2>>(gens: &[Tuple<2>]) -> S {
         let mut set = S::default();
         for &t in gens {
             set.insert(t);
         }
+        set
+    }
+
+    /// Checks the stored-order face of `set` against `want`, the sorted
+    /// set it must hold.
+    fn exercise<S: TupleSet<2>>(set: S, want: &[Tuple<2>]) {
         assert_eq!(set.len(), want.len());
         assert_eq!(set.iter().collect::<Vec<_>>(), want);
         assert!(want.iter().all(|t| set.contains(t)));
@@ -405,14 +417,43 @@ mod tests {
         }
     }
 
+    /// A disk set over a four-page base run (two tuples a page, fences
+    /// (1, 0), (1, 3), (2, 0), (2, 4)) with the fence (1, 3) and the base
+    /// tuple (2, 4) tombstoned, and overlay inserts below the base, on both
+    /// sides of the fence (1, 3), and above the base.
+    fn disk_set() -> (DiskSet<2>, Vec<Tuple<2>>) {
+        let base = [
+            [1, 0],
+            [1, 1],
+            [1, 3],
+            [1, 5],
+            [2, 0],
+            [2, 2],
+            [2, 4],
+            [3, 1],
+        ];
+        let stored: Vec<_> = base.iter().map(|t| t.to_vec()).collect();
+        let mut set = DiskSet::default();
+        set.rebase(crate::disk::tests::base_run("face", 2, &stored, 2, 1 << 20));
+        let (fresh, doomed) = ([[0, 7], [1, 2], [1, 4], [3, 3]], [[1, 3], [2, 4]]);
+        assert!(fresh.into_iter().all(|t| set.insert(t)));
+        assert!(doomed.iter().all(|t| set.remove(t)));
+        let mut want: Vec<_> = base.into_iter().filter(|t| !doomed.contains(t)).collect();
+        want.extend(fresh);
+        want.sort_unstable();
+        (set, want)
+    }
+
     #[test]
     fn every_set_exposes_the_same_face() {
         let tuples = [[1, 2], [1, 3], [2, 2]];
-        exercise::<BTreeIndexSet<2>>(&tuples, &tuples);
-        exercise::<Brie<2>>(&tuples, &tuples);
+        exercise(filled::<BTreeIndexSet<2>>(&tuples), &tuples);
+        exercise(filled::<Brie<2>>(&tuples), &tuples);
         // eqrel closes (1, 2) and (2, 3) into {1, 2, 3}².
         let closure: Vec<_> = (1..=3).flat_map(|x| (1..=3).map(move |y| [x, y])).collect();
-        exercise::<EquivalenceRelation>(&[[1, 2], [2, 3]], &closure);
+        exercise(filled::<EquivalenceRelation>(&[[1, 2], [2, 3]]), &closure);
+        let (disk, want) = disk_set();
+        exercise(disk, &want);
     }
 
     #[test]
@@ -516,8 +557,12 @@ mod tests {
     fn morsels_concatenate_to_sequential_scans() {
         let order = Order::new(vec![1, 0]);
         let mut bt = BTreeIndex::<2>::new(order.clone());
-        let mut br = BrieIndex::<2>::new(order);
+        let mut br = BrieIndex::<2>::new(order.clone());
         let mut eq = EqRelIndex::new(Order::natural(2));
+        // The disk index's base run holds the first 400 tuples, 16 to a
+        // page; the rest land in the overlay, and every fifth later tuple
+        // is erased again (a tombstone when it is a base tuple).
+        let mut gens = Vec::new();
         let mut seed = 3u32;
         for _ in 0..800 {
             seed = seed.wrapping_mul(48271) % 0x7fff_ffff;
@@ -525,11 +570,25 @@ mod tests {
             bt.insert(&t);
             br.insert(&t);
             eq.insert(&[seed % 19, seed % 13]);
+            gens.push(t);
         }
+        let stored: Vec<_> = gens[..400].iter().map(|t| order.encode_vec(t)).collect();
+        let base = crate::disk::tests::base_run("morsels", 2, &stored, 16, 1 << 20);
+        let mut disk = DiskIndex::<2>::with_base(order, base);
+        for (i, t) in gens.iter().enumerate().skip(400) {
+            disk.insert(t);
+            if i % 5 == 0 {
+                let doomed = gens[i % 400];
+                assert_eq!(disk.erase(&doomed), bt.erase(&doomed));
+                br.erase(&doomed);
+            }
+        }
+        assert!(disk.raw().overlay_len().1 > 0, "some erases are tombstones");
         for idx in [
             &bt as &dyn IndexAdapter,
             &br as &dyn IndexAdapter,
             &eq as &dyn IndexAdapter,
+            &disk as &dyn IndexAdapter,
         ] {
             let expected = idx.scan().collect_tuples();
             for target in [1usize, 7, 64, usize::MAX] {

@@ -1,39 +1,35 @@
-//! Disk-backed indexes: an immutable paged base run plus a delta overlay.
+//! Disk-backed sets: an immutable paged base run plus a delta overlay.
 //!
-//! This is the storage de-specialization step: because every index access
-//! already goes through the object-safe [`IndexAdapter`] interface (or is
-//! routed back onto it by the interpreter-tree builder), a relation can be
-//! served straight off a file without the engine noticing. A [`DiskIndex`]
-//! is the moral equivalent of an LSM level pair:
+//! This is the storage de-specialization step: disk is one more
+//! representation. A [`DiskSet`] implements the same stored-order
+//! [`TupleSet`] face as the in-memory sets, so the disk adapter is the
+//! one generic [`SetIndex`] ([`DiskIndex`]) and the interpreter's
+//! statically dispatched handlers run on it like on any other set. A
+//! [`DiskSet`] is the moral equivalent of an LSM level pair:
 //!
 //! * the **base run** — a sorted, immutable region of a snapshot-v2 file,
 //!   read page-at-a-time through a budgeted pinned-page cache
 //!   ([`RunFile`]), located by a sparse in-memory fence index (the first
 //!   stored tuple of every page);
-//! * the **delta overlay** — two in-memory sorted sets: fresh inserts
+//! * the **delta overlay** — two in-memory B-trees: fresh inserts
 //!   (disjoint from the base) and erase tombstones (a subset of the base),
 //!   merged with the base at iteration time.
 //!
-//! The merge preserves the exact set semantics of the in-memory adapters:
-//! `insert`/`erase`/`erase_prefix` report the same freshness booleans and
-//! counts, scans and ranges yield the same tuples in the same stored
-//! order, and morsels concatenate to the sequential scan — so the
-//! work-stealing parallel scans of the interpreter run unchanged over
-//! paged data.
-//!
-//! Tuples are kept in **stored (encoded) order** on disk and in the
-//! overlay, exactly like [`crate::adapter::BTreeIndex`].
+//! The merge preserves the exact set semantics of the in-memory sets:
+//! `insert`/`remove` report the same freshness booleans, scans and ranges
+//! yield the same tuples in the same stored order, and partitions
+//! concatenate to the sequential scan — so the work-stealing parallel
+//! scans of the interpreter run unchanged over paged data.
 
-use crate::adapter::{IndexAdapter, IndexStats, Morsels};
+use crate::adapter::{IndexAdapter, SetIndex, TupleSet};
+use crate::btree::{self, BTreeIndexSet};
 use crate::iter::TupleIter;
 use crate::order::Order;
-use crate::tuple::{cmp_slices, RamDomain};
-use std::any::Any;
+use crate::tuple::{cmp_slices, tuple_from_slice, RamDomain, Tuple};
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fs::File;
 use std::io::Write;
-use std::ops::Bound;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
@@ -91,7 +87,7 @@ struct PageCacheInner {
     tick: u64,
 }
 
-/// A read-only snapshot-v2 file shared by every [`DiskIndex`] it backs,
+/// A read-only snapshot-v2 file shared by every [`DiskSet`] it backs,
 /// with one budgeted page cache for all of them.
 ///
 /// Pages are keyed by their absolute byte offset and evicted
@@ -214,7 +210,7 @@ fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()
 }
 
 /// One sorted, immutable tuple run inside a [`RunFile`]: the base level of
-/// a [`DiskIndex`].
+/// a [`DiskSet`].
 ///
 /// `fence` holds the first stored tuple of each page (the sparse page
 /// index); binary searches descend fence → page → tuple, touching at most
@@ -265,6 +261,13 @@ impl BaseRun {
     /// Number of tuples in the run.
     pub fn count(&self) -> usize {
         self.count
+    }
+
+    /// Visits every tuple of the run in stored order, one page at a time.
+    pub fn for_each(&self, mut visit: impl FnMut(&[RamDomain])) {
+        for p in 0..self.pages() {
+            self.page(p).chunks_exact(self.arity).for_each(&mut visit);
+        }
     }
 
     fn pages(&self) -> usize {
@@ -342,158 +345,58 @@ fn partition_point(n: usize, mut pred: impl FnMut(usize) -> bool) -> usize {
     lo
 }
 
-/// A sequential cursor over a slice `[pos, end)` of a base run, holding at
-/// most one pinned page at a time.
-#[derive(Debug)]
-struct BaseCursor {
-    run: BaseRun,
-    pos: usize,
-    end: usize,
-    page_no: usize,
-    page: Option<Arc<Vec<RamDomain>>>,
-}
-
-impl BaseCursor {
-    fn new(run: BaseRun, pos: usize, end: usize) -> Self {
-        BaseCursor {
-            run,
-            pos,
-            end,
-            page_no: usize::MAX,
-            page: None,
-        }
-    }
-
-    /// Copies the current tuple into `out`; `false` when exhausted.
-    fn peek_into(&mut self, out: &mut Vec<RamDomain>) -> bool {
-        if self.pos >= self.end {
-            return false;
-        }
-        let p = self.pos / self.run.page_tuples;
-        if self.page.is_none() || p != self.page_no {
-            self.page = Some(self.run.page(p));
-            self.page_no = p;
-        }
-        let page = self.page.as_ref().expect("page just loaded");
-        let k = (self.pos - p * self.run.page_tuples) * self.run.arity;
-        out.clear();
-        out.extend_from_slice(&page[k..k + self.run.arity]);
-        true
-    }
-
-    fn advance(&mut self) {
-        self.pos += 1;
-    }
-}
-
-type OverlayRange<'a> = std::iter::Peekable<std::collections::btree_set::Range<'a, Vec<RamDomain>>>;
-
-/// The merge of (base minus tombstones) with the overlay inserts, in
-/// stored order — the single iterator type behind `scan`, `range`, and
-/// every morsel chunk of a [`DiskIndex`].
-struct MergedIter<'a> {
-    arity: usize,
-    base: Option<BaseCursor>,
-    base_cur: Vec<RamDomain>,
-    base_valid: bool,
-    inserts: OverlayRange<'a>,
-    tombs: &'a BTreeSet<Vec<RamDomain>>,
-}
-
-impl std::fmt::Debug for MergedIter<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MergedIter")
-            .field("arity", &self.arity)
-            .field("base", &self.base.as_ref().map(|c| (c.pos, c.end)))
-            .finish()
-    }
-}
-
-impl TupleIter for MergedIter<'_> {
-    fn arity(&self) -> usize {
-        self.arity
-    }
-
-    fn next_tuple(&mut self) -> Option<&[RamDomain]> {
-        loop {
-            if !self.base_valid {
-                if let Some(c) = self.base.as_mut() {
-                    self.base_valid = c.peek_into(&mut self.base_cur);
-                }
-            }
-            // Base and overlay are disjoint, so a strict comparison fully
-            // decides the merge; equality cannot occur.
-            let take_base = match (self.base_valid, self.inserts.peek()) {
-                (false, None) => return None,
-                (true, None) => true,
-                (false, Some(_)) => false,
-                (true, Some(ins)) => cmp_slices(&self.base_cur, ins) == Ordering::Less,
-            };
-            if take_base {
-                self.base.as_mut().expect("base valid").advance();
-                self.base_valid = false;
-                if self.tombs.contains(self.base_cur.as_slice()) {
-                    continue;
-                }
-                return Some(&self.base_cur);
-            }
-            return self.inserts.next().map(Vec::as_slice);
-        }
-    }
-}
-
-/// A disk-backed index: immutable paged base run + in-memory delta
-/// overlay, behind the ordinary [`IndexAdapter`] interface.
+/// A disk-backed tuple set: an optional paged [`BaseRun`] plus a delta
+/// overlay of two in-memory B-trees in the same stored order.
 ///
-/// Invariants (maintained by `insert`/`erase`): `inserts` is disjoint from
-/// the base run, `tombs` is a subset of it — so
-/// `len = base + inserts - tombs` and merge iteration never sees equal
-/// keys on both sides.
-pub struct DiskIndex {
-    order: Order,
-    natural: bool,
+/// Invariants (maintained by `insert`/`remove`): `inserts` is disjoint
+/// from the base run, `tombs` is a subset of it — so
+/// `len = base + inserts - tombs` and the merge never meets equal keys on
+/// the base and insert sides.
+#[derive(Debug, Default)]
+pub struct DiskSet<const N: usize> {
     base: Option<BaseRun>,
-    inserts: BTreeSet<Vec<RamDomain>>,
-    tombs: BTreeSet<Vec<RamDomain>>,
+    inserts: BTreeIndexSet<N>,
+    tombs: BTreeIndexSet<N>,
 }
 
-impl std::fmt::Debug for DiskIndex {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DiskIndex")
-            .field("order", &self.order)
-            .field("base", &self.base.as_ref().map(|b| b.count))
-            .field("inserts", &self.inserts.len())
-            .field("tombs", &self.tombs.len())
-            .finish()
-    }
-}
+/// A disk-backed index: the one set adapter over a [`DiskSet`].
+pub type DiskIndex<const N: usize> = SetIndex<DiskSet<N>, N>;
 
-impl DiskIndex {
-    /// An overlay-only index (no base run yet): the construction state of
-    /// a fresh `--storage disk` database before any snapshot exists.
-    pub fn new(order: Order) -> Self {
-        let natural = order.is_natural();
-        DiskIndex {
-            order,
-            natural,
-            base: None,
-            inserts: BTreeSet::new(),
-            tombs: BTreeSet::new(),
-        }
-    }
-
-    /// An index served off `base` with an empty overlay (cold start).
+impl<const N: usize> DiskIndex<N> {
+    /// An index served off `base` with an empty overlay.
     pub fn with_base(order: Order, base: BaseRun) -> Self {
-        assert_eq!(order.arity(), base.arity, "run arity must match order");
-        let mut idx = DiskIndex::new(order);
-        idx.base = Some(base);
+        let mut idx = Self::new(order);
+        idx.raw_mut().rebase(base);
         idx
     }
+}
 
-    /// Replaces the base run and drops the overlay — the in-memory side of
-    /// compaction, after base+delta were rewritten into a fresh file.
+/// Rebases `idx` onto `base` (see [`DiskSet::rebase`]) when it is a disk
+/// index of the run's arity; `false` when it is any other index.
+pub fn rebase(idx: &mut dyn IndexAdapter, base: BaseRun) -> bool {
+    with_arity!(
+        base.arity,
+        match idx.as_any_mut().downcast_mut::<DiskIndex<N>>() {
+            Some(disk) => {
+                disk.raw_mut().rebase(base);
+                true
+            }
+            None => false,
+        },
+        _ => false
+    )
+}
+
+impl<const N: usize> DiskSet<N> {
+    /// Replaces the base run and drops the overlay: cold start, and the
+    /// in-memory side of compaction after base and delta were rewritten
+    /// into a fresh file.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run's arity is not `N`.
     pub fn rebase(&mut self, base: BaseRun) {
-        assert_eq!(self.order.arity(), base.arity, "run arity must match order");
+        assert_eq!(base.arity, N, "run arity must match the set's");
         self.base = Some(base);
         self.inserts.clear();
         self.tombs.clear();
@@ -509,111 +412,62 @@ impl DiskIndex {
         self.base.is_some()
     }
 
-    /// Encodes a source-order tuple into the internal stored order.
-    fn enc(&self, t: &[RamDomain]) -> Vec<RamDomain> {
-        debug_assert_eq!(t.len(), self.order.arity());
-        if self.natural {
-            t.to_vec()
-        } else {
-            self.order.encode_vec(t)
-        }
+    fn base_contains(&self, t: &Tuple<N>) -> bool {
+        self.base.as_ref().is_some_and(|b| b.contains(t))
     }
 
-    fn base_count(&self) -> usize {
-        self.base.as_ref().map(|b| b.count).unwrap_or(0)
-    }
-
-    fn base_contains(&self, enc: &[RamDomain]) -> bool {
-        self.base.as_ref().is_some_and(|b| b.contains(enc))
-    }
-
-    fn contains_enc(&self, enc: &[RamDomain]) -> bool {
-        self.inserts.contains(enc) || (self.base_contains(enc) && !self.tombs.contains(enc))
-    }
-
-    fn erase_enc(&mut self, enc: &[RamDomain]) -> bool {
-        if self.inserts.remove(enc) {
-            return true;
-        }
-        if !self.tombs.contains(enc) && self.base_contains(enc) {
-            self.tombs.insert(enc.to_vec());
-            return true;
-        }
-        false
-    }
-
-    /// The merge over stored-order bounds `[lo, hi]` (inclusive); `None`
-    /// bounds mean unbounded.
-    fn merged(&self, lo: Option<&[RamDomain]>, hi: Option<&[RamDomain]>) -> MergedIter<'_> {
-        let (start, end) = match &self.base {
-            None => (0, 0),
-            Some(b) => (
-                lo.map_or(0, |l| b.bound(l, false)),
-                hi.map_or(b.count, |h| b.bound(h, true)),
-            ),
+    /// The merge of base positions `[start, end)` with the overlay
+    /// entries `inserts` and `tombs` yield.
+    fn merge<'a>(
+        &'a self,
+        start: usize,
+        end: usize,
+        mut inserts: btree::Iter<'a, N>,
+        mut tombs: btree::Iter<'a, N>,
+    ) -> DiskIter<'a, N> {
+        let base = BaseCursor {
+            run: self.base.as_ref(),
+            pos: start,
+            end,
+            page: None,
+            page_start: 0,
+            page_end: 0,
         };
-        let bound =
-            |k: Option<&[RamDomain]>| k.map_or(Bound::Unbounded, |k| Bound::Included(k.to_vec()));
-        self.chunk(start, end, bound(lo), bound(hi))
+        DiskIter {
+            base,
+            ins: inserts.next(),
+            inserts,
+            tomb: tombs.next(),
+            tombs,
+        }
     }
 
-    /// The merge of base positions `[base_start, base_end)` with the
-    /// overlay inserts inside `(ins_lo, ins_hi)`: a morsel chunk (bounded
-    /// by fence tuples) or, from [`Self::merged`], a whole range.
-    fn chunk(
-        &self,
-        base_start: usize,
-        base_end: usize,
-        ins_lo: Bound<Vec<RamDomain>>,
-        ins_hi: Bound<Vec<RamDomain>>,
-    ) -> MergedIter<'_> {
-        let arity = self.order.arity();
-        let base = self
-            .base
-            .as_ref()
-            .filter(|_| base_end > base_start)
-            .map(|b| BaseCursor::new(b.clone(), base_start, base_end));
-        MergedIter {
-            arity,
-            base,
-            base_cur: Vec::with_capacity(arity),
-            base_valid: false,
-            inserts: self.inserts.range((ins_lo, ins_hi)).peekable(),
-            tombs: &self.tombs,
-        }
+    /// The merge over the inclusive stored-order window `[lo, hi]`, its
+    /// base part cut at run positions `[start, end)`.
+    fn window(&self, start: usize, end: usize, lo: &Tuple<N>, hi: &Tuple<N>) -> DiskIter<'_, N> {
+        let (inserts, tombs) = (self.inserts.range(lo, hi), self.tombs.range(lo, hi));
+        self.merge(start, end, inserts, tombs)
     }
 }
 
-impl IndexAdapter for DiskIndex {
-    fn order(&self) -> &Order {
-        &self.order
-    }
-
-    fn arity(&self) -> usize {
-        self.order.arity()
-    }
+impl<const N: usize> TupleSet<N> for DiskSet<N> {
+    type Iter<'a> = DiskIter<'a, N>;
 
     fn len(&self) -> usize {
-        self.base_count() + self.inserts.len() - self.tombs.len()
+        self.base.as_ref().map_or(0, |b| b.count) + self.inserts.len() - self.tombs.len()
     }
 
-    fn stats(&self) -> IndexStats {
-        // Resident bytes only: the base run lives on disk; what this index
-        // pins in RAM is the fence index and the overlay sets (BTreeSet
-        // node overhead approximated at 48 bytes/entry).
-        let arity = self.order.arity();
-        let tuple_bytes = arity * std::mem::size_of::<RamDomain>();
-        let overlay = self.inserts.len() + self.tombs.len();
-        let fence_bytes = self
-            .base
-            .as_ref()
-            .map(|b| b.fence.len() * std::mem::size_of::<RamDomain>())
-            .unwrap_or(0);
-        IndexStats {
-            tuples: self.len(),
-            nodes: self.base.as_ref().map(|b| b.pages()).unwrap_or(0) + overlay,
-            bytes: std::mem::size_of::<Self>() + fence_bytes + overlay * (tuple_bytes + 48),
-        }
+    /// Base-run pages plus overlay B-tree nodes.
+    fn node_count(&self) -> usize {
+        let pages = self.base.as_ref().map_or(0, BaseRun::pages);
+        pages + self.inserts.node_count() + self.tombs.node_count()
+    }
+
+    /// Resident bytes only: the base run lives on disk, so what the set
+    /// pins in memory is the fence index and the two overlays.
+    fn estimated_bytes(&self) -> usize {
+        let fence = self.base.as_ref().map_or(0, |b| b.fence.len()) * size_of::<RamDomain>();
+        fence + self.inserts.estimated_bytes() + self.tombs.estimated_bytes()
     }
 
     fn clear(&mut self) {
@@ -622,116 +476,144 @@ impl IndexAdapter for DiskIndex {
         self.tombs.clear();
     }
 
-    fn insert(&mut self, t: &[RamDomain]) -> bool {
-        let enc = self.enc(t);
-        if self.tombs.remove(&enc) {
-            return true; // resurrect a tombstoned base tuple
+    fn insert(&mut self, t: Tuple<N>) -> bool {
+        if self.tombs.remove(&t) {
+            return true; // resurrects a tombstoned base tuple
         }
-        if self.inserts.contains(&enc) || self.base_contains(&enc) {
+        if self.inserts.contains(&t) || self.base_contains(&t) {
             return false;
         }
-        self.inserts.insert(enc)
+        self.inserts.insert(t)
     }
 
-    fn erase(&mut self, t: &[RamDomain]) -> bool {
-        let enc = self.enc(t);
-        self.erase_enc(&enc)
+    fn remove(&mut self, t: &Tuple<N>) -> bool {
+        if self.inserts.remove(t) {
+            return true;
+        }
+        !self.tombs.contains(t) && self.base_contains(t) && self.tombs.insert(*t)
     }
 
-    fn erase_prefix(&mut self, prefix: &[RamDomain]) -> usize {
-        let arity = self.order.arity();
-        debug_assert!(prefix.len() <= arity);
-        let mut lo = vec![0; arity];
-        let mut hi = vec![RamDomain::MAX; arity];
-        lo[..prefix.len()].copy_from_slice(prefix);
-        hi[..prefix.len()].copy_from_slice(prefix);
-        let doomed: Vec<Vec<RamDomain>> = {
-            let mut it = self.merged(Some(&lo), Some(&hi));
-            let mut out = Vec::new();
-            while let Some(t) = it.next_tuple() {
-                out.push(t.to_vec());
-            }
-            out
+    fn contains(&self, t: &Tuple<N>) -> bool {
+        self.inserts.contains(t) || (self.base_contains(t) && !self.tombs.contains(t))
+    }
+
+    fn iter(&self) -> DiskIter<'_, N> {
+        let count = self.base.as_ref().map_or(0, |b| b.count);
+        self.merge(0, count, self.inserts.iter(), self.tombs.iter())
+    }
+
+    fn range(&self, lo: &Tuple<N>, hi: &Tuple<N>) -> DiskIter<'_, N> {
+        let (start, end) = self
+            .base
+            .as_ref()
+            .map_or((0, 0), |b| (b.bound(lo, false), b.bound(hi, true)));
+        self.window(start, end, lo, hi)
+    }
+
+    /// Cuts the window at page boundaries, so each part pins its own
+    /// pages. The overlay is split at the fence tuple of each cut page:
+    /// inserts never equal a base tuple, and a tombstone on a fence is
+    /// only ever met by the part whose base cursor reaches it. Without a
+    /// base run the overlay's own tree partitions.
+    fn partition_range(&self, lo: &Tuple<N>, hi: &Tuple<N>, n: usize) -> Vec<DiskIter<'_, N>> {
+        let Some(run) = &self.base else {
+            let parts = self.inserts.partition_range(lo, hi, n);
+            let whole = |ins| self.merge(0, 0, ins, self.tombs.iter());
+            return parts.into_iter().map(whole).collect();
         };
-        let mut erased = 0;
-        for t in &doomed {
-            if self.erase_enc(t) {
-                erased += 1;
+        let (start, end) = (run.bound(lo, false), run.bound(hi, true));
+        if n <= 1 || start >= end {
+            return vec![self.window(start, end, lo, hi)];
+        }
+        let (first, last) = (start / run.page_tuples, (end - 1) / run.page_tuples);
+        let per = (last - first + 1).div_ceil(n);
+        let mut parts = Vec::new();
+        let (mut from, mut key) = (start, *lo);
+        for page in (first + per..=last).step_by(per) {
+            let (cut, fence) = (
+                page * run.page_tuples,
+                tuple_from_slice(run.fence_tuple(page)),
+            );
+            parts.push(self.window(from, cut, &key, &fence));
+            (from, key) = (cut, fence);
+        }
+        parts.push(self.window(from, end, &key, hi));
+        parts
+    }
+}
+
+/// A sequential cursor over run positions `[pos, end)`, holding at most
+/// one pinned page at a time.
+#[derive(Debug)]
+struct BaseCursor<'a, const N: usize> {
+    run: Option<&'a BaseRun>,
+    pos: usize,
+    end: usize,
+    /// The pinned page and the run positions `[page_start, page_end)` it
+    /// holds.
+    page: Option<Arc<Vec<RamDomain>>>,
+    page_start: usize,
+    page_end: usize,
+}
+
+impl<const N: usize> BaseCursor<'_, N> {
+    /// The tuple at the cursor, without advancing.
+    #[inline]
+    fn peek(&mut self) -> Option<Tuple<N>> {
+        if self.pos >= self.end {
+            return None;
+        }
+        if self.pos >= self.page_end {
+            let run = self.run?;
+            let p = self.pos / run.page_tuples;
+            self.page = Some(run.page(p));
+            self.page_start = p * run.page_tuples;
+            self.page_end = self.page_start + run.page_len(p);
+        }
+        let k = (self.pos - self.page_start) * N;
+        Some(tuple_from_slice(&self.page.as_ref()?[k..k + N]))
+    }
+}
+
+/// The stored-order iterator of a [`DiskSet`]: base tuples minus
+/// tombstones, merged with the overlay inserts. Scans, ranges and every
+/// partition are this one type. The overlay heads sit in plain fields, so
+/// a base tuple with no overlay entry near it costs two tests.
+#[derive(Debug)]
+pub struct DiskIter<'a, const N: usize> {
+    base: BaseCursor<'a, N>,
+    /// The next insert, then the rest of the insert overlay.
+    ins: Option<Tuple<N>>,
+    inserts: btree::Iter<'a, N>,
+    /// The next tombstone, then the rest of the tombstones.
+    tomb: Option<Tuple<N>>,
+    tombs: btree::Iter<'a, N>,
+}
+
+impl<const N: usize> Iterator for DiskIter<'_, N> {
+    type Item = Tuple<N>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Tuple<N>> {
+        'base: loop {
+            let Some(b) = self.base.peek() else {
+                let i = self.ins?;
+                self.ins = self.inserts.next();
+                return Some(i);
+            };
+            if let Some(i) = self.ins.filter(|i| *i < b) {
+                self.ins = self.inserts.next();
+                return Some(i);
             }
+            self.base.pos += 1;
+            while let Some(t) = self.tomb.filter(|t| *t <= b) {
+                self.tomb = self.tombs.next();
+                if t == b {
+                    continue 'base;
+                }
+            }
+            return Some(b);
         }
-        erased
-    }
-
-    fn contains(&self, t: &[RamDomain]) -> bool {
-        let enc = self.enc(t);
-        self.contains_enc(&enc)
-    }
-
-    fn contains_stored(&self, t: &[RamDomain]) -> bool {
-        self.contains_enc(t)
-    }
-
-    fn scan(&self) -> Box<dyn TupleIter + Send + '_> {
-        Box::new(self.merged(None, None))
-    }
-
-    fn range(&self, lo: &[RamDomain], hi: &[RamDomain]) -> Box<dyn TupleIter + Send + '_> {
-        if cmp_slices(lo, hi) == Ordering::Greater {
-            return Box::new(self.chunk(
-                0,
-                0,
-                Bound::Unbounded,
-                Bound::Excluded(vec![0; lo.len()]),
-            ));
-        }
-        Box::new(self.merged(Some(lo), Some(hi)))
-    }
-
-    fn morsels(&self, target: usize) -> Morsels<'_> {
-        let Some(b) = &self.base else {
-            return Morsels::Stream(self.scan());
-        };
-        if b.count == 0 {
-            return Morsels::Stream(self.scan());
-        }
-        let pages_per_chunk = target.max(1).div_ceil(b.page_tuples).max(1);
-        let pages = b.pages();
-        let chunks_n = pages.div_ceil(pages_per_chunk);
-        let mut chunks: Vec<Box<dyn TupleIter + Send + '_>> = Vec::with_capacity(chunks_n);
-        for c in 0..chunks_n {
-            let first_page = c * pages_per_chunk;
-            let end_page = ((c + 1) * pages_per_chunk).min(pages);
-            let base_start = first_page * b.page_tuples;
-            let base_end = (end_page * b.page_tuples).min(b.count);
-            // Overlay inserts fall into the chunk whose base key span
-            // covers them; the first chunk also takes everything below the
-            // base, the last everything above.
-            let ins_lo = if c == 0 {
-                Bound::Unbounded
-            } else {
-                Bound::Included(b.fence_tuple(first_page).to_vec())
-            };
-            let ins_hi = if end_page == pages {
-                Bound::Unbounded
-            } else {
-                Bound::Excluded(b.fence_tuple(end_page).to_vec())
-            };
-            chunks.push(Box::new(self.chunk(base_start, base_end, ins_lo, ins_hi)));
-        }
-        Morsels::Chunks(chunks)
-    }
-
-    fn morsels_range(&self, lo: &[RamDomain], hi: &[RamDomain], target: usize) -> Morsels<'_> {
-        let _ = target;
-        Morsels::Stream(self.range(lo, hi))
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -772,41 +654,45 @@ pub fn write_run(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::adapter::BTreeIndex;
-    use std::path::PathBuf;
+    use crate::adapter::{BTreeIndex, Morsels};
 
-    fn tmpfile(tag: &str) -> PathBuf {
+    /// Writes `stored` (stored order, any order and duplicates allowed)
+    /// as a run file of `arity`-wide tuples and maps it with the given
+    /// page size and cache budget.
+    pub(crate) fn base_run(
+        tag: &str,
+        arity: usize,
+        stored: &[Vec<RamDomain>],
+        page_tuples: usize,
+        budget: usize,
+    ) -> BaseRun {
+        let mut stored = stored.to_vec();
+        stored.sort_unstable();
+        stored.dedup();
+        let mut it = crate::iter::VecTupleIter::new(stored.concat(), arity);
+        let mut buf = Vec::new();
+        let fence = write_run(&mut buf, &mut it, stored.len() as u64, page_tuples).expect("writes");
         let dir = std::env::temp_dir().join(format!("stir-disk-{}", std::process::id()));
         let _ = std::fs::create_dir_all(&dir);
-        dir.join(format!("{tag}.run"))
+        let path = dir.join(format!("{tag}.run"));
+        std::fs::write(&path, &buf).expect("run file");
+        let file = RunFile::open(&path, budget).expect("opens");
+        BaseRun::new(file, 8, stored.len(), arity, page_tuples, fence)
     }
 
-    /// Builds a run file from `tuples` (source order) under `order` and
-    /// returns a DiskIndex served off it with the given page size.
-    fn disk_with_base(
+    /// A disk index served off a run of `tuples` (source order) under
+    /// `order`, with the given page size.
+    fn disk_with_base<const N: usize>(
         tag: &str,
         order: &Order,
         tuples: &[Vec<RamDomain>],
         page_tuples: usize,
         budget: usize,
-    ) -> DiskIndex {
-        let arity = order.arity();
-        let mut stored: Vec<Vec<RamDomain>> = tuples.iter().map(|t| order.encode_vec(t)).collect();
-        stored.sort_unstable();
-        stored.dedup();
-        let mut flat = Vec::new();
-        for t in &stored {
-            flat.extend_from_slice(t);
-        }
-        let mut it = crate::iter::VecTupleIter::new(flat, arity);
-        let mut buf = Vec::new();
-        let fence = write_run(&mut buf, &mut it, stored.len() as u64, page_tuples).expect("writes");
-        let path = tmpfile(tag);
-        std::fs::write(&path, &buf).expect("run file");
-        let file = RunFile::open(&path, budget).expect("opens");
-        let base = BaseRun::new(file, 8, stored.len(), arity, page_tuples, fence);
+    ) -> DiskIndex<N> {
+        let stored: Vec<_> = tuples.iter().map(|t| order.encode_vec(t)).collect();
+        let base = base_run(tag, N, &stored, page_tuples, budget);
         DiskIndex::with_base(order.clone(), base)
     }
 
@@ -826,7 +712,7 @@ mod tests {
     #[test]
     fn overlay_only_matches_btree_adapter() {
         let order = Order::new(vec![1, 0]);
-        let mut disk = DiskIndex::new(order.clone());
+        let mut disk = DiskIndex::<2>::new(order.clone());
         let mut mem = BTreeIndex::<2>::new(order);
         let mut seed = 5u32;
         for step in 0..3000u32 {
@@ -856,7 +742,7 @@ mod tests {
             base_tuples.push(vec![i % 37, i % 23]);
         }
         // Tiny pages so every operation crosses page boundaries.
-        let mut disk = disk_with_base("oracle", &order, &base_tuples, 7, 1 << 20);
+        let mut disk = disk_with_base::<2>("oracle", &order, &base_tuples, 7, 1 << 20);
         let mut mem = BTreeIndex::<2>::new(order);
         for t in &base_tuples {
             mem.insert(t);
@@ -889,7 +775,7 @@ mod tests {
     fn morsels_concatenate_to_scan_across_page_boundaries() {
         let order = Order::natural(2);
         let base: Vec<Vec<RamDomain>> = (0..700u32).map(|i| vec![i / 3, i % 53]).collect();
-        let mut disk = disk_with_base("morsels", &order, &base, 11, 1 << 20);
+        let mut disk = disk_with_base::<2>("morsels", &order, &base, 11, 1 << 20);
         // Mix the overlay in: fresh inserts below, between, and above the
         // base keys, plus tombstones.
         for i in 0..300u32 {
@@ -915,8 +801,8 @@ mod tests {
         let base: Vec<Vec<RamDomain>> = (0..20_000u32).map(|i| vec![i, i * 7]).collect();
         // Page = 128 tuples * 8 bytes = 1 KiB; budget of 4 KiB holds only
         // 4 of ~157 pages.
-        let disk = disk_with_base("budget", &order, &base, 128, 4 * 1024);
-        let stats = disk.base.as_ref().expect("base").file.stats();
+        let disk = disk_with_base::<2>("budget", &order, &base, 128, 4 * 1024);
+        let stats = disk.raw().base.as_ref().expect("base").file.stats();
         for _ in 0..3 {
             assert_eq!(disk.scan().count_tuples(), 20_000);
         }
@@ -933,38 +819,47 @@ mod tests {
     #[test]
     fn inverted_and_empty_ranges_yield_nothing() {
         let order = Order::natural(2);
-        let disk = disk_with_base("empty", &order, &[vec![5, 5], vec![6, 6]], 4, 1 << 20);
+        let disk = disk_with_base::<2>("empty", &order, &[vec![5, 5], vec![6, 6]], 4, 1 << 20);
         assert_eq!(disk.range(&[9, 0], &[8, 0]).count_tuples(), 0);
         assert_eq!(disk.range(&[7, 0], &[7, u32::MAX]).count_tuples(), 0);
-        let empty = DiskIndex::new(Order::natural(2));
+        assert_eq!(
+            drain(disk.morsels_range(&[9, 0], &[8, 0], 1)),
+            Vec::<Vec<u32>>::new()
+        );
+        let empty = DiskIndex::<2>::new(Order::natural(2));
         assert_eq!(empty.scan().count_tuples(), 0);
-        assert!(matches!(empty.morsels(8), Morsels::Stream(_)));
         assert_eq!(drain(empty.morsels(8)), Vec::<Vec<u32>>::new());
     }
 
     #[test]
     fn resurrecting_a_tombstoned_tuple_round_trips() {
         let order = Order::natural(2);
-        let mut disk = disk_with_base("tomb", &order, &[vec![1, 2]], 4, 1 << 20);
+        let mut disk = disk_with_base::<2>("tomb", &order, &[vec![1, 2]], 4, 1 << 20);
         assert!(disk.erase(&[1, 2]));
         assert!(!disk.contains(&[1, 2]));
         assert_eq!(disk.len(), 0);
         assert!(disk.insert(&[1, 2]), "resurrection is a fresh insert");
         assert!(disk.contains(&[1, 2]));
         assert_eq!(disk.len(), 1);
-        assert_eq!(disk.overlay_len(), (0, 0), "no overlay left after undo");
+        assert_eq!(
+            disk.raw().overlay_len(),
+            (0, 0),
+            "no overlay left after undo"
+        );
     }
 
     #[test]
     fn rebase_drops_the_overlay() {
         let order = Order::natural(1);
-        let mut disk = DiskIndex::new(order.clone());
+        let mut disk = DiskIndex::<1>::new(order.clone());
         disk.insert(&[3]);
         disk.insert(&[9]);
-        let other = disk_with_base("rebase", &order, &[vec![3], vec![9]], 4, 1 << 20);
-        let base = other.base.clone().expect("base");
-        disk.rebase(base);
-        assert_eq!(disk.overlay_len(), (0, 0));
+        let base = base_run("rebase", 1, &[vec![3], vec![9]], 4, 1 << 20);
+        let mut mem = BTreeIndex::<1>::new(order);
+        assert!(!rebase(&mut mem, base.clone()), "only a disk index rebases");
+        assert!(rebase(&mut disk, base));
+        assert!(disk.raw().has_base());
+        assert_eq!(disk.raw().overlay_len(), (0, 0));
         assert_eq!(disk.len(), 2);
         assert_eq!(disk.scan().collect_tuples(), vec![vec![3], vec![9]]);
     }

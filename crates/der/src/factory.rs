@@ -2,12 +2,14 @@
 //!
 //! After de-specialization, an index is identified by its representation
 //! and its arity alone — a parameter space small enough to pre-compile in
-//! full (paper §3). [`new_index`] is the runtime factory: its arm macro,
-//! the Rust analogue of the paper's `FOR_EACH`/`FOR_EACH_BTREE` C-macros
-//! (Figs. 8–9), stamps out one monomorphized [`crate::adapter::SetIndex`]
-//! per representation and arity `1..=16`.
+//! full (paper §3). [`new_index`] is the runtime factory: the crate's
+//! `with_arity!` macro, the Rust analogue of the paper's
+//! `FOR_EACH`/`FOR_EACH_BTREE` C-macros (Figs. 8–9), stamps out one
+//! monomorphized [`crate::adapter::SetIndex`] per representation and
+//! arity `1..=16`.
 
 use crate::adapter::{BTreeIndex, BrieIndex, EqRelIndex, IndexAdapter};
+use crate::disk::DiskIndex;
 use crate::order::Order;
 use crate::tuple::MAX_ARITY;
 
@@ -21,6 +23,9 @@ pub enum Representation {
     /// The union-find equivalence relation — binary relations closed under
     /// equivalence.
     EqRel,
+    /// The disk set — a paged snapshot run plus an in-memory B-tree
+    /// overlay; built overlay-only, given its run on cold start.
+    Disk,
 }
 
 impl Representation {
@@ -30,6 +35,7 @@ impl Representation {
             Representation::BTree => "btree",
             Representation::Brie => "brie",
             Representation::EqRel => "eqrel",
+            Representation::Disk => "disk",
         }
     }
 }
@@ -92,18 +98,17 @@ pub fn new_index(spec: &IndexSpec) -> Box<dyn IndexAdapter> {
     );
     macro_rules! arm {
         ($index:ident) => {
-            arm!(@ $index, 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16)
-        };
-        (@ $index:ident, $($n:literal)*) => {
-            match arity {
-                $( $n => Box::new($index::<$n>::new(spec.order.clone())) as Box<dyn IndexAdapter>, )*
-                _ => unreachable!(),
-            }
+            with_arity!(
+                arity,
+                Box::new($index::<N>::new(spec.order.clone())) as Box<dyn IndexAdapter>,
+                _ => unreachable!()
+            )
         };
     }
     match spec.repr {
         Representation::BTree => arm!(BTreeIndex),
         Representation::Brie => arm!(BrieIndex),
+        Representation::Disk => arm!(DiskIndex),
         Representation::EqRel => {
             assert_eq!(arity, 2, "eqrel indexes are binary");
             Box::new(EqRelIndex::new(spec.order.clone()))
@@ -118,7 +123,11 @@ mod tests {
     #[test]
     fn factory_covers_all_arities() {
         for arity in 1..=MAX_ARITY {
-            for repr in [Representation::BTree, Representation::Brie] {
+            for repr in [
+                Representation::BTree,
+                Representation::Brie,
+                Representation::Disk,
+            ] {
                 let idx = new_index(&IndexSpec::new(repr, Order::natural(arity)));
                 assert_eq!(idx.arity(), arity, "{repr} arity {arity}");
                 assert!(idx.is_empty());

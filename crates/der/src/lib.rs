@@ -8,9 +8,11 @@
 //! De-specializing Relations"*, the portfolio consists of
 //!
 //! * a fixed-arity **B-tree** ([`btree::BTreeIndexSet`]),
-//! * a fixed-arity **Brie** (trie, [`brie::Brie`]), and
+//! * a fixed-arity **Brie** (trie, [`brie::Brie`]),
 //! * a binary **equivalence relation** backed by a union-find
-//!   ([`eqrel::EquivalenceRelation`]).
+//!   ([`eqrel::EquivalenceRelation`]), and
+//! * a fixed-arity **disk set** ([`disk::DiskSet`]): a paged snapshot run
+//!   plus an in-memory B-tree overlay.
 //!
 //! All structures store tuples of [`RamDomain`] values (`u32` bit patterns)
 //! in the **natural lexicographic order** only. The two de-specialization
@@ -53,6 +55,24 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+
+/// Evaluates `$body` with the constant `N` bound to `$arity`, in one
+/// `match` arm per pre-instantiated arity `1..=16` (the paper's
+/// `FOR_EACH` C-macros, Figs. 8–9); any other arity evaluates `$other`.
+macro_rules! with_arity {
+    ($arity:expr, $body:expr, _ => $other:expr) => {
+        with_arity!(@ $arity, $body, $other, 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16)
+    };
+    (@ $arity:expr, $body:expr, $other:expr, $($n:literal)*) => {
+        match $arity {
+            $($n => {
+                const N: usize = $n;
+                $body
+            })*
+            _ => $other,
+        }
+    };
+}
 
 pub mod adapter;
 pub mod brie;

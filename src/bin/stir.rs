@@ -5,9 +5,11 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::RwLock;
+use std::time::Duration;
 use stir::cli::CommonArgs;
 use stir::core::io;
 use stir::core::PersistOptions;
+use stir::ram::program::RamProgram;
 use stir::serve::{handle_request, run_session, RequestCtx, SessionConfig};
 use stir::{
     profile_json, Engine, InputData, InterpreterConfig, LogLevel, ProfileReport, ResidentEngine,
@@ -213,6 +215,7 @@ fn run_explain(
     tel: &Telemetry,
     atom: &str,
 ) -> ExitCode {
+    let started = std::time::Instant::now();
     let explained = stir::serve::parse_fact(engine.ram(), atom).and_then(|(rel, row)| {
         engine
             .explain_with(opts.config, inputs, &rel, &row, Some(tel))
@@ -221,7 +224,7 @@ fn run_explain(
     match explained {
         Ok((tree, nodes)) => {
             println!("{tree}ok {nodes} nodes");
-            ExitCode::SUCCESS
+            write_reports(opts, engine.ram(), None, tel, started.elapsed())
         }
         Err(e) => {
             eprintln!("stir: {e}");
@@ -303,16 +306,34 @@ fn run_repl(opts: &Options, engine: Engine, inputs: &InputData, tel: &Telemetry)
             Err(e) => eprintln!("stir: exit snapshot failed: {e}"),
         }
     }
-    if let Some(path) = &opts.profile_json {
-        resident.sync_metrics(tel);
-        let json = profile_json(resident.ram(), resident.initial_profile(), tel, elapsed);
-        if let Err(e) = std::fs::write(path, json.render() + "\n") {
-            eprintln!("stir: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(path) = &opts.trace_folded {
-        if let Err(e) = std::fs::write(path, tel.tracer.folded()) {
+    resident.sync_metrics(tel);
+    write_reports(
+        opts,
+        resident.ram(),
+        resident.initial_profile(),
+        tel,
+        elapsed,
+    )
+}
+
+/// Writes the `--profile-json` and `--trace-folded` files that were asked
+/// for: `FAILURE`, after saying why, when one cannot be written.
+fn write_reports(
+    opts: &Options,
+    ram: &RamProgram,
+    profile: Option<&ProfileReport>,
+    tel: &Telemetry,
+    elapsed: Duration,
+) -> ExitCode {
+    let json = (opts.profile_json.as_ref()).map(|path| {
+        (
+            path,
+            profile_json(ram, profile, tel, elapsed).render() + "\n",
+        )
+    });
+    let folded = (opts.trace_folded.as_ref()).map(|path| (path, tel.tracer.folded()));
+    for (path, text) in json.into_iter().chain(folded) {
+        if let Err(e) = std::fs::write(path, text) {
             eprintln!("stir: cannot write {}: {e}", path.display());
             return ExitCode::FAILURE;
         }
@@ -422,18 +443,5 @@ fn main() -> ExitCode {
             print_profile_table(profile);
         }
     }
-    if let Some(path) = &opts.profile_json {
-        let json = profile_json(engine.ram(), result.profile.as_ref(), &tel, elapsed);
-        if let Err(e) = std::fs::write(path, json.render() + "\n") {
-            eprintln!("stir: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(path) = &opts.trace_folded {
-        if let Err(e) = std::fs::write(path, tel.tracer.folded()) {
-            eprintln!("stir: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+    write_reports(&opts, engine.ram(), result.profile.as_ref(), &tel, elapsed)
 }

@@ -92,14 +92,20 @@ protocol (one request per line): +rel(1,2). | ?rel(1,_,x) |
 .explain rel(1,2) | .stats | .stats json | .snapshot | .compact |
 .help | .quit (close connection) | .stop (shut down)";
 
-/// A flag's value as a positive (fractional) number of seconds.
+/// A flag's value as a positive (fractional) number of seconds: usage
+/// error when absent, `stird: FLAG needs …` when malformed or too large
+/// for a duration.
 fn seconds(
     common: &CommonArgs,
     flag: &str,
     args: &mut dyn Iterator<Item = String>,
 ) -> Option<Duration> {
-    match args.next().as_deref().map(str::parse::<f64>) {
-        Some(Ok(s)) if s > 0.0 => Some(Duration::from_secs_f64(s)),
+    match common
+        .value(args)
+        .parse::<f64>()
+        .map(Duration::try_from_secs_f64)
+    {
+        Ok(Ok(d)) if !d.is_zero() => Some(d),
         _ => common.fatal(&format!("{flag} needs a positive number of seconds")),
     }
 }
@@ -142,9 +148,9 @@ fn parse_args() -> Options {
             }
             "--admin-addr" => admin_addr = Some(common.value(&mut args)),
             "--slow-query-ms" => {
-                slow_query_ms = match args.next().as_deref().map(str::parse::<u64>) {
-                    Some(Ok(n)) => Some(n),
-                    _ => common.fatal("--slow-query-ms needs a non-negative integer"),
+                slow_query_ms = match common.value(&mut args).parse() {
+                    Ok(n) => Some(n),
+                    Err(_) => common.fatal("--slow-query-ms needs a non-negative integer"),
                 }
             }
             "--metrics-interval" => {

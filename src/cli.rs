@@ -83,15 +83,15 @@ impl CommonArgs {
         args.next().unwrap_or_else(|| self.usage())
     }
 
-    /// A flag's value parsed as an integer `>= 1`; `BIN: FLAG needs a
-    /// positive integer` when absent or malformed.
+    /// A flag's value parsed as an integer `>= 1`: usage error when
+    /// absent, `BIN: FLAG needs a positive integer` when malformed.
     pub fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(
         &self,
         flag: &str,
         args: &mut dyn Iterator<Item = String>,
     ) -> T {
-        match args.next().as_deref().map(str::parse::<T>) {
-            Some(Ok(n)) if n >= T::from(1) => n,
+        match self.value(args).parse::<T>() {
+            Ok(n) if n >= T::from(1) => n,
             _ => self.fatal(&format!("{flag} needs a positive integer")),
         }
     }
@@ -110,10 +110,7 @@ impl CommonArgs {
                     _ => self.fatal("--mode needs sti, dynamic, unopt or legacy"),
                 }
             }
-            "-j" | "--jobs" => match self.value(args).parse() {
-                Ok(n) if n >= 1 => self.jobs = Some(n),
-                _ => self.fatal("--jobs needs a positive integer"),
-            },
+            "-j" | "--jobs" => self.jobs = Some(self.positive("--jobs", args)),
             "--provenance" => self.provenance = true,
             "--storage" => match StorageBackend::parse(&self.value(args)) {
                 Some(s) => self.storage = Some(s),

@@ -142,10 +142,7 @@ fn shared_flags_reject_the_same_values_in_both_binaries() {
             &["--durability", "maybe"],
             Some("invalid durability `maybe` (expected none, batch, or always)".into()),
         ),
-        (
-            &["--snapshot-interval"],
-            Some(format!("--snapshot-interval {POSITIVE}")),
-        ),
+        (&["--snapshot-interval"], None),
         (
             &["--snapshot-interval", "0"],
             Some(format!("--snapshot-interval {POSITIVE}")),
@@ -162,17 +159,32 @@ fn shared_flags_reject_the_same_values_in_both_binaries() {
         ),
         (&["--no-such-flag"], None),
     ];
-    // `stird`'s own flag with a value: the same two failure behaviours.
-    let port: &[(&[&str], Option<String>)] = &[
+    // `stird`'s own flags with a value: the same two failure behaviours.
+    const SECONDS: &str = "needs a positive number of seconds";
+    let own: &[(&[&str], Option<String>)] = &[
         (&["--port"], None),
         (
             &["--port", "abc"],
             Some("--port needs a port number (0 to 65535)".into()),
         ),
+        (&["--request-timeout"], None),
+        (
+            &["--request-timeout", "inf"],
+            Some(format!("--request-timeout {SECONDS}")),
+        ),
+        (
+            &["--request-timeout", "0"],
+            Some(format!("--request-timeout {SECONDS}")),
+        ),
+        (&["--slow-query-ms"], None),
+        (
+            &["--slow-query-ms", "-1"],
+            Some("--slow-query-ms needs a non-negative integer".into()),
+        ),
     ];
     let binaries = [
         ("stir", env!("CARGO_BIN_EXE_stir"), &[][..]),
-        ("stird", env!("CARGO_BIN_EXE_stird"), port),
+        ("stird", env!("CARGO_BIN_EXE_stird"), own),
     ];
     for (name, path, own) in binaries {
         let help = Command::new(path).arg("--help").output().expect("runs");
@@ -302,6 +314,33 @@ fn explain_answers_alike_in_every_mode() {
     }
     assert!(proofs[0].ends_with("ok 4 nodes\n"), "{}", proofs[0]);
     assert!(proofs.windows(2).all(|w| w[0] == w[1]), "{proofs:?}");
+}
+
+/// `stir explain` writes the observer files the batch run writes.
+#[test]
+fn explain_writes_profile_json_and_folded_trace() {
+    let dir = setup("explain-reports");
+    let (json, folded) = (dir.join("p.json"), dir.join("f.txt"));
+    let out = stir()
+        .arg("explain")
+        .arg(dir.join("tc.dl"))
+        .arg("path(1, 3)")
+        .arg("-F")
+        .arg(&dir)
+        .arg("--profile-json")
+        .arg(&json)
+        .arg("--trace-folded")
+        .arg(&folded)
+        .output()
+        .expect("runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&json).expect("profile JSON written");
+    stir::Json::parse(&text).expect("valid JSON");
+    assert!(folded.exists(), "folded trace written");
 }
 
 /// The files of an output directory, by name, with their bytes.

@@ -375,7 +375,7 @@ fn page_cache_stays_within_budget_under_random_load() {
         .find(|rel| rel.name == "r" && !rel.runs.is_empty())
         .expect("r is run-backed");
     let cols = rel.runs[0].order.clone();
-    let idx = DiskIndex::with_base(Order::new(cols.clone()), snap.base_run(rel, 0));
+    let idx = DiskIndex::<2>::with_base(Order::new(cols.clone()), snap.base_run(rel, 0));
     assert_eq!(idx.len(), total, "base run holds the full closure");
 
     // Probes take source-order tuples (the adapter encodes them);
