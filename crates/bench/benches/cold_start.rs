@@ -10,8 +10,12 @@
 //!   fixpoint, but O(tuples) index rebuild);
 //! * `disk mmap`  — a disk-backed engine maps the same file and serves
 //!   queries off the paged base runs (no fixpoint, no rebuild);
-//! * `disk +wal`  — same, plus a 32-batch WAL suffix replayed through
-//!   the incremental path.
+//! * `disk +wal32` — same, plus a 32-batch WAL suffix replayed through
+//!   the incremental path;
+//! * `disk +churn` — same, plus an 8192-record suffix that inserts,
+//!   retracts and re-inserts the edges of a 64-edge pool: recovery folds
+//!   it to each edge's last operation and applies one batch, so it must
+//!   reopen to exactly the `path` the live engine served.
 //!
 //! There is one snapshot format, so the first two restart off the same
 //! directory. This backs EXPERIMENTS.md E17: mapping the snapshot must
@@ -57,35 +61,62 @@ fn opts() -> PersistOptions {
     }
 }
 
-/// Builds a data directory holding a snapshot of the warm database
-/// (plus `wal_batches` un-snapshotted single-edge inserts).
-fn seed_dir(tag: &str, initial: &InputData, wal_batches: i32) -> PathBuf {
+/// One logged write: insert (`true`) or retract one edge.
+type Logged = (bool, [i32; 2]);
+
+/// `n` single-edge inserts, each of a fresh edge off the chain.
+fn fresh_inserts(n: i32) -> Vec<Logged> {
+    (0..n).map(|k| (true, [-1 - k, -100 - k])).collect()
+}
+
+/// `n` writes churning a 64-edge pool (eight 8-edge chains off the main
+/// one): every third write retracts, so each edge is inserted, retracted
+/// and re-inserted over and over.
+fn churn(n: i32) -> Vec<Logged> {
+    (0..n)
+        .map(|k| {
+            let e = k * 7 % 64;
+            let x = -1000 - (e / 8) * 10 - e % 8;
+            (k % 3 != 1, [x, x - 1])
+        })
+        .collect()
+}
+
+/// Builds a data directory holding a snapshot of the warm database plus
+/// the un-snapshotted `log`; returns it with the `path` the live engine
+/// served at the end.
+fn seed_dir(tag: &str, initial: &InputData, log: &[Logged]) -> (PathBuf, Vec<Vec<Value>>) {
     let dir = fresh_dir(tag);
     let engine = Engine::from_source(TC).expect("compiles");
     let config = InterpreterConfig::optimized();
     let (mut r, _) =
         ResidentEngine::open(engine, config, initial, &dir, opts(), None).expect("opens");
     r.snapshot(None).expect("snapshots");
-    for k in 0..wal_batches {
-        let rows = vec![vec![Value::Number(-1 - k), Value::Number(-100 - k)]];
-        r.insert_facts("edge", &rows, None).expect("wal batch");
+    for &(insert, [x, y]) in log {
+        let rows = vec![vec![Value::Number(x), Value::Number(y)]];
+        if insert {
+            r.insert_facts("edge", &rows, None).expect("wal batch");
+        } else {
+            r.retract_facts("edge", &rows, None).expect("wal batch");
+        }
     }
-    dir
+    let path = r.outputs().remove("path").expect("path");
+    (dir, path)
 }
 
 /// Best time over [`reps`] runs for one restart variant; engine
 /// compilation (shared by every variant) stays outside the timer.
-/// Returns the time and the restarted database's `path` count, so the
-/// caller can check every variant recovered the same state.
+/// Returns the time and the restarted database's `path`, so the caller
+/// can check every variant recovered the same state.
 fn measure(
     storage: StorageBackend,
     initial: &InputData,
     dir: Option<&PathBuf>,
-    expect_replay: u64,
-) -> (Duration, usize) {
+    expect_replay: usize,
+) -> (Duration, Vec<Vec<Value>>) {
     let config = InterpreterConfig::optimized().with_storage(storage);
     let mut times = Vec::new();
-    let mut size = 0;
+    let mut path = Vec::new();
     for rep in 0..reps() + 1 {
         let engine = Engine::from_source(TC).expect("compiles");
         let started = Instant::now();
@@ -94,19 +125,22 @@ fn measure(
                 let (r, rec) = ResidentEngine::open(engine, config, initial, dir, opts(), None)
                     .expect("reopens");
                 assert!(rec.snapshot_loaded, "restart must load the snapshot");
-                assert_eq!(rec.replayed_batches, expect_replay, "wal suffix replays");
+                assert_eq!(
+                    rec.replayed_batches, expect_replay as u64,
+                    "wal suffix replays"
+                );
                 r
             }
             None => ResidentEngine::new(engine, config, initial, None).expect("evaluates"),
         };
         let elapsed = started.elapsed();
-        size = r.outputs()["path"].len();
+        path = r.outputs().remove("path").expect("path");
         if rep > 0 {
             // First run is the untimed warm-up (page cache, allocator).
             times.push(elapsed);
         }
     }
-    (best(times), size)
+    (best(times), path)
 }
 
 fn main() {
@@ -116,24 +150,27 @@ fn main() {
         Scale::Medium => 800,
         Scale::Large => 1600,
     };
-    let wal_batches = 32;
     let initial = inputs(nodes);
+    let (wal32, churned) = (fresh_inserts(32), churn(8192));
 
-    let dir_snap = seed_dir("snap", &initial, 0);
-    let dir_wal = seed_dir("snap-wal", &initial, wal_batches);
+    let (dir_snap, _) = seed_dir("snap", &initial, &[]);
+    let (dir_wal, _) = seed_dir("snap-wal", &initial, &wal32);
+    let (dir_churn, live_churn) = seed_dir("snap-churn", &initial, &churned);
 
-    let (t_fix, n_fix) = measure(StorageBackend::Mem, &initial, None, 0);
-    let (t_mem, n_mem) = measure(StorageBackend::Mem, &initial, Some(&dir_snap), 0);
-    let (t_map, n_map) = measure(StorageBackend::Disk, &initial, Some(&dir_snap), 0);
-    let (t_wal, n_wal) = measure(
-        StorageBackend::Disk,
-        &initial,
-        Some(&dir_wal),
-        wal_batches as u64,
+    let (t_fix, fix) = measure(StorageBackend::Mem, &initial, None, 0);
+    let (t_mem, mem) = measure(StorageBackend::Mem, &initial, Some(&dir_snap), 0);
+    let (t_map, map) = measure(StorageBackend::Disk, &initial, Some(&dir_snap), 0);
+    let disk = StorageBackend::Disk;
+    let (t_wal, wal) = measure(disk, &initial, Some(&dir_wal), wal32.len());
+    let (t_churn, reopened) = measure(disk, &initial, Some(&dir_churn), churned.len());
+    let n_fix = fix.len();
+    assert_eq!(mem, fix, "mem load must recover the full database");
+    assert_eq!(map, fix, "disk mmap must recover the full database");
+    assert_eq!(wal.len(), n_fix + wal32.len(), "wal replay adds its edges");
+    assert_eq!(
+        reopened, live_churn,
+        "the folded churn log reopens to the live state"
     );
-    assert_eq!(n_mem, n_fix, "mem load must recover the full database");
-    assert_eq!(n_map, n_fix, "disk mmap must recover the full database");
-    assert!(n_wal >= n_fix, "wal replay must recover at least the base");
 
     let speedup = |t: Duration| t_fix.as_secs_f64() / t.as_secs_f64();
     let rows: Vec<Vec<String>> = [
@@ -141,6 +178,7 @@ fn main() {
         ("mem load", t_mem),
         ("disk mmap", t_map),
         ("disk +wal32", t_wal),
+        ("disk +churn", t_churn),
     ]
     .into_iter()
     .map(|(name, t)| vec![name.to_string(), fmt_dur(t), fmt_ratio(speedup(t))])
@@ -162,7 +200,7 @@ fn main() {
          re-evaluating (got {mmap_speedup:.1}x)"
     );
 
-    for d in [dir_snap, dir_wal] {
+    for d in [dir_snap, dir_wal, dir_churn] {
         let _ = std::fs::remove_dir_all(d);
     }
 }

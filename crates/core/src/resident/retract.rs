@@ -27,25 +27,19 @@
 use super::*;
 
 impl ResidentEngine {
-    /// Applies one validated retraction batch (see the module docs). Does
-    /// *not* touch the WAL: serving appends first, recovery replays it.
+    /// Applies one validated, encoded retraction batch (see the module
+    /// docs). Does *not* touch the WAL: serving appends first, recovery
+    /// folds it.
     pub(super) fn retract_internal(
         &mut self,
         target: RelId,
-        rows: &[Vec<Value>],
+        mut doomed: Vec<Vec<RamDomain>>,
         deadline: Option<Instant>,
         tel: Option<&Telemetry>,
     ) -> Result<RetractReport, EvalError> {
         let upd = self.ram.upd_of(target);
 
-        // Encode, dedup, and keep only tuples actually present. A row
-        // naming a never-interned symbol cannot be present.
-        let symbols = self.db.symbols_rd();
-        let mut doomed: Vec<_> = rows
-            .iter()
-            .filter_map(|r| encode_existing(&symbols, r))
-            .collect();
-        drop(symbols);
+        // Dedup, and keep only tuples actually present.
         doomed.sort_unstable();
         doomed.dedup();
         {

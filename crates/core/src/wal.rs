@@ -4,10 +4,11 @@
 //! the batch is in the write-ahead log, so a crash at *any* later point
 //! (during delta evaluation, between requests, mid-snapshot) loses no
 //! acknowledged data: restart loads the latest valid snapshot and
-//! replays the WAL suffix. This module owns the log format, the byte
-//! helpers it shares with the snapshot format ([`crate::snap2`]), and
-//! the atomic-publish sequence both use; the recovery choreography
-//! lives in [`crate::resident`].
+//! streams the WAL suffix through [`replay`], one frame at a time; the
+//! engine folds the records into one net batch per relation. This module
+//! owns the log format, the byte helpers it shares with the snapshot
+//! format ([`crate::snap2`]), and the atomic-publish sequence both use;
+//! the recovery choreography lives in [`crate::resident`].
 //!
 //! # WAL format
 //!
@@ -27,9 +28,10 @@
 //! log to start over. Values are stored *typed* (not as interned
 //! bit patterns) because a recovery without a snapshot re-interns symbols
 //! into a fresh table whose ids need not match the crashed process's. All
-//! integers are little-endian. Replay stops at the first short read or
-//! checksum mismatch — a torn tail from a crash mid-append — and the
-//! writer truncates the file back to the last valid record. A frame whose
+//! integers are little-endian. Replay stops at the first short frame,
+//! frame length past the end of the file, or checksum mismatch — a torn
+//! tail from a crash mid-append — and the writer truncates the file back
+//! to the last valid record. A frame whose
 //! checksum *verifies* but whose payload does not decode (an unknown
 //! record kind, trailing bytes) is different: those bytes were written
 //! deliberately, by a newer or foreign writer, so replay fails loudly
@@ -41,7 +43,7 @@ use crate::fault::{self, FaultPoint};
 use crate::telemetry::ServeMetrics;
 use crate::value::Value;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -330,57 +332,147 @@ pub(crate) fn sweep_stale_temp(path: &Path, tmp_ext: &str) {
 // WAL records
 // ---------------------------------------------------------------------
 
-/// What a WAL record does to its target relation on replay.
+/// What a WAL record does to its target relation on replay; the
+/// discriminant is the record's kind byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WalRecordKind {
     /// An `insert_facts` batch.
-    Insert,
+    Insert = 0,
     /// A `retract_facts` batch.
-    Delete,
+    Delete = 1,
 }
 
-impl WalRecordKind {
-    fn tag(self) -> u8 {
-        match self {
-            WalRecordKind::Insert => 0,
-            WalRecordKind::Delete => 1,
+/// Frames one `insert_facts` / `retract_facts` batch for appending.
+fn encode_record(kind: WalRecordKind, rel: &str, rows: &[Vec<Value>]) -> Vec<u8> {
+    let arity = rows.first().map_or(0, Vec::len);
+    let mut payload = Vec::new();
+    payload.push(kind as u8);
+    put_str(&mut payload, rel);
+    put_u32(&mut payload, rows.len() as u32);
+    put_u32(&mut payload, arity as u32);
+    for row in rows {
+        for v in row {
+            put_value(&mut payload, v);
         }
     }
+    let mut framed = Vec::with_capacity(payload.len() + 8);
+    put_u32(&mut framed, payload.len() as u32);
+    put_u32(&mut framed, crc32(&payload));
+    framed.extend_from_slice(&payload);
+    framed
 }
 
-/// One logged `insert_facts` / `retract_facts` batch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WalRecord {
+/// One logged batch, borrowed from the [`WalLog`] that decoded it.
+#[derive(Debug)]
+pub struct WalBatch<'a> {
     /// Whether the batch inserts or deletes.
     pub kind: WalRecordKind,
     /// Target `.input` relation name.
-    pub rel: String,
+    pub rel: &'a str,
     /// The batch, as typed values.
-    pub rows: Vec<Vec<Value>>,
+    pub rows: &'a [Vec<Value>],
 }
 
-impl WalRecord {
-    fn encode(kind: WalRecordKind, rel: &str, rows: &[Vec<Value>]) -> Vec<u8> {
-        let arity = rows.first().map_or(0, Vec::len);
-        let mut payload = Vec::new();
-        payload.push(kind.tag());
-        put_str(&mut payload, rel);
-        put_u32(&mut payload, rows.len() as u32);
-        put_u32(&mut payload, arity as u32);
-        for row in rows {
-            for v in row {
-                put_value(&mut payload, v);
-            }
+/// Opens the WAL at `path` for [`WalLog::next_batch`]. A missing file or
+/// a WAL for a different program fingerprint is an empty log with
+/// `valid_len = 0`, which makes the subsequent [`WalWriter::open`] start
+/// the file over.
+///
+/// # Errors
+///
+/// Propagates I/O errors other than the file not existing. A `STIRWAL1`
+/// log is an error naming the format: starting it over would silently
+/// drop acknowledged history.
+pub fn replay(path: &Path, fp: u64) -> Result<WalLog, StorageError> {
+    let mut log = WalLog::default();
+    let file = match File::open(path) {
+        Ok(f) => f,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(log),
+        Err(e) => return Err(StorageError::io("open WAL", &e)),
+    };
+    let len = file.metadata().map_err(read_err)?.len();
+    let mut reader = BufReader::new(file);
+    let mut header = [0u8; WAL_HEADER as usize];
+    let header = &mut header[..len.min(WAL_HEADER) as usize];
+    reader.read_exact(header).map_err(read_err)?;
+    if header.starts_with(WAL_MAGIC_LEGACY) {
+        return Err(StorageError::new(format!(
+            "unsupported legacy WAL format STIRWAL1 at {}: this build reads STIRWAL2 only",
+            path.display()
+        )));
+    }
+    // A foreign or truncated-below-header WAL starts over. (A header can
+    // only be torn if the very first append crashed, in which case
+    // nothing was ever acknowledged.)
+    if *header == [&WAL_MAGIC[..], &fp.to_le_bytes()].concat() {
+        (log.reader, log.len, log.valid_len) = (Some(reader), len, WAL_HEADER);
+    }
+    Ok(log)
+}
+
+fn read_err(e: io::Error) -> StorageError {
+    StorageError::io("read WAL", &e)
+}
+
+/// A WAL read front to back, one frame at a time through a buffer: the
+/// file and its records are never held whole.
+#[derive(Debug, Default)]
+pub struct WalLog {
+    /// `None` once the log has ended.
+    reader: Option<BufReader<File>>,
+    len: u64,
+    valid_len: u64,
+    /// The current frame's payload, relation and rows.
+    payload: Vec<u8>,
+    rel: String,
+    rows: Vec<Vec<Value>>,
+}
+
+impl WalLog {
+    /// The next valid record; `None` at the end of the log and at the
+    /// first torn record (short frame, a length past the end of the
+    /// file, or a checksum mismatch).
+    ///
+    /// # Errors
+    ///
+    /// Read errors, and a checksum-*valid* frame that does not decode (see
+    /// the module docs), named by its file offset.
+    pub fn next_batch(&mut self) -> Result<Option<WalBatch<'_>>, StorageError> {
+        let Some(reader) = &mut self.reader else {
+            return Ok(None);
+        };
+        let left = self.len - self.valid_len;
+        let mut frame = [0u8; 8];
+        if left >= 8 {
+            reader.read_exact(&mut frame).map_err(read_err)?;
         }
-        let mut framed = Vec::with_capacity(payload.len() + 8);
-        put_u32(&mut framed, payload.len() as u32);
-        put_u32(&mut framed, crc32(&payload));
-        framed.extend_from_slice(&payload);
-        framed
+        let word = |i: usize| u32::from_le_bytes(frame[i..i + 4].try_into().unwrap());
+        // A torn frame header, or a length past the end of the file:
+        // caught before anything is allocated.
+        if left < 8 || u64::from(word(0)) > left - 8 {
+            self.reader = None;
+            return Ok(None);
+        }
+        self.payload.resize(word(0) as usize, 0);
+        reader.read_exact(&mut self.payload).map_err(read_err)?;
+        if crc32(&self.payload) != word(4) {
+            self.reader = None; // corrupt or torn payload
+            return Ok(None);
+        }
+        // The checksum passed, so these bytes are exactly what some
+        // writer meant to append; a decode failure here is a format we
+        // do not understand, not damage, and must not be "recovered"
+        // from by truncation.
+        let at = self.valid_len;
+        self.valid_len += 8 + self.payload.len() as u64;
+        self.decode()
+            .map(Some)
+            .map_err(|e| StorageError::new(format!("WAL record at offset {at}: {}", e.msg)))
     }
 
-    fn decode(payload: &[u8]) -> Result<WalRecord, StorageError> {
-        let mut r = ByteReader::new(payload);
+    /// Decodes the checksum-valid payload just read.
+    fn decode(&mut self) -> Result<WalBatch<'_>, StorageError> {
+        let mut r = ByteReader::new(&self.payload);
         let kind = match r.u8()? {
             0 => WalRecordKind::Insert,
             1 => WalRecordKind::Delete,
@@ -390,107 +482,31 @@ impl WalRecord {
                 )))
             }
         };
-        let rel = r.str()?;
-        let rows = r.u32()? as usize;
-        let arity = r.u32()? as usize;
-        let mut out = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            let mut row = Vec::with_capacity(arity);
-            for _ in 0..arity {
-                row.push(r.value()?);
-            }
-            out.push(row);
+        self.rel = r.str()?;
+        let (count, arity) = (r.u32()?, r.u32()? as usize);
+        // Nothing is reserved up front: a count the payload cannot hold
+        // fails at its first missing value.
+        self.rows.clear();
+        for _ in 0..count {
+            let row = (0..arity).map(|_| r.value()).collect::<Result<_, _>>()?;
+            self.rows.push(row);
         }
         if !r.done() {
             return Err(StorageError::new("trailing bytes in WAL record"));
         }
-        Ok(WalRecord {
-            kind,
-            rel,
-            rows: out,
-        })
+        let (rel, rows) = (&self.rel, &self.rows);
+        Ok(WalBatch { kind, rel, rows })
     }
-}
 
-/// What [`replay`] found in an existing WAL.
-#[derive(Debug, Default)]
-pub struct WalReplay {
-    /// Valid records, in append order.
-    pub records: Vec<WalRecord>,
-    /// File offset after the last valid record (where appends resume).
-    pub valid_len: u64,
-    /// Bytes of torn tail discarded after the last valid record.
-    pub torn_bytes: u64,
-}
+    /// The offset after the last valid record: where appends resume.
+    pub fn valid_len(&self) -> u64 {
+        self.valid_len
+    }
 
-/// Reads every valid record of the WAL at `path`, stopping at the first
-/// torn record (short frame or checksum mismatch).
-///
-/// A missing file or a WAL for a different program fingerprint yields an
-/// empty replay with `valid_len = 0`, which makes the subsequent
-/// [`WalWriter::open`] start the file over.
-///
-/// # Errors
-///
-/// Propagates I/O errors other than the file not existing, and rejects a
-/// checksum-*valid* frame whose payload does not decode (an unknown
-/// record kind or trailing bytes — a newer or foreign writer, not a torn
-/// crash tail), reporting its file offset. Truncating such a frame would
-/// silently drop acknowledged history behind it; so would starting a
-/// `STIRWAL1` log over, which is therefore an error naming the format.
-pub fn replay(path: &Path, fp: u64) -> Result<WalReplay, StorageError> {
-    let mut bytes = Vec::new();
-    match File::open(path) {
-        Ok(mut f) => f
-            .read_to_end(&mut bytes)
-            .map_err(|e| StorageError::io("read WAL", &e))?,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(WalReplay::default()),
-        Err(e) => return Err(StorageError::io("open WAL", &e)),
-    };
-    if bytes.starts_with(WAL_MAGIC_LEGACY) {
-        return Err(StorageError::new(format!(
-            "unsupported legacy WAL format STIRWAL1 at {}: this build reads STIRWAL2 only",
-            path.display()
-        )));
+    /// The bytes after the last valid record: the torn tail.
+    pub fn torn_bytes(&self) -> u64 {
+        self.len - self.valid_len
     }
-    if bytes.len() < WAL_HEADER as usize
-        || &bytes[..8] != WAL_MAGIC
-        || bytes[8..16] != fp.to_le_bytes()
-    {
-        // Foreign or truncated-below-header WAL: start over. (A header
-        // can only be torn if the very first append crashed, in which
-        // case nothing was ever acknowledged.)
-        return Ok(WalReplay::default());
-    }
-    let mut out = WalReplay {
-        valid_len: WAL_HEADER,
-        ..WalReplay::default()
-    };
-    let mut pos = WAL_HEADER as usize;
-    while pos < bytes.len() {
-        let Some(frame) = bytes.get(pos..pos + 8) else {
-            break; // torn frame header
-        };
-        let len = u32::from_le_bytes(frame[..4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(frame[4..8].try_into().unwrap());
-        let Some(payload) = bytes.get(pos + 8..pos + 8 + len) else {
-            break; // torn payload
-        };
-        if crc32(payload) != crc {
-            break; // corrupt or torn payload
-        }
-        // The checksum passed, so these bytes are exactly what some
-        // writer meant to append; a decode failure here is a format we
-        // do not understand, not damage, and must not be "recovered"
-        // from by truncation.
-        let record = WalRecord::decode(payload)
-            .map_err(|e| StorageError::new(format!("WAL record at offset {pos}: {}", e.msg)))?;
-        out.records.push(record);
-        pos += 8 + len;
-        out.valid_len = pos as u64;
-    }
-    out.torn_bytes = bytes.len() as u64 - out.valid_len;
-    Ok(out)
 }
 
 /// Append-path counters, surfaced as `wal.*` metrics.
@@ -537,7 +553,8 @@ pub struct WalWriter {
 impl WalWriter {
     /// Opens (or creates) the WAL at `path` for appending.
     ///
-    /// `valid_len` comes from [`replay`]: the file is truncated to it
+    /// `valid_len` comes from a finished [`replay`] ([`WalLog::valid_len`]):
+    /// the file is truncated to it
     /// first, discarding any torn tail; `0` (new, foreign, or headerless
     /// file) rewrites the header from scratch.
     ///
@@ -634,19 +651,9 @@ impl WalWriter {
         self.append_kind(WalRecordKind::Insert, rel, rows)
     }
 
-    /// Appends one delete batch; same durability and rollback contract
-    /// as [`WalWriter::append`].
-    ///
-    /// # Errors
-    ///
-    /// I/O failures and injected `wal_delete_write`/`wal_delete_fsync`
-    /// faults.
-    pub fn append_delete(&mut self, rel: &str, rows: &[Vec<Value>]) -> Result<(), StorageError> {
-        self.append_kind(WalRecordKind::Delete, rel, rows)
-    }
-
-    /// Appends one batch of either kind; [`WalWriter::append`] and
-    /// [`WalWriter::append_delete`] fix the kind.
+    /// Appends one batch of either kind; [`WalWriter::append`] fixes
+    /// the kind to an insert. A delete batch checks the
+    /// `wal_delete_write`/`wal_delete_fsync` fault points instead.
     pub(crate) fn append_kind(
         &mut self,
         kind: WalRecordKind,
@@ -665,7 +672,7 @@ impl WalWriter {
             WalRecordKind::Insert => (FaultPoint::WalWrite, FaultPoint::WalFsync),
             WalRecordKind::Delete => (FaultPoint::WalDeleteWrite, FaultPoint::WalDeleteFsync),
         };
-        let framed = WalRecord::encode(kind, rel, rows);
+        let framed = encode_record(kind, rel, rows);
         let metrics = Arc::clone(&self.metrics);
         let t_append = metrics.start();
         let mut deferred = false;
@@ -905,7 +912,7 @@ impl GroupCommit {
 
 /// A pending durability acknowledgement from a group-committed append.
 ///
-/// Minted by [`WalWriter::append`]/[`WalWriter::append_delete`] when
+/// Minted by [`WalWriter::append`] and the engine's retractions when
 /// group commit is enabled; the serving layer waits on it *after*
 /// dropping the engine write lock, so concurrent writers park at the
 /// barrier instead of serializing their fsyncs under the lock.
@@ -937,6 +944,39 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("mkdir");
         dir
+    }
+
+    #[derive(Debug)]
+    struct Record {
+        kind: WalRecordKind,
+        rel: String,
+        rows: Vec<Vec<Value>>,
+    }
+
+    /// A whole log read through [`replay`]: its records, and where the
+    /// reader stopped.
+    #[derive(Debug)]
+    struct Replayed {
+        records: Vec<Record>,
+        valid_len: u64,
+        torn_bytes: u64,
+    }
+
+    fn replay_all(path: &Path, fp: u64) -> Result<Replayed, StorageError> {
+        let mut log = replay(path, fp)?;
+        let mut records = Vec::new();
+        while let Some(batch) = log.next_batch()? {
+            records.push(Record {
+                kind: batch.kind,
+                rel: batch.rel.to_owned(),
+                rows: batch.rows.to_vec(),
+            });
+        }
+        Ok(Replayed {
+            records,
+            valid_len: log.valid_len(),
+            torn_bytes: log.torn_bytes(),
+        })
     }
 
     fn rows(pairs: &[(i32, &str)]) -> Vec<Vec<Value>> {
@@ -972,7 +1012,7 @@ mod tests {
         w.append("f", &b2).expect("appends");
         assert_eq!(w.stats.appends, 2);
 
-        let replayed = replay(&path, fp).expect("replays");
+        let replayed = replay_all(&path, fp).expect("replays");
         assert_eq!(replayed.torn_bytes, 0);
         assert_eq!(replayed.records.len(), 2);
         assert_eq!(replayed.records[0].rel, "e");
@@ -983,7 +1023,7 @@ mod tests {
         let mut w =
             WalWriter::open(&path, Durability::Batch, fp, replayed.valid_len).expect("reopens");
         w.append("e", &rows(&[(3, "c")])).expect("appends");
-        let replayed = replay(&path, fp).expect("replays");
+        let replayed = replay_all(&path, fp).expect("replays");
         assert_eq!(replayed.records.len(), 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1002,7 +1042,7 @@ mod tests {
         let bytes = std::fs::read(&path).expect("reads");
         std::fs::write(&path, &bytes[..bytes.len() - 3]).expect("writes");
 
-        let replayed = replay(&path, fp).expect("replays");
+        let replayed = replay_all(&path, fp).expect("replays");
         assert_eq!(replayed.records.len(), 1, "torn record dropped");
         assert_eq!(
             replayed.torn_bytes as usize,
@@ -1013,9 +1053,55 @@ mod tests {
         let mut w =
             WalWriter::open(&path, Durability::Batch, fp, replayed.valid_len).expect("opens");
         w.append("e", &rows(&[(3, "c")])).expect("appends");
-        let replayed = replay(&path, fp).expect("replays");
+        let replayed = replay_all(&path, fp).expect("replays");
         assert_eq!(replayed.records.len(), 2);
         assert_eq!(replayed.torn_bytes, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Hostile tails after one good record: a length field past the end
+    /// of the file (`u32::MAX` included), a tail that ends inside the
+    /// frame header, a payload one byte short. Each is a torn tail.
+    #[test]
+    fn hostile_tails_stop_at_the_last_good_record() {
+        let dir = tmpdir("hostile-tails");
+        let path = dir.join("wal.log");
+        let fp = fingerprint("prog");
+        let mut w = WalWriter::open(&path, Durability::Batch, fp, 0).expect("opens");
+        w.append("e", &rows(&[(1, "a")])).expect("appends");
+        let good = std::fs::metadata(&path).expect("stats").len();
+        w.append("e", &rows(&[(2, "b")])).expect("appends");
+        drop(w);
+        let full = std::fs::read(&path).expect("reads");
+        let (prefix, second) = full.split_at(good as usize);
+        let with_len = |n: u32| {
+            let mut frame = second.to_vec();
+            frame[..4].copy_from_slice(&n.to_le_bytes());
+            frame
+        };
+        let len = u32::from_le_bytes(second[..4].try_into().unwrap());
+        let tails = [
+            ("length one past the end", with_len(len + 1)),
+            ("length u32::MAX", with_len(u32::MAX)),
+            (
+                "length u32::MAX, no payload",
+                with_len(u32::MAX)[..8].to_vec(),
+            ),
+            ("one byte of frame header", second[..1].to_vec()),
+            ("seven bytes of frame header", second[..7].to_vec()),
+            (
+                "payload one byte short",
+                second[..second.len() - 1].to_vec(),
+            ),
+        ];
+        for (what, tail) in tails {
+            std::fs::write(&path, [prefix, &tail].concat()).expect("writes");
+            let replayed = replay_all(&path, fp).expect("a torn tail is not an error");
+            assert_eq!(replayed.records.len(), 1, "{what}");
+            assert_eq!(replayed.records[0].rows, rows(&[(1, "a")]), "{what}");
+            assert_eq!(replayed.valid_len, good, "{what}");
+            assert_eq!(replayed.torn_bytes, tail.len() as u64, "{what}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1036,7 +1122,7 @@ mod tests {
         bytes[i] ^= 0xFF;
         std::fs::write(&path, &bytes).expect("writes");
 
-        let replayed = replay(&path, fp).expect("replays");
+        let replayed = replay_all(&path, fp).expect("replays");
         assert_eq!(replayed.records.len(), 1);
         assert_eq!(replayed.valid_len, end);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1051,7 +1137,7 @@ mod tests {
         w.append("e", &rows(&[(1, "a")])).expect("appends");
         drop(w);
 
-        let replayed = replay(&path, fingerprint("new")).expect("replays");
+        let replayed = replay_all(&path, fingerprint("new")).expect("replays");
         assert!(replayed.records.is_empty());
         assert_eq!(replayed.valid_len, 0);
 
@@ -1065,7 +1151,7 @@ mod tests {
     #[test]
     fn missing_wal_is_empty() {
         let dir = tmpdir("missing");
-        let replayed = replay(&dir.join("nope.log"), 1).expect("replays");
+        let replayed = replay_all(&dir.join("nope.log"), 1).expect("replays");
         assert!(replayed.records.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1080,7 +1166,7 @@ mod tests {
         w.reset().expect("resets");
         drop(w);
         assert_eq!(std::fs::metadata(&path).expect("stats").len(), WAL_HEADER);
-        assert!(replay(&path, fp).expect("replays").records.is_empty());
+        assert!(replay_all(&path, fp).expect("replays").records.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1102,7 +1188,7 @@ mod tests {
         assert_eq!(std::fs::metadata(&path).expect("stats").len(), len_before);
         w.append("e", &rows(&[(2, "b")]))
             .expect("appends after rollback");
-        assert_eq!(replay(&path, fp).expect("replays").records.len(), 2);
+        assert_eq!(replay_all(&path, fp).expect("replays").records.len(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1130,13 +1216,13 @@ mod tests {
         drop(w);
 
         // The post-heal append round-trips through open's replay path.
-        let replayed = replay(&path, fp).expect("replays");
+        let replayed = replay_all(&path, fp).expect("replays");
         assert_eq!(replayed.records.len(), 1, "only the post-heal record");
         assert_eq!(replayed.records[0].rows, rows(&[(3, "c")]));
         let mut w =
             WalWriter::open(&path, Durability::Batch, fp, replayed.valid_len).expect("reopens");
         w.append("e", &rows(&[(4, "d")])).expect("appends");
-        assert_eq!(replay(&path, fp).expect("replays").records.len(), 2);
+        assert_eq!(replay_all(&path, fp).expect("replays").records.len(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1163,7 +1249,7 @@ mod tests {
         assert_eq!(group.fsyncs.load(Ordering::Relaxed), 1, "one fsync");
         assert_eq!(group.commits.load(Ordering::Relaxed), 2, "two acks");
 
-        assert_eq!(replay(&path, fp).expect("replays").records.len(), 2);
+        assert_eq!(replay_all(&path, fp).expect("replays").records.len(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1198,11 +1284,12 @@ mod tests {
         let fp = fingerprint("prog");
         let mut w = WalWriter::open(&path, Durability::Batch, fp, 0).expect("opens");
         w.append("e", &rows(&[(1, "a"), (2, "b")])).expect("insert");
-        w.append_delete("e", &rows(&[(1, "a")])).expect("delete");
+        w.append_kind(WalRecordKind::Delete, "e", &rows(&[(1, "a")]))
+            .expect("delete");
         w.append("e", &rows(&[(3, "c")])).expect("insert");
         drop(w);
 
-        let replayed = replay(&path, fp).expect("replays");
+        let replayed = replay_all(&path, fp).expect("replays");
         assert_eq!(
             replayed.records.iter().map(|r| r.kind).collect::<Vec<_>>(),
             vec![
@@ -1252,7 +1339,7 @@ mod tests {
         bytes[p + 4..p + 8].copy_from_slice(&crc.to_le_bytes());
         std::fs::write(&path, &bytes).expect("writes");
 
-        let err = replay(&path, fp).expect_err("must not truncate");
+        let err = replay_all(&path, fp).expect_err("must not truncate");
         assert!(err.msg.contains("unknown WAL record kind 9"), "{}", err.msg);
         assert!(err.msg.contains(&format!("offset {offset}")), "{}", err.msg);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1277,7 +1364,7 @@ mod tests {
         bytes[p + 4..p + 8].copy_from_slice(&crc.to_le_bytes());
         std::fs::write(&path, &bytes).expect("writes");
 
-        let err = replay(&path, fp).expect_err("must not truncate");
+        let err = replay_all(&path, fp).expect_err("must not truncate");
         assert!(err.msg.contains("trailing bytes"), "{}", err.msg);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -318,15 +318,19 @@ impl BaseRun {
         page_no * self.page_tuples + pos
     }
 
+    /// Membership with at most one page load: the fences name the only
+    /// page that can hold `key`, and answer a key equal to one of them.
     fn contains(&self, key: &[RamDomain]) -> bool {
-        let i = self.bound(key, false);
-        if i >= self.count {
-            return false;
+        let above = |t: &[RamDomain]| cmp_slices(t, key) == Ordering::Greater;
+        let p = partition_point(self.pages(), |i| !above(self.fence_tuple(i)));
+        // Below the first fence, or equal to a fence: no page to load.
+        if p == 0 || self.fence_tuple(p - 1) == key {
+            return p > 0;
         }
-        let p = i / self.page_tuples;
-        let page = self.page(p);
-        let k = (i - p * self.page_tuples) * self.arity;
-        &page[k..k + self.arity] == key
+        let (page, len) = (self.page(p - 1), self.page_len(p - 1));
+        let at = |i: usize| &page[i * self.arity..(i + 1) * self.arity];
+        let i = partition_point(len, |i| cmp_slices(at(i), key) == Ordering::Less);
+        i < len && at(i) == key
     }
 }
 
@@ -814,6 +818,34 @@ pub(crate) mod tests {
         assert!(disk.contains(&[42, 42 * 7]));
         assert!(disk.contains(&[42, 42 * 7]));
         assert!(stats.hits.load(AtomicOrdering::Relaxed) > 0);
+    }
+
+    /// A warm probe costs one page-cache lookup; a fence answers a probe
+    /// of a page's first tuple, and a key below the run, with none.
+    #[test]
+    fn a_warm_probe_loads_one_page() {
+        let order = Order::natural(2);
+        let base: Vec<Vec<RamDomain>> = (1..=1000u32).map(|i| vec![i, i * 7]).collect();
+        // Page k holds 64 tuples from `[1 + 64k, 7 + 448k]` on.
+        let disk = disk_with_base::<2>("one-page", &order, &base, 64, 1 << 20);
+        let stats = disk.raw().base.as_ref().expect("base").file.stats();
+        let lookups = || {
+            stats.hits.load(AtomicOrdering::Relaxed) + stats.misses.load(AtomicOrdering::Relaxed)
+        };
+        let probes = [
+            ("inside a page", [100, 700], true, 1),
+            ("a page's last tuple", [128, 896], true, 1),
+            ("the next page's fence", [129, 903], true, 0),
+            ("absent inside a page", [100, 1], false, 1),
+            ("below the first fence", [0, 0], false, 0),
+            ("past the last tuple", [5000, 0], false, 1),
+        ];
+        for (what, key, present, loads) in probes {
+            assert_eq!(disk.contains(&key), present, "{what} (cold)");
+            let before = lookups();
+            assert_eq!(disk.contains(&key), present, "{what} (warm)");
+            assert_eq!(lookups() - before, loads, "{what}");
+        }
     }
 
     #[test]
