@@ -13,7 +13,10 @@
 //! Recognized points (an unknown point is a parse error so typos fail
 //! loudly): `wal_write`, `wal_fsync`, `wal_delete_write`,
 //! `wal_delete_fsync`, `snapshot_write`, `snapshot_rename`,
-//! `conn_write`, `wal_probe`, `disk_map`, `compact_write`.
+//! `conn_write`, `wal_probe`, `disk_map`. Every checkpoint — `.snapshot`,
+//! its `.compact` alias, the automatic one, heal and shutdown — passes
+//! `snapshot_write` and `snapshot_rename`, and `disk_map` as well when a
+//! disk engine reopens the file it just wrote.
 //! Insert and delete appends hit distinct points so a
 //! test can crash exactly on the N-th *delete* record regardless of how
 //! many inserts preceded it.
@@ -90,9 +93,6 @@ pub enum FaultPoint {
     /// before the file is trusted; a failure falls back or aborts open,
     /// never serves unverified data).
     DiskMap,
-    /// A compaction temp-file write (the `.compact` verb's analogue of
-    /// `snapshot_write`).
-    CompactWrite,
 }
 
 impl FaultPoint {
@@ -107,7 +107,6 @@ impl FaultPoint {
             "conn_write" => Some(Self::ConnWrite),
             "wal_probe" => Some(Self::WalProbe),
             "disk_map" => Some(Self::DiskMap),
-            "compact_write" => Some(Self::CompactWrite),
             _ => None,
         }
     }
@@ -123,7 +122,6 @@ impl FaultPoint {
             Self::ConnWrite => "conn_write",
             Self::WalProbe => "wal_probe",
             Self::DiskMap => "disk_map",
-            Self::CompactWrite => "compact_write",
         }
     }
 
@@ -138,12 +136,11 @@ impl FaultPoint {
             Self::ConnWrite => 6,
             Self::WalProbe => 7,
             Self::DiskMap => 8,
-            Self::CompactWrite => 9,
         }
     }
 }
 
-const POINT_COUNT: usize = 10;
+const POINT_COUNT: usize = 9;
 
 /// A parsed `STIR_FAULT` specification plus per-point hit counters.
 #[derive(Debug)]
@@ -468,14 +465,19 @@ mod tests {
 
     #[test]
     fn disk_points_parse_and_fire() {
-        let plan = FaultPlan::parse("disk_map:once,compact_write:at=2").expect("parses");
+        let plan = FaultPlan::parse("disk_map:once,snapshot_write:at=2").expect("parses");
         let err = plan.check(FaultPoint::DiskMap).unwrap_err();
         assert!(err.to_string().contains("disk_map"), "{err}");
         assert!(plan.check(FaultPoint::DiskMap).is_ok());
-        assert!(plan.check(FaultPoint::CompactWrite).is_ok());
-        let err = plan.check(FaultPoint::CompactWrite).unwrap_err();
-        assert!(err.to_string().contains("compact_write"), "{err}");
-        assert!(plan.check(FaultPoint::SnapshotWrite).is_ok(), "others pass");
+        assert!(plan.check(FaultPoint::SnapshotWrite).is_ok());
+        let err = plan.check(FaultPoint::SnapshotWrite).unwrap_err();
+        assert!(err.to_string().contains("snapshot_write"), "{err}");
+        assert!(
+            plan.check(FaultPoint::SnapshotRename).is_ok(),
+            "others pass"
+        );
+        // Compaction is a checkpoint like any other: no point of its own.
+        assert!(FaultPlan::parse("compact_write:crash").is_err());
     }
 
     #[test]

@@ -320,7 +320,7 @@ impl ResidentEngine {
 
     /// Page-cache counters of the mapped v2 snapshot, as
     /// `(hits, misses, evictions, resident_bytes, budget_bytes)`;
-    /// `None` until a cold start or `.compact` installs one.
+    /// `None` until a cold start or a checkpoint installs one.
     pub fn page_cache_stats(&self) -> Option<(u64, u64, u64, u64, u64)> {
         self.run_file.as_ref().map(|f| {
             let s = f.stats();

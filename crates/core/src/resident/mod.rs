@@ -19,7 +19,7 @@
 //! * `retract.rs` — the retraction's delete-and-re-derive phases.
 //! * `storage.rs` — open and recovery (the WAL streamed and folded to
 //!   one net batch per relation, applied through the write path's apply
-//!   steps), snapshots and `.compact`, storage health, group commit.
+//!   steps), the one checkpoint, storage health, group commit.
 //! * `read.rs` — queries and `.explain`.
 //! * `metrics.rs` — the serving counters and the metric catalogue.
 //!
@@ -149,7 +149,7 @@ pub struct ResidentEngine {
     /// non-durable engines.
     health: Arc<HealthMonitor>,
     /// The mapped v2 snapshot the disk-backed indexes serve pages off
-    /// (cold start or `.compact`); `None` when every index is
+    /// (cold start or a checkpoint); `None` when every index is
     /// memory-resident or no base has been installed yet.
     run_file: Option<Arc<RunFile>>,
 }

@@ -1,5 +1,5 @@
 //! The storage lifecycle: opening a data directory (snapshot load, the
-//! WAL folded to one net batch per relation), snapshots and `.compact`,
+//! WAL folded to one net batch per relation), the one checkpoint,
 //! storage health, group commit.
 
 use super::*;
@@ -17,10 +17,19 @@ use stir_der::disk;
 pub struct PersistOptions {
     /// How hard each accepted batch is pushed toward stable storage.
     pub durability: Durability,
-    /// Auto-snapshot (and truncate the WAL) every N accepted batches;
-    /// `None` snapshots only on demand and at graceful shutdown.
+    /// Also checkpoint every N accepted write batches; with `None` the
+    /// engine checkpoints on demand, at graceful shutdown, and when the
+    /// log outgrows the snapshot and a 1 MiB floor (`CHECKPOINT_FLOOR`).
     pub snapshot_interval: Option<u64>,
 }
+
+/// The smallest log, in bytes past its header, that the engine
+/// checkpoints on its own; above it, a log that outgrows the last
+/// snapshot is checkpointed. Replaying a 4.15 MB churn log took
+/// 0.17–0.19 s, so 1 MiB of log costs a restart about what a durable
+/// server's bring-up does (0.06 s), and a data directory with no
+/// snapshot yet is not checkpointed on its first write.
+const CHECKPOINT_FLOOR: u64 = 1 << 20;
 
 /// What [`ResidentEngine::open`] recovered from the data directory.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -65,6 +74,8 @@ pub(super) struct Persistence {
     fp: u64,
     snapshot_every: Option<u64>,
     batches_since_snapshot: u64,
+    /// Size of the last snapshot written or loaded (0 when none).
+    snapshot_bytes: u64,
     pub(super) snapshot_writes: u64,
     pub(super) snapshot_tuples: u64,
     pub(super) recovery: RecoveryReport,
@@ -100,7 +111,7 @@ impl Persistence {
 }
 
 /// Rebases every index of `rel` onto its persisted run in `snap` (cold
-/// start and `.compact`). Every index must be a disk index
+/// start and a disk engine's checkpoint). Every index must be a disk index
 /// ([`disk::rebase`]) whose order matches the run's: the fingerprint
 /// makes a mismatch a corruption, not a version skew.
 pub(super) fn rebase_runs(
@@ -173,6 +184,10 @@ impl ResidentEngine {
         wal::sweep_stale_temp(&snap_path, wal::SNAPSHOT_TMP_EXT);
 
         let image = snap2::load_snapshot(&snap_path, fp, disk::cache_budget_from_env());
+        let snapshot_bytes = match &image {
+            SnapshotImage::Mapped(_) => std::fs::metadata(&snap_path).map_or(0, |m| m.len()),
+            _ => 0,
+        };
         let mut report = RecoveryReport {
             snapshot_loaded: matches!(image, SnapshotImage::Mapped(_)),
             snapshot_rejected: match &image {
@@ -230,6 +245,7 @@ impl ResidentEngine {
             fp,
             snapshot_every: opts.snapshot_interval,
             batches_since_snapshot: report.replayed_batches,
+            snapshot_bytes,
             snapshot_writes: 0,
             snapshot_tuples: 0,
             recovery: report.clone(),
@@ -334,55 +350,25 @@ impl ResidentEngine {
             })
     }
 
-    /// Writes a snapshot and truncates the WAL. The snapshot is the new
-    /// recovery baseline: every previously logged batch is covered by
-    /// it, so the log restarts empty. Disk-backed indexes keep serving
-    /// off their current base (the renamed-over file stays readable
-    /// through its open handle) plus overlays; only [`Self::compact`]
-    /// rebases them.
+    /// Checkpoints the database, the one path every caller takes:
+    /// `.snapshot` and `.compact`, the automatic checkpoint, the heal of
+    /// a poisoned WAL, and graceful shutdown. It serializes a snapshot,
+    /// publishes it atomically, and truncates the WAL: the snapshot is
+    /// the new recovery baseline, so the log restarts empty. On a disk
+    /// engine it then reopens the file (the `disk_map` fault point) and
+    /// rebases every disk-backed index onto its fresh run, emptying the
+    /// overlays and releasing the old snapshot's pages.
     ///
     /// # Errors
     ///
     /// Fails when the engine has no data directory, and on snapshot or
     /// WAL I/O errors (the previous snapshot stays in place; on a WAL
     /// truncation failure replay after the *new* snapshot merely
-    /// re-inserts duplicates, which is idempotent).
+    /// re-applies writes it covers, which is idempotent). A failed
+    /// reopen leaves the indexes serving off their old base and
+    /// overlays, which hold the same contents.
     pub fn snapshot(&mut self, tel: Option<&Telemetry>) -> Result<SnapshotStats, EngineError> {
         let _span = tel.map(|t| t.tracer.span("phase:serve:snapshot"));
-        self.write_image(FaultPoint::SnapshotWrite, false)
-    }
-
-    /// Rewrites the database as a fresh snapshot — folding every
-    /// disk-backed index's delta overlay into new base runs — truncates
-    /// the WAL, and (under disk storage) rebases the live indexes onto
-    /// the fresh file, emptying their overlays and releasing the old
-    /// snapshot's pages. The write is gated by the `compact_write` fault
-    /// point; a failure leaves the previous snapshot and the live
-    /// overlays untouched.
-    ///
-    /// Under memory storage there is nothing to rebase, so this is
-    /// [`Self::snapshot`] under another fault point.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the engine has no data directory, and on snapshot or
-    /// WAL I/O errors.
-    pub fn compact(&mut self, tel: Option<&Telemetry>) -> Result<SnapshotStats, EngineError> {
-        let _span = tel.map(|t| t.tracer.span("phase:serve:compact"));
-        self.write_image(
-            FaultPoint::CompactWrite,
-            self.config.storage == StorageBackend::Disk,
-        )
-    }
-
-    /// The one snapshot writer: serialize, publish atomically, truncate
-    /// the WAL, and — for `.compact` on a disk engine — rebase the live
-    /// indexes onto the file just written.
-    fn write_image(
-        &mut self,
-        fault_point: FaultPoint,
-        rebase: bool,
-    ) -> Result<SnapshotStats, EngineError> {
         let t_snap = self.serve_metrics.start();
         let Some(p) = &mut self.persistence else {
             return Err(StorageError::new("no data directory configured").into());
@@ -396,27 +382,19 @@ impl ResidentEngine {
             let beyond = beyond.filter(|t| !stated.contains(&(RelId(r), &t[..])));
             extra.extend(beyond.map(|t| (RelId(r), t)));
         }
-        let stats = snap2::write_snapshot_v2(
-            &p.snapshot_path(),
-            p.fp,
-            &self.ram,
-            &self.db,
-            &extra,
-            fault_point,
-        )?;
+        let stats =
+            snap2::write_snapshot_v2(&p.snapshot_path(), p.fp, &self.ram, &self.db, &extra)?;
+        p.snapshot_bytes = stats.bytes;
         p.wal.reset()?;
         p.batches_since_snapshot = 0;
         p.snapshot_writes += 1;
         p.snapshot_tuples += stats.tuples;
-        if rebase {
+        if self.config.storage == StorageBackend::Disk {
             let snap =
                 snap2::open_snapshot_v2(&p.snapshot_path(), p.fp, disk::cache_budget_from_env())?;
             for srel in snap.data.relations.iter().filter(|r| !r.runs.is_empty()) {
                 let meta = self.ram.relation_by_name(&srel.name).ok_or_else(|| {
-                    StorageError::new(format!(
-                        "compacted snapshot names unknown relation `{}`",
-                        srel.name
-                    ))
+                    StorageError::new(format!("checkpoint names unknown relation `{}`", srel.name))
                 })?;
                 rebase_runs(&mut self.db.wr(meta.id), &snap, srel)?;
             }
@@ -427,18 +405,33 @@ impl ResidentEngine {
         Ok(stats)
     }
 
-    /// Auto-snapshot bookkeeping after each accepted batch. A failed
-    /// auto-snapshot is logged and retried after the next batch; the
-    /// insert it rode on is already durable in the WAL.
+    /// [`Self::snapshot`] under the name of the `.compact` verb, which
+    /// is its alias. Kept as a method because the benchmark's traced
+    /// replay (`benchmark/src/traced.rs`) calls it by this name.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`Self::snapshot`].
+    pub fn compact(&mut self, tel: Option<&Telemetry>) -> Result<SnapshotStats, EngineError> {
+        self.snapshot(tel)
+    }
+
+    /// Checkpoint bookkeeping after each accepted write batch: the
+    /// engine checkpoints every `snapshot_interval` batches, and when the
+    /// log's bytes exceed both the last snapshot's and
+    /// [`CHECKPOINT_FLOOR`]. A failed checkpoint is logged and retried
+    /// after the next batch; the write it rode on is already durable in
+    /// the WAL.
     pub(super) fn maybe_auto_snapshot(&mut self, tel: Option<&Telemetry>) {
         let Some(p) = &mut self.persistence else {
             return;
         };
         p.batches_since_snapshot += 1;
-        let due = p
+        let by_count = p
             .snapshot_every
             .is_some_and(|every| p.batches_since_snapshot >= every);
-        if due {
+        let by_size = p.wal.logged_bytes() > p.snapshot_bytes.max(CHECKPOINT_FLOOR);
+        if by_count || by_size {
             if let Err(e) = self.snapshot(tel) {
                 if let Some(t) = tel {
                     t.logger
@@ -494,6 +487,10 @@ mod tests {
 
         let (r, rec) = open_dir(TC, InterpreterConfig::optimized(), &inputs, &dir, opts);
         assert!(!rec.snapshot_loaded);
+        assert!(
+            rec.replayed_batches > 0,
+            "a small log is never checkpointed"
+        );
         assert_eq!(rec.replayed_batches, 2);
         assert_eq!(rec.replayed_tuples, 2);
         assert_eq!(rec.skipped_batches, 0);
@@ -729,58 +726,63 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn compact_folds_overlays_into_fresh_base_runs() {
-        let dir = tmpdir("compact");
-        let disk = InterpreterConfig::optimized().with_storage(StorageBackend::Disk);
-        let mut inputs = InputData::new();
-        inputs.insert("e".into(), pairs(&[(1, 2)]));
-        let opts = PersistOptions::default();
-
-        let (mut r, _) = open_dir(TC, disk, &inputs, &dir, opts);
-        r.insert_facts("e", &pairs(&[(2, 3)]), None)
-            .expect("inserts");
-        let before = r.outputs();
-        let stats = r.compact(None).expect("compacts");
-        assert!(stats.tuples > 0);
-        assert!(
-            r.page_cache_stats().is_some(),
-            "compaction rebases onto the fresh file"
-        );
-        // The live indexes now serve off base runs with empty overlays.
-        let p = r.ram.relation_by_name("p").expect("p exists").id;
-        {
-            let rel = r.db.rd(p);
-            for k in 0..rel.index_count() {
+    /// The `(inserts, tombstones)` overlay sizes of every index of the
+    /// binary disk relation `rel`, each asserted to sit on a base run.
+    fn overlays(r: &ResidentEngine, rel: &str) -> Vec<(usize, usize)> {
+        let rel = r.db.rd(r.ram.relation_by_name(rel).expect("relation").id);
+        (0..rel.index_count())
+            .map(|k| {
                 let di = (rel.index(k).as_any())
                     .downcast_ref::<disk::DiskIndex<2>>()
                     .expect("disk index")
                     .raw();
-                assert!(di.has_base());
-                assert_eq!(di.overlay_len(), (0, 0), "overlay folded into the base");
-            }
-        }
-        assert_eq!(r.outputs(), before, "contents unchanged by compaction");
-
-        // Compaction truncated the WAL: a restart replays nothing and
-        // serves the same answers straight off the new base runs.
-        r.insert_facts("e", &pairs(&[(3, 4)]), None)
-            .expect("inserts");
-        let before = r.outputs();
-        drop(r);
-        let (r, rec) = open_dir(TC, disk, &inputs, &dir, opts);
-        assert!(rec.snapshot_loaded);
-        assert_eq!(rec.replayed_batches, 1, "only the post-compact batch");
-        assert_eq!(r.outputs(), before);
-        let _ = std::fs::remove_dir_all(&dir);
+                assert!(di.has_base(), "index {k} serves off a base run");
+                di.overlay_len()
+            })
+            .collect()
     }
 
+    /// Every checkpoint verb rebases a disk engine: `.compact` is an
+    /// alias of `.snapshot`.
     #[test]
-    fn compact_without_data_dir_is_an_error() {
+    fn compact_folds_overlays_into_fresh_base_runs() {
+        let disk = InterpreterConfig::optimized().with_storage(StorageBackend::Disk);
         let mut inputs = InputData::new();
         inputs.insert("e".into(), pairs(&[(1, 2)]));
-        let mut r = resident(TC, &inputs);
-        assert!(r.compact(None).is_err());
+        let opts = PersistOptions::default();
+        for verb in ["snapshot", "compact"] {
+            let dir = tmpdir(&format!("checkpoint-{verb}"));
+            let (mut r, _) = open_dir(TC, disk, &inputs, &dir, opts);
+            r.insert_facts("e", &pairs(&[(2, 3)]), None)
+                .expect("inserts");
+            let before = r.outputs();
+            let stats = match verb {
+                "snapshot" => r.snapshot(None),
+                _ => r.compact(None),
+            };
+            assert!(stats.expect("checkpoints").tuples > 0, "{verb}");
+            assert!(
+                r.page_cache_stats().is_some(),
+                "{verb} rebases onto the fresh file"
+            );
+            // The live indexes now serve off base runs with empty overlays.
+            for o in overlays(&r, "p") {
+                assert_eq!(o, (0, 0), "{verb}: overlay folded into the base");
+            }
+            assert_eq!(r.outputs(), before, "{verb}: contents unchanged");
+
+            // The checkpoint truncated the WAL: a restart replays only
+            // what came after and serves the same answers.
+            r.insert_facts("e", &pairs(&[(3, 4)]), None)
+                .expect("inserts");
+            let before = r.outputs();
+            drop(r);
+            let (r, rec) = open_dir(TC, disk, &inputs, &dir, opts);
+            assert!(rec.snapshot_loaded, "{verb}");
+            assert_eq!(rec.replayed_batches, 1, "{verb}: only the later batch");
+            assert_eq!(r.outputs(), before, "{verb}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -875,6 +877,55 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Without an interval, the engine checkpoints once the log's bytes
+    /// exceed both the last snapshot's and [`CHECKPOINT_FLOOR`] — once,
+    /// and on disk with every index rebased.
+    #[test]
+    fn a_log_that_outgrows_the_snapshot_is_checkpointed() {
+        for storage in [StorageBackend::Mem, StorageBackend::Disk] {
+            let dir = tmpdir(&format!("by-size-{storage:?}"));
+            let config = InterpreterConfig::optimized().with_storage(storage);
+            let opts = PersistOptions::default();
+            let (mut r, _) = open_dir(TC, config, &InputData::new(), &dir, opts);
+            r.snapshot(None).expect("snapshots");
+            let log = |r: &ResidentEngine| {
+                let p = r.persistence.as_ref().expect("durable");
+                (p.snapshot_writes, p.wal.logged_bytes())
+            };
+            // Batches of 1 000 disjoint edges (even to odd), so `p` is `e`.
+            let (mut batches, mut logged) = (0, 0);
+            while log(&r).0 == 1 {
+                assert!(
+                    batches < 200,
+                    "{storage:?}: the log was never checkpointed"
+                );
+                logged = log(&r).1;
+                let base = 2000 * batches;
+                let rows: Vec<_> = (base..base + 2000).step_by(2).map(|x| (x, x + 1)).collect();
+                r.insert_facts("e", &pairs(&rows), None).expect("inserts");
+                batches += 1;
+            }
+            let appended = r.wal_stats().expect("durable").bytes;
+            assert!(logged <= CHECKPOINT_FLOOR, "{storage:?}: fired late");
+            assert!(appended > CHECKPOINT_FLOOR, "{storage:?}: fired early");
+            assert_eq!(log(&r), (2, 0), "{storage:?}: one checkpoint, log emptied");
+            if storage == StorageBackend::Disk {
+                for rel in ["e", "p"] {
+                    for o in overlays(&r, rel) {
+                        assert_eq!(o, (0, 0), "{rel}: overlay folded into the base");
+                    }
+                }
+            }
+            let before = r.outputs();
+            assert_eq!(before["p"].len(), 1000 * batches as usize);
+            drop(r);
+            let (r, rec) = open_dir(TC, config, &InputData::new(), &dir, opts);
+            assert_eq!(rec.replayed_batches, 0, "{storage:?}");
+            assert_eq!(r.outputs(), before, "{storage:?}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
     #[test]
     fn negation_retraction_survives_recovery() {
         // The explicit extra_facts section: a derived tuple in an .input
@@ -910,6 +961,7 @@ mod tests {
         let mut r = resident(TC, &InputData::new());
         assert!(!r.is_durable());
         assert!(matches!(r.snapshot(None), Err(EngineError::Storage(_))));
+        assert!(matches!(r.compact(None), Err(EngineError::Storage(_))));
         r.flush_wal().expect("no-op without persistence");
     }
 

@@ -1,8 +1,8 @@
 //! The snapshot format: a disk-servable immutable database image.
 //!
-//! Every snapshot the engine writes — `.snapshot`, `--snapshot-interval`,
-//! shutdown, `.compact`, under either storage backend — is a `STIRSNP2`
-//! file. It persists each index of each disk-eligible relation as a
+//! Every checkpoint the engine takes — `.snapshot` (and its `.compact`
+//! alias), the automatic one, heal and shutdown, under either storage
+//! backend — writes a `STIRSNP2` file. It persists each index of each disk-eligible relation as a
 //! *run*: its tuples in sorted stored order, packed little-endian,
 //! preceded by a `u64` count. A run is exactly what
 //! [`stir_der::disk::BaseRun`] serves pages off, so a restart under
@@ -58,9 +58,8 @@
 //! different one.
 //!
 //! The file is published through [`crate::wal::publish_atomic`] — a
-//! crash mid-write never damages the previous snapshot. The periodic
-//! snapshot path arms the `snapshot_write` fault point; `.compact` arms
-//! `compact_write`.
+//! crash mid-write never damages the previous snapshot. Every write
+//! passes the `snapshot_write` fault point, whichever verb asked for it.
 //!
 //! # The retired format
 //!
@@ -188,12 +187,8 @@ pub enum SnapshotImage {
 // ---------------------------------------------------------------------
 
 /// Serializes the database as a snapshot and publishes it atomically
-/// ([`wal::publish_atomic`], with the `snapshot_rename` fault point
-/// before the rename).
-///
-/// `fault_point` is the injection point armed before the temp-file
-/// write: [`FaultPoint::SnapshotWrite`] for the periodic snapshot path,
-/// [`FaultPoint::CompactWrite`] for `.compact`.
+/// ([`wal::publish_atomic`]): the `snapshot_write` fault point before
+/// the temp-file write, `snapshot_rename` before the rename.
 ///
 /// # Errors
 ///
@@ -205,7 +200,6 @@ pub fn write_snapshot_v2(
     ram: &RamProgram,
     db: &Database,
     extra_facts: &[(RelId, Vec<RamDomain>)],
-    fault_point: FaultPoint,
 ) -> Result<SnapshotStats, StorageError> {
     struct RunMeta {
         order: Vec<usize>,
@@ -336,7 +330,7 @@ pub fn write_snapshot_v2(
     let crc = !crc32_feed(!0u32, &buf);
     put_u32(&mut buf, crc);
 
-    fault::check(fault_point).map_err(|e| StorageError::io("write snapshot", &e))?;
+    fault::check(FaultPoint::SnapshotWrite).map_err(|e| StorageError::io("write snapshot", &e))?;
     wal::publish_atomic(
         path,
         wal::SNAPSHOT_TMP_EXT,

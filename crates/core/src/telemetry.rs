@@ -683,7 +683,7 @@ pub enum Gate {
     Durable,
     /// WAL group commit is enabled.
     GroupCommit,
-    /// A v2 snapshot is mapped (disk cold start or `.compact`).
+    /// A v2 snapshot is mapped (disk cold start or a disk checkpoint).
     Mapped,
     /// The storage health monitor has ever left `Healthy`.
     EverDegraded,

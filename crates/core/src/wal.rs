@@ -746,6 +746,11 @@ impl WalWriter {
         Ok(())
     }
 
+    /// Bytes of records past the header: what a restart would replay.
+    pub(crate) fn logged_bytes(&self) -> u64 {
+        self.len - WAL_HEADER
+    }
+
     /// True when a failed append could not be rolled back and the log
     /// refuses further appends until reset by a snapshot.
     pub fn is_broken(&self) -> bool {

@@ -76,42 +76,6 @@ pub fn cmp_slices(a: &[RamDomain], b: &[RamDomain]) -> Ordering {
     Ordering::Equal
 }
 
-/// Returns the smallest tuple of arity `N`: all components zero.
-#[inline]
-pub fn min_tuple<const N: usize>() -> Tuple<N> {
-    [0; N]
-}
-
-/// Returns the largest tuple of arity `N`: all components `u32::MAX`.
-#[inline]
-pub fn max_tuple<const N: usize>() -> Tuple<N> {
-    [RamDomain::MAX; N]
-}
-
-/// Converts a signed number to its stored bit pattern.
-#[inline]
-pub fn from_signed(v: i32) -> RamDomain {
-    v as u32
-}
-
-/// Reads a stored bit pattern as a signed number.
-#[inline]
-pub fn to_signed(v: RamDomain) -> i32 {
-    v as i32
-}
-
-/// Converts a float to its stored bit pattern.
-#[inline]
-pub fn from_float(v: f32) -> RamDomain {
-    v.to_bits()
-}
-
-/// Reads a stored bit pattern as a float.
-#[inline]
-pub fn to_float(v: RamDomain) -> f32 {
-    f32::from_bits(v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,22 +107,5 @@ mod tests {
         for (a, b) in pairs {
             assert_eq!(cmp_tuples(&a, &b), cmp_slices(&a, &b));
         }
-    }
-
-    #[test]
-    fn signed_and_float_round_trip_through_bits() {
-        for v in [-5i32, 0, 7, i32::MIN, i32::MAX] {
-            assert_eq!(to_signed(from_signed(v)), v);
-        }
-        for v in [-1.5f32, 0.0, 3.25, f32::MAX] {
-            assert_eq!(to_float(from_float(v)), v);
-        }
-    }
-
-    #[test]
-    fn min_and_max_tuples_bound_everything() {
-        let t: Tuple<2> = [42, 7];
-        assert_eq!(cmp_tuples(&min_tuple(), &t), Ordering::Less);
-        assert_eq!(cmp_tuples(&t, &max_tuple()), Ordering::Less);
     }
 }

@@ -77,7 +77,9 @@ repl-only durability flags (see DESIGN.md §10):
                          recovers every acknowledged insert
       --durability MODE  none | batch | always
                          (default: $STIR_DURABILITY or batch)
-      --snapshot-interval N  auto-snapshot every N insert batches
+      --snapshot-interval N  also checkpoint every N accepted write batches
+                             (the log is checkpointed anyway once it
+                             outgrows the snapshot)
 
   -h, --help             print this help and exit
   -V, --version          print the version and exit";

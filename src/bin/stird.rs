@@ -74,7 +74,9 @@ usage: stird PROGRAM.dl [-F facts_dir] [options]
                            restart recovers every acknowledged insert
       --durability MODE    none | batch | always
                            (default: $STIR_DURABILITY or batch)
-      --snapshot-interval N  auto-snapshot every N insert batches
+      --snapshot-interval N  also checkpoint every N accepted write batches
+                             (the log is checkpointed anyway once it
+                             outgrows the snapshot)
       --max-conns N        concurrent session limit (default 64)
       --max-pending-writes N  queued-write limit before shedding (default 64)
       --heal-budget N      failed heal probes before Failed (default 8)
@@ -89,7 +91,7 @@ usage: stird PROGRAM.dl [-F facts_dir] [options]
   -h, --help               print this help and exit
 
 protocol (one request per line): +rel(1,2). | ?rel(1,_,x) |
-.explain rel(1,2) | .stats | .stats json | .snapshot | .compact |
+.explain rel(1,2) | .stats | .stats json | .snapshot (alias .compact) |
 .help | .quit (close connection) | .stop (shut down)";
 
 /// A flag's value as a positive (fractional) number of seconds: usage

@@ -229,9 +229,9 @@ commands:
   .explain rel(1, 2)     show a minimal-height proof tree (needs --provenance)
   .stats                 show serving counters
   .stats json            the full metrics registry as one JSON object
-  .snapshot              persist a snapshot and truncate the WAL
-  .compact               rewrite the snapshot as a fresh v2 run file
-                         (folds disk-index overlays into new base runs)
+  .snapshot              checkpoint: persist a snapshot, truncate the
+                         WAL, rebase disk indexes onto the new file
+  .compact               alias of .snapshot (answers `ok compact ...`)
   .help                  this summary
   .quit                  close this session
   .stop                  shut the server down";
@@ -368,14 +368,12 @@ fn handle_line_inner(
             return Ok((Control::Continue, ReqInfo::none()));
         }
         ".snapshot" | ".compact" => {
-            let (head, result) = {
-                let mut engine = engine.write().unwrap_or_else(PoisonError::into_inner);
-                if line == ".compact" {
-                    ("ok compact ", engine.compact(tel))
-                } else {
-                    ("ok snapshot ", engine.snapshot(tel))
-                }
+            let head = if line == ".compact" {
+                "ok compact "
+            } else {
+                "ok snapshot "
             };
+            let result = (engine.write().unwrap_or_else(PoisonError::into_inner)).snapshot(tel);
             match result {
                 Ok(stats) => writeln!(out, "{head}{} tuples {} bytes", stats.tuples, stats.bytes)?,
                 Err(e) => {

@@ -660,15 +660,16 @@ fn rejected_snapshot_is_logged_at_default_flags() {
 }
 
 /// The server dies mid-compaction, while the replacement snapshot is
-/// still a temp. The old snapshot survives (write-new, fsync, rename), a
-/// fault-free restart returns every acked fact — the one accepted after
-/// the snapshot included — and `.compact` over the same directory then
-/// succeeds.
+/// still a temp. `.compact` is a checkpoint like `.snapshot`, so the
+/// second checkpoint's `snapshot_write` is the one that crashes. The old
+/// snapshot survives (write-new, fsync, rename), a fault-free restart
+/// returns every acked fact — the one accepted after the snapshot
+/// included — and `.compact` over the same directory then succeeds.
 #[test]
 fn crash_during_compaction_loses_nothing_acked() {
     let disk = ["--storage", "disk", "--durability", "always"];
     let dir = setup("compact-crash");
-    let server = Server::start(&dir, Some("compact_write:crash"), &disk);
+    let server = Server::start(&dir, Some("snapshot_write:crash_at=2"), &disk);
     let (mut acked, _) = insert_until_crash(&server, &[[3, 4]]);
     let reply = request(&server, ".snapshot");
     assert!(reply.starts_with("ok snapshot"), "{reply}");
