@@ -68,6 +68,12 @@ pub enum EngineError {
     Eval(EvalError),
     /// The durability layer failed (the batch is *not* acknowledged).
     Storage(StorageError),
+    /// Storage is degraded or failed: the write was refused unlogged.
+    /// Displays as the protocol reply `degraded retry-after N`.
+    Degraded {
+        /// Suggested client backoff in milliseconds.
+        retry_after_ms: u64,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -77,6 +83,9 @@ impl fmt::Display for EngineError {
             EngineError::Translate(e) => e.fmt(f),
             EngineError::Eval(e) => e.fmt(f),
             EngineError::Storage(e) => e.fmt(f),
+            EngineError::Degraded { retry_after_ms } => {
+                write!(f, "degraded retry-after {retry_after_ms}")
+            }
         }
     }
 }

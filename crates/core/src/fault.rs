@@ -36,9 +36,12 @@
 //! * `crash_at=N` — the N-th hit aborts the process.
 //!
 //! `STIR_FAULT_WINDOW_MS=N` bounds the whole plan in time: once `N`
-//! milliseconds have elapsed since the plan was armed (first check),
-//! every point passes. This models "the disk recovers" for soak tests
-//! that need faults to stop mid-process without restarting it.
+//! milliseconds have elapsed since the first fault check, every point
+//! passes. This models "the disk recovers" for soak tests that need
+//! faults to stop mid-process without restarting it.
+//! `stir` and `stird` parse all three variables at startup
+//! ([`arm_from_env`]) and exit 2 on a malformed one; elsewhere the first
+//! check parses them and panics on a malformed one.
 //!
 //! Injected errors use [`std::io::ErrorKind::Other`] with a message
 //! naming the point, so operator-facing errors are self-describing.
@@ -50,6 +53,8 @@ use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
+
+static PLAN: OnceLock<FaultPlan> = OnceLock::new();
 
 /// The behavior armed at a single fault point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -95,52 +100,34 @@ pub enum FaultPoint {
     DiskMap,
 }
 
+/// Every point and its `STIR_FAULT` name, in declaration order: a
+/// point's discriminant is its index into a plan's tables.
+const POINTS: [(FaultPoint, &str); 9] = [
+    (FaultPoint::WalWrite, "wal_write"),
+    (FaultPoint::WalFsync, "wal_fsync"),
+    (FaultPoint::WalDeleteWrite, "wal_delete_write"),
+    (FaultPoint::WalDeleteFsync, "wal_delete_fsync"),
+    (FaultPoint::SnapshotWrite, "snapshot_write"),
+    (FaultPoint::SnapshotRename, "snapshot_rename"),
+    (FaultPoint::ConnWrite, "conn_write"),
+    (FaultPoint::WalProbe, "wal_probe"),
+    (FaultPoint::DiskMap, "disk_map"),
+];
+const POINT_COUNT: usize = POINTS.len();
+
 impl FaultPoint {
     fn parse(s: &str) -> Option<Self> {
-        match s {
-            "wal_write" => Some(Self::WalWrite),
-            "wal_fsync" => Some(Self::WalFsync),
-            "wal_delete_write" => Some(Self::WalDeleteWrite),
-            "wal_delete_fsync" => Some(Self::WalDeleteFsync),
-            "snapshot_write" => Some(Self::SnapshotWrite),
-            "snapshot_rename" => Some(Self::SnapshotRename),
-            "conn_write" => Some(Self::ConnWrite),
-            "wal_probe" => Some(Self::WalProbe),
-            "disk_map" => Some(Self::DiskMap),
-            _ => None,
-        }
+        POINTS.iter().find(|(_, name)| *name == s).map(|(p, _)| *p)
     }
 
     fn name(self) -> &'static str {
-        match self {
-            Self::WalWrite => "wal_write",
-            Self::WalFsync => "wal_fsync",
-            Self::WalDeleteWrite => "wal_delete_write",
-            Self::WalDeleteFsync => "wal_delete_fsync",
-            Self::SnapshotWrite => "snapshot_write",
-            Self::SnapshotRename => "snapshot_rename",
-            Self::ConnWrite => "conn_write",
-            Self::WalProbe => "wal_probe",
-            Self::DiskMap => "disk_map",
-        }
+        POINTS[self.index()].1
     }
 
     fn index(self) -> usize {
-        match self {
-            Self::WalWrite => 0,
-            Self::WalFsync => 1,
-            Self::WalDeleteWrite => 2,
-            Self::WalDeleteFsync => 3,
-            Self::SnapshotWrite => 4,
-            Self::SnapshotRename => 5,
-            Self::ConnWrite => 6,
-            Self::WalProbe => 7,
-            Self::DiskMap => 8,
-        }
+        self as usize
     }
 }
-
-const POINT_COUNT: usize = 9;
 
 /// A parsed `STIR_FAULT` specification plus per-point hit counters.
 #[derive(Debug)]
@@ -154,7 +141,8 @@ pub struct FaultPlan {
     /// When set, all checks pass once this much time has elapsed since
     /// `armed_at` — "the disk recovers".
     window: Option<Duration>,
-    armed_at: Instant,
+    /// The first check of a windowed plan.
+    armed_at: OnceLock<Instant>,
 }
 
 impl Default for FaultPlan {
@@ -164,7 +152,7 @@ impl Default for FaultPlan {
             hits: Default::default(),
             seed: 0,
             window: None,
-            armed_at: Instant::now(),
+            armed_at: OnceLock::new(),
         }
     }
 }
@@ -245,15 +233,15 @@ impl FaultPlan {
     /// Returns the injected error when the armed mode fires on this hit.
     /// May abort the process (crash modes).
     pub fn check(&self, point: FaultPoint) -> io::Result<()> {
-        let Some(mode) = self.modes[point.index()] else {
-            return Ok(());
-        };
         if let Some(window) = self.window {
-            if self.armed_at.elapsed() >= window {
+            if self.armed_at.get_or_init(Instant::now).elapsed() >= window {
                 // The fault window has closed: the disk has "recovered".
                 return Ok(());
             }
         }
+        let Some(mode) = self.modes[point.index()] else {
+            return Ok(());
+        };
         // 1-based hit number for this point.
         let hit = self.hits[point.index()].fetch_add(1, Ordering::Relaxed) + 1;
         let fire = match mode {
@@ -289,36 +277,43 @@ impl FaultPlan {
     }
 }
 
+/// Parses `STIR_FAULT`, `STIR_FAULT_SEED` and `STIR_FAULT_WINDOW_MS`;
+/// an unset variable arms nothing (seed 0, no window).
+fn plan_from_env() -> Result<FaultPlan, String> {
+    let var = |name: &str| std::env::var(name).ok();
+    let number = |name: &str| -> Result<Option<u64>, String> {
+        var(name)
+            .map(|s| {
+                s.parse()
+                    .map_err(|e| format!("malformed {name}: `{s}`: {e}"))
+            })
+            .transpose()
+    };
+    let seed = number("STIR_FAULT_SEED")?.unwrap_or(0);
+    let spec = var("STIR_FAULT").unwrap_or_default();
+    let mut plan =
+        FaultPlan::parse_seeded(&spec, seed).map_err(|e| format!("malformed STIR_FAULT: {e}"))?;
+    plan.window = number("STIR_FAULT_WINDOW_MS")?.map(Duration::from_millis);
+    Ok(plan)
+}
+
+/// Arms the process-global plan from the environment.
+///
+/// # Errors
+///
+/// Names the malformed variable and why (`malformed STIR_FAULT: …`).
+pub fn arm_from_env() -> Result<(), String> {
+    let _ = PLAN.set(plan_from_env()?);
+    Ok(())
+}
+
 fn global() -> &'static FaultPlan {
-    static PLAN: OnceLock<FaultPlan> = OnceLock::new();
-    PLAN.get_or_init(|| {
-        let seed = std::env::var("STIR_FAULT_SEED")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0);
-        let mut plan = match std::env::var("STIR_FAULT") {
-            Ok(spec) => match FaultPlan::parse_seeded(&spec, seed) {
-                Ok(plan) => plan,
-                Err(e) => {
-                    eprintln!("stir: ignoring malformed STIR_FAULT: {e}");
-                    FaultPlan::default()
-                }
-            },
-            Err(_) => FaultPlan::default(),
-        };
-        if let Some(ms) = std::env::var("STIR_FAULT_WINDOW_MS")
-            .ok()
-            .and_then(|s| s.parse::<u64>().ok())
-        {
-            plan.window = Some(Duration::from_millis(ms));
-            plan.armed_at = Instant::now();
-        }
-        plan
-    })
+    PLAN.get_or_init(|| plan_from_env().unwrap_or_else(|e| panic!("{e}")))
 }
 
 /// Evaluates one hit of `point` against the process-global plan parsed
-/// from `STIR_FAULT` (armed lazily on first call).
+/// from the environment (at startup by [`arm_from_env`], else on the
+/// first call).
 ///
 /// # Errors
 ///
@@ -456,7 +451,7 @@ mod tests {
     fn an_expired_window_disarms_every_point() {
         let mut plan = FaultPlan::parse("wal_write:always").expect("parses");
         plan.window = Some(Duration::from_millis(0));
-        plan.armed_at = Instant::now() - Duration::from_millis(5);
+        plan.armed_at = OnceLock::from(Instant::now() - Duration::from_millis(5));
         assert!(plan.check(FaultPoint::WalWrite).is_ok(), "window closed");
         let mut open = FaultPlan::parse("wal_write:always").expect("parses");
         open.window = Some(Duration::from_secs(3600));
@@ -478,6 +473,15 @@ mod tests {
         );
         // Compaction is a checkpoint like any other: no point of its own.
         assert!(FaultPlan::parse("compact_write:crash").is_err());
+    }
+
+    #[test]
+    fn every_point_round_trips_through_its_name() {
+        for (i, (point, name)) in POINTS.iter().enumerate() {
+            assert_eq!(point.index(), i, "{name}");
+            assert_eq!(point.name(), *name);
+            assert_eq!(FaultPoint::parse(name), Some(*point));
+        }
     }
 
     #[test]

@@ -7,23 +7,24 @@
 //! * **Degraded** — a WAL append/fsync or snapshot write failed *and*
 //!   an immediate storage probe also failed, so the failure looks
 //!   persistent rather than transient. Writes are refused with a
-//!   `retry-after` hint while reads keep serving; a supervised heal
-//!   loop re-probes storage on an exponential backoff with jitter and
-//!   transitions back to Healthy when a probe round-trips.
+//!   `retry-after` hint while reads keep serving. The engine's write
+//!   gate re-probes storage once a probe is due (exponential backoff
+//!   with jitter) and, when it round-trips, returns to Healthy and
+//!   accepts that write. Only writes probe: an idle engine stays put.
 //! * **Failed** — the circuit breaker: more than `budget` consecutive
-//!   probe failures. The heal loop stops probing, `/readyz` goes 503,
-//!   and writes stay refused. Reads still serve; the operator decides
-//!   whether to restart or replace the volume.
+//!   failed probes. Probing stops, `/readyz` goes 503, and writes stay
+//!   refused. Reads still serve; the operator decides whether to
+//!   restart or replace the volume.
 //!
 //! A failure whose follow-up probe *succeeds* never leaves Healthy:
 //! the original request still reports its storage error, but the next
 //! write proceeds (transient blips — a once-fired fault injection, a
 //! momentary EIO — do not flip the daemon read-only).
 //!
-//! The monitor is engine-owned and shared (`Arc`) with the serving
-//! layer, the admin endpoint, and the heal thread. The fast path
-//! (`state_code`) is one relaxed atomic load so healthy-path request
-//! handling pays nothing measurable.
+//! The resident engine owns the monitor and is its one writer; the
+//! serving layer and the admin endpoint share it (`Arc`) for reading.
+//! The fast path (`state_code`) is one relaxed atomic load so
+//! healthy-path request handling pays nothing measurable.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
@@ -44,8 +45,8 @@ const FAILED_RETRY_AFTER_MS: u64 = 5_000;
 pub enum HealthState {
     /// Storage is usable; writes are admitted.
     Healthy,
-    /// Storage is suspect; writes are refused, reads serve, and the
-    /// heal loop is probing.
+    /// Storage is suspect; writes are refused, reads serve, and a write
+    /// re-probes storage once a probe is due.
     Degraded {
         /// Milliseconds since the transition into Degraded.
         since_ms: u64,
@@ -94,7 +95,7 @@ pub struct HealthMonitor {
     pub degraded_entered: AtomicU64,
     /// Times a heal probe returned the monitor to Healthy.
     pub degraded_healed: AtomicU64,
-    /// Total failed heal probes (inline and background).
+    /// Total failed heal probes.
     pub probe_failures: AtomicU64,
     /// Writes refused while Degraded or Failed.
     pub writes_refused: AtomicU64,
@@ -203,8 +204,8 @@ impl HealthMonitor {
         }
     }
 
-    /// Records a failed background heal probe; escalates to Failed
-    /// once the consecutive-failure budget is exhausted.
+    /// Records a failed heal probe; escalates to Failed once the
+    /// consecutive-failure budget is exhausted.
     pub fn record_probe_failure(&self, cause: &str) {
         let mut d = self.detail.lock().unwrap_or_else(|e| e.into_inner());
         if self.state.load(Ordering::Acquire) != 1 {
@@ -239,8 +240,8 @@ impl HealthMonitor {
         self.state.store(0, Ordering::Release);
     }
 
-    /// True when the heal loop should attempt a probe now: Degraded
-    /// and the backoff delay has elapsed.
+    /// True when a write should attempt a heal probe now: Degraded and
+    /// the backoff delay has elapsed.
     pub fn due_for_probe(&self) -> bool {
         if self.state.load(Ordering::Acquire) != 1 {
             return false;

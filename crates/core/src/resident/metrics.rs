@@ -247,7 +247,7 @@ impl ResidentEngine {
                     "WAL batches dropped during recovery because they no longer apply.";
                 torn_bytes:       Gauge Registry = rec.torn_bytes,
                     "Torn bytes discarded from the WAL tail during recovery.";
-                replay_ms:        Gauge Line = rec.replay_ms,
+                replay_ms:        Gauge Line = rec.replay_ms as u64,
                     "Milliseconds spent replaying the WAL at startup.", Plain "recovery_replay_ms";
             }
             group_commit [GroupCommit: group.is_some()] {

@@ -13,13 +13,15 @@
 //!   — one relation lookup that owns every refusal text, and one
 //!   `encode_existing` for rows that must not intern a symbol.
 //! * `write.rs` — the plan table of prebuilt interpreter trees, inserts,
-//!   and the write path all writes share: validate, WAL append by kind,
+//!   and the write path all writes share: the storage-health gate,
+//!   validate, WAL append by kind,
 //!   encode, apply, auto-snapshot; the one row encoder, which recovery
 //!   uses too.
 //! * `retract.rs` — the retraction's delete-and-re-derive phases.
-//! * `storage.rs` — open and recovery (the WAL streamed and folded to
-//!   one net batch per relation, applied through the write path's apply
-//!   steps), the one checkpoint, storage health, group commit.
+//! * `storage.rs` — open (the startup writability probe) and recovery
+//!   (the WAL streamed and folded to one net batch per relation, applied
+//!   through the write path's apply steps), the one checkpoint, storage
+//!   health — degrade on a failure, heal on a write — and group commit.
 //! * `read.rs` — queries and `.explain`.
 //! * `metrics.rs` — the serving counters and the metric catalogue.
 //!
@@ -62,7 +64,7 @@ mod write;
 
 pub use metrics::ServerStats;
 pub(crate) use read::explain_row;
-pub use storage::{PersistOptions, RecoveryReport, PROBE_FILE, SNAPSHOT_FILE, WAL_FILE};
+pub use storage::{PersistOptions, RecoveryReport, SNAPSHOT_FILE, WAL_FILE};
 use write::{build_plans, StratumPlan};
 pub use write::{RetractReport, UpdateReport};
 
@@ -144,9 +146,9 @@ pub struct ResidentEngine {
     /// Serving latency histograms and gauges, shared with the daemon's
     /// admin endpoint (disabled outside serving mode).
     serve_metrics: Arc<ServeMetrics>,
-    /// Storage health state machine, shared (`Arc`) with the serving
-    /// layer, admin endpoint, and heal loop. Stays Healthy forever on
-    /// non-durable engines.
+    /// Storage health state machine, written only by the engine and
+    /// shared (`Arc`) for reading with the serving layer and the admin
+    /// endpoint. Stays Healthy forever on non-durable engines.
     health: Arc<HealthMonitor>,
     /// The mapped v2 snapshot the disk-backed indexes serve pages off
     /// (cold start or a checkpoint); `None` when every index is

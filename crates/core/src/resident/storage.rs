@@ -31,8 +31,9 @@ pub struct PersistOptions {
 /// snapshot yet is not checkpointed on its first write.
 const CHECKPOINT_FLOOR: u64 = 1 << 20;
 
-/// What [`ResidentEngine::open`] recovered from the data directory.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// What [`ResidentEngine::open`] recovered from the data directory; its
+/// `Display` is the recovery line both front ends log.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecoveryReport {
     /// A valid snapshot was loaded (skipping the initial fixpoint).
     pub snapshot_loaded: bool,
@@ -51,8 +52,24 @@ pub struct RecoveryReport {
     pub skipped_batches: u64,
     /// Torn bytes discarded from the WAL tail.
     pub torn_bytes: u64,
-    /// Wall-clock milliseconds spent reading and replaying the WAL.
-    pub replay_ms: u64,
+    /// Wall-clock milliseconds spent reading and replaying the WAL,
+    /// fractional so a sub-millisecond replay does not read 0.
+    pub replay_ms: f64,
+}
+
+impl std::fmt::Display for RecoveryReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "snapshot={} replayed={} batches ({} tuples) skipped={} torn_bytes={} replay_ms={:.3}",
+            self.snapshot_loaded,
+            self.replayed_batches,
+            self.replayed_tuples,
+            self.skipped_batches,
+            self.torn_bytes,
+            self.replay_ms,
+        )
+    }
 }
 
 impl RecoveryReport {
@@ -86,14 +103,14 @@ pub const WAL_FILE: &str = "wal.log";
 /// The snapshot file name inside a data directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.bin";
 /// The transient probe file written by storage health checks.
-pub const PROBE_FILE: &str = "wal.probe";
+const PROBE_FILE: &str = "wal.probe";
 
-/// Writes, fsyncs, and removes a probe file in `dir` — the core of a
-/// storage health check. Gated by the `wal_probe` fault point (distinct
-/// from the WAL append points so probes never shift `at=N` hit counts).
+/// Writes, fsyncs, and removes a probe file in `dir`.
+/// [`ResidentEngine::open`] runs it bare, so an unwritable directory
+/// fails the open and chaos tests that arm `wal_probe` still open; a heal
+/// runs it behind that point.
 fn probe_storage_dir(dir: &Path) -> Result<(), StorageError> {
     let err = |op: &'static str| move |e: std::io::Error| StorageError::io(op, &e);
-    fault::check(FaultPoint::WalProbe).map_err(err("probe storage"))?;
     let path = dir.join(PROBE_FILE);
     let mut f = std::fs::File::create(&path).map_err(err("create storage probe"))?;
     f.write_all(b"stir-probe")
@@ -149,12 +166,13 @@ pub(super) fn rebase_runs(
 }
 
 impl ResidentEngine {
-    /// Opens a resident engine backed by a data directory: loads the
-    /// latest valid snapshot (falling back to a fresh evaluation of
-    /// `inputs`), folds the WAL suffix to one net batch per relation and
-    /// applies it, truncates any torn tail, and keeps the WAL open for
-    /// [`Self::insert_facts`] appends. A temp file orphaned by a crashed
-    /// snapshot publish is removed.
+    /// Opens a resident engine backed by a data directory: probes the
+    /// directory for writability, loads the latest valid snapshot
+    /// (falling back to a fresh evaluation of `inputs`), folds the WAL
+    /// suffix to one net batch per relation and applies it, truncates any
+    /// torn tail, and keeps the WAL open for [`Self::insert_facts`]
+    /// appends. A temp file orphaned by a crashed snapshot publish is
+    /// removed.
     ///
     /// When a snapshot is loaded, `inputs` is ignored — the snapshot
     /// already contains those facts (and everything inserted since).
@@ -162,12 +180,13 @@ impl ResidentEngine {
     /// # Errors
     ///
     /// Propagates construction errors (a legacy-data config is refused
-    /// before any I/O on `data_dir`) and I/O failures on
-    /// the data directory. An *invalid* snapshot or torn WAL tail is not an
-    /// error: recovery degrades to re-evaluation and reports it
-    /// ([`RecoveryReport::snapshot_rejected`]) — a retired-format
-    /// `STIRSNP1` snapshot included. A retired-format `STIRWAL1` log *is*
-    /// an error: starting it over would drop acknowledged history.
+    /// before any I/O on `data_dir`) and I/O failures on the data
+    /// directory, an unwritable one included. An *invalid* snapshot or
+    /// torn WAL tail is not an error: recovery degrades to re-evaluation
+    /// and reports it ([`RecoveryReport::snapshot_rejected`]) — a
+    /// retired-format `STIRSNP1` snapshot included. A retired-format
+    /// `STIRWAL1` log *is* an error: starting it over would drop
+    /// acknowledged history.
     pub fn open(
         engine: Engine,
         config: InterpreterConfig,
@@ -178,6 +197,13 @@ impl ResidentEngine {
     ) -> Result<(ResidentEngine, RecoveryReport), EngineError> {
         refuse_legacy(&config)?;
         std::fs::create_dir_all(data_dir).map_err(|e| StorageError::io("create data dir", &e))?;
+        probe_storage_dir(data_dir).map_err(|e| {
+            StorageError::new(format!(
+                "data dir {} is not writable: {}",
+                data_dir.display(),
+                e.msg
+            ))
+        })?;
         let fp = wal::fingerprint(&engine.ram().to_string());
         let snap_path = data_dir.join(SNAPSHOT_FILE);
         let wal_path = data_dir.join(WAL_FILE);
@@ -236,7 +262,7 @@ impl ResidentEngine {
                 Err(e) => report.skip(records, &e, tel),
             }
         }
-        report.replay_ms = replay_started.elapsed().as_millis().min(u64::MAX as u128) as u64;
+        report.replay_ms = replay_started.elapsed().as_secs_f64() * 1e3;
 
         let wal = WalWriter::open(&wal_path, opts.durability, fp, log.valid_len())?;
         this.persistence = Some(Persistence {
@@ -258,65 +284,67 @@ impl ResidentEngine {
         self.persistence.as_ref().map(|p| p.wal.stats)
     }
 
-    /// The storage health monitor, shared with the serving layer, the
-    /// admin endpoint, and the daemon's heal loop.
+    /// The storage health monitor, shared for reading with the serving
+    /// layer and the admin endpoint; the engine is its one writer.
     pub fn health(&self) -> Arc<HealthMonitor> {
         Arc::clone(&self.health)
     }
 
-    /// Probes the storage layer and repairs recoverable damage: writes,
-    /// fsyncs, and removes a probe file in the data directory (the
-    /// `wal_probe` fault point), then — if a failed rollback poisoned
-    /// the WAL — writes a fresh snapshot covering all logged history and
-    /// truncates the log, which clears the poison. A no-op without a
-    /// data directory.
-    ///
-    /// # Errors
-    ///
-    /// Returns the probe or repair failure; the engine is not healthy.
-    pub fn heal_storage(&mut self) -> Result<(), StorageError> {
+    /// Probes storage (behind the `wal_probe` fault point) and repairs a
+    /// WAL that a failed rollback poisoned: a fresh snapshot covers all
+    /// logged history and truncates the log. A no-op without a data
+    /// directory.
+    fn heal_storage(&mut self) -> Result<(), StorageError> {
         let Some(p) = &self.persistence else {
             return Ok(());
         };
+        fault::check(FaultPoint::WalProbe).map_err(|e| StorageError::io("probe storage", &e))?;
         probe_storage_dir(&p.dir)?;
         if p.wal.is_broken() {
-            // Truncate-or-rotate: the snapshot is the new recovery
-            // baseline, so resetting the poisoned tail loses nothing.
             self.snapshot(None)
                 .map_err(|e| StorageError::new(e.to_string()))?;
         }
         Ok(())
     }
 
-    /// Reacts to a storage failure on the write path: probe (and
-    /// repair) immediately. A passing probe means the failure was
-    /// transient — the engine stays Healthy and only the failing
-    /// request reports an error. A failing probe enters Degraded:
-    /// writes are refused with a `retry-after` hint until the heal
-    /// loop's probe succeeds.
+    /// Reacts to a storage failure on the write path: probe (and repair)
+    /// at once. A passing probe means the failure was transient and the
+    /// engine stays Healthy; a failing one enters Degraded, and writes
+    /// are refused until one finds a probe due and it succeeds.
     pub fn note_storage_failure(&mut self, cause: &str) {
-        let health = Arc::clone(&self.health);
         match self.heal_storage() {
-            Ok(()) => health.mark_healed(),
-            Err(_) => health.record_degraded(cause),
+            Ok(()) => self.health.mark_healed(),
+            Err(_) => self.health.record_degraded(cause),
         }
     }
 
-    /// One background heal attempt: probe (and repair) storage, then
-    /// record the outcome on the health monitor. Returns `true` when
-    /// the engine came out healthy.
+    /// One heal attempt, recorded on the health monitor (a failure counts
+    /// against the heal budget); `true` when the engine came out healthy.
+    /// The write gate is its caller.
     pub fn try_heal(&mut self) -> bool {
-        let health = Arc::clone(&self.health);
-        match self.heal_storage() {
-            Ok(()) => {
-                health.mark_healed();
-                true
-            }
-            Err(e) => {
-                health.record_probe_failure(&e.to_string());
-                false
-            }
+        let healed = self.heal_storage();
+        match &healed {
+            Ok(()) => self.health.mark_healed(),
+            Err(e) => self.health.record_probe_failure(&e.to_string()),
         }
+        healed.is_ok()
+    }
+
+    /// The write gate, passed before a write is validated or logged: one
+    /// atomic load while Healthy. A Degraded engine whose probe is due
+    /// runs [`Self::try_heal`] first, so the write that finds storage
+    /// back is accepted; probing only when a write asks suffices, since
+    /// Degraded and Failed refuse nothing else.
+    pub(super) fn health_gate(&mut self) -> Result<(), EngineError> {
+        if self.health.state_code() == 0 {
+            return Ok(());
+        }
+        if self.health.due_for_probe() {
+            self.try_heal();
+        }
+        self.health
+            .gate_write()
+            .map_err(|retry_after_ms| EngineError::Degraded { retry_after_ms })
     }
 
     /// Switches `always`-durability WAL appends to group commit (see
@@ -477,7 +505,13 @@ mod tests {
         let opts = PersistOptions::default();
 
         let (mut r, rec) = open_dir(TC, InterpreterConfig::optimized(), &inputs, &dir, opts);
-        assert_eq!(rec, RecoveryReport::default());
+        assert_eq!(
+            RecoveryReport {
+                replay_ms: 0.0,
+                ..rec
+            },
+            RecoveryReport::default()
+        );
         r.insert_facts("e", &pairs(&[(2, 3)]), None)
             .expect("inserts");
         r.insert_facts("e", &pairs(&[(3, 4)]), None)
@@ -495,6 +529,41 @@ mod tests {
         assert_eq!(rec.replayed_tuples, 2);
         assert_eq!(rec.skipped_batches, 0);
         assert_eq!(r.outputs(), before);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Library writes pass the same health gate as served ones: a
+    /// degraded engine refuses them until a heal probe is due, and the
+    /// write that finds storage back runs the probe and is accepted.
+    #[test]
+    fn library_writes_are_gated_and_heal_degraded_storage() {
+        let dir = tmpdir("gated");
+        let opts = PersistOptions::default();
+        let (mut r, _) = open_dir(
+            TC,
+            InterpreterConfig::optimized(),
+            &InputData::new(),
+            &dir,
+            opts,
+        );
+        // A storage failure whose probe fails too: the data directory is
+        // gone, so the probe file cannot be created.
+        std::fs::remove_dir_all(&dir).expect("removes the data dir");
+        r.note_storage_failure("disk gone");
+        let refused = r.insert_facts("e", &pairs(&[(1, 2)]), None);
+        let Err(EngineError::Degraded { retry_after_ms }) = refused else {
+            panic!("a degraded engine accepted a library write: {refused:?}");
+        };
+        assert!(retry_after_ms >= 50, "retry-after {retry_after_ms}");
+        assert!(r.outputs()["p"].is_empty(), "the refused write applied");
+
+        // Storage comes back; once the probe is due, the next write heals.
+        std::fs::create_dir_all(&dir).expect("data dir back");
+        std::thread::sleep(std::time::Duration::from_millis(retry_after_ms + 50));
+        let report = r.insert_facts("e", &pairs(&[(1, 2)]), None);
+        assert_eq!(report.expect("heals and inserts").inserted, 1);
+        assert_eq!(r.health().snapshot(), crate::health::HealthState::Healthy);
+        assert_eq!(r.outputs()["p"], pairs(&[(1, 2)]));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -682,7 +751,14 @@ mod tests {
             &dir,
             PersistOptions::default(),
         );
-        assert_eq!(rec, RecoveryReport::default(), "temps are not snapshots");
+        assert_eq!(
+            RecoveryReport {
+                replay_ms: 0.0,
+                ..rec
+            },
+            RecoveryReport::default(),
+            "temps are not snapshots"
+        );
         for path in &stale {
             assert!(!path.exists(), "{} survived open", path.display());
         }
@@ -895,10 +971,7 @@ mod tests {
             // Batches of 1 000 disjoint edges (even to odd), so `p` is `e`.
             let (mut batches, mut logged) = (0, 0);
             while log(&r).0 == 1 {
-                assert!(
-                    batches < 200,
-                    "{storage:?}: the log was never checkpointed"
-                );
+                assert!(batches < 200, "{storage:?}: the log was never checkpointed");
                 logged = log(&r).1;
                 let base = 2000 * batches;
                 let rows: Vec<_> = (base..base + 2000).step_by(2).map(|x| (x, x + 1)).collect();

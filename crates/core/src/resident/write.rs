@@ -109,8 +109,10 @@ impl ResidentEngine {
     ///
     /// # Errors
     ///
-    /// Rejects unknown or non-`.input` relations and wrong-arity tuples;
-    /// propagates WAL failures and runtime errors from re-evaluation.
+    /// Refuses every write with [`EngineError::Degraded`] while storage
+    /// is degraded or failed; rejects unknown or non-`.input` relations
+    /// and wrong-arity tuples; propagates WAL failures and runtime errors
+    /// from re-evaluation.
     pub fn insert_facts(
         &mut self,
         rel: &str,
@@ -150,8 +152,7 @@ impl ResidentEngine {
     ///
     /// # Errors
     ///
-    /// Rejects unknown or non-`.input` relations and wrong-arity tuples;
-    /// propagates WAL failures and runtime errors from re-evaluation.
+    /// As [`Self::insert_facts`].
     pub fn retract_facts(
         &mut self,
         rel: &str,
@@ -181,8 +182,9 @@ impl ResidentEngine {
         })
     }
 
-    /// The one serving write path: validate, log by kind, encode,
-    /// `apply`, auto-snapshot.
+    /// The one serving write path: gate on storage health (see
+    /// [`Self::health_gate`]), validate, log by kind, encode, `apply`,
+    /// auto-snapshot.
     fn write<R>(
         &mut self,
         kind: WalRecordKind,
@@ -191,6 +193,7 @@ impl ResidentEngine {
         tel: Option<&Telemetry>,
         apply: impl FnOnce(&mut Self, RelId, Vec<Vec<RamDomain>>) -> Result<R, EvalError>,
     ) -> Result<R, EngineError> {
+        self.health_gate()?;
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
         // Validate before logging, so the WAL only ever holds batches
         // the engine would accept on replay.

@@ -10,10 +10,9 @@ use stir::cli::CommonArgs;
 use stir::core::io;
 use stir::core::PersistOptions;
 use stir::ram::program::RamProgram;
-use stir::serve::{handle_request, run_session, RequestCtx, SessionConfig};
+use stir::serve::{self, handle_request, run_session, RequestCtx, SessionConfig};
 use stir::{
-    profile_json, Engine, InputData, InterpreterConfig, LogLevel, ProfileReport, ResidentEngine,
-    Telemetry,
+    profile_json, Engine, InputData, InterpreterConfig, LogLevel, ProfileReport, Telemetry,
 };
 
 struct Options {
@@ -144,6 +143,7 @@ fn parse_args() -> Options {
     if repl {
         common.serve_sti();
     }
+    common.arm_faults();
     // `stir explain` is pointless without annotations, so it implies them.
     common.provenance |= explain;
     let mut config = common.config();
@@ -240,37 +240,24 @@ fn run_explain(
 /// whole session — the initial fixpoint plus every update and query span.
 fn run_repl(opts: &Options, engine: Engine, inputs: &InputData, tel: &Telemetry) -> ExitCode {
     let started = std::time::Instant::now();
-    let resident = match &opts.data_dir {
-        Some(dir) => {
-            match ResidentEngine::open(engine, opts.config, inputs, dir, opts.persist, Some(tel)) {
-                Ok((r, recovery)) => {
-                    eprintln!(
-                        "stir: recovery snapshot={} replayed={} batches ({} tuples) torn_bytes={}",
-                        recovery.snapshot_loaded,
-                        recovery.replayed_batches,
-                        recovery.replayed_tuples,
-                        recovery.torn_bytes,
-                    );
-                    if let Some(reason) = &recovery.snapshot_rejected {
-                        eprintln!(
-                            "stir: snapshot rejected, every write it covered is lost: {reason}"
-                        );
-                    }
-                    r
-                }
-                Err(e) => {
-                    eprintln!("stir: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+    // The REPL prints every lifecycle line, whatever its level.
+    let log = |_: LogLevel, msg: &str| eprintln!("stir: {msg}");
+    let dir = opts.data_dir.as_deref();
+    let up = serve::bring_up(
+        engine,
+        opts.config,
+        inputs,
+        dir,
+        opts.persist,
+        Some(tel),
+        &log,
+    );
+    let resident = match up {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("stir: {e}");
+            return ExitCode::FAILURE;
         }
-        None => match ResidentEngine::new(engine, opts.config, inputs, Some(tel)) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("stir: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
     };
     eprintln!(
         "stir: resident engine ready ({} relations, {} strata); .help for commands",
@@ -296,18 +283,7 @@ fn run_repl(opts: &Options, engine: Engine, inputs: &InputData, tel: &Telemetry)
     drop(output);
     let elapsed = started.elapsed();
     let mut resident = shared.into_inner().unwrap_or_else(|p| p.into_inner());
-    if resident.is_durable() {
-        if let Err(e) = resident.flush_wal() {
-            eprintln!("stir: WAL flush at exit failed: {e}");
-        }
-        match resident.snapshot(Some(tel)) {
-            Ok(s) => eprintln!(
-                "stir: exit snapshot: {} tuples, {} bytes",
-                s.tuples, s.bytes
-            ),
-            Err(e) => eprintln!("stir: exit snapshot failed: {e}"),
-        }
-    }
+    serve::shut_down(&mut resident, Some(tel), &log);
     resident.sync_metrics(tel);
     write_reports(
         opts,

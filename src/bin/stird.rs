@@ -27,9 +27,9 @@ use stir::cli::CommonArgs;
 use stir::core::fault::{self, FaultPoint};
 use stir::core::io;
 use stir::core::telemetry::{Logger, ServeMetrics};
-use stir::core::{HealthState, PersistOptions};
+use stir::core::PersistOptions;
 use stir::serve::{
-    handle_request, run_session, Control, RequestCtx, SessionConfig, WriteAdmission,
+    self, handle_request, run_session, Control, RequestCtx, SessionConfig, WriteAdmission,
 };
 use stir::{
     profile_json, Engine, InputData, InterpreterConfig, LogLevel, ResidentEngine, Telemetry,
@@ -79,7 +79,8 @@ usage: stird PROGRAM.dl [-F facts_dir] [options]
                              outgrows the snapshot)
       --max-conns N        concurrent session limit (default 64)
       --max-pending-writes N  queued-write limit before shedding (default 64)
-      --heal-budget N      failed heal probes before Failed (default 8)
+      --heal-budget N      consecutive failed heal probes, run by writes
+                           to a degraded engine, before Failed (default 8)
       --request-timeout S  per-request evaluation deadline in seconds
       --max-line-bytes N   request line size limit (default 1048576)
       --profile-json F     write the profile JSON to F at shutdown
@@ -169,6 +170,7 @@ fn parse_args() -> Options {
         }
     }
     common.serve_sti();
+    common.arm_faults();
     Options {
         program: program.unwrap_or_else(|| common.usage()),
         config: common.config(),
@@ -221,23 +223,6 @@ mod signals {
 /// Retry hint attached to the `err server busy` connection-admission
 /// reply; connection churn settles fast, so the hint is short.
 const BUSY_RETRY_MS: u64 = 100;
-
-/// Probes the data directory for writability with a real
-/// create/write/fsync/remove round-trip before the listener binds, so a
-/// read-only volume or a typoed path fails loudly at startup instead of
-/// after the first acknowledged write. Deliberately not routed through
-/// the fault harness: chaos tests arm `STIR_FAULT` in the environment
-/// before spawning the server and still need it to boot.
-fn probe_data_dir(dir: &std::path::Path) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(stir::core::resident::PROBE_FILE);
-    let mut f = std::fs::File::create(&path)?;
-    f.write_all(b"stir-probe")?;
-    f.sync_data()?;
-    drop(f);
-    let _ = std::fs::remove_file(&path);
-    Ok(())
-}
 
 /// A [`TcpStream`] writer that runs the `conn_write` fault hook before
 /// every write, so the fault harness can simulate clients whose socket
@@ -349,15 +334,6 @@ fn main() -> ExitCode {
     // overrides both this stream and the engine telemetry one.
     let slog = Logger::serving("stird", opts.log_level.unwrap_or(LogLevel::Info));
 
-    // Refuse to start on unwritable storage: an engine that boots, binds,
-    // and then degrades on its very first write helps nobody.
-    if let Some(dir) = &opts.data_dir {
-        if let Err(e) = probe_data_dir(dir) {
-            eprintln!("stird: data dir {} is not writable: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
-    }
-
     // Bind the admin endpoint before the (potentially long) recovery,
     // so orchestrators can probe `/readyz` from the first millisecond —
     // it answers 503 until the engine is published below.
@@ -404,45 +380,25 @@ fn main() -> ExitCode {
     };
 
     let started = std::time::Instant::now();
-    let resident = match &opts.data_dir {
-        Some(dir) => {
-            match ResidentEngine::open(engine, opts.config, &inputs, dir, opts.persist, Some(&tel))
-            {
-                Ok((r, recovery)) => {
-                    slog.log(
-                        LogLevel::Info,
-                        &format!(
-                            "recovery snapshot={} replayed={} batches ({} tuples) \
-                             skipped={} torn_bytes={} replay_ms={}",
-                            recovery.snapshot_loaded,
-                            recovery.replayed_batches,
-                            recovery.replayed_tuples,
-                            recovery.skipped_batches,
-                            recovery.torn_bytes,
-                            recovery.replay_ms,
-                        ),
-                    );
-                    if let Some(reason) = &recovery.snapshot_rejected {
-                        slog.log(
-                            LogLevel::Error,
-                            &format!("snapshot rejected, every write it covered is lost: {reason}"),
-                        );
-                    }
-                    r
-                }
-                Err(e) => {
-                    eprintln!("stird: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+    // Opening the data directory probes it for writability: a volume
+    // that can never take a write fails here, before the listener binds.
+    let log = |level: LogLevel, msg: &str| slog.log(level, msg);
+    let dir = opts.data_dir.as_deref();
+    let up = serve::bring_up(
+        engine,
+        opts.config,
+        &inputs,
+        dir,
+        opts.persist,
+        Some(&tel),
+        &log,
+    );
+    let mut resident = match up {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("stird: {e}");
+            return ExitCode::FAILURE;
         }
-        None => match ResidentEngine::new(engine, opts.config, &inputs, Some(&tel)) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("stird: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
     };
 
     // Histograms record only when something reads them; a bare run
@@ -455,16 +411,11 @@ fn main() -> ExitCode {
     } else {
         ServeMetrics::off()
     });
-    let mut resident = resident;
     resident.attach_serve_metrics(Arc::clone(&metrics));
-    let health = resident.health();
-    health.set_budget(opts.heal_budget);
-    let durable = resident.is_durable();
-    if durable {
-        // Under `--durability always`, coalesce concurrent commits into
-        // one fsync; `enable_group_commit` is a no-op for other levels.
-        resident.enable_group_commit();
-    }
+    resident.health().set_budget(opts.heal_budget);
+    // Under `--durability always`, coalesce concurrent commits into one
+    // fsync; a no-op for other levels and without a data directory.
+    resident.enable_group_commit();
     let admission = Arc::new(WriteAdmission::new(opts.max_pending_writes));
 
     let listener = match TcpListener::bind(("127.0.0.1", opts.port)) {
@@ -522,43 +473,6 @@ fn main() -> ExitCode {
                         LogLevel::Info,
                         &format!("metrics {}", admin::registry_json(&snap).render()),
                     );
-                }
-            }
-        })
-    });
-
-    // Self-heal loop: when a storage failure put the engine in degraded
-    // read-only mode, probe on the health monitor's backoff schedule and
-    // transition back to healthy once a probe round-trips. Every state
-    // transition is logged; a healthy engine costs one atomic load per
-    // tick.
-    let healer = durable.then(|| {
-        let engine = Arc::clone(&shared);
-        let health = Arc::clone(&health);
-        std::thread::spawn(move || {
-            let mut last = health.state_code();
-            while !signals::STOP.load(Ordering::SeqCst) {
-                std::thread::sleep(Duration::from_millis(20));
-                if health.due_for_probe() {
-                    let mut eng = engine.write().unwrap_or_else(PoisonError::into_inner);
-                    eng.try_heal();
-                }
-                let code = health.state_code();
-                if code != last {
-                    last = code;
-                    match health.snapshot() {
-                        HealthState::Healthy => {
-                            slog.log(LogLevel::Warn, "storage healed; resuming writes");
-                        }
-                        HealthState::Degraded { cause, .. } => slog.log(
-                            LogLevel::Warn,
-                            &format!("storage degraded, serving read-only: {cause}"),
-                        ),
-                        HealthState::Failed { cause } => slog.log(
-                            LogLevel::Error,
-                            &format!("storage heal budget exhausted, writes disabled: {cause}"),
-                        ),
-                    }
                 }
             }
         })
@@ -631,21 +545,7 @@ fn main() -> ExitCode {
     let tel = tel_mutex
         .into_inner()
         .unwrap_or_else(PoisonError::into_inner);
-    if resident.is_durable() {
-        if let Err(e) = resident.flush_wal() {
-            slog.log(
-                LogLevel::Error,
-                &format!("WAL flush at shutdown failed: {e}"),
-            );
-        }
-        match resident.snapshot(Some(&tel)) {
-            Ok(s) => slog.log(
-                LogLevel::Info,
-                &format!("shutdown snapshot: {} tuples, {} bytes", s.tuples, s.bytes),
-            ),
-            Err(e) => slog.log(LogLevel::Error, &format!("shutdown snapshot failed: {e}")),
-        }
-    }
+    serve::shut_down(&mut resident, Some(&tel), &log);
     if let Some(path) = &opts.profile_json {
         resident.sync_metrics(&tel);
         let json = profile_json(resident.ram(), resident.initial_profile(), &tel, elapsed);
@@ -667,9 +567,6 @@ fn main() -> ExitCode {
         let _ = h.join();
     }
     if let Some(h) = ticker {
-        let _ = h.join();
-    }
-    if let Some(h) = healer {
         let _ = h.join();
     }
     ExitCode::SUCCESS

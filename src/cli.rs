@@ -134,6 +134,15 @@ impl CommonArgs {
         true
     }
 
+    /// Arms fault injection from `STIR_FAULT`, `STIR_FAULT_SEED` and
+    /// `STIR_FAULT_WINDOW_MS`: a malformed value prints `BIN: malformed
+    /// STIR_FAULT…: reason` and exits 2.
+    pub fn arm_faults(&self) {
+        if let Err(e) = stir_core::fault::arm_from_env() {
+            self.fatal(&e)
+        }
+    }
+
     /// Refuses every `--mode` but `sti`: the servers run the STI, and
     /// the other modes are batch-only ablations.
     pub fn serve_sti(&self) {

@@ -34,21 +34,108 @@
 //! and concurrent reads for free and the REPL pays nothing (uncontended
 //! locks). The paper-adjacent crates vendor no dependencies, so this is
 //! the std stand-in for the `parking_lot` lock a production server would
-//! use.
+//! use. Both front ends also share [`bring_up`] and [`shut_down`].
 
 use std::io::{BufRead, Write};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 use stir_core::io::parse_field;
 use stir_core::telemetry::{LogLevel, Logger, MetricSnapshot, Reach, ServeMetrics};
-use stir_core::{ResidentEngine, Telemetry, Value};
+use stir_core::{
+    Engine, EngineError, HealthState, InputData, InterpreterConfig, PersistOptions, ResidentEngine,
+    Telemetry, Value,
+};
 use stir_frontend::ast::AttrType;
 use stir_ram::RamProgram;
 
 /// `retry-after` hint (milliseconds) on `err overloaded` replies: shed
 /// writes should come back after roughly one write-queue drain.
 const OVERLOADED_RETRY_MS: u64 = 50;
+
+/// Brings up a front end's engine: [`ResidentEngine::open`] on a data
+/// directory, logging the recovery line (and a rejected snapshot) to
+/// `log`; else a fresh fixpoint in memory.
+///
+/// # Errors
+///
+/// Those of [`ResidentEngine::open`] and [`ResidentEngine::new`].
+pub fn bring_up(
+    engine: Engine,
+    config: InterpreterConfig,
+    inputs: &InputData,
+    data_dir: Option<&Path>,
+    persist: PersistOptions,
+    tel: Option<&Telemetry>,
+    log: &dyn Fn(LogLevel, &str),
+) -> Result<ResidentEngine, EngineError> {
+    let Some(dir) = data_dir else {
+        return ResidentEngine::new(engine, config, inputs, tel);
+    };
+    let (resident, recovery) = ResidentEngine::open(engine, config, inputs, dir, persist, tel)?;
+    log(LogLevel::Info, &format!("recovery {recovery}"));
+    if let Some(reason) = &recovery.snapshot_rejected {
+        let lost = format!("snapshot rejected, every write it covered is lost: {reason}");
+        log(LogLevel::Error, &lost);
+    }
+    Ok(resident)
+}
+
+/// The exit step of a durable front end, each outcome logged to `log`:
+/// flush the WAL, then checkpoint (also after a failed flush: the
+/// snapshot covers every write the log holds).
+pub fn shut_down(
+    engine: &mut ResidentEngine,
+    tel: Option<&Telemetry>,
+    log: &dyn Fn(LogLevel, &str),
+) {
+    if !engine.is_durable() {
+        return;
+    }
+    if let Err(e) = engine.flush_wal() {
+        log(
+            LogLevel::Error,
+            &format!("WAL flush at shutdown failed: {e}"),
+        );
+    }
+    match engine.snapshot(tel) {
+        Ok(s) => log(
+            LogLevel::Info,
+            &format!("shutdown snapshot: {} tuples, {} bytes", s.tuples, s.bytes),
+        ),
+        Err(e) => log(LogLevel::Error, &format!("shutdown snapshot failed: {e}")),
+    }
+}
+
+/// Runs `f` under the engine write lock and logs the storage-health
+/// transition it caused: health changes only under this lock, so each
+/// transition is logged once, by the request that caused it.
+fn with_write_lock<R>(
+    engine: &RwLock<ResidentEngine>,
+    ctx: &RequestCtx,
+    f: impl FnOnce(&mut ResidentEngine) -> R,
+) -> R {
+    let mut engine = engine.write().unwrap_or_else(PoisonError::into_inner);
+    let health = engine.health();
+    let before = health.state_code();
+    let result = f(&mut engine);
+    if health.state_code() != before {
+        let (level, msg) = match health.snapshot() {
+            HealthState::Healthy => (LogLevel::Warn, "storage healed; resuming writes".into()),
+            HealthState::Degraded { cause, .. } => (
+                LogLevel::Warn,
+                format!("storage degraded, serving read-only: {cause}"),
+            ),
+            HealthState::Failed { cause } => (
+                LogLevel::Error,
+                format!("storage heal budget exhausted, writes disabled: {cause}"),
+            ),
+        };
+        ctx.logger.log(level, &msg);
+    }
+    result
+}
 
 /// What the session should do after a handled line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -373,18 +460,18 @@ fn handle_line_inner(
             } else {
                 "ok snapshot "
             };
-            let result = (engine.write().unwrap_or_else(PoisonError::into_inner)).snapshot(tel);
+            let result = with_write_lock(engine, ctx, |eng| {
+                let result = eng.snapshot(tel);
+                if let Err(e) = &result {
+                    // A failed snapshot write is a storage failure:
+                    // probe immediately, degrade if persistent.
+                    eng.note_storage_failure(&e.to_string());
+                }
+                result
+            });
             match result {
                 Ok(stats) => writeln!(out, "{head}{} tuples {} bytes", stats.tuples, stats.bytes)?,
-                Err(e) => {
-                    {
-                        // A failed snapshot write is a storage failure:
-                        // probe immediately, degrade if persistent.
-                        let mut eng = engine.write().unwrap_or_else(PoisonError::into_inner);
-                        eng.note_storage_failure(&e.to_string());
-                    }
-                    writeln!(out, "err {e}")?;
-                }
+                Err(e) => writeln!(out, "err {e}")?,
             }
             return Ok((Control::Continue, ReqInfo::none()));
         }
@@ -466,22 +553,10 @@ fn stats_line(snap: &MetricSnapshot) -> String {
     fields.join(" ")
 }
 
-/// Refuses a write while the storage layer is Degraded or Failed.
-///
-/// # Errors
-///
-/// The protocol error reply (without the `err ` prefix), carrying the
-/// suggested client backoff in milliseconds.
-fn gate_write(engine: &ResidentEngine) -> Result<(), String> {
-    match engine.health().gate_write() {
-        Ok(()) => Ok(()),
-        Err(ms) => Err(format!("degraded retry-after {ms}")),
-    }
-}
-
-/// Serves one `+fact.` / `-fact.` line: parse, admit, gate on storage
-/// health, apply under the write lock, then wait out the group-commit
-/// barrier with the lock released. Returns the tuples the write changed
+/// Serves one `+fact.` / `-fact.` line: parse, admit, apply under the
+/// write lock (the engine refuses it with `degraded retry-after N` while
+/// storage is degraded), then wait out the group-commit barrier with the
+/// lock released. Returns the tuples the write changed
 /// and whether it overran its deadline (it committed either way).
 fn write_fact(
     engine: &RwLock<ResidentEngine>,
@@ -497,9 +572,7 @@ fn write_fact(
     // Shed before blocking on the write lock: bounding the queue is the
     // point, and reads never pass through here.
     let _permit = admit_write(ctx)?;
-    let (report, ticket) = {
-        let mut engine = engine.write().unwrap_or_else(PoisonError::into_inner);
-        gate_write(&engine)?;
+    let (report, ticket) = with_write_lock(engine, ctx, |engine| -> Result<_, String> {
         let types = attr_types(engine.ram(), &rel, terms.len())?;
         let mut row = Vec::with_capacity(terms.len());
         for (i, (term, ty)) in terms.iter().zip(&types).enumerate() {
@@ -514,18 +587,17 @@ fn write_fact(
                 .insert_facts_deadline(&rel, &[row], deadline, tel)
                 .map(|r| (r.inserted, r.deadline_exceeded))
         };
-        (
+        Ok((
             report.map_err(|e| e.to_string())?,
             engine.take_commit_ticket(),
-        )
-    };
+        ))
+    })?;
     // Group commit: the engine write lock is released before waiting on
     // the fsync barrier, so concurrent writers coalesce their fsyncs
     // instead of serializing them under the lock.
     if let Some(ticket) = ticket {
         if let Err(e) = ticket.wait() {
-            let mut eng = engine.write().unwrap_or_else(PoisonError::into_inner);
-            eng.note_storage_failure(&e.to_string());
+            with_write_lock(engine, ctx, |eng| eng.note_storage_failure(&e.to_string()));
             return Err(format!("{e} ({noun} committed)"));
         }
     }

@@ -263,6 +263,63 @@ fn servers_refuse_the_batch_only_modes_and_flags() {
     }
 }
 
+/// Both binaries parse the fault-injection variables when they start: a
+/// malformed one (here a retired fault point) is one `BIN: malformed
+/// STIR_FAULT…` line and exit 2, before the program is read or a port
+/// is bound.
+#[test]
+fn malformed_fault_variables_fail_both_binaries_at_startup() {
+    let dir = setup("malformed-faults");
+    let table = [
+        (
+            "STIR_FAULT",
+            "compact_write:crash",
+            "malformed STIR_FAULT: unknown fault point `compact_write`",
+        ),
+        ("STIR_FAULT_SEED", "x", "malformed STIR_FAULT_SEED: `x`"),
+        (
+            "STIR_FAULT_WINDOW_MS",
+            "-1",
+            "malformed STIR_FAULT_WINDOW_MS: `-1`",
+        ),
+    ];
+    let binaries = [
+        ("stir", env!("CARGO_BIN_EXE_stir"), &["repl"][..]),
+        ("stird", env!("CARGO_BIN_EXE_stird"), &[][..]),
+    ];
+    for (var, value, complaint) in table {
+        for (name, path, lead) in binaries {
+            let out = Command::new(path)
+                .args(lead)
+                .arg(dir.join("tc.dl"))
+                .args(["-F"])
+                .arg(&dir)
+                .args(["--data-dir"])
+                .arg(dir.join("data"))
+                .env_remove("STIR_FAULT")
+                .env_remove("STIR_FAULT_SEED")
+                .env_remove("STIR_FAULT_WINDOW_MS")
+                .env(var, value)
+                .stdin(Stdio::null())
+                .output()
+                .expect("runs");
+            let (stdout, stderr) = (
+                String::from_utf8_lossy(&out.stdout),
+                String::from_utf8_lossy(&out.stderr),
+            );
+            assert_eq!(out.status.code(), Some(2), "{name} {var}: {stderr}");
+            assert!(!stdout.contains("listening on"), "{name} {var}: {stdout}");
+            let want = format!("{name}: {complaint}");
+            assert!(stderr.starts_with(&want), "{name} {var}: {stderr}");
+            assert_eq!(stderr.lines().count(), 1, "{name} {var}: {stderr}");
+            assert!(
+                !dir.join("data").exists(),
+                "{name} {var} opened the data dir"
+            );
+        }
+    }
+}
+
 /// The benchmark's exact `stird` invocation still serves, on either
 /// storage backend.
 #[test]

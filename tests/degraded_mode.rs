@@ -421,7 +421,7 @@ fn degraded_mode_refuses_writes_serves_reads_and_heals() {
     let dir = setup("degrade-heal");
     // p=1 faults make the sequence deterministic: the first write fails
     // and its inline probe fails, entering Degraded; the window then
-    // expires and a background probe heals.
+    // expires and the first write with a probe due heals.
     let faults = Faults {
         spec: "wal_write:p=1,wal_probe:p=1",
         seed: 1,
@@ -467,9 +467,9 @@ fn degraded_mode_refuses_writes_serves_reads_and_heals() {
         "{metrics}"
     );
 
-    // Once the fault window expires the heal loop recovers the engine;
-    // the failed write from above goes through on retry and extends the
-    // closure.
+    // Once the fault window expires a write's due probe recovers the
+    // engine; the failed write from above goes through on retry and
+    // extends the closure.
     let deadline = Instant::now() + Duration::from_secs(8);
     let mut healed = false;
     while Instant::now() < deadline {
@@ -497,11 +497,70 @@ fn degraded_mode_refuses_writes_serves_reads_and_heals() {
     );
 }
 
+/// `stir repl` shares the engine's write gate with `stird`: a write
+/// after the fault window runs the due heal probe and is accepted.
+#[test]
+fn repl_heals_on_the_first_write_after_the_fault_window() {
+    let dir = setup("repl-heal");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_stir"))
+        .arg("repl")
+        .arg(dir.join("tc.dl"))
+        .arg("-F")
+        .arg(&dir)
+        .args(["--durability", "always", "--data-dir"])
+        .arg(dir.join("data"))
+        .env("STIR_FAULT", "wal_write:p=1,wal_probe:p=1")
+        .env("STIR_FAULT_SEED", "1")
+        .env("STIR_FAULT_WINDOW_MS", "600")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawns");
+    let mut stdin = child.stdin.take().expect("stdin");
+    let mut stdout = BufReader::new(child.stdout.take().expect("stdout"));
+    let mut send = |line: &str| {
+        writeln!(stdin, "{line}").expect("request written");
+        stdin.flush().expect("flushes");
+        let mut lines = Vec::new();
+        loop {
+            let mut reply = String::new();
+            stdout.read_line(&mut reply).expect("reply line");
+            let reply = reply.trim_end().to_string();
+            let done = reply.starts_with("ok ")
+                || reply.starts_with("err ")
+                || reply.starts_with("requests=");
+            lines.push(reply);
+            if done {
+                return lines.pop().expect("terminator");
+            }
+        }
+    };
+
+    // The first write fails and its probe fails: Degraded.
+    let reply = send("+edge(3, 4).");
+    assert!(reply.starts_with("err storage error"), "{reply}");
+    let faulted = Instant::now();
+    let reply = send("+edge(3, 4).");
+    assert!(reply.starts_with("err degraded retry-after "), "{reply}");
+
+    // The window (which began at the first fault check) has closed and
+    // a probe is due: the next write heals the engine and is accepted.
+    std::thread::sleep(Duration::from_millis(1_000).saturating_sub(faulted.elapsed()));
+    assert_eq!(send("+edge(3, 4)."), "ok 1 inserted");
+    let stats = send(".stats");
+    assert!(stats.contains("health=healthy"), "{stats}");
+    assert!(stats.contains("degraded_healed=1"), "{stats}");
+    drop(stdin);
+    assert!(child.wait().expect("exits").success());
+}
+
 #[test]
 fn heal_budget_exhaustion_latches_failed_and_readyz_503() {
     let dir = setup("failed-latch");
     // Permanent faults (no window) with a budget of 1: the entry probe
-    // plus one background probe exhaust it and open the breaker.
+    // plus one probe run by a later write exhaust it and open the
+    // breaker.
     let faults = Faults {
         spec: "wal_write:p=1,wal_probe:p=1",
         seed: 1,
@@ -520,6 +579,9 @@ fn heal_budget_exhaustion_latches_failed_and_readyz_503() {
     let deadline = Instant::now() + Duration::from_secs(5);
     let mut failed = false;
     while Instant::now() < deadline {
+        // Probes run when a write asks: once one is due, this write's
+        // probe fails and exhausts the budget.
+        request(&mut conn, &mut rd, "+edge(4, 5).");
         let (status, body) = admin_get(server.admin_port, "/readyz");
         if status == 503 {
             assert!(body.contains("storage failed"), "{body}");

@@ -77,6 +77,55 @@ fn repl_session_script() {
     assert_eq!(*lines.last().expect("nonempty"), "bye");
 }
 
+/// A durable REPL logs the same recovery line as `stird`, records
+/// dropped at recovery and the replay time included, and checkpoints at
+/// exit.
+#[test]
+fn repl_recovery_line_is_complete() {
+    let dir = setup("repl-recovery");
+    let run = |script: &[u8]| {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_stir"))
+            .arg("repl")
+            .arg(dir.join("tc.dl"))
+            .arg("-F")
+            .arg(&dir)
+            .arg("--data-dir")
+            .arg(dir.join("data"))
+            .env_remove("STIR_FAULT")
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawns");
+        let mut stdin = child.stdin.take().expect("stdin");
+        stdin.write_all(script).expect("script written");
+        drop(stdin);
+        let out = child.wait_with_output().expect("waits");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "{stderr}");
+        stderr
+    };
+    let stderr = run(b"+edge(3, 4).\n.quit\n");
+    let line = stderr
+        .lines()
+        .find(|l| l.starts_with("stir: recovery "))
+        .unwrap_or_else(|| panic!("no recovery line: {stderr}"));
+    assert!(
+        line.starts_with(
+            "stir: recovery snapshot=false replayed=0 batches (0 tuples) skipped=0 torn_bytes=0 \
+             replay_ms="
+        ),
+        "{line}"
+    );
+    assert!(stderr.contains("stir: shutdown snapshot: "), "{stderr}");
+    // The exit checkpoint is what the restart loads.
+    let stderr = run(b".quit\n");
+    assert!(
+        stderr.contains("stir: recovery snapshot=true replayed=0 batches"),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn repl_profile_json_covers_the_session() {
     let dir = setup("repl-profile");
